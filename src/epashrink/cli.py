@@ -12,13 +12,14 @@ import dataclasses
 import functools
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
 import click
 import numpy as np
 
-from .dwt import dwt_forward, dwt_inverse, make_daubechies_filter
+from .dwt import dwt_forward, make_daubechies_filter
 from .elicitation import ElicitationConfig, SigmaEstimator
 from .errors import (
     ConfigError,
@@ -26,6 +27,7 @@ from .errors import (
     EpashrinkError,
     InputError,
     NumericError,
+    numeric_guard,
 )
 from .shrinkage import (
     DoubleExponential,
@@ -38,6 +40,7 @@ from .signals import Signal, TestFunctionKind, add_noise, generate_test_function
 from .study import (
     RuleSpec,
     StudyConfig,
+    denoise,
     run_study,
     shrink_pyramid,
     study_preset,
@@ -88,6 +91,8 @@ def read_signal_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
             continue
         if len(values) > 2:
             raise InputError(f"{path}: expected at most 2 columns on line {lineno}")
+        if not all(map(math.isfinite, values)):
+            raise InputError(f"{path}: non-finite value on line {lineno}: {raw!r}")
         ys.append(values[0])
         if len(values) == 2:
             fs.append(values[1])
@@ -300,26 +305,6 @@ def main(verbose):
     )
 
 
-def _denoise_with_report(samples, rule, cfg, wavelet_order):
-    """Run the pipeline and collect the per-level diagnostics for the report."""
-    filt = make_daubechies_filter(wavelet_order)
-    pyramid = dwt_forward(samples, filt, cfg.coarse_level)
-    diagnostics = shrink_pyramid(pyramid, rule, cfg, samples.size)
-    out = Signal(samples=dwt_inverse(pyramid, filt))
-    report = {
-        "n": int(samples.size),
-        "rule": rule.label,
-        "wavelet_order": wavelet_order,
-        "coarse_level": cfg.coarse_level,
-        "sigma_estimator": cfg.sigma_estimator.value,
-        # heuristic analogue of a signal-to-noise ratio: spread of the
-        # denoised samples against the estimated noise scale
-        "estimated_snr": float(np.std(out.samples)) / diagnostics["sigma_hat"],
-    }
-    report.update(diagnostics)
-    return out, report
-
-
 @main.command("denoise")
 @click.argument("input_path", type=click.Path())
 @_shared_rule_options
@@ -333,12 +318,24 @@ def cmd_denoise(input_path, rule, threshold, gamma, l, c, tau, j0, sigma,
     dyadic, original_n = _to_dyadic(samples, pad)
     cfg = _elicitation_from_flags(gamma, l, c, tau, j0, sigma)
     spec = _rule_from_flags(rule, threshold)
-    out, report = _denoise_with_report(dyadic, spec, cfg, wavelet_order)
-    result = out.samples[:original_n]
-    write_signal_csv(out_path, result)
-    report["input"] = str(input_path)
-    report["original_length"] = int(original_n)
-    report["pad"] = pad
+    out = denoise(Signal(dyadic), spec, cfg, wavelet_order)
+    with numeric_guard("estimated SNR"):
+        # heuristic analogue of a signal-to-noise ratio: spread of the
+        # denoised samples against the estimated noise scale
+        estimated_snr = float(np.std(out.samples) / out.diagnostics["sigma_hat"])
+    report = {
+        "n": out.n,
+        "rule": spec.label,
+        "wavelet_order": wavelet_order,
+        "coarse_level": cfg.coarse_level,
+        "sigma_estimator": cfg.sigma_estimator.value,
+        "estimated_snr": estimated_snr,
+        **out.diagnostics,
+        "input": str(input_path),
+        "original_length": int(original_n),
+        "pad": pad,
+    }
+    write_signal_csv(out_path, out.samples[:original_n])
     report_path = Path(str(out_path) + ".report.json")
     report_path.write_text(json.dumps(report, indent=2) + "\n")
     click.echo(f"wrote {out_path} and {report_path}")

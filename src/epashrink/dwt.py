@@ -18,7 +18,7 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, numeric_guard
 
 MAX_ORDER = 10
 
@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
 def _lowpass_taps(order: int) -> tuple[float, ...]:
     """Extremal-phase Daubechies lowpass taps (2*order of them) as floats.
 
@@ -117,11 +116,27 @@ class DaubechiesFilter:
                 raise DomainError(f"moment p={p} does not vanish: {num!r}")
 
 
+@lru_cache(maxsize=None)
+def _validated_filter(order: int) -> DaubechiesFilter:
+    """Build and validate the filter of one order, once per process.
+
+    The taps are made read-only because every caller shares the result.
+    """
+    h = np.array(_lowpass_taps(order))
+    g = ((-1.0) ** np.arange(2 * order)) * h[::-1]
+    filt = DaubechiesFilter(order, h, g)
+    filt.validate()
+    h.setflags(write=False)
+    g.setflags(write=False)
+    return filt
+
+
 def make_daubechies_filter(vanishing_moments: int) -> DaubechiesFilter:
     """Build the Daubechies filter with the given number of vanishing moments.
 
-    Supported orders are 1 (Haar) through 10. The result is validated
-    against the filter identities before being returned.
+    Supported orders are 1 (Haar) through 10. The filter is validated
+    against the filter identities the first time an order is requested;
+    later calls return the same object, whose taps are read-only.
     """
     if not isinstance(vanishing_moments, (int, np.integer)):
         raise DomainError("vanishing_moments must be an integer")
@@ -129,12 +144,7 @@ def make_daubechies_filter(vanishing_moments: int) -> DaubechiesFilter:
         raise DomainError(
             f"unsupported wavelet order {vanishing_moments}; expected 1..{MAX_ORDER}"
         )
-    n = int(vanishing_moments)
-    h = np.array(_lowpass_taps(n))
-    g = ((-1.0) ** np.arange(2 * n)) * h[::-1]
-    filt = DaubechiesFilter(n, h, g)
-    filt.validate()
-    return filt
+    return _validated_filter(int(vanishing_moments))
 
 
 @dataclass
@@ -238,6 +248,7 @@ def dwt_forward(y, filt: DaubechiesFilter, coarse_level: int = 0) -> WaveletPyra
     -------
     WaveletPyramid with detail levels coarse_level..J-1. The map is
     orthogonal, so the coefficient energy equals the signal energy.
+    Raises NumericError if a coefficient overflows.
     """
     arr, depth = _as_dyadic_array(y)
     if not 0 <= coarse_level < depth:
@@ -246,21 +257,26 @@ def dwt_forward(y, filt: DaubechiesFilter, coarse_level: int = 0) -> WaveletPyra
         )
     approx = arr
     details: dict[int, np.ndarray] = {}
-    for j in range(depth - 1, coarse_level - 1, -1):
-        approx, det = _analysis_step(approx, filt.lowpass, filt.highpass)
-        details[j] = det
+    with numeric_guard("forward transform"):
+        for j in range(depth - 1, coarse_level - 1, -1):
+            approx, det = _analysis_step(approx, filt.lowpass, filt.highpass)
+            details[j] = det
     return WaveletPyramid(coarse_level, approx, details)
 
 
 def dwt_inverse(pyramid: WaveletPyramid, filt: DaubechiesFilter) -> np.ndarray:
-    """Reconstruct the signal from a pyramid; exact inverse of dwt_forward."""
+    """Reconstruct the signal from a pyramid; exact inverse of dwt_forward.
+
+    Raises NumericError if a sample overflows.
+    """
     approx = pyramid.scaling
-    for j in pyramid.levels():
-        det = pyramid.details[j]
-        if approx.size != det.size:
-            raise InputError(
-                f"block size mismatch at level {j}: approx {approx.size}, "
-                f"detail {det.size}"
-            )
-        approx = _synthesis_step(approx, det, filt.lowpass, filt.highpass)
+    with numeric_guard("inverse transform"):
+        for j in pyramid.levels():
+            det = pyramid.details[j]
+            if approx.size != det.size:
+                raise InputError(
+                    f"block size mismatch at level {j}: approx {approx.size}, "
+                    f"detail {det.size}"
+                )
+            approx = _synthesis_step(approx, det, filt.lowpass, filt.highpass)
     return approx

@@ -24,7 +24,7 @@ from .elicitation import (
     estimate_sigma,
     lambda_from_s,
 )
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, NumericError, numeric_guard
 from .shrinkage import MixturePriorParams, esr
 from .signals import Signal, TestFunctionKind, add_noise, generate_test_function
 from .thresholds import hard_threshold, soft_threshold, universal_threshold
@@ -42,6 +42,7 @@ __all__ = [
     "StudyConfig",
     "CellResult",
     "StudyReport",
+    "Denoised",
     "mse",
     "denoise",
     "shrink_pyramid",
@@ -121,35 +122,44 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
 
     The scaling block is never touched. Returns the elicited quantities:
     the noise-scale estimate, per-level spike weight and slab support, and
-    the global rate (mixture rule) or the threshold (hard/soft).
+    the global rate (mixture rule) or the threshold (hard/soft). A
+    non-finite coefficient, or an overflow while eliciting or applying the
+    rule, raises NumericError.
     """
     cfg = elicitation
-    finest = pyramid.details[pyramid.depth - 1]
-    sigma_hat = max(estimate_sigma(finest, cfg.sigma_estimator), SIGMA_FLOOR)
-    levels: list[dict] = []
-    diagnostics: dict = {"sigma_hat": sigma_hat, "levels": levels}
-    if rule.kind == "esr":
-        lam = lambda_from_s(sigma_hat, cfg.c, cfg.tau)
-        diagnostics["lambda"] = lam
+    with numeric_guard("shrinkage"):
+        for block in (pyramid.scaling, *pyramid.details.values()):
+            if not np.isfinite(block).all():
+                raise NumericError("wavelet coefficients are not finite")
+        finest = pyramid.details[pyramid.depth - 1]
+        sigma_hat = max(estimate_sigma(finest, cfg.sigma_estimator), SIGMA_FLOOR)
+        levels: list[dict] = []
+        diagnostics: dict = {"sigma_hat": sigma_hat, "levels": levels}
+        if rule.kind == "esr":
+            lam = diagnostics["lambda"] = lambda_from_s(sigma_hat, cfg.c, cfg.tau)
+        else:
+            eta = rule.threshold
+            if eta is None:
+                eta = universal_threshold(sigma_hat, n_samples)
+            diagnostics["eta"] = eta
+            threshold = hard_threshold if rule.kind == "hard" else soft_threshold
         for j in pyramid.levels():
             block = pyramid.details[j]
-            params = MixturePriorParams(
-                alpha=_clamped_alpha(j, cfg), beta=beta_level(block), lam=lam
-            )
-            levels.append({"level": j, "alpha": params.alpha, "beta": params.beta})
-            pyramid.details[j] = esr(block, params)
-    else:
-        eta = rule.threshold
-        if eta is None:
-            eta = universal_threshold(sigma_hat, n_samples)
-        diagnostics["eta"] = eta
-        apply_rule = hard_threshold if rule.kind == "hard" else soft_threshold
-        for j in pyramid.levels():
-            block = pyramid.details[j]
-            levels.append({"level": j, "alpha": _clamped_alpha(j, cfg),
-                           "beta": beta_level(block)})
-            pyramid.details[j] = apply_rule(block, eta)
+            alpha, beta = _clamped_alpha(j, cfg), beta_level(block)
+            levels.append({"level": j, "alpha": alpha, "beta": beta})
+            if rule.kind == "esr":
+                pyramid.details[j] = esr(block, MixturePriorParams(alpha, beta, lam))
+            else:
+                pyramid.details[j] = threshold(block, eta)
     return diagnostics
+
+
+@dataclass
+class Denoised(Signal):
+    """Result of :func:`denoise`: the estimate, the input's truth, and the
+    diagnostics dict that :func:`shrink_pyramid` returned for it."""
+
+    diagnostics: dict = field(default_factory=dict)
 
 
 def denoise(
@@ -157,19 +167,21 @@ def denoise(
     rule: RuleSpec,
     elicitation: ElicitationConfig | None = None,
     wavelet_order: int = 10,
-) -> Signal:
+) -> Denoised:
     """Transform, shrink the detail levels, transform back.
 
     The scaling block always passes through untouched. For the mixture rule
     the spike weight and slab support are per level and the variance-prior
     rate is global, elicited from the finest level; the thresholding rules
-    use one threshold across all detail levels.
+    use one threshold across all detail levels. The result carries the
+    elicited quantities as ``diagnostics``; see :func:`shrink_pyramid`.
     """
     cfg = elicitation or ElicitationConfig()
     filt = make_daubechies_filter(wavelet_order)
     pyramid = dwt_forward(y.samples, filt, cfg.coarse_level)
-    shrink_pyramid(pyramid, rule, cfg, y.n)
-    return Signal(samples=dwt_inverse(pyramid, filt), truth=y.truth)
+    diagnostics = shrink_pyramid(pyramid, rule, cfg, y.n)
+    return Denoised(samples=dwt_inverse(pyramid, filt), truth=y.truth,
+                    diagnostics=diagnostics)
 
 
 _FUNCTION_ORDER = tuple(TestFunctionKind)
@@ -227,6 +239,13 @@ class StudyConfig:
 
 @dataclass
 class CellResult:
+    """Scores of one rule in one (function, n, snr) cell.
+
+    wall_time_s is the time spent in this rule's denoise calls, summed over
+    the replications. The noise draw that all rules share and the MSE
+    scoring belong to no rule and are not counted.
+    """
+
     function: TestFunctionKind
     n: int
     snr: float
@@ -287,13 +306,14 @@ def run_study(config: StudyConfig) -> StudyReport:
         for n in config.sizes:
             truth = generate_test_function(function, n, config.target_sd)
             for snr in config.snrs:
-                t0 = time.perf_counter()
                 samples = {rule.label: np.empty(config.replications)
                            for rule in config.rules}
+                elapsed = dict.fromkeys(samples, 0.0)
                 for rep in range(config.replications):
                     key = _noise_key(config.seed, function, n, snr, rep)
                     noisy = add_noise(truth, snr, key)
                     for rule in config.rules:
+                        t0 = time.perf_counter()
                         try:
                             out = denoise(noisy, rule, config.elicitation,
                                           config.wavelet_order)
@@ -303,8 +323,8 @@ def run_study(config: StudyConfig) -> StudyReport:
                                 f"snr={snr}, rule={rule.label}, rep={rep}) "
                                 f"failed: {exc}"
                             ) from exc
+                        elapsed[rule.label] += time.perf_counter() - t0
                         samples[rule.label][rep] = mse(out.samples, truth.samples)
-                elapsed = time.perf_counter() - t0
                 for rule in config.rules:
                     vals = samples[rule.label]
                     degenerate = vals.size < 2
@@ -316,7 +336,7 @@ def run_study(config: StudyConfig) -> StudyReport:
                         amse=float(np.mean(vals)),
                         mse_sd=0.0 if degenerate else float(np.std(vals, ddof=1)),
                         mse_samples=vals.copy(),
-                        wall_time_s=elapsed,
+                        wall_time_s=elapsed[rule.label],
                         degenerate_sd=degenerate,
                     ))
     return StudyReport(config=config, cells=cells)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 __all__ = ["hard_threshold", "soft_threshold", "universal_threshold"]
 
@@ -34,9 +34,15 @@ def soft_threshold(d, eta: float):
 
 
 def universal_threshold(sigma_hat: float, n) -> float:
-    """Universal threshold sigma_hat * sqrt(2 ln n) for n >= 2 samples."""
+    """Universal threshold sigma_hat * sqrt(2 ln n) for n >= 2 samples.
+
+    Raises NumericError if the product overflows.
+    """
     if not sigma_hat > 0.0:
         raise DomainError(f"sigma_hat must be positive, got {sigma_hat}")
     if not n >= 2:
         raise DomainError(f"need n >= 2 samples, got {n}")
-    return float(sigma_hat) * math.sqrt(2.0 * math.log(n))
+    eta = float(sigma_hat) * math.sqrt(2.0 * math.log(n))
+    if not math.isfinite(eta):
+        raise NumericError(f"universal threshold overflows: sigma_hat={sigma_hat}, n={n}")
+    return eta

@@ -1,12 +1,21 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from epashrink.cli import main, parse_study_config, read_signal_csv, write_signal_csv
-from epashrink import ConfigError, generate_test_function, add_noise
+from epashrink import (
+    ConfigError,
+    ElicitationConfig,
+    RuleSpec,
+    Signal,
+    add_noise,
+    denoise,
+    generate_test_function,
+)
 
 
 @pytest.fixture
@@ -220,6 +229,61 @@ class TestDenoiseCommand:
         assert result.exit_code == 0, result.output
         denoised, _ = read_signal_csv(out)
         assert denoised.size == expected_len
+
+    @pytest.mark.parametrize("rule", ["esr", "soft", "hard"])
+    def test_sidecar_is_denoise_diagnostics(self, runner, tmp_path, rule):
+        inp = tmp_path / "in.csv"
+        noisy = _write_noisy_signal(inp, kind="bumps", n=1024)
+        out = tmp_path / "out.csv"
+        result = runner.invoke(main, [
+            "denoise", str(inp), "--rule", rule, "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        expected = denoise(Signal(noisy.samples), RuleSpec(rule), ElicitationConfig())
+        report = json.loads((tmp_path / "out.csv.report.json").read_text())
+        for key, value in expected.diagnostics.items():
+            assert report[key] == value
+        denoised, _ = read_signal_csv(out)
+        np.testing.assert_array_equal(denoised, expected.samples)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_sample_names_line(self, runner, tmp_path, bad):
+        inp = tmp_path / "in.csv"
+        inp.write_text("y\n" + "1.0\n" * 5 + bad + "\n" + "2.0\n" * 10)
+        result = runner.invoke(main, [
+            "denoise", str(inp), "--out", str(tmp_path / "out.csv"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "line 7" in result.output
+
+    @pytest.mark.parametrize("rule,layout", [
+        ("esr", "alternating"), ("soft", "alternating"), ("hard", "alternating"),
+        ("esr", "two-spikes"), ("hard", "haar-steps"),
+    ])
+    def test_overflow_numeric_code_without_warnings(self, runner, tmp_path, rule,
+                                                    layout):
+        extra = []
+        if layout == "alternating":
+            samples = np.tile([1e308, -1e308], 32)
+        elif layout == "two-spikes":
+            samples = generate_test_function("heavisine", 64).samples
+            samples[[10, 40]] = 1e308, -1e308
+        else:
+            # denoises without overflow (the finest Haar level is zero), but
+            # the spread of the output overflows the sidecar's estimated SNR
+            samples = np.repeat([1e301, -1e301], 32)
+            extra = ["--wavelet-order", "1"]
+        inp = tmp_path / "huge.csv"
+        write_signal_csv(inp, samples)
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, [
+                "denoise", str(inp), "--rule", rule, *extra, "--out", str(out),
+            ])
+        assert result.exit_code == 5, result.output
+        assert not caught
+        assert not out.exists()
 
     def test_unreadable_path_input_code(self, runner, tmp_path):
         result = runner.invoke(main, [

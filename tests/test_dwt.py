@@ -62,10 +62,20 @@ def test_moment_check_discriminates():
     assert num > 1e-7 * den
 
 
-@pytest.mark.parametrize("order", [0, 11, -3])
+@pytest.mark.parametrize("order", [0, 11, -3, 2.5])
 def test_unsupported_order_rejected(order):
     with pytest.raises(DomainError):
         make_daubechies_filter(order)
+
+
+def test_filter_built_once_with_read_only_taps():
+    f = make_daubechies_filter(10)
+    assert make_daubechies_filter(10) is f
+    assert make_daubechies_filter(np.int64(10)) is f
+    assert not f.lowpass.flags.writeable
+    assert not f.highpass.flags.writeable
+    with pytest.raises(ValueError):
+        f.lowpass[0] = 0.0
 
 
 def test_constant_signal_has_zero_details():

@@ -1,20 +1,31 @@
+import math
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epashrink import (
     ConfigError,
+    Denoised,
     InputError,
     ElicitationConfig,
+    NumericError,
     RuleSpec,
+    SigmaEstimator,
     Signal,
     StudyConfig,
     TestFunctionKind,
     add_noise,
     benchmark_elicitation,
     denoise,
+    dwt_forward,
     generate_test_function,
+    make_daubechies_filter,
     mse,
     run_study,
+    shrink_pyramid,
     study_preset,
 )
 
@@ -125,6 +136,62 @@ class TestDenoisePipeline:
         out = denoise(noisy, RuleSpec("esr"), cfg)
         assert mse(out.samples, truth.samples) < mse(noisy.samples, truth.samples)
 
+    @pytest.mark.parametrize("rule", ["esr", "soft", "hard:4"])
+    def test_returns_diagnostics_of_shrink_pyramid(self, rule):
+        truth = generate_test_function("bumps", 512, 7.0)
+        noisy = add_noise(truth, snr=1.0, seed=4)
+        spec, cfg = RuleSpec.parse(rule), benchmark_elicitation()
+        out = denoise(noisy, spec, cfg)
+        assert isinstance(out, Denoised) and isinstance(out, Signal)
+        assert out.n == 512
+        pyramid = dwt_forward(noisy.samples, make_daubechies_filter(10))
+        assert out.diagnostics == shrink_pyramid(pyramid, spec, cfg, 512)
+
+    def test_non_finite_input_raises_numeric_error(self):
+        samples = np.zeros(64)
+        samples[10] = np.nan
+        with pytest.raises(NumericError):
+            denoise(Signal(samples), RuleSpec("esr"))
+
+
+@st.composite
+def _dyadic_signals(draw):
+    """Finite dyadic signals, n = 8..1024: scaled Gaussian noise with a few
+    entries set to values hypothesis picks. Magnitudes stay below 1e300 so
+    that re-transforming a denoised output cannot itself overflow."""
+    n = 2 ** draw(st.integers(3, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = rng.standard_normal(n) * draw(st.sampled_from([0.0, 1e-300, 1e-8, 1.0, 1e4, 1e150]))
+    entries = st.tuples(st.integers(0, n - 1), st.floats(-1e300, 1e300))
+    for pos, value in draw(st.lists(entries, max_size=4)):
+        y[pos] = value
+    return y
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    y=_dyadic_signals(),
+    rule=st.sampled_from(["esr", "soft", "hard"]),
+    coarse_level=st.sampled_from([0, 2]),
+    sigma=st.sampled_from(list(SigmaEstimator)),
+)
+def test_pipeline_properties(y, rule, coarse_level, sigma):
+    """Finite output or NumericError; odd symmetry bit for bit; the scaling
+    block passes through untouched."""
+    spec = RuleSpec(rule)
+    cfg = ElicitationConfig(sigma_estimator=sigma, coarse_level=coarse_level)
+    try:
+        out = denoise(Signal(y), spec, cfg)
+    except NumericError:
+        return
+    assert np.isfinite(out.samples).all()
+    assert np.array_equal(denoise(Signal(-y), spec, cfg).samples, -out.samples)
+    filt = make_daubechies_filter(10)
+    scaling_in = dwt_forward(y, filt, coarse_level).scaling
+    scaling_out = dwt_forward(out.samples, filt, coarse_level).scaling
+    scale = max(float(np.max(np.abs(y))) * math.sqrt(y.size), np.finfo(float).tiny)
+    assert np.max(np.abs(scaling_out - scaling_in)) <= 1e-10 * scale
+
 
 class TestStudyConfigValidation:
     def test_empty_rules_rejected(self):
@@ -198,6 +265,16 @@ class TestRunStudy:
         a = run_study(_tiny_config((RuleSpec("esr"),), seed=1))
         b = run_study(_tiny_config((RuleSpec("esr"),), seed=2))
         assert np.max(np.abs(a.cells[0].mse_samples - b.cells[0].mse_samples)) > 0
+
+    def test_wall_time_is_per_rule(self):
+        t0 = time.perf_counter()
+        report = run_study(_tiny_config((RuleSpec("esr"), RuleSpec("soft"))))
+        total = time.perf_counter() - t0
+        esr_time = report.cell("heavisine", 128, 1.0, "esr").wall_time_s
+        soft_time = report.cell("heavisine", 128, 1.0, "soft-universal").wall_time_s
+        assert esr_time > 0 and soft_time > 0
+        assert esr_time != soft_time
+        assert esr_time + soft_time <= total
 
     def test_cell_lookup(self):
         report = run_study(_tiny_config((RuleSpec("esr"),)))

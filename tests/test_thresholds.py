@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from epashrink import (
     DomainError,
     MixturePriorParams,
+    NumericError,
     esr,
     hard_threshold,
     soft_threshold,
@@ -75,6 +76,10 @@ class TestUniversal:
     def test_bad_sigma_rejected(self):
         with pytest.raises(DomainError):
             universal_threshold(0.0, 100)
+
+    def test_overflow_raises_numeric_error(self):
+        with pytest.raises(NumericError):
+            universal_threshold(1e308, 4096)
 
 
 def test_rule_sandwich_between_hard_and_soft():
