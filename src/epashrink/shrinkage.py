@@ -224,22 +224,32 @@ def delta_slab(d, params: MixturePriorParams):
     return out if out.ndim else float(out)
 
 
+_TINY = np.finfo(float).tiny
+
+
 def esr(d, params: MixturePriorParams):
     """Posterior-mean shrinkage rule under the full spike-and-slab mixture.
 
-    Accepts a scalar or an array of empirical coefficients. Odd in d and
-    bounded by the slab-only mean, hence strictly inside (-beta, beta).
+    Accepts a scalar or an array of empirical coefficients. Odd in d,
+    no larger than |d| and bounded by the slab-only mean, hence strictly
+    inside (-beta, beta).
     """
     arr = np.asarray(d, dtype=float)
     _check_finite(arr)
     alpha, beta, lam = params.alpha, params.beta, params.lam
     a = math.sqrt(2.0 * lam)
-    i1, i2, spike = _slab_parts(np.abs(arr), beta, lam)
+    dabs = np.abs(arr)
+    i1, i2, spike = _slab_parts(dabs, beta, lam)
     slab_weight = (1.0 - alpha) * 3.0 * a / (8.0 * beta**3)
     num = slab_weight * i2
     den = alpha * (0.5 * a) * spike + slab_weight * i1
-    out = np.sign(arr) * num / np.maximum(den, np.finfo(float).tiny)
-    return out if out.ndim else float(out)
+    ratio = num / np.maximum(den, _TINY)
+    # the shrunk magnitude lies in [0, |d|]; at subnormal |d| the closed
+    # forms round outside that range. Scalars, which the quadrature in
+    # rule_statistics passes one at a time, take the cheaper float path.
+    if arr.ndim:
+        return np.copysign(np.minimum(np.maximum(ratio, 0.0), dabs), arr)
+    return math.copysign(min(max(float(ratio), 0.0), float(dabs)), float(arr))
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,19 @@ __all__ = [
 ]
 
 
+def _require_finite(name: str, values: np.ndarray) -> None:
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise InputError(f"{name}[{i}] is {float(values[i])}; every value must be finite")
+
+
 @dataclass
 class Signal:
-    """A dyadic-length sample sequence with optional known truth."""
+    """A dyadic-length sample sequence with optional known truth.
+
+    Raises InputError on a non-dyadic length or a non-finite value.
+    """
 
     samples: np.ndarray
     truth: np.ndarray | None = None
@@ -43,10 +53,12 @@ class Signal:
         n = self.samples.size
         if n & (n - 1):
             raise InputError(f"signal length {n} is not a power of two")
+        _require_finite("samples", self.samples)
         if self.truth is not None:
             self.truth = np.asarray(self.truth, dtype=float)
             if self.truth.shape != self.samples.shape:
                 raise InputError("truth must have the same length as samples")
+            _require_finite("truth", self.truth)
 
     def __len__(self) -> int:
         return self.samples.size

@@ -10,6 +10,7 @@ pure function of (config, seed) independent of execution order.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -34,7 +35,8 @@ from .thresholds import hard_threshold, soft_threshold, universal_threshold
 # lands exactly on 0 (the pure-slab limit of the rule)
 ALPHA_MIN = 1e-12
 ALPHA_MAX = 1.0 - 1e-15
-# noise-scale floor: keeps lambda finite when the finest level is exactly 0
+# noise-scale floor, relative to the largest detail coefficient so that it
+# scales with the data: keeps lambda finite when the finest level is exactly 0
 SIGMA_FLOOR = 1e-8
 
 __all__ = [
@@ -122,8 +124,11 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
 
     The scaling block is never touched. Returns the elicited quantities:
     the noise-scale estimate, per-level spike weight and slab support, and
-    the global rate (mixture rule) or the threshold (hard/soft). A
-    non-finite coefficient, or an overflow while eliciting or applying the
+    the global rate (mixture rule) or the threshold (hard/soft), all in the
+    units of the coefficients. The mixture rule itself runs on the
+    coefficients divided by the noise-scale estimate, which keeps its
+    powers of the slab support in range at any signal scale. A non-finite
+    coefficient or rate, or an overflow while eliciting or applying the
     rule, raises NumericError.
     """
     cfg = elicitation
@@ -131,24 +136,30 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
         for block in (pyramid.scaling, *pyramid.details.values()):
             if not np.isfinite(block).all():
                 raise NumericError("wavelet coefficients are not finite")
+        levels = [{"level": j, "alpha": _clamped_alpha(j, cfg),
+                   "beta": beta_level(pyramid.details[j])}
+                  for j in pyramid.levels()]
         finest = pyramid.details[pyramid.depth - 1]
-        sigma_hat = max(estimate_sigma(finest, cfg.sigma_estimator), SIGMA_FLOOR)
-        levels: list[dict] = []
+        floor = SIGMA_FLOOR * max(level["beta"] for level in levels)
+        sigma_hat = max(estimate_sigma(finest, cfg.sigma_estimator), floor)
         diagnostics: dict = {"sigma_hat": sigma_hat, "levels": levels}
         if rule.kind == "esr":
             lam = diagnostics["lambda"] = lambda_from_s(sigma_hat, cfg.c, cfg.tau)
+            if not math.isfinite(lam):
+                raise NumericError(f"lambda overflows at sigma_hat={sigma_hat!r}")
+            unit_lam = lam * sigma_hat**2
         else:
             eta = rule.threshold
             if eta is None:
                 eta = universal_threshold(sigma_hat, n_samples)
             diagnostics["eta"] = eta
             threshold = hard_threshold if rule.kind == "hard" else soft_threshold
-        for j in pyramid.levels():
-            block = pyramid.details[j]
-            alpha, beta = _clamped_alpha(j, cfg), beta_level(block)
-            levels.append({"level": j, "alpha": alpha, "beta": beta})
+        for level in levels:
+            j, block = level["level"], pyramid.details[level["level"]]
             if rule.kind == "esr":
-                pyramid.details[j] = esr(block, MixturePriorParams(alpha, beta, lam))
+                params = MixturePriorParams(level["alpha"], level["beta"] / sigma_hat,
+                                            unit_lam)
+                pyramid.details[j] = sigma_hat * esr(block / sigma_hat, params)
             else:
                 pyramid.details[j] = threshold(block, eta)
     return diagnostics

@@ -203,6 +203,13 @@ class TestMixtureRule:
         slab_only = abs(delta_slab(d, params))
         assert abs(v) <= slab_only * (1.0 + 1e-12) + 1e-15
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    def test_subnormal_input_keeps_sign_and_bound(self, beta):
+        params = MixturePriorParams(alpha=0.5, beta=beta, lam=1.0)
+        for d in (5e-324, 1e-310):
+            assert 0.0 <= esr(d, params) <= d
+            assert esr(-d, params) == -esr(d, params)
+
     def test_non_finite_rejected(self):
         with pytest.raises(InputError):
             esr(np.inf, PARAMS)

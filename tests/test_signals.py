@@ -20,6 +20,19 @@ class TestSignalContainer:
         with pytest.raises(InputError):
             Signal(samples=np.zeros(8), truth=np.zeros(16))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_name_first_bad_index(self, bad):
+        samples = np.zeros(16)
+        samples[[5, 9]] = bad
+        with pytest.raises(InputError, match=r"samples\[5\]"):
+            Signal(samples=samples)
+
+    def test_non_finite_truth_rejected(self):
+        truth = np.zeros(8)
+        truth[7] = np.inf
+        with pytest.raises(InputError, match=r"truth\[7\]"):
+            Signal(samples=np.zeros(8), truth=truth)
+
     def test_sd(self):
         s = Signal(samples=np.array([1.0, -1.0, 1.0, -1.0]))
         assert s.sd() == pytest.approx(1.0)

@@ -147,11 +147,34 @@ class TestDenoisePipeline:
         pyramid = dwt_forward(noisy.samples, make_daubechies_filter(10))
         assert out.diagnostics == shrink_pyramid(pyramid, spec, cfg, 512)
 
-    def test_non_finite_input_raises_numeric_error(self):
+    def test_non_finite_input_raises_input_error(self):
         samples = np.zeros(64)
         samples[10] = np.nan
-        with pytest.raises(NumericError):
+        with pytest.raises(InputError, match=r"samples\[10\]"):
             denoise(Signal(samples), RuleSpec("esr"))
+
+    @pytest.mark.parametrize("c", [1e-120, 1e90, 1e100])
+    @pytest.mark.parametrize("rule", ["esr", "soft", "hard"])
+    def test_scale_equivariance(self, rule, c):
+        # lambda(s) = 1/s^2 + (c/tau) exp(-s/tau) carries the scale tau, so
+        # lambda * s^2 is scale-free only once the second term is below
+        # rounding; at a noise scale of 7e3 it is exp(-3500) and the esr
+        # pipeline is equivariant like the thresholding ones
+        truth = generate_test_function("bumps", 256, 7e3)
+        y = add_noise(truth, snr=1.0, seed=5).samples
+        spec = RuleSpec(rule)
+        ref = denoise(Signal(y), spec)
+        out = denoise(Signal(c * y), spec)
+        scale = np.max(np.abs(ref.samples))
+        assert np.max(np.abs(out.samples / c - ref.samples)) <= 1e-12 * scale
+        got, want = out.diagnostics, ref.diagnostics
+        assert got["sigma_hat"] == pytest.approx(c * want["sigma_hat"], rel=1e-12)
+        for got_level, want_level in zip(got["levels"], want["levels"]):
+            assert got_level["beta"] == pytest.approx(c * want_level["beta"], rel=1e-12)
+        if rule == "esr":
+            assert got["lambda"] == pytest.approx(want["lambda"] / c**2, rel=1e-12)
+        else:
+            assert got["eta"] == pytest.approx(c * want["eta"], rel=1e-12)
 
 
 @st.composite
