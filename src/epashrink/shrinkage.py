@@ -30,7 +30,14 @@ symmetry holds exactly in floating point.
 
 An independent quadrature oracle (direct adaptive integration of the
 posterior-mean ratio) is provided for verification and never shares code
-with the closed form.
+with the closed form; it imports scipy.integrate on its first call, so
+importing the module loads no scipy at all.
+
+The rule's frequentist properties (squared bias, variance, risk under a
+double-exponential or Gaussian noise model) are exact plateau tail terms
+plus a composite fixed-order Gauss-Legendre sum over (-beta, beta), split
+at the breakpoints {-beta, 0, theta, beta} where the integrands have
+kinks; see rule_statistics.
 """
 
 from __future__ import annotations
@@ -40,10 +47,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.stats import norm
 
-from .errors import DomainError, InputError, NumericError
+from .errors import DomainError, InputError, NumericError, numeric_guard
 
 log = logging.getLogger(__name__)
 
@@ -245,11 +250,9 @@ def esr(d, params: MixturePriorParams):
     den = alpha * (0.5 * a) * spike + slab_weight * i1
     ratio = num / np.maximum(den, _TINY)
     # the shrunk magnitude lies in [0, |d|]; at subnormal |d| the closed
-    # forms round outside that range. Scalars, which the quadrature in
-    # rule_statistics passes one at a time, take the cheaper float path.
-    if arr.ndim:
-        return np.copysign(np.minimum(np.maximum(ratio, 0.0), dabs), arr)
-    return math.copysign(min(max(float(ratio), 0.0), float(dabs)), float(arr))
+    # forms round outside that range
+    out = np.copysign(np.minimum(np.maximum(ratio, 0.0), dabs), arr)
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +262,13 @@ _QUAD_KW = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 
 
 def _quad_checked(func, lo, hi, breakpoints=(), what="integral"):
-    """Adaptive quadrature with the kink locations handed to the subdivider."""
+    """Adaptive quadrature with the kink locations handed to the subdivider.
+
+    scipy.integrate is imported on first use, so importing the package does
+    not pay for it.
+    """
+    from scipy import integrate
+
     pts = sorted(p for p in breakpoints if lo < p < hi) or None
     try:
         value, abserr = integrate.quad(func, lo, hi, points=pts, **_QUAD_KW)
@@ -312,10 +321,16 @@ class DoubleExponential:
     """Noise model d | theta ~ double exponential with scale 1/sqrt(2 lam)."""
 
     lam: float
+    # farther than this many scales from theta the density has mass e^-80
+    reach = 80.0
 
     def __post_init__(self):
         if not self.lam > 0.0:
             raise DomainError(f"lambda must be positive, got {self.lam}")
+
+    @property
+    def scale(self) -> float:
+        return 1.0 / math.sqrt(2.0 * self.lam)
 
     def pdf(self, d, theta: float):
         return double_exp_pdf(d, theta, self.lam)
@@ -333,16 +348,27 @@ class Gaussian:
     """Noise model d | theta ~ N(theta, sigma^2)."""
 
     sigma: float
+    # farther than this many sigmas from theta the density has mass 1.2e-38
+    reach = 13.0
 
     def __post_init__(self):
         if not self.sigma > 0.0:
             raise DomainError(f"sigma must be positive, got {self.sigma}")
 
+    @property
+    def scale(self) -> float:
+        return self.sigma
+
     def pdf(self, d, theta: float):
-        return norm.pdf(d, loc=theta, scale=self.sigma)
+        z = (np.asarray(d, dtype=float) - theta) / self.sigma
+        # far out z*z overflows to inf, and exp(-inf) is the exact 0
+        with np.errstate(over="ignore"):
+            out = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
+        return out if out.ndim else float(out)
 
     def sf(self, x: float, theta: float) -> float:
-        return float(norm.sf(x, loc=theta, scale=self.sigma))
+        """P(d > x | theta)."""
+        return 0.5 * math.erfc((x - theta) / (self.sigma * math.sqrt(2.0)))
 
 
 @dataclass(frozen=True)
@@ -352,6 +378,33 @@ class RuleStatistics:
     risk: float
 
 
+# rule_statistics sums a 24-point Gauss-Legendre rule over panels whose
+# widths grow by this factor per panel away from each breakpoint
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+_GROWTH = 1.0625
+
+
+def _graded_panels(points: list, h: float) -> np.ndarray:
+    """Panel edges covering [points[0], points[-1]].
+
+    Each interval between consecutive breakpoints is filled from both ends
+    with panels of widths h, h*g, h*g^2, ... (g = _GROWTH) that meet in its
+    middle, so an interval of length L takes about 2 log(L/h) / log(g)
+    panels, however small h is.
+    """
+    pts = np.asarray(points, dtype=float)
+    half = 0.5 * np.diff(pts)
+    # distance of the k-th edge from an interval end: h (g^k - 1) / (g - 1)
+    q = _GROWTH - 1.0
+    k = np.arange(math.ceil(math.log1p(q * half.max() / h) / math.log(_GROWTH)) + 1)
+    offsets = h * np.expm1(k * math.log(_GROWTH)) / q
+    edges = [pts]
+    for lo, hi, m in zip(pts[:-1], pts[1:], half):
+        inner = offsets[offsets < m]
+        edges += [lo + inner, hi - inner, [lo + m]]
+    return np.unique(np.concatenate(edges))
+
+
 def rule_statistics(
     theta: float,
     params: MixturePriorParams,
@@ -359,40 +412,67 @@ def rule_statistics(
 ) -> RuleStatistics:
     """Squared bias, variance and risk of the rule at a true coefficient.
 
-    The expectation over d is adaptive quadrature on [-beta, beta] (with the
-    noise-density kink at d = theta handed to the subdivider) plus exact
-    tail terms: outside the support the rule is the constant plateau value,
-    so the tails reduce to survival probabilities of the noise model. The
-    default noise is the marginalized double-exponential with the prior's
-    own lambda; pass Gaussian(sigma) for the conditional model.
+    The default noise is the marginalized double-exponential with the
+    prior's own lambda; pass Gaussian(sigma) for the conditional model.
 
-    Risk is integrated directly rather than assembled from the moments, so
-    risk == bias_sq + variance is a meaningful cross-check on the result.
+    Outside (-beta, beta) the rule is its constant plateau value, so those
+    parts of each expectation over d are exact tail terms: survival
+    probabilities of the noise model. Inside, the integrands are analytic
+    between the breakpoints {-beta, 0, theta, beta}: the rule has kinks
+    only at 0 (the spike likelihood) and at +-beta (the plateau), and the
+    double-exponential density only at theta. That range, cut to the noise
+    model's reach around theta (beyond it lies mass below 1e-34), is
+    summed by a composite 24-point Gauss-Legendre rule, with one vectorised
+    esr call and one noise.pdf call. The panels are one length scale wide
+    at every breakpoint (the smaller of the noise scale and the rule's own
+    1/sqrt(2 lam)) and widen by a sixteenth per panel away from it. Both
+    noise models are location families, so the sum runs over the offset
+    u = d - theta, where the density is evaluated exactly however narrow
+    it is.
+
+    Cost: a noise density narrower than the rule takes under 100 panels; a
+    wide one over a sharp rule adds about 130 panels per factor e in beta
+    over the length scale (1200 at lambda = 1e12 under unit Gaussian
+    noise), so the cost stays bounded at any lambda or noise scale.
+
+    Accuracy: the sum agrees with adaptive quadrature to about 5e-11, the
+    quadrature's own error (the tests keep it as an oracle), and with a
+    panel grid eight times finer to a few ulps. Risk and variance are
+    integrated directly, as E(rule - theta)^2 and E(rule - mean)^2, rather
+    than assembled from the moments, so risk == bias_sq + variance is a
+    meaningful cross-check on the result.
     """
     theta = float(theta)
+    if not math.isfinite(theta):
+        raise InputError(f"theta must be finite, got {theta}")
     if noise is None:
         noise = DoubleExponential(params.lam)
     beta = params.beta
-    plateau = esr(beta, params)
-
-    def ipdf(d):
-        return noise.pdf(d, theta)
-
-    what = f"rule statistics at theta={theta}"
-    mean_core = _quad_checked(
-        lambda d: esr(d, params) * ipdf(d), -beta, beta, (theta,), what=what
-    )
-    second_core = _quad_checked(
-        lambda d: esr(d, params) ** 2 * ipdf(d), -beta, beta, (theta,), what=what
-    )
-    risk_core = _quad_checked(
-        lambda d: (esr(d, params) - theta) ** 2 * ipdf(d), -beta, beta, (theta,), what=what
-    )
-    p_hi = noise.sf(beta, theta)
-    p_lo = 1.0 - noise.sf(-beta, theta)
-    mean = mean_core + plateau * (p_hi - p_lo)
-    second = second_core + plateau**2 * (p_hi + p_lo)
-    risk = risk_core + (plateau - theta) ** 2 * p_hi + (plateau + theta) ** 2 * p_lo
-    bias_sq = (mean - theta) ** 2
-    variance = second - mean**2
+    with numeric_guard(f"rule statistics at theta={theta}"):
+        reach = noise.reach * noise.scale
+        lo, hi = max(-beta - theta, -reach), min(beta - theta, reach)
+        u = w = np.zeros(0)
+        if lo < hi:
+            points = sorted({lo, hi} | {p for p in (-theta, 0.0) if lo < p < hi})
+            edges = _graded_panels(points, min(noise.scale, params.noise_scale))
+            mid = 0.5 * (edges[1:] + edges[:-1])
+            half = 0.5 * np.diff(edges)
+            u = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+            w = (half[:, None] * _GL_WEIGHTS).ravel() * noise.pdf(u, 0.0)
+        r = esr(theta + u, params)
+        plateau = esr(beta, params)
+        p_hi = noise.sf(beta, theta)
+        p_lo = 1.0 - noise.sf(-beta, theta)
+        mean = float(w @ r) + plateau * (p_hi - p_lo)
+        variance = (
+            float(w @ (r - mean) ** 2)
+            + (plateau - mean) ** 2 * p_hi
+            + (plateau + mean) ** 2 * p_lo
+        )
+        risk = (
+            float(w @ (r - theta) ** 2)
+            + (plateau - theta) ** 2 * p_hi
+            + (plateau + theta) ** 2 * p_lo
+        )
+        bias_sq = (mean - theta) ** 2
     return RuleStatistics(bias_sq=bias_sq, variance=variance, risk=risk)

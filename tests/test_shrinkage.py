@@ -1,17 +1,25 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import norm
 
+import epashrink
+from epashrink import shrinkage
 from epashrink import (
     DomainError,
     DoubleExponential,
     Gaussian,
     InputError,
     MixturePriorParams,
+    NumericError,
     delta_slab,
     double_exp_pdf,
     epanechnikov_pdf,
@@ -268,3 +276,164 @@ class TestRuleStatistics:
             DoubleExponential(0.0)
         with pytest.raises(DomainError):
             Gaussian(-1.0)
+
+    def test_non_finite_theta_rejected(self):
+        with pytest.raises(InputError):
+            rule_statistics(math.nan, PARAMS)
+
+    @pytest.mark.parametrize("noise", [None, Gaussian(0.5)])
+    def test_overflowing_risk_raises_numeric_error(self, noise):
+        # (plateau - theta)^2 overflows a double
+        with pytest.raises(NumericError):
+            rule_statistics(1e200, PARAMS, noise)
+
+    def test_gaussian_closed_form_matches_scipy(self):
+        model = Gaussian(0.7)
+        d = np.linspace(-8.0, 8.0, 161)
+        np.testing.assert_allclose(
+            model.pdf(d, 1.3), norm.pdf(d, loc=1.3, scale=0.7), rtol=1e-14, atol=1e-300
+        )
+        for x in d:
+            want = norm.sf(x, loc=1.3, scale=0.7)
+            assert model.sf(float(x), 1.3) == pytest.approx(want, rel=1e-13, abs=1e-300)
+        assert model.pdf(1e300, 0.0) == 0.0
+
+
+def quad_rule_statistics(theta, params, noise=None):
+    """rule_statistics by adaptive quadrature: the oracle for the sum.
+
+    Three quad calls on [-beta, beta], with the density kink at d = theta
+    handed to the subdivider and esr evaluated one scalar at a time, plus
+    the exact plateau tails. The Gaussian density and survival function
+    come from scipy.stats, not from the package's closed forms.
+    """
+    if noise is None:
+        noise = DoubleExponential(params.lam)
+    if isinstance(noise, Gaussian):
+        def pdf(d):
+            return norm.pdf(d, loc=theta, scale=noise.sigma)
+
+        def sf(x):
+            return float(norm.sf(x, loc=theta, scale=noise.sigma))
+    else:
+        def pdf(d):
+            return noise.pdf(d, theta)
+
+        def sf(x):
+            return noise.sf(x, theta)
+
+    beta = params.beta
+    plateau = esr(beta, params)
+
+    def integral(f):
+        pts = [theta] if -beta < theta < beta else None
+        value, abserr = quad(lambda d: f(esr(d, params)) * pdf(d), -beta, beta,
+                             points=pts, epsabs=1e-12, epsrel=1e-12, limit=200)
+        assert abserr <= 1e-6 * max(1.0, abs(value))
+        return value
+
+    p_hi = sf(beta)
+    p_lo = 1.0 - sf(-beta)
+    mean = integral(lambda r: r) + plateau * (p_hi - p_lo)
+    second = integral(lambda r: r * r) + plateau**2 * (p_hi + p_lo)
+    risk = (integral(lambda r: (r - theta) ** 2) + (plateau - theta) ** 2 * p_hi
+            + (plateau + theta) ** 2 * p_lo)
+    return (mean - theta) ** 2, second - mean**2, risk
+
+
+ORACLE_CASES = [
+    pytest.param(MixturePriorParams(0.6, 6.0, 3.0), id="alpha0.6"),
+    pytest.param(MixturePriorParams(0.95, 6.0, 3.0), id="alpha0.95"),
+    pytest.param(MixturePriorParams(0.99, 6.0, 3.0), id="alpha0.99"),
+    # a*beta = 0.027 < 0.05: esr runs on its series branch
+    pytest.param(MixturePriorParams(0.95, 6.0, 1e-5), id="series-seam"),
+    # noise scale 0.05, a hundred and twentieth of beta
+    pytest.param(MixturePriorParams(0.95, 6.0, 200.0), id="narrow-kernel"),
+]
+
+
+class TestRuleStatisticsAgainstQuadrature:
+    """The Gauss-Legendre sum against adaptive quadrature, to 1e-9 absolute
+    (relative once the value is above 1)."""
+
+    @pytest.mark.parametrize("model", ["dexp", "gaussian"])
+    @pytest.mark.parametrize("params", ORACLE_CASES)
+    def test_matches_quadrature(self, params, model):
+        noise = None if model == "dexp" else Gaussian(params.noise_scale)
+        beta = params.beta
+        for theta in (-beta - 1.0, -beta, -2.7, 0.0, 1e-6, 0.999 * beta, beta, beta + 2.0):
+            s = rule_statistics(theta, params, noise)
+            want = quad_rule_statistics(theta, params, noise)
+            for what, got, ref in zip(("bias_sq", "variance", "risk"),
+                                      (s.bias_sq, s.variance, s.risk), want):
+                assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref)), (what, theta, got, ref)
+
+
+class TestRuleStatisticsExtremeScales:
+    """Length scales far below beta. Adaptive quadrature misses the noise
+    density there: at theta = 3 it returns bias_sq = 9 with risk 0.
+
+    The statistics stay finite, the split risk = bias_sq + variance holds
+    and esr sees a bounded number of nodes. Under narrow noise the risk
+    also approaches its zero-noise limit (esr(theta) - theta)^2: away from
+    the kill threshold the rule's slope is at most about one, so the gap is
+    at most twice the noise variance (plus rounding of the O(1) terms).
+    """
+
+    @pytest.fixture
+    def esr_sizes(self, monkeypatch):
+        """Sizes of the arguments rule_statistics passes to esr."""
+        sizes = []
+
+        def counting_esr(d, p):
+            sizes.append(np.size(d))
+            return esr(d, p)
+
+        monkeypatch.setattr(shrinkage, "esr", counting_esr)
+        return sizes
+
+    @pytest.mark.parametrize("params, noise, noise_var", [
+        pytest.param(MixturePriorParams(0.95, 6.0, 1e12), None, 1e-12, id="lambda1e12"),
+        pytest.param(PARAMS, Gaussian(1e-9), 1e-18, id="gaussian1e-9"),
+    ])
+    @pytest.mark.parametrize("theta", [0.0, 1e-6, 1.0, 3.0, 5.5, 6.0, -4.0, 7.0])
+    def test_finite_bounded_and_zero_noise_limit(self, params, noise, noise_var, theta,
+                                                 esr_sizes):
+        s = rule_statistics(theta, params, noise)
+        assert all(math.isfinite(v) for v in (s.bias_sq, s.variance, s.risk))
+        assert abs(s.risk - s.bias_sq - s.variance) < 1e-8
+        assert max(esr_sizes) <= 100 * 24
+        limit = (esr(theta, params) - theta) ** 2
+        assert abs(s.risk - limit) <= 2.0 * noise_var + 1e-15
+
+    def test_wide_noise_over_sharp_rule_stays_bounded(self, esr_sizes):
+        # unit noise over a rule whose length scale is 7e-7: the panels
+        # grade geometrically away from the rule's breakpoints
+        params = MixturePriorParams(0.95, 6.0, 1e12)
+        s = rule_statistics(3.0, params, Gaussian(1.0))
+        assert all(math.isfinite(v) for v in (s.bias_sq, s.variance, s.risk))
+        assert abs(s.risk - s.bias_sq - s.variance) < 1e-8
+        assert max(esr_sizes) <= 1300 * 24
+
+
+def test_cli_import_leaves_quadrature_and_stats_unloaded():
+    """Importing the CLI loads neither scipy.stats nor scipy.integrate; the
+    quadrature oracle loads scipy.integrate on its first call and still
+    matches the closed form."""
+    code = (
+        "import sys\n"
+        "import epashrink.cli\n"
+        "heavy = [m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules]\n"
+        "assert not heavy, heavy\n"
+        "from epashrink import MixturePriorParams, esr, posterior_mean_oracle\n"
+        "p = MixturePriorParams(0.95, 6.0, 3.0)\n"
+        "for d in (-7.0, -2.5, 0.3, 3.0, 6.0, 9.0):\n"
+        "    assert abs(posterior_mean_oracle(d, p) - esr(d, p)) < 1e-9, d\n"
+        "assert 'scipy.integrate' in sys.modules\n"
+    )
+    src = str(Path(epashrink.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
