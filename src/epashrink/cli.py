@@ -19,6 +19,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import __version__
 from .dwt import dwt_forward, make_daubechies_filter
 from .elicitation import ElicitationConfig, SigmaEstimator
 from .errors import (
@@ -515,7 +516,8 @@ def cmd_study(config_path, preset, seed, out_dir):
         rows,
     )
     json_path = out / "summary.json"
-    json_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    summary = {"version": __version__, **report.to_dict()}
+    json_path.write_text(json.dumps(summary, indent=2) + "\n")
     click.echo(f"wrote {csv_path} and {json_path}")
     for cell in report.cells:
         click.echo(

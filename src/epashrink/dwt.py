@@ -4,11 +4,12 @@ The decomposition is the classic pyramid filter-bank scheme with circular
 (periodic) boundary handling, which keeps the transform exactly orthogonal
 for every dyadic length, including blocks shorter than the filter. Each
 step is a circular correlation along the last axis
-(``scipy.ndimage.correlate1d`` in wrap mode), so the steps work unchanged
-on stacks of signals. Filter taps are produced on demand by spectral
-factorization rather than from a hard-coded table; the construction runs
-in extended precision so the taps are correctly rounded doubles and the
-orthonormality residuals sit at machine epsilon.
+(``scipy.ndimage.correlate1d`` in wrap mode), so the transform works
+unchanged on stacks of signals of shape ``(..., n)``, row for row
+bit-identical to one call per row. Filter taps are produced on demand by
+spectral factorization rather than from a hard-coded table; the
+construction runs in extended precision so the taps are correctly rounded
+doubles and the orthonormality residuals sit at machine epsilon.
 """
 
 from __future__ import annotations
@@ -154,8 +155,10 @@ def make_daubechies_filter(vanishing_moments: int) -> DaubechiesFilter:
 class WaveletPyramid:
     """Multiresolution coefficient container.
 
-    ``scaling`` has 2**coarse_level entries; ``details[j]`` has 2**j entries
-    for coarse_level <= j <= depth-1, finer blocks at larger j.
+    ``scaling`` has 2**coarse_level entries along its last axis;
+    ``details[j]`` has 2**j for coarse_level <= j <= depth-1, finer blocks
+    at larger j. The blocks of the pyramid of a stack of signals, shape
+    ``(..., n)``, share the stack's leading shape: ``(..., 2**j)``.
     """
 
     coarse_level: int
@@ -165,19 +168,20 @@ class WaveletPyramid:
     def __post_init__(self):
         if self.coarse_level < 0:
             raise InputError("coarse_level must be >= 0")
-        if self.scaling.shape != (2**self.coarse_level,):
+        lead = self.scaling.shape[:-1]
+        if self.scaling.shape != lead + (2**self.coarse_level,):
             raise InputError(
-                f"scaling block has {self.scaling.size} entries, "
-                f"expected {2**self.coarse_level}"
+                f"scaling block has shape {self.scaling.shape}, "
+                f"expected {lead + (2**self.coarse_level,)}"
             )
         levels = sorted(self.details)
         if levels != list(range(self.coarse_level, self.coarse_level + len(levels))):
             raise InputError(f"detail levels {levels} are not contiguous "
                              f"from coarse_level {self.coarse_level}")
         for j, block in self.details.items():
-            if block.shape != (2**j,):
-                raise InputError(f"detail block at level {j} has {block.size} "
-                                 f"entries, expected {2**j}")
+            if block.shape != lead + (2**j,):
+                raise InputError(f"detail block at level {j} has shape {block.shape}, "
+                                 f"expected {lead + (2**j,)}")
 
     @property
     def depth(self) -> int:
@@ -191,12 +195,13 @@ class WaveletPyramid:
     def levels(self) -> list[int]:
         return sorted(self.details)
 
-    def energy(self) -> float:
-        """Squared L2 norm of all coefficients."""
-        e = float(self.scaling @ self.scaling)
+    def energy(self):
+        """Squared L2 norm of all coefficients: a float, or one per row of
+        a stack."""
+        e = np.vecdot(self.scaling, self.scaling)
         for block in self.details.values():
-            e += float(block @ block)
-        return e
+            e = e + np.vecdot(block, block)
+        return e if e.ndim else float(e)
 
     def copy(self) -> "WaveletPyramid":
         return WaveletPyramid(
@@ -208,12 +213,23 @@ class WaveletPyramid:
 
 def _as_dyadic_array(y) -> tuple[np.ndarray, int]:
     arr = np.asarray(y, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise InputError("signal must be a 1-D sequence with at least 2 samples")
-    j = int(arr.size).bit_length() - 1
-    if 2**j != arr.size:
-        raise InputError(f"signal length {arr.size} is not a power of two")
+    if arr.ndim < 1 or arr.shape[-1] < 2:
+        raise InputError("a signal must have at least 2 samples along its last axis")
+    n = arr.shape[-1]
+    j = n.bit_length() - 1
+    if 2**j != n:
+        raise InputError(f"signal length {n} is not a power of two")
     return arr, j
+
+
+def _correlate(a: np.ndarray, taps: np.ndarray, origin: int) -> np.ndarray:
+    """Circular correlation of a float array with taps along the last axis.
+
+    The output array is passed in because scipy otherwise looks up the
+    dtype by name, which on short blocks costs about as much as the C loop.
+    """
+    return correlate1d(a, taps, axis=-1, output=np.zeros(a.shape), mode="wrap",
+                       origin=origin)
 
 
 def _analysis_step(a: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -225,8 +241,7 @@ def _analysis_step(a: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     than once.
     """
     origin = -(lo.size // 2)
-    return (correlate1d(a, lo, axis=-1, mode="wrap", origin=origin)[..., ::2],
-            correlate1d(a, hi, axis=-1, mode="wrap", origin=origin)[..., ::2])
+    return (_correlate(a, lo, origin)[..., ::2], _correlate(a, hi, origin)[..., ::2])
 
 
 def _synthesis_step(approx: np.ndarray, detail: np.ndarray,
@@ -239,9 +254,9 @@ def _synthesis_step(approx: np.ndarray, detail: np.ndarray,
     origin = lo.size - 1 - lo.size // 2
     up = np.zeros(approx.shape[:-1] + (2 * approx.shape[-1],))
     up[..., ::2] = approx
-    out = correlate1d(up, lo[::-1], axis=-1, mode="wrap", origin=origin)
+    out = _correlate(up, lo[::-1], origin)
     up[..., ::2] = detail
-    out += correlate1d(up, hi[::-1], axis=-1, mode="wrap", origin=origin)
+    out += _correlate(up, hi[::-1], origin)
     return out
 
 
@@ -259,7 +274,8 @@ def dwt_forward(y, filt: DaubechiesFilter, coarse_level: int = 0) -> WaveletPyra
     Parameters
     ----------
     y : array_like
-        Samples; the length must be a power of two, 2**J.
+        Samples, shape ``(n,)`` or a stack ``(..., n)`` of signals; the
+        length n must be a power of two, 2**J.
     filt : DaubechiesFilter
         Analysis filter pair.
     coarse_level : int
@@ -268,15 +284,16 @@ def dwt_forward(y, filt: DaubechiesFilter, coarse_level: int = 0) -> WaveletPyra
 
     Returns
     -------
-    WaveletPyramid with detail levels coarse_level..J-1. The map is
-    orthogonal, so the coefficient energy equals the signal energy.
+    WaveletPyramid with detail levels coarse_level..J-1, each block of
+    shape ``(..., 2**j)``. The map is orthogonal, so the coefficient
+    energy equals the signal energy.
     Raises NumericError if a coefficient is not finite (an overflow, or a
     non-finite sample).
     """
     arr, depth = _as_dyadic_array(y)
     if not 0 <= coarse_level < depth:
         raise InputError(
-            f"coarse_level {coarse_level} out of range for length {arr.size}"
+            f"coarse_level {coarse_level} out of range for length {arr.shape[-1]}"
         )
     approx = arr
     details: dict[int, np.ndarray] = {}
@@ -289,17 +306,18 @@ def dwt_forward(y, filt: DaubechiesFilter, coarse_level: int = 0) -> WaveletPyra
 def dwt_inverse(pyramid: WaveletPyramid, filt: DaubechiesFilter) -> np.ndarray:
     """Reconstruct the signal from a pyramid; exact inverse of dwt_forward.
 
-    Raises NumericError if a sample is not finite (an overflow, or a
-    non-finite coefficient).
+    Returns samples of shape ``(..., n)``, the leading shape of the
+    pyramid's blocks. Raises NumericError if a sample is not finite (an
+    overflow, or a non-finite coefficient).
     """
     approx = pyramid.scaling
     with numeric_guard("inverse transform"):
         for j in pyramid.levels():
             det = pyramid.details[j]
-            if approx.size != det.size:
+            if approx.shape != det.shape:
                 raise InputError(
-                    f"block size mismatch at level {j}: approx {approx.size}, "
-                    f"detail {det.size}"
+                    f"block shape mismatch at level {j}: approx {approx.shape}, "
+                    f"detail {det.shape}"
                 )
             approx = _synthesis_step(approx, det, filt.lowpass, filt.highpass)
     _require_finite("inverse transform", approx)

@@ -75,36 +75,42 @@ def alpha_level(j: int, coarse_level: int, gamma: float, l: float) -> float:
     return 1.0 - base ** (-gamma)
 
 
-def beta_level(details_j) -> float:
+def beta_level(details_j):
     """Slab half-support for one level: the largest absolute coefficient.
 
     An all-zero block would give a degenerate slab, so it is floored at
     BETA_FLOOR (the rule then maps everything to ~0, the correct limit).
+    A stack of blocks, shape (..., m), gets one value per block.
     """
-    block = np.asarray(details_j, dtype=float)
-    if block.size == 0:
+    block = np.atleast_1d(np.asarray(details_j, dtype=float))
+    if block.shape[-1] == 0:
         raise InputError("empty coefficient block")
-    beta = float(np.max(np.abs(block)))
-    if beta == 0.0:
-        log.warning("all-zero coefficient block; flooring beta at %g", BETA_FLOOR)
-        return BETA_FLOOR
-    return beta
+    beta = np.max(np.abs(block), axis=-1)
+    zero = beta == 0.0
+    if zero.any():
+        log.warning("%d all-zero coefficient block(s); flooring beta at %g",
+                    int(np.count_nonzero(zero)), BETA_FLOOR)
+        beta = np.where(zero, BETA_FLOOR, beta)
+    return beta if beta.ndim else float(beta)
 
 
-def estimate_sigma(finest_details, method: SigmaEstimator = SigmaEstimator.MAD) -> float:
+def estimate_sigma(finest_details, method: SigmaEstimator = SigmaEstimator.MAD):
     """Noise-scale estimate from the finest-level detail coefficients.
 
     SAMPLE_SD is the usual (n-1)-denominator standard deviation; MAD is the
     median absolute coefficient divided by 0.6745, robust to the sparse
-    signal content of the finest level.
+    signal content of the finest level. A stack of blocks, shape (..., m),
+    gets one estimate per block.
     """
     coeffs = np.asarray(finest_details, dtype=float)
-    if coeffs.size < 2:
+    if coeffs.ndim < 1 or coeffs.shape[-1] < 2:
         raise InputError("need at least 2 coefficients to estimate sigma")
     method = SigmaEstimator(method)
     if method is SigmaEstimator.SAMPLE_SD:
-        return float(np.std(coeffs, ddof=1))
-    return float(np.median(np.abs(coeffs)) / MAD_CONSISTENCY)
+        sigma = np.std(coeffs, axis=-1, ddof=1)
+    else:
+        sigma = np.median(np.abs(coeffs), axis=-1) / MAD_CONSISTENCY
+    return sigma if sigma.ndim else float(sigma)
 
 
 def lambda_from_s(s: float, c: float = 1.0, tau: float = 2.0) -> float:

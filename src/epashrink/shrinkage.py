@@ -42,9 +42,11 @@ kinks; see rule_statistics.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +67,16 @@ __all__ = [
     "posterior_mean_oracle",
     "rule_statistics",
 ]
+
+
+# 2 lam overflows above this; sqrt(2) sqrt(lam) stays finite there
+_HALF_MAX = 0.5 * np.finfo(float).max
+
+
+def _rate(lam: float) -> float:
+    """a = sqrt(2 lam), the rate of the double-exponential kernel; finite
+    for every finite lam."""
+    return math.sqrt(2.0 * lam) if lam <= _HALF_MAX else math.sqrt(2.0) * math.sqrt(lam)
 
 
 @dataclass(frozen=True)
@@ -90,7 +102,7 @@ class MixturePriorParams:
     @property
     def noise_scale(self) -> float:
         """Scale 1/sqrt(2 lam) of the marginalized likelihood."""
-        return 1.0 / math.sqrt(2.0 * self.lam)
+        return 1.0 / _rate(self.lam)
 
 
 def epanechnikov_pdf(theta, beta: float):
@@ -108,7 +120,7 @@ def double_exp_pdf(d, theta, lam: float):
     """Double-exponential density of d with mean theta, scale 1/sqrt(2 lam)."""
     if not lam > 0.0:
         raise DomainError(f"lambda must be positive, got {lam}")
-    a = math.sqrt(2.0 * lam)
+    a = _rate(lam)
     d = np.asarray(d, dtype=float)
     out = 0.5 * a * np.exp(-a * np.abs(d - theta))
     return out if out.ndim else float(out)
@@ -159,34 +171,128 @@ def _slab_series(s: np.ndarray, v: float):
     return i1, i2
 
 
-def _slab_parts(dabs: np.ndarray, beta: float, lam: float):
+def _power(x: float, k: int) -> float:
+    """x**k in Python floats, inf where it overflows.
+
+    Only powers of a = sqrt(2 lam) go through here: each ends up in a
+    denominator, so an overflow (lam above about 1e154) makes its
+    quotient the 0 it all but is, next to the leading terms.
+    """
+    try:
+        return x**k
+    except OverflowError:
+        return math.inf
+
+
+class _RuleConstants(NamedTuple):
+    """The scalar constants of the closed forms for one parameter set.
+
+    Each is computed from Python floats in the order of the formulas, so
+    a parameter set gives the same bits whether it stands alone or as one
+    row of a batch. In a batch every field is a column with one entry per
+    row (see _rule_constants).
+    """
+
+    beta: float
+    lam: float
+    a: float
+    v: float
+    series: bool
+    beta2: float
+    beta3: float
+    beta4: float
+    a3: float
+    K: float
+    beta_plus: float  # beta + 1/a
+    two_over_a: float
+    inv_lam: float
+    slab_weight: float
+    spike_weight: float
+
+    @classmethod
+    def of(cls, params: MixturePriorParams) -> "_RuleConstants":
+        alpha, beta, lam = params.alpha, params.beta, params.lam
+        a = _rate(lam)
+        v = a * beta
+        a2, a3, a4 = _power(a, 2), _power(a, 3), _power(a, 4)
+        if a2 < math.inf:
+            K = 2.0 * beta**2 / a2 + 6.0 * beta / a3 + 6.0 / a4
+        else:  # a**2 = 2 lam overflows; K is its leading term beta^2 / lam
+            K = beta**2 / lam
+        return cls(
+            beta, lam, a, v, v < _SERIES_V, beta**2, beta**3, beta**4, a3, K,
+            beta + 1.0 / a,
+            2.0 / a,
+            1.0 / lam,
+            (1.0 - alpha) * 3.0 * a / (8.0 * beta**3),  # slab_weight
+            alpha * (0.5 * a),  # spike_weight
+        )
+
+    def rows(self, mask: np.ndarray) -> "_RuleConstants":
+        """The columns cut to the rows where mask is true."""
+        return _RuleConstants(*(field[mask] for field in self))
+
+
+def _rule_constants(params, d: np.ndarray) -> _RuleConstants:
+    """Constants for one parameter set, or columns for one set per row.
+
+    With a sequence of parameter sets, set r applies to d[r], so d needs
+    one row per set; each field becomes an array of shape (R, 1, ...)
+    that broadcasts against d.
+    """
+    if isinstance(params, MixturePriorParams):
+        return _RuleConstants.of(params)
+    rows = [_RuleConstants.of(p) for p in params]
+    if d.ndim < 1 or len(rows) != d.shape[0]:
+        raise InputError(f"{len(rows)} parameter sets for coefficients of shape "
+                         f"{d.shape}; esr needs one per row")
+    # one (R, fields) array read field by field; the bool field comes back
+    # as 0.0 or 1.0
+    fields = len(_RuleConstants._fields)
+    table = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * fields)
+    k = _RuleConstants(*table.reshape((len(rows), fields)).T.reshape(
+        (fields, len(rows)) + (1,) * (d.ndim - 1)))
+    return k._replace(series=k.series != 0.0)
+
+
+def _slab_parts(dabs: np.ndarray, k: _RuleConstants):
     """Slab integrals I1, I2 and the spike likelihood kernel at |d|.
 
     Past the support the exact integrals (and the spike likelihood) all
     decay by the common factor exp(-a(|d| - beta)), which cancels in the
     posterior-mean ratios; the values are therefore computed at
     min(|d|, beta) in that shared frame, so every exponential argument is
-    nonpositive regardless of how large |d| gets.
+    nonpositive regardless of how large |d| gets. With per-row constants
+    the series seam is chosen row by row.
     """
-    a = math.sqrt(2.0 * lam)
-    x = np.minimum(dabs, beta)
-    v = a * beta
-    if v < _SERIES_V:
-        i1, i2 = _slab_series(x / beta, v)
-        i1 = beta**3 * i1
-        i2 = beta**4 * i2
+    series = k.series
+    if not isinstance(series, bool):  # one flag per row
+        if series.all() or not series.any():
+            series = bool(series.all())
+        else:  # rows on both sides of the seam: each side on its own rows
+            rows = series.reshape(-1)
+            parts = [np.empty(dabs.shape) for _ in range(3)]
+            for side in (rows, ~rows):
+                for whole, part in zip(parts, _slab_parts(dabs[side], k.rows(side))):
+                    whole[side] = part
+            return tuple(parts)
+    x = np.minimum(dabs, k.beta)
+    if series:
+        i1, i2 = _slab_series(x / k.beta, k.v)
+        i1 = k.beta3 * i1
+        i2 = k.beta4 * i2
     else:
-        K = 2.0 * beta**2 / a**2 + 6.0 * beta / a**3 + 6.0 / a**4
-        ep = np.exp(-a * (beta + x))
-        em = np.exp(-a * (beta - x))
+        a = k.a
+        ep = np.exp(-a * (k.beta + x))
+        em = np.exp(-a * (k.beta - x))
         # em - ep evaluated as -em*expm1(-2ax): the direct difference
         # underflows to 0 for a|d| below the rounding scale of exp(-a beta)
         em_minus_ep = -em * np.expm1(-2.0 * a * x)
-        i1 = (beta + 1.0 / a) * (ep + em) / lam + (2.0 / a) * (
-            beta**2 - x**2 - 1.0 / lam
+        i1 = k.beta_plus * (ep + em) / k.lam + k.two_over_a * (
+            k.beta2 - x**2 - k.inv_lam
         )
-        i2 = K * em_minus_ep + (2.0 / a) * x * (beta**2 - x**2) - 12.0 * x / a**3
-    spike = np.exp(-a * x)
+        i2 = k.K * em_minus_ep + k.two_over_a * x * (k.beta2 - x**2) - 12.0 * x / k.a3
+    spike = np.exp(-k.a * x)
     return i1, i2, spike
 
 
@@ -199,13 +305,12 @@ def marginal_m(d, params: MixturePriorParams):
     """
     arr = np.asarray(d, dtype=float)
     _check_finite(arr)
-    beta, lam = params.beta, params.lam
-    a = math.sqrt(2.0 * lam)
+    k = _RuleConstants.of(params)
     dabs = np.abs(arr)
-    i1, _, _ = _slab_parts(dabs, beta, lam)
+    i1, _, _ = _slab_parts(dabs, k)
     # undo the exterior rescale: true I1 decays like exp(-a(|d| - beta))
-    decay = np.exp(-a * np.maximum(dabs - beta, 0.0))
-    out = (3.0 * a / (8.0 * beta**3)) * i1 * decay
+    decay = np.exp(-k.a * np.maximum(dabs - k.beta, 0.0))
+    out = (3.0 * k.a / (8.0 * k.beta3)) * i1 * decay
     bad = out <= 0.0
     if np.any(bad):
         log.warning(
@@ -224,7 +329,7 @@ def delta_slab(d, params: MixturePriorParams):
     """
     arr = np.asarray(d, dtype=float)
     _check_finite(arr)
-    i1, i2, _ = _slab_parts(np.abs(arr), params.beta, params.lam)
+    i1, i2, _ = _slab_parts(np.abs(arr), _RuleConstants.of(params))
     out = np.sign(arr) * i2 / np.maximum(i1, np.finfo(float).tiny)
     return out if out.ndim else float(out)
 
@@ -232,22 +337,23 @@ def delta_slab(d, params: MixturePriorParams):
 _TINY = np.finfo(float).tiny
 
 
-def esr(d, params: MixturePriorParams):
+def esr(d, params):
     """Posterior-mean shrinkage rule under the full spike-and-slab mixture.
 
-    Accepts a scalar or an array of empirical coefficients. Odd in d,
-    no larger than |d| and bounded by the slab-only mean, hence strictly
-    inside (-beta, beta).
+    Accepts a scalar or an array of empirical coefficients. ``params`` is
+    one MixturePriorParams, or a sequence of them with one per row of d
+    (its leading axis): row r is then shrunk with params[r], bit for bit
+    as a call on that row alone would. Odd in d, no larger than |d| and
+    bounded by the slab-only mean, hence strictly inside (-beta, beta).
+    Finite for every finite lambda.
     """
     arr = np.asarray(d, dtype=float)
     _check_finite(arr)
-    alpha, beta, lam = params.alpha, params.beta, params.lam
-    a = math.sqrt(2.0 * lam)
+    k = _rule_constants(params, arr)
     dabs = np.abs(arr)
-    i1, i2, spike = _slab_parts(dabs, beta, lam)
-    slab_weight = (1.0 - alpha) * 3.0 * a / (8.0 * beta**3)
-    num = slab_weight * i2
-    den = alpha * (0.5 * a) * spike + slab_weight * i1
+    i1, i2, spike = _slab_parts(dabs, k)
+    num = k.slab_weight * i2
+    den = k.spike_weight * spike + k.slab_weight * i1
     ratio = num / np.maximum(den, _TINY)
     # the shrunk magnitude lies in [0, |d|]; at subnormal |d| the closed
     # forms round outside that range
@@ -330,14 +436,14 @@ class DoubleExponential:
 
     @property
     def scale(self) -> float:
-        return 1.0 / math.sqrt(2.0 * self.lam)
+        return 1.0 / _rate(self.lam)
 
     def pdf(self, d, theta: float):
         return double_exp_pdf(d, theta, self.lam)
 
     def sf(self, x: float, theta: float) -> float:
         """P(d > x | theta)."""
-        a = math.sqrt(2.0 * self.lam)
+        a = _rate(self.lam)
         if x >= theta:
             return 0.5 * math.exp(-a * (x - theta))
         return 1.0 - 0.5 * math.exp(-a * (theta - x))

@@ -14,11 +14,12 @@ stream; the study harness splits streams per (cell, replication).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, NumericError, numeric_guard
 
 __all__ = [
     "Signal",
@@ -134,19 +135,37 @@ def noise_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
+def scaled_std(values: np.ndarray, ddof: int = 0) -> float:
+    """np.std of the values; where their squares overflow or underflow,
+    the same taken of the values divided by their peak, times the peak."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(np.std(values, ddof=ddof))
+    if 0.0 < sd < math.inf:
+        return sd
+    peak = float(np.max(np.abs(values)))
+    if peak == 0.0:
+        return 0.0
+    return peak * float(np.std(values / peak, ddof=ddof))
+
+
 def add_noise(truth: Signal, snr: float, seed) -> Signal:
     """Add white Gaussian noise at the requested signal-to-noise ratio.
 
-    sigma = SD(truth)/snr with the population SD of the samples; the clean
-    samples are retained as the truth of the returned signal. Deterministic
-    for a given seed key.
+    sigma = SD(truth)/snr with the population SD of the samples, finite
+    for every finite signal; the clean samples are retained as the truth
+    of the returned signal. Deterministic for a given seed key. Raises
+    NumericError if a noisy sample overflows.
     """
     if not snr > 0.0:
         raise DomainError(f"snr must be positive, got {snr}")
     f = truth.samples
-    sd = float(np.std(f))
+    sd = scaled_std(f)
     if sd == 0.0:
         raise InputError("cannot calibrate noise against a constant signal")
     sigma = sd / snr
+    if not math.isfinite(sigma):
+        raise NumericError(f"noise scale overflows: SD {sd!r} / snr {snr!r}")
     eps = noise_rng(seed).standard_normal(f.size)
-    return Signal(samples=f + sigma * eps, truth=f.copy())
+    with numeric_guard("noise draw"):
+        samples = f + sigma * eps
+    return Signal(samples=samples, truth=f.copy())

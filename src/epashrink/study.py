@@ -6,6 +6,12 @@ denoises that same draw (paired comparison), so rule contrasts are not
 diluted by noise-stream differences. Noise streams are keyed by
 (seed, function, size, snr, replication), which makes the whole report a
 pure function of (config, seed) independent of execution order.
+
+One pipeline serves both a single denoise and a study: it takes a stack of
+signals, shape (R, n), and a tuple of rules, transforms the stack once and
+shrinks and inverts it once per rule. Every step works row by row, so each
+row comes out bit for bit as it would alone. A study runs it once per
+(function, n), on the len(snrs) x replications draws of that pair.
 """
 
 from __future__ import annotations
@@ -27,7 +33,13 @@ from .elicitation import (
 )
 from .errors import ConfigError, InputError, NumericError, numeric_guard
 from .shrinkage import MixturePriorParams, esr
-from .signals import Signal, TestFunctionKind, add_noise, generate_test_function
+from .signals import (
+    Signal,
+    TestFunctionKind,
+    add_noise,
+    generate_test_function,
+    scaled_std,
+)
 from .thresholds import hard_threshold, soft_threshold, universal_threshold
 
 # spike weights are clamped into the open unit interval; the lower clamp
@@ -101,13 +113,18 @@ class RuleSpec:
         raise ConfigError(f"cannot parse rule {text!r}")
 
 
-def mse(estimate, truth) -> float:
-    """Mean squared pointwise difference between two equal-length signals."""
+def mse(estimate, truth):
+    """Mean squared pointwise difference between two equal-length signals.
+
+    ``estimate`` may also be a stack of signals, shape (R, n), each scored
+    against the one truth; the result is then an array of R values.
+    """
     a = np.asarray(getattr(estimate, "samples", estimate), dtype=float)
     b = np.asarray(getattr(truth, "samples", truth), dtype=float)
-    if a.shape != b.shape:
+    if b.ndim != 1 or a.shape[-1:] != b.shape:
         raise InputError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(np.mean((a - b) ** 2))
+    out = np.mean((a - b) ** 2, axis=-1)
+    return out if out.ndim else float(out)
 
 
 def _clamped_alpha(j: int, cfg: ElicitationConfig) -> float:
@@ -130,8 +147,18 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
     powers of the slab support in range at any signal scale. A non-finite
     coefficient or rate, or an overflow while eliciting or applying the
     rule, raises NumericError.
+
+    The pyramid may hold one signal (blocks of shape (2**j,)) or a stack
+    of R signals (blocks of shape (R, 2**j)). Each row of a stack is
+    elicited and shrunk on its own, bit for bit as it would be alone; its
+    noise-scale estimate, slab supports and rate or universal threshold
+    are then arrays of R values, while the spike weights and a fixed
+    threshold stay numbers.
     """
     cfg = elicitation
+    stacked = pyramid.scaling.ndim == 2
+    if pyramid.scaling.ndim not in (1, 2):
+        raise InputError(f"cannot shrink a pyramid of shape {pyramid.scaling.shape}")
     with numeric_guard("shrinkage"):
         for block in (pyramid.scaling, *pyramid.details.values()):
             if not np.isfinite(block).all():
@@ -140,29 +167,65 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
                    "beta": beta_level(pyramid.details[j])}
                   for j in pyramid.levels()]
         finest = pyramid.details[pyramid.depth - 1]
-        floor = SIGMA_FLOOR * max(level["beta"] for level in levels)
-        sigma_hat = max(estimate_sigma(finest, cfg.sigma_estimator), floor)
-        diagnostics: dict = {"sigma_hat": sigma_hat, "levels": levels}
+        floor = SIGMA_FLOOR * np.max([level["beta"] for level in levels], axis=0)
+        sigma_hat = np.maximum(estimate_sigma(finest, cfg.sigma_estimator), floor)
+        diagnostics: dict = {"sigma_hat": sigma_hat if stacked else float(sigma_hat),
+                             "levels": levels}
+        # per-row values as Python floats, and a column that broadcasts
+        # against the stacked blocks
+        sigmas = np.atleast_1d(sigma_hat).tolist()
+        column = sigma_hat[:, None] if stacked else diagnostics["sigma_hat"]
         if rule.kind == "esr":
-            lam = diagnostics["lambda"] = lambda_from_s(sigma_hat, cfg.c, cfg.tau)
-            if not math.isfinite(lam):
-                raise NumericError(f"lambda overflows at sigma_hat={sigma_hat!r}")
-            unit_lam = lam * sigma_hat**2
+            lams = [lambda_from_s(s, cfg.c, cfg.tau) for s in sigmas]
+            for s, lam in zip(sigmas, lams):
+                if not math.isfinite(lam):
+                    raise NumericError(f"lambda overflows at sigma_hat={s!r}")
+            diagnostics["lambda"] = np.array(lams) if stacked else lams[0]
+            unit_lams = [lam * s**2 for s, lam in zip(sigmas, lams)]
         else:
             eta = rule.threshold
             if eta is None:
-                eta = universal_threshold(sigma_hat, n_samples)
+                eta = universal_threshold(sigma_hat if stacked else sigmas[0], n_samples)
             diagnostics["eta"] = eta
+            if np.ndim(eta):
+                eta = eta[:, None]
             threshold = hard_threshold if rule.kind == "hard" else soft_threshold
         for level in levels:
             j, block = level["level"], pyramid.details[level["level"]]
             if rule.kind == "esr":
-                params = MixturePriorParams(level["alpha"], level["beta"] / sigma_hat,
-                                            unit_lam)
-                pyramid.details[j] = sigma_hat * esr(block / sigma_hat, params)
+                params = [MixturePriorParams(level["alpha"], beta / s, unit_lam)
+                          for beta, s, unit_lam in zip(
+                              np.atleast_1d(level["beta"]).tolist(), sigmas, unit_lams)]
+                pyramid.details[j] = column * esr(block / column,
+                                                  params if stacked else params[0])
             else:
                 pyramid.details[j] = threshold(block, eta)
     return diagnostics
+
+
+def _denoise_stack(rows: np.ndarray, rules: tuple[RuleSpec, ...],
+                   elicitation: ElicitationConfig, wavelet_order: int) -> list:
+    """The denoising pipeline: one forward transform of the signals in
+    ``rows`` (shape (n,) or (R, n)), then per rule a shrink and an inverse.
+
+    Returns one (estimates, diagnostics, seconds) per rule. seconds is the
+    rule's own shrink and inverse plus a 1/len(rules) share of the shared
+    forward transform. The coefficients are copied only for the rules
+    before the last, which shrinks them in place.
+    """
+    filt = make_daubechies_filter(wavelet_order)
+    t0 = time.perf_counter()
+    shared = dwt_forward(rows, filt, elicitation.coarse_level)
+    forward_share = (time.perf_counter() - t0) / len(rules)
+    results = []
+    for i, rule in enumerate(rules):
+        t0 = time.perf_counter()
+        pyramid = shared if i == len(rules) - 1 else shared.copy()
+        diagnostics = shrink_pyramid(pyramid, rule, elicitation, rows.shape[-1])
+        estimates = dwt_inverse(pyramid, filt)
+        results.append((estimates, diagnostics,
+                        forward_share + time.perf_counter() - t0))
+    return results
 
 
 @dataclass
@@ -188,11 +251,8 @@ def denoise(
     elicited quantities as ``diagnostics``; see :func:`shrink_pyramid`.
     """
     cfg = elicitation or ElicitationConfig()
-    filt = make_daubechies_filter(wavelet_order)
-    pyramid = dwt_forward(y.samples, filt, cfg.coarse_level)
-    diagnostics = shrink_pyramid(pyramid, rule, cfg, y.n)
-    return Denoised(samples=dwt_inverse(pyramid, filt), truth=y.truth,
-                    diagnostics=diagnostics)
+    [(samples, diagnostics, _)] = _denoise_stack(y.samples, (rule,), cfg, wavelet_order)
+    return Denoised(samples=samples, truth=y.truth, diagnostics=diagnostics)
 
 
 _FUNCTION_ORDER = tuple(TestFunctionKind)
@@ -252,9 +312,12 @@ class StudyConfig:
 class CellResult:
     """Scores of one rule in one (function, n, snr) cell.
 
-    wall_time_s is the time spent in this rule's denoise calls, summed over
-    the replications. The noise draw that all rules share and the MSE
-    scoring belong to no rule and are not counted.
+    wall_time_s is the rule's share of the time of the batch that computed
+    the cell: the study denoises all draws of one (function, n) together,
+    and a rule's time in that batch is its own shrink and inverse plus a
+    1/len(rules) share of the shared forward transform, split evenly over
+    the batch's cells (its SNRs). The noise draw and the MSE scoring belong
+    to no rule and are not counted.
     """
 
     function: TestFunctionKind
@@ -304,52 +367,96 @@ def _noise_key(seed: int, function: TestFunctionKind, n: int, snr: float, rep: i
             int(round(snr * 1e9)), rep)
 
 
+def _cell_error(function, n, snr, rep: int, rule: str | None,
+                exc: Exception) -> NumericError:
+    """The error of a failed draw (rule None) or of a rule on that draw."""
+    step = f"rule={rule}" if rule else "noise draw"
+    return NumericError(f"cell (function={function.value}, n={n}, snr={snr}, "
+                        f"rep={rep}) {step} failed: {exc}")
+
+
+def _denoise_batch(config: StudyConfig, function, n: int, coords: list,
+                   rows: np.ndarray) -> list:
+    """_denoise_stack on the draws of one (function, n); on a failure,
+    names the first failing (row, rule) in the order of the draws."""
+    try:
+        return _denoise_stack(rows, config.rules, config.elicitation,
+                              config.wavelet_order)
+    except Exception as exc:
+        # rows are independent, so the failing ones fail alone as well
+        for (snr, rep), row in zip(coords, rows):
+            for rule in config.rules:
+                try:
+                    _denoise_stack(row, (rule,), config.elicitation,
+                                   config.wavelet_order)
+                except Exception as row_exc:
+                    raise _cell_error(function, n, snr, rep, rule.label,
+                                      row_exc) from row_exc
+        raise NumericError(f"batch (function={function.value}, n={n}) failed: "
+                           f"{exc}") from exc
+
+
+def _score(config: StudyConfig, function, n: int, coords: list, truth: Signal,
+           results: list) -> list[CellResult]:
+    """The cells of one batch, SNR by SNR and rule by rule."""
+    reps = config.replications
+    with np.errstate(over="ignore"):
+        scores = np.array([mse(estimates, truth.samples) for estimates, _, _ in results])
+        amse = scores.reshape(len(config.rules), len(config.snrs), reps).mean(axis=-1)
+    bad = ~np.isfinite(scores)
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=0)))
+        rule = config.rules[int(np.argmax(bad[:, row]))]
+        raise _cell_error(function, n, *coords[row], rule.label,
+                          NumericError("the squared error overflows"))
+    cells = []
+    for k, snr in enumerate(config.snrs):
+        for i, rule in enumerate(config.rules):
+            vals = scores[i, k * reps:(k + 1) * reps]
+            if not np.isfinite(amse[i, k]):  # only the sum overflowed
+                amse[i, k] = vals.max() * np.mean(vals / vals.max())
+            degenerate = vals.size < 2
+            cells.append(CellResult(
+                function=function,
+                n=n,
+                snr=snr,
+                rule=rule.label,
+                amse=float(amse[i, k]),
+                mse_sd=0.0 if degenerate else scaled_std(vals, ddof=1),
+                mse_samples=vals.copy(),
+                wall_time_s=results[i][2] / len(config.snrs),
+                degenerate_sd=degenerate,
+            ))
+    return cells
+
+
 def run_study(config: StudyConfig) -> StudyReport:
     """Run every cell of the grid and aggregate per-rule MSE samples.
 
-    Deterministic given (config, seed): replication streams are derived
-    from cell coordinates, not from execution order, and the aggregation
-    order is fixed. A failure in any cell aborts the study with the cell
-    coordinates attached to the error.
+    Each (function, n) is one batch: its len(snrs) x replications draws
+    are stacked (about 8 * len(snrs) * replications * n bytes per array),
+    transformed once, and shrunk and inverted once per rule. Deterministic
+    given (config, seed): replication streams are derived from cell
+    coordinates, not from execution order, and the aggregation order is
+    fixed; each sample equals that of a denoise of its draw alone, bit for
+    bit. A failure aborts the study with the coordinates of the first
+    failing draw attached to the error.
     """
     cells: list[CellResult] = []
     for function in config.functions:
         for n in config.sizes:
             truth = generate_test_function(function, n, config.target_sd)
-            for snr in config.snrs:
-                samples = {rule.label: np.empty(config.replications)
-                           for rule in config.rules}
-                elapsed = dict.fromkeys(samples, 0.0)
-                for rep in range(config.replications):
-                    key = _noise_key(config.seed, function, n, snr, rep)
-                    noisy = add_noise(truth, snr, key)
-                    for rule in config.rules:
-                        t0 = time.perf_counter()
-                        try:
-                            out = denoise(noisy, rule, config.elicitation,
-                                          config.wavelet_order)
-                        except Exception as exc:
-                            raise NumericError(
-                                f"cell (function={function.value}, n={n}, "
-                                f"snr={snr}, rule={rule.label}, rep={rep}) "
-                                f"failed: {exc}"
-                            ) from exc
-                        elapsed[rule.label] += time.perf_counter() - t0
-                        samples[rule.label][rep] = mse(out.samples, truth.samples)
-                for rule in config.rules:
-                    vals = samples[rule.label]
-                    degenerate = vals.size < 2
-                    cells.append(CellResult(
-                        function=function,
-                        n=n,
-                        snr=snr,
-                        rule=rule.label,
-                        amse=float(np.mean(vals)),
-                        mse_sd=0.0 if degenerate else float(np.std(vals, ddof=1)),
-                        mse_samples=vals.copy(),
-                        wall_time_s=elapsed[rule.label],
-                        degenerate_sd=degenerate,
-                    ))
+            coords = [(snr, rep) for snr in config.snrs
+                      for rep in range(config.replications)]
+            rows = np.empty((len(coords), n))
+            for row, (snr, rep) in zip(rows, coords):
+                key = _noise_key(config.seed, function, n, snr, rep)
+                try:
+                    row[:] = add_noise(truth, snr, key).samples
+                except Exception as exc:
+                    raise _cell_error(function, n, snr, rep, None, exc) from exc
+            results = _denoise_batch(config, function, n, coords, rows)
+            cells += _score(config, function, n, coords, truth, results)
     return StudyReport(config=config, cells=cells)
 
 

@@ -1,4 +1,8 @@
-"""Classical keep-or-kill and shrink-by-eta thresholding baselines."""
+"""Classical keep-or-kill and shrink-by-eta thresholding baselines.
+
+A threshold is a number, or an array that broadcasts against the
+coefficients, such as a column with one threshold per row of a stack.
+"""
 
 from __future__ import annotations
 
@@ -11,10 +15,11 @@ from .errors import DomainError, NumericError
 __all__ = ["hard_threshold", "soft_threshold", "universal_threshold"]
 
 
-def _check_eta(eta: float) -> float:
-    if not eta >= 0.0:
+def _check_eta(eta):
+    eta = np.asarray(eta, dtype=float)
+    if not np.all(eta >= 0.0):
         raise DomainError(f"threshold must be >= 0, got {eta}")
-    return float(eta)
+    return eta if eta.ndim else float(eta)
 
 
 def hard_threshold(d, eta: float):
@@ -33,16 +38,19 @@ def soft_threshold(d, eta: float):
     return out if out.ndim else float(out)
 
 
-def universal_threshold(sigma_hat: float, n) -> float:
+def universal_threshold(sigma_hat, n):
     """Universal threshold sigma_hat * sqrt(2 ln n) for n >= 2 samples.
 
+    sigma_hat is a number, or an array of them (one threshold each).
     Raises NumericError if the product overflows.
     """
-    if not sigma_hat > 0.0:
+    sigma_hat = np.asarray(sigma_hat, dtype=float)
+    if not np.all(sigma_hat > 0.0):
         raise DomainError(f"sigma_hat must be positive, got {sigma_hat}")
     if not n >= 2:
         raise DomainError(f"need n >= 2 samples, got {n}")
-    eta = float(sigma_hat) * math.sqrt(2.0 * math.log(n))
-    if not math.isfinite(eta):
+    with np.errstate(over="ignore"):
+        eta = sigma_hat * math.sqrt(2.0 * math.log(n))
+    if not np.isfinite(eta).all():
         raise NumericError(f"universal threshold overflows: sigma_hat={sigma_hat}, n={n}")
-    return eta
+    return eta if eta.ndim else float(eta)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import epashrink
 from epashrink.cli import main, parse_study_config, read_signal_csv, write_signal_csv
 from epashrink import (
     ConfigError,
@@ -417,6 +418,19 @@ class TestRuleCurveCommand:
         ])
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize("lam", ["1e160", "1e300"])
+    def test_huge_lambda_gives_a_finite_curve(self, runner, tmp_path, lam):
+        out = tmp_path / "rc.csv"
+        result = runner.invoke(main, [
+            "rule-curve", "--alpha", "0.95", "--beta", "6", "--lambda", lam,
+            "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        data = np.array([[float(v) for v in r.split(",")]
+                         for r in out.read_text().splitlines()[1:]])
+        assert np.isfinite(data).all()
+        assert np.all(np.abs(data[:, 1]) <= np.abs(data[:, 0]))
+
 
 class TestRuleStatsCommand:
     def test_columns_and_identity(self, runner, tmp_path):
@@ -467,6 +481,7 @@ class TestStudyCommand:
         assert report[0].startswith("function,n,snr,rule,amse")
         assert len(report) == 2
         summary = json.loads((tmp_path / "res" / "summary.json").read_text())
+        assert summary["version"] == epashrink.__version__
         assert summary["config"]["replications"] == 1
         assert summary["cells"][0]["degenerate_sd"] is True
 
@@ -484,6 +499,19 @@ class TestStudyCommand:
         summary = json.loads((tmp_path / "res" / "summary.json").read_text())
         assert len(summary["cells"]) == 2
         assert summary["config"]["seed"] == 9
+
+    def test_huge_signal_numeric_code_names_cell_without_warnings(self, runner, tmp_path):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("functions = bumps\nsizes = 64\nsnrs = 1\n"
+                       "replications = 2\nrules = esr, soft\ntarget_sd = 1e300\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, [
+                "study", str(cfg), "--out-dir", str(tmp_path / "res"),
+            ])
+        assert not caught
+        assert result.exit_code == 5
+        assert "cell (function=bumps, n=64, snr=1.0, rep=0) rule=" in result.output
 
     def test_bad_config_exit_code(self, runner, tmp_path):
         cfg = tmp_path / "bad.cfg"

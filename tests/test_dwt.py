@@ -287,3 +287,55 @@ def test_detail_variance_matches_noise_variance():
         hi = chi2.ppf(0.995, dof) / dof
         ratio = total / (dof * sigma**2)
         assert lo <= ratio <= hi, f"level {j}: ratio {ratio} outside [{lo}, {hi}]"
+
+
+@pytest.mark.parametrize("coarse", [0, 3])
+@pytest.mark.parametrize("order", [1, 4, 10])
+def test_forward_and_inverse_on_stacks_match_rows_bit_for_bit(order, coarse):
+    f = make_daubechies_filter(order)
+    scales = [[1e-3], [1.0], [1e5], [7.0]]
+    rows = np.random.default_rng(order).standard_normal((4, 256)) * scales
+    stacked = dwt_forward(rows, f, coarse)
+    assert stacked.scaling.shape == (4, 2**coarse)
+    rec = dwt_inverse(stacked, f)
+    assert rec.shape == rows.shape
+    for r, row in enumerate(rows):
+        single = dwt_forward(row, f, coarse)
+        assert np.array_equal(stacked.scaling[r], single.scaling)
+        for j in single.levels():
+            assert stacked.details[j].shape == (4, 2**j)
+            assert np.array_equal(stacked.details[j][r], single.details[j])
+        assert np.array_equal(rec[r], dwt_inverse(single, f))
+        assert stacked.energy()[r] == pytest.approx(single.energy(), rel=1e-14)
+
+
+def test_forward_and_inverse_take_any_leading_shape():
+    f = make_daubechies_filter(3)
+    y = np.random.default_rng(2).standard_normal((2, 3, 32))
+    p = dwt_forward(y, f, 1)
+    assert p.details[4].shape == (2, 3, 16)
+    rec = dwt_inverse(p, f)
+    assert np.array_equal(rec[1, 2], dwt_inverse(dwt_forward(y[1, 2], f, 1), f))
+    assert np.max(np.abs(rec - y)) < 1e-12
+
+
+def test_stacked_pyramid_shape_validation():
+    with pytest.raises(InputError):
+        WaveletPyramid(0, np.zeros((2, 1)), {0: np.zeros((3, 1))})
+    with pytest.raises(InputError):
+        WaveletPyramid(0, np.zeros((2, 1)), {0: np.zeros((2, 2))})
+    f = make_daubechies_filter(2)
+    p = dwt_forward(np.zeros((2, 16)), f)
+    p.details[3] = p.details[3][:1]
+    with pytest.raises(InputError):
+        dwt_inverse(p, f)
+
+
+def test_stacked_forward_overflow_raises_without_warning():
+    rows = np.zeros((3, 64))
+    rows[1] = 1.7e308
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError):
+            dwt_forward(rows, make_daubechies_filter(10))
+    assert not caught

@@ -111,6 +111,24 @@ class TestEstimateSigma:
     def test_accepts_string_method(self):
         assert estimate_sigma([1.0, -1.0], "sd") == pytest.approx(math.sqrt(2))
 
+    @pytest.mark.parametrize("method", list(SigmaEstimator))
+    @pytest.mark.parametrize("m", [2, 3, 64, 1024])
+    def test_stack_gets_one_estimate_per_row_bit_for_bit(self, method, m):
+        scales = [[1e-6], [1], [3], [1e4], [1e9]]
+        rows = np.random.default_rng(m).standard_normal((5, m)) * scales
+        est = estimate_sigma(rows, method)
+        assert est.shape == (5,)
+        for r, row in enumerate(rows):
+            assert est[r] == estimate_sigma(row, method)
+
+
+def test_beta_level_of_a_stack_floors_zero_rows(caplog):
+    block = np.array([[-3.0, 1.0], [0.0, 0.0], [0.5, -0.25]])
+    with caplog.at_level("WARNING"):
+        betas = beta_level(block)
+    assert np.array_equal(betas, [3.0, 1e-8, 0.5])
+    assert "1 all-zero" in caplog.text
+
 
 class TestLambdaFromS:
     def test_reference_point(self):

@@ -437,3 +437,70 @@ def test_cli_import_leaves_quadrature_and_stats_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("lam", [1e160, 1e300, sys.float_info.max])
+@pytest.mark.parametrize("beta", [0.3, 6.0, 1e3])
+def test_esr_at_huge_lambda_is_the_clamp(lam, beta):
+    # the likelihood is then far narrower than the slab: away from the
+    # spike (|d| below ~1e-75 beta) the posterior mean is d inside the
+    # support and its edge beta past it
+    import warnings
+
+    params = MixturePriorParams(0.95, beta, lam)
+    d = np.concatenate([np.linspace(-3 * beta, 3 * beta, 601),
+                        [5e-324, -1e-300, 1e-100 * beta]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = esr(d, params)
+        scalar = esr(1.5 * beta, params)
+    assert not caught
+    assert np.isfinite(out).all()
+    assert np.all(np.abs(out) <= np.abs(d))
+    assert np.array_equal(np.sign(out[out != 0]), np.sign(d[out != 0]))
+    clamp = np.sign(d) * np.minimum(np.abs(d), beta)
+    away = np.abs(d) > 1e-3 * beta
+    np.testing.assert_allclose(out[away], clamp[away], rtol=1e-12)
+    assert scalar == pytest.approx(beta, rel=1e-12)
+
+
+def _parameter_rows():
+    """Parameter sets on both sides of the series seam (a*beta = 0.05)."""
+    return [MixturePriorParams(0.95, 6.0, 3.0), MixturePriorParams(0.6, 6.0, 1e-5),
+            MixturePriorParams(0.99, 0.3, 1e-3), MixturePriorParams(0.8, 2.0, 1e12),
+            MixturePriorParams(0.9, 1.0, 1e200)]
+
+
+@pytest.mark.parametrize("rows", [slice(None), slice(0, 1), slice(1, 3), slice(0, 2)])
+def test_esr_with_one_parameter_set_per_row_matches_rows(rows):
+    params = _parameter_rows()[rows]
+    d = np.random.default_rng(4).standard_normal((len(params), 257)) * 4.0
+    d[:, 0] = 0.0
+    out = esr(d, params)
+    for r, p in enumerate(params):
+        assert np.array_equal(out[r], esr(d[r], p))
+    # rows of 3-D coefficient stacks
+    cube = np.stack([d, -d], axis=1)
+    out = esr(cube, params)
+    for r, p in enumerate(params):
+        assert np.array_equal(out[r, 1], esr(-d[r], p))
+
+
+def test_esr_needs_one_parameter_set_per_row():
+    with pytest.raises(InputError):
+        esr(np.zeros((3, 4)), _parameter_rows()[:2])
+    with pytest.raises(InputError):
+        esr(1.0, _parameter_rows()[:1])
+
+
+@pytest.mark.parametrize("lam", [1e300, sys.float_info.max])
+def test_rule_statistics_at_huge_lambda_vanish(lam):
+    # the noise scale 1/sqrt(2 lam) is below 1e-150 and the rule is the
+    # clamp, so bias, variance and risk all vanish; 2 lam overflowing must
+    # not leave the noise model without a scale
+    params = MixturePriorParams(0.95, 6.0, lam)
+    for theta in (0.0, 1.5, 5.9):
+        stats = rule_statistics(theta, params)
+        assert 0.0 <= stats.bias_sq <= 1e-200
+        assert 0.0 <= stats.variance <= 1e-200
+        assert 0.0 <= stats.risk <= 1e-200

@@ -1,14 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from epashrink import (
     DomainError,
     InputError,
+    NumericError,
     Signal,
     TestFunctionKind,
     add_noise,
     generate_test_function,
 )
+from epashrink.signals import noise_rng
 
 
 class TestSignalContainer:
@@ -123,3 +127,33 @@ class TestNoise:
     def test_constant_truth_rejected(self):
         with pytest.raises(InputError):
             add_noise(Signal(samples=np.ones(8)), 1.0, seed=0)
+
+    def test_sigma_is_sd_over_snr_bit_for_bit(self):
+        truth = generate_test_function("bumps", 512, 7.0)
+        noisy = add_noise(truth, 3.0, seed=(4, 2))
+        eps = noise_rng((4, 2)).standard_normal(512)
+        sigma = float(np.std(truth.samples)) / 3.0
+        assert np.array_equal(noisy.samples, truth.samples + sigma * eps)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_extreme_scales_give_finite_calibrated_noise(self, scale):
+        # the squares of the samples overflow (or underflow), so np.std
+        # alone would give inf (or 0) and reject the signal
+        truth = generate_test_function("heavisine", 1024, 7.0 * scale)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            noisy = add_noise(truth, snr=2.0, seed=11)
+        assert not caught
+        unit = add_noise(generate_test_function("heavisine", 1024, 7.0), snr=2.0, seed=11)
+        np.testing.assert_allclose(noisy.samples / scale, unit.samples, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(unit.samples)))
+
+    def test_overflowing_draw_is_a_numeric_error(self):
+        truth = Signal(samples=np.array([1.7e308, -1.7e308] * 8))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError):
+                add_noise(truth, 1.0, seed=0)
+            with pytest.raises(NumericError):
+                add_noise(generate_test_function("bumps", 64), 1e-310, seed=0)
+        assert not caught

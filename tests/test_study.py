@@ -1,5 +1,7 @@
 import math
 import time
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from epashrink import (
     shrink_pyramid,
     study_preset,
 )
+from epashrink.dwt import WaveletPyramid
+from epashrink.study import _noise_key
 
 
 class TestRuleSpec:
@@ -336,3 +340,195 @@ class TestPresets:
         report = run_study(study_preset("smoke"))
         assert time.perf_counter() - t0 < 10.0
         assert len(report.cells) == 1
+
+
+def _per_draw_oracle(config: StudyConfig) -> dict:
+    """The per-draw study loop: one denoise per replication and rule, each
+    scored with mse. Returns {(function, n, snr, rule label): samples}."""
+    samples = {}
+    for function in config.functions:
+        for n in config.sizes:
+            truth = generate_test_function(function, n, config.target_sd)
+            for snr in config.snrs:
+                for rule in config.rules:
+                    samples[(function, n, snr, rule.label)] = np.empty(config.replications)
+                for rep in range(config.replications):
+                    key = _noise_key(config.seed, function, n, snr, rep)
+                    noisy = add_noise(truth, snr, key)
+                    for rule in config.rules:
+                        out = denoise(noisy, rule, config.elicitation, config.wavelet_order)
+                        samples[(function, n, snr, rule.label)][rep] = mse(out.samples,
+                                                                           truth.samples)
+    return samples
+
+
+@pytest.mark.parametrize("replications", [1, 3])
+@pytest.mark.parametrize("coarse_level", [0, 2])
+@pytest.mark.parametrize("sigma", list(SigmaEstimator))
+def test_run_study_matches_per_draw_oracle(sigma, coarse_level, replications):
+    config = StudyConfig(
+        functions=(TestFunctionKind.BUMPS, TestFunctionKind.DOPPLER),
+        sizes=(64, 256),
+        snrs=(0.5, 3.0),
+        replications=replications,
+        rules=tuple(RuleSpec.parse(r) for r in
+                    ("esr", "soft-universal", "hard-universal", "soft:2.5")),
+        elicitation=ElicitationConfig(gamma=2.0, l=1.0, sigma_estimator=sigma,
+                                      coarse_level=coarse_level),
+        seed=31,
+    )
+    oracle = _per_draw_oracle(config)
+    report = run_study(config)
+    assert [(c.function, c.n, c.snr, c.rule) for c in report.cells] == list(oracle)
+    for cell in report.cells:
+        want = oracle[(cell.function, cell.n, cell.snr, cell.rule)]
+        assert np.array_equal(cell.mse_samples, want)
+        assert cell.amse == float(np.mean(want))
+        assert cell.mse_sd == (0.0 if replications == 1 else float(np.std(want, ddof=1)))
+
+
+def _stacked_test_pyramid():
+    """A three-row pyramid: row 0 ordinary noise; row 1 with every level
+    but the finest 1e-4 of the noise scale, so its esr runs on the series
+    branch there while row 0 does not; row 2 with an all-zero level."""
+    rng = np.random.default_rng(8)
+    filt = make_daubechies_filter(10)
+    pyramid = dwt_forward(rng.standard_normal((3, 256)), filt)
+    for j in pyramid.levels()[:-1]:
+        pyramid.details[j][1] *= 1e-4
+    pyramid.details[5][2] = 0.0
+    return pyramid
+
+
+@pytest.mark.parametrize("rule", ["esr", "soft", "hard", "hard:4"])
+@pytest.mark.parametrize("sigma", list(SigmaEstimator))
+def test_shrink_pyramid_on_stack_matches_rows(rule, sigma, caplog):
+    spec = RuleSpec.parse(rule)
+    cfg = ElicitationConfig(sigma_estimator=sigma)
+    stacked = _stacked_test_pyramid()
+    rows = [WaveletPyramid(0, stacked.scaling[r].copy(),
+                           {j: b[r].copy() for j, b in stacked.details.items()})
+            for r in range(3)]
+    with caplog.at_level("WARNING"):
+        diag = shrink_pyramid(stacked, spec, cfg, 256)
+    assert "all-zero" in caplog.text
+    for r, row in enumerate(rows):
+        want = shrink_pyramid(row, spec, cfg, 256)
+        for j in row.levels():
+            assert np.array_equal(stacked.details[j][r], row.details[j])
+        assert np.array_equal(stacked.scaling[r], row.scaling)
+        assert diag["sigma_hat"][r] == want["sigma_hat"]
+        for got, expected in zip(diag["levels"], want["levels"]):
+            assert got["alpha"] == expected["alpha"]
+            assert got["beta"][r] == expected["beta"]
+        key = "lambda" if spec.kind == "esr" else "eta"
+        assert np.ndim(diag[key]) == (spec.threshold is None)
+        assert (diag[key][r] if np.ndim(diag[key]) else diag[key]) == want[key]
+    assert diag["levels"][5]["beta"][2] == 1e-8  # the beta floor
+    if spec.kind == "esr":
+        # a * beta of the rule per row: some level straddles the series seam
+        v = [np.sqrt(2.0 * diag["lambda"]) * level["beta"] for level in diag["levels"]]
+        assert any(row_v[1] < 0.05 <= row_v[0] for row_v in v)
+
+
+def test_run_study_wall_times_sum_to_at_most_the_run():
+    config = StudyConfig(
+        functions=(TestFunctionKind.BUMPS, TestFunctionKind.BLOCKS),
+        sizes=(128, 512),
+        snrs=(1.0, 3.0),
+        replications=3,
+        rules=(RuleSpec("esr"), RuleSpec("soft"), RuleSpec("hard", 2.0)),
+        elicitation=benchmark_elicitation(),
+        seed=3,
+    )
+    t0 = time.perf_counter()
+    report = run_study(config)
+    total = time.perf_counter() - t0
+    times = [cell.wall_time_s for cell in report.cells]
+    assert all(t > 0 for t in times)
+    assert sum(times) <= total
+
+
+def test_failure_in_a_batch_names_the_first_failing_draw(monkeypatch):
+    # one draw of the batch (snr 3, replication 1) overflows the transform
+    import epashrink.study as study_mod
+
+    def add_noise_with_one_bad_draw(truth, snr, key):
+        noisy = add_noise(truth, snr, key)
+        if snr == 3.0 and key[-1] == 1:
+            noisy.samples[:] = 1.7e308
+        return noisy
+
+    monkeypatch.setattr(study_mod, "add_noise", add_noise_with_one_bad_draw)
+    config = replace(_tiny_config((RuleSpec("soft"), RuleSpec("esr"))), snrs=(1.0, 3.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError, match=r"function=heavisine, n=128, snr=3.0, "
+                                               r"rep=1\) rule=soft-universal failed"):
+            run_study(config)
+    assert not caught
+
+
+def test_huge_signal_study_fails_with_cell_and_no_warning():
+    # at a signal scale of 1e300 the draws are finite, but the squared
+    # errors overflow: a NumericError naming the first cell, no warning
+    config = StudyConfig(
+        functions=(TestFunctionKind.BUMPS,),
+        sizes=(64,),
+        snrs=(1.0,),
+        replications=2,
+        rules=(RuleSpec("soft"),),
+        seed=1,
+        target_sd=1e300,
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError, match=r"cell \(function=bumps, n=64, snr=1.0, "
+                                               r"rep=0\) rule=soft-universal failed"):
+            run_study(config)
+    assert not caught
+
+
+def test_large_signal_study_has_finite_scores_without_warnings():
+    config = StudyConfig(
+        functions=(TestFunctionKind.HEAVISINE,),
+        sizes=(128,),
+        snrs=(1.0,),
+        replications=3,
+        rules=(RuleSpec("esr"), RuleSpec("soft")),
+        elicitation=benchmark_elicitation(),
+        seed=1,
+        target_sd=7e150,
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_study(config)
+    assert not caught
+    # at a noise scale of 7e3 lambda(s) * s^2 is already scale-free (see
+    # test_scale_equivariance), so the scores scale with the signal squared
+    ref = run_study(replace(config, target_sd=7e3))
+    for big, small in zip(report.cells, ref.cells):
+        assert np.isfinite(big.mse_sd) and big.mse_sd > 0
+        assert big.amse == pytest.approx(1e294 * small.amse, rel=1e-9)
+        assert big.mse_sd == pytest.approx(1e294 * small.mse_sd, rel=1e-9)
+
+
+def test_amse_whose_sum_overflows_is_finite():
+    # each squared error and each MSE sample is finite at this scale, but
+    # the sum of 200 samples is not
+    config = StudyConfig(
+        functions=(TestFunctionKind.HEAVISINE,),
+        sizes=(64,),
+        snrs=(1.0,),
+        replications=200,
+        rules=(RuleSpec("soft"),),
+        seed=1,
+        target_sd=1.7e153,
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cell = run_study(config).cells[0]
+    assert not caught
+    assert np.sum(cell.mse_samples / 2.0) > np.finfo(float).max / 2.0
+    assert cell.amse == pytest.approx(np.mean(cell.mse_samples / 1e300) * 1e300, rel=1e-12)
+    assert np.isfinite(cell.mse_sd) and cell.mse_sd > 0

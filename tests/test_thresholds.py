@@ -99,3 +99,24 @@ def test_rule_sandwich_between_hard_and_soft():
         )
     assert dist[0.65][0] < dist[0.99][0]  # small alpha hugs the hard rule
     assert dist[0.99][1] < dist[0.65][1]  # large alpha hugs the soft rule
+
+
+def test_per_row_thresholds_match_rows():
+    d = np.random.default_rng(6).standard_normal((4, 33)) * 3.0
+    sigma = np.array([0.5, 1.0, 2.0, 1e-3])
+    eta = universal_threshold(sigma, 33)
+    assert eta.shape == (4,)
+    for rule in (hard_threshold, soft_threshold):
+        out = rule(d, eta[:, None])
+        for r in range(4):
+            assert eta[r] == universal_threshold(float(sigma[r]), 33)
+            assert np.array_equal(out[r], rule(d[r], float(eta[r])))
+
+
+def test_per_row_thresholds_are_checked():
+    with pytest.raises(DomainError):
+        hard_threshold(np.zeros((2, 3)), np.array([[1.0], [-1.0]]))
+    with pytest.raises(DomainError):
+        universal_threshold(np.array([1.0, 0.0]), 16)
+    with pytest.raises(NumericError):
+        universal_threshold(np.array([1.0, 1e308]), 4096)
