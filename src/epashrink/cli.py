@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .dwt import dwt_forward, make_daubechies_filter
+from .dwt import MAX_ORDER, dwt_forward, make_daubechies_filter
 from .elicitation import ElicitationConfig, SigmaEstimator
 from .errors import (
     ConfigError,
@@ -30,13 +30,7 @@ from .errors import (
     NumericError,
     numeric_guard,
 )
-from .shrinkage import (
-    DoubleExponential,
-    Gaussian,
-    MixturePriorParams,
-    esr,
-    rule_statistics,
-)
+from .shrinkage import Gaussian, MixturePriorParams, esr, rule_statistics
 from .signals import Signal, TestFunctionKind, add_noise, generate_test_function
 from .study import (
     RuleSpec,
@@ -52,6 +46,10 @@ from .thresholds import hard_threshold, soft_threshold
 EXIT_CODES = {InputError: 2, ConfigError: 3, DomainError: 4, NumericError: 5}
 
 _FMT = "%.17g"
+
+# every flag default below is the library's own
+_ELICITATION = ElicitationConfig()
+_STUDY = {f.name: f.default for f in dataclasses.fields(StudyConfig)}
 
 
 def _fmt(value: float) -> str:
@@ -219,9 +217,9 @@ def parse_study_config(text: str, source: str = "<config>") -> StudyConfig:
             replications=replications,
             rules=rules,
             elicitation=elicitation,
-            wavelet_order=int(raw.get("wavelet_order", 10)),
-            seed=int(raw.get("seed", 0)),
-            target_sd=float(raw.get("target_sd", 7.0)),
+            wavelet_order=int(raw.get("wavelet_order", _STUDY["wavelet_order"])),
+            seed=int(raw.get("seed", _STUDY["seed"])),
+            target_sd=float(raw.get("target_sd", _STUDY["target_sd"])),
         )
     except ValueError as exc:
         raise ConfigError(f"{source}: bad value: {exc}") from None
@@ -274,20 +272,23 @@ def _shared_rule_options(func):
                      default="esr", show_default=True, help="Shrinkage rule."),
         click.option("--threshold", default="universal", show_default=True,
                      help="Threshold policy for hard/soft: 'universal' or a value."),
-        click.option("--gamma", type=float, default=2.4, show_default=True,
-                     help="Spike-weight exponent."),
-        click.option("--l", "l", type=float, default=2.0, show_default=True,
-                     help="Spike-weight offset."),
-        click.option("--c", "c", type=float, default=1.0, show_default=True,
-                     help="Variance-prior rate coefficient."),
-        click.option("--tau", type=float, default=2.0, show_default=True,
-                     help="Variance-prior rate decay scale."),
-        click.option("--j0", type=int, default=0, show_default=True,
+        click.option("--gamma", type=float, default=_ELICITATION.gamma,
+                     show_default=True, help="Spike-weight exponent."),
+        click.option("--l", "l", type=float, default=_ELICITATION.l,
+                     show_default=True, help="Spike-weight offset."),
+        click.option("--c", "c", type=float, default=_ELICITATION.c,
+                     show_default=True, help="Variance-prior rate coefficient."),
+        click.option("--tau", type=float, default=_ELICITATION.tau,
+                     show_default=True, help="Variance-prior rate decay scale."),
+        click.option("--j0", type=int, default=_ELICITATION.coarse_level,
+                     show_default=True,
                      help="Coarsest resolution level kept for shrinkage."),
-        click.option("--sigma", type=click.Choice(["sd", "mad"]), default="mad",
+        click.option("--sigma", type=click.Choice([e.value for e in SigmaEstimator]),
+                     default=_ELICITATION.sigma_estimator.value,
                      show_default=True, help="Noise-scale estimator."),
-        click.option("--wavelet-order", type=click.IntRange(1, 10), default=10,
-                     show_default=True, help="Daubechies vanishing moments."),
+        click.option("--wavelet-order", type=click.IntRange(1, MAX_ORDER),
+                     default=_STUDY["wavelet_order"], show_default=True,
+                     help="Daubechies vanishing moments."),
         click.option("--pad", type=click.Choice(["reflect", "truncate"]),
                      default=None, help="Policy for non-dyadic input lengths."),
     ]
@@ -375,11 +376,31 @@ def cmd_coeffs(input_path, rule, threshold, gamma, l, c, tau, j0, sigma,
     click.echo(f"wrote {emp_path} and {shr_path}")
 
 
+def _curves(alphas, beta: float, lams) -> list[tuple[str, MixturePriorParams]]:
+    """The prior of every (alpha, lambda) pair, alpha-major, with its label
+    a{alpha:g}_l{lambda:g}; a single pair is labelled ""."""
+    pairs = [(alpha, lam) for alpha in alphas for lam in lams]
+    return [(f"a{alpha:g}_l{lam:g}" if len(pairs) > 1 else "",
+             MixturePriorParams(alpha=alpha, beta=beta, lam=lam))
+            for alpha, lam in pairs]
+
+
+def _grid(name: str, lo: float, hi: float, points: int) -> np.ndarray:
+    """points evenly spaced values from lo to hi, both finite."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"{name} grid bounds must be finite, got {lo} and {hi}")
+    if hi < lo:
+        raise DomainError(f"empty grid: {name}_max {hi} < {name}_min {lo}")
+    with numeric_guard(f"{name} grid"):
+        return np.linspace(lo, hi, points)
+
+
 @main.command("rule-curve")
-@click.option("--alpha", type=float, required=True, help="Spike weight.")
+@click.option("--alpha", "alphas", type=float, multiple=True, required=True,
+              help="Spike weight; repeat for one curve per (alpha, lambda).")
 @click.option("--beta", type=float, required=True, help="Slab half-support.")
-@click.option("--lambda", "lam", type=float, required=True,
-              help="Variance-prior rate.")
+@click.option("--lambda", "lams", type=float, multiple=True, required=True,
+              help="Variance-prior rate; repeatable like --alpha.")
 @click.option("--d-min", type=float, default=None,
               help="Grid start (default -2.5*beta).")
 @click.option("--d-max", type=float, default=None,
@@ -390,30 +411,28 @@ def cmd_coeffs(input_path, rule, threshold, gamma, l, c, tau, j0, sigma,
               help="Also emit hard/soft thresholding columns at this eta.")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_translate_errors
-def cmd_rule_curve(alpha, beta, lam, d_min, d_max, points, eta, out_path):
-    """Tabulate the shrinkage rule (optionally with thresholding baselines)."""
-    params = MixturePriorParams(alpha=alpha, beta=beta, lam=lam)
-    lo = -2.5 * beta if d_min is None else d_min
-    hi = 2.5 * beta if d_max is None else d_max
-    if hi < lo:
-        raise DomainError(f"empty grid: d_max {hi} < d_min {lo}")
-    grid = np.linspace(lo, hi, points)
-    values = esr(grid, params)
-    header = ["d", "esr"]
-    columns = [grid, np.atleast_1d(values)]
+def cmd_rule_curve(alphas, beta, lams, d_min, d_max, points, eta, out_path):
+    """Tabulate the shrinkage rule (optionally with thresholding baselines).
+
+    Several --alpha/--lambda values give one column esr_a{alpha}_l{lambda}
+    per pair, alpha-major; a single pair gives the column esr.
+    """
+    curves = _curves(alphas, beta, lams)
+    grid = _grid("d", -2.5 * beta if d_min is None else d_min,
+                 2.5 * beta if d_max is None else d_max, points)
+    header = ["d"] + [f"esr_{label}" if label else "esr" for label, _ in curves]
+    columns = [grid] + [esr(grid, params) for _, params in curves]
     if eta is not None:
         header += ["hard", "soft"]
-        columns += [np.atleast_1d(hard_threshold(grid, eta)),
-                    np.atleast_1d(soft_threshold(grid, eta))]
-    write_table_csv(out_path, header,
-                    ([float(col[i]) for col in columns] for i in range(points)))
+        columns += [hard_threshold(grid, eta), soft_threshold(grid, eta)]
+    write_table_csv(out_path, header, np.column_stack(columns).tolist())
     click.echo(f"wrote {out_path}")
 
 
 @main.command("rule-stats")
-@click.option("--alpha", type=float, required=True)
+@click.option("--alpha", "alphas", type=float, multiple=True, required=True)
 @click.option("--beta", type=float, required=True)
-@click.option("--lambda", "lam", type=float, required=True)
+@click.option("--lambda", "lams", type=float, multiple=True, required=True)
 @click.option("--theta-min", type=float, default=None,
               help="Grid start (default 0).")
 @click.option("--theta-max", type=float, default=None,
@@ -426,28 +445,36 @@ def cmd_rule_curve(alpha, beta, lam, d_min, d_max, points, eta, out_path):
               help="Sigma of the gaussian noise model (required with it).")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_translate_errors
-def cmd_rule_stats(alpha, beta, lam, theta_min, theta_max, points, noise,
+def cmd_rule_stats(alphas, beta, lams, theta_min, theta_max, points, noise,
                    noise_sigma, out_path):
-    """Tabulate squared bias, variance and risk over true coefficients."""
-    params = MixturePriorParams(alpha=alpha, beta=beta, lam=lam)
+    """Tabulate squared bias, variance and risk over true coefficients.
+
+    Several --alpha/--lambda values give one block of rows per pair,
+    alpha-major, labelled a{alpha}_l{lambda} in a leading curve column.
+    """
+    curves = _curves(alphas, beta, lams)
+    model = None  # dexp: each prior's own lambda, rule_statistics' default
     if noise == "gaussian":
         if noise_sigma is None:
             raise ConfigError("--noise-sigma is required with --noise gaussian")
         model = Gaussian(noise_sigma)
-    else:
-        model = DoubleExponential(lam)
-    lo = 0.0 if theta_min is None else theta_min
-    hi = beta if theta_max is None else theta_max
-    if hi < lo:
-        raise DomainError(f"empty grid: theta_max {hi} < theta_min {lo}")
+    thetas = _grid("theta", 0.0 if theta_min is None else theta_min,
+                   beta if theta_max is None else theta_max, points)
+    header = ["theta", "bias_sq", "variance", "risk"]
+    if len(curves) > 1:
+        header.insert(0, "curve")
     rows = []
-    for theta in np.linspace(lo, hi, points):
-        try:
-            stats = rule_statistics(float(theta), params, model)
-        except NumericError as exc:
-            raise NumericError(f"at theta={theta}: {exc}") from exc
-        rows.append([float(theta), stats.bias_sq, stats.variance, stats.risk])
-    write_table_csv(out_path, ["theta", "bias_sq", "variance", "risk"], rows)
+    for label, params in curves:
+        prefix = [label] if label else []
+        for theta in thetas:
+            try:
+                stats = rule_statistics(float(theta), params, model)
+            except NumericError as exc:
+                where = f"{label} theta={theta}" if label else f"theta={theta}"
+                raise NumericError(f"at {where}: {exc}") from exc
+            rows.append(prefix + [float(theta), stats.bias_sq, stats.variance,
+                                  stats.risk])
+    write_table_csv(out_path, header, rows)
     click.echo(f"wrote {out_path}")
 
 
@@ -455,7 +482,8 @@ def cmd_rule_stats(alpha, beta, lam, theta_min, theta_max, points, noise,
 @click.option("--kind", type=click.Choice([k.value for k in TestFunctionKind]),
               required=True, help="Test function.")
 @click.option("--n", type=int, required=True, help="Dyadic sample count.")
-@click.option("--target-sd", type=float, default=7.0, show_default=True)
+@click.option("--target-sd", type=float, default=_STUDY["target_sd"],
+              show_default=True)
 @click.option("--snr", type=float, default=None,
               help="If set, add calibrated noise and emit the truth column.")
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -486,7 +514,7 @@ def cmd_study(config_path, preset, seed, out_dir):
     if (config_path is None) == (preset is None):
         raise ConfigError("pass exactly one of CONFIG_PATH or --preset")
     if preset is not None:
-        config = study_preset(preset, seed if seed is not None else 20250810)
+        config = study_preset(preset)
     else:
         path = Path(config_path)
         try:
@@ -494,8 +522,8 @@ def cmd_study(config_path, preset, seed, out_dir):
         except OSError as exc:
             raise InputError(f"cannot read {path}: {exc}") from exc
         config = parse_study_config(text, source=str(path))
-        if seed is not None:
-            config = dataclasses.replace(config, seed=seed)
+    if seed is not None:
+        config = dataclasses.replace(config, seed=seed)
 
     report = run_study(config)
 
@@ -522,7 +550,7 @@ def cmd_study(config_path, preset, seed, out_dir):
     for cell in report.cells:
         click.echo(
             f"  {cell.function.value:9s} n={cell.n:5d} snr={cell.snr:g} "
-            f"{cell.rule:14s} amse={cell.amse:.4f} sd={cell.mse_sd:.4f}"
+            f"{cell.rule:14s} amse={cell.amse:.6g} sd={cell.mse_sd:.6g}"
         )
 
 

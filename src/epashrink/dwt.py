@@ -26,6 +26,11 @@ from .errors import DomainError, InputError, NumericError, numeric_guard
 
 MAX_ORDER = 10
 
+# tolerances of DaubechiesFilter.validate
+_SUM_TOL = 1e-12
+_ORTH_TOL = 1e-12
+_MOMENT_TOL = 1e-8
+
 __all__ = [
     "DaubechiesFilter",
     "WaveletPyramid",
@@ -93,7 +98,7 @@ class DaubechiesFilter:
     def __len__(self) -> int:
         return 2 * self.vanishing_moments
 
-    def validate(self, *, sum_tol=1e-12, orth_tol=1e-12, moment_tol=1e-8) -> None:
+    def validate(self) -> None:
         """Check the defining filter identities, raising on violation.
 
         The moment check is scale-normalized: raw sums k^p * g[k] reach
@@ -102,12 +107,12 @@ class DaubechiesFilter:
         """
         h, g = self.lowpass, self.highpass
         n = self.vanishing_moments
-        if abs(h.sum() - math.sqrt(2)) > sum_tol:
+        if abs(h.sum() - math.sqrt(2)) > _SUM_TOL:
             raise DomainError(f"lowpass sum {h.sum()!r} != sqrt(2)")
-        if abs(h @ h - 1.0) > orth_tol:
+        if abs(h @ h - 1.0) > _ORTH_TOL:
             raise DomainError("lowpass taps are not unit norm")
         for m in range(1, n):
-            if abs(h[2 * m:] @ h[: -2 * m]) > orth_tol:
+            if abs(h[2 * m:] @ h[: -2 * m]) > _ORTH_TOL:
                 raise DomainError(f"lowpass shift-{2 * m} orthogonality fails")
         expected_g = ((-1.0) ** np.arange(2 * n)) * h[::-1]
         if np.max(np.abs(g - expected_g)) > 0:
@@ -116,7 +121,7 @@ class DaubechiesFilter:
         for p in range(n):
             num = abs(np.dot(k**p, g))
             den = np.dot(k**p, np.abs(g))
-            if num > moment_tol * max(den, 1.0):
+            if num > _MOMENT_TOL * max(den, 1.0):
                 raise DomainError(f"moment p={p} does not vanish: {num!r}")
 
 

@@ -94,10 +94,10 @@ class MixturePriorParams:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not self.beta > 0.0:
-            raise DomainError(f"beta must be positive, got {self.beta}")
-        if not self.lam > 0.0:
-            raise DomainError(f"lambda must be positive, got {self.lam}")
+        if not 0.0 < self.beta < math.inf:
+            raise DomainError(f"beta must be positive and finite, got {self.beta}")
+        if not 0.0 < self.lam < math.inf:
+            raise DomainError(f"lambda must be positive and finite, got {self.lam}")
 
     @property
     def noise_scale(self) -> float:
@@ -431,8 +431,8 @@ class DoubleExponential:
     reach = 80.0
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise DomainError(f"lambda must be positive, got {self.lam}")
+        if not 0.0 < self.lam < math.inf:
+            raise DomainError(f"lambda must be positive and finite, got {self.lam}")
 
     @property
     def scale(self) -> float:
@@ -458,8 +458,8 @@ class Gaussian:
     reach = 13.0
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
 
     @property
     def scale(self) -> float:

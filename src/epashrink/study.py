@@ -280,8 +280,10 @@ class StudyConfig:
         for n in self.sizes:
             if n < 4 or n & (n - 1):
                 raise ConfigError(f"size {n} is not a power of two >= 4")
-        if not self.snrs or any(s <= 0 for s in self.snrs):
-            raise ConfigError("snrs must be positive")
+        if not self.snrs or not all(0.0 < s < math.inf for s in self.snrs):
+            raise ConfigError(f"snrs must be positive and finite, got {self.snrs}")
+        if not 0.0 < self.target_sd < math.inf:
+            raise ConfigError(f"target_sd must be positive and finite, got {self.target_sd}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if not self.rules:

@@ -431,6 +431,69 @@ class TestRuleCurveCommand:
         assert np.isfinite(data).all()
         assert np.all(np.abs(data[:, 1]) <= np.abs(data[:, 0]))
 
+    def test_repeated_flags_match_single_pair_runs(self, runner, tmp_path):
+        grid = ["--beta", "6", "--d-min", "-15", "--d-max", "15",
+                "--points", "101", "--eta", "3.5"]
+        multi = tmp_path / "multi.csv"
+        result = runner.invoke(main, [
+            "rule-curve", "--alpha", "0.6", "--alpha", "0.95",
+            "--lambda", "1.5", "--lambda", "3", *grid, "--out", str(multi),
+        ])
+        assert result.exit_code == 0, result.output
+        header, *rows = multi.read_text().splitlines()
+        assert header == ("d,esr_a0.6_l1.5,esr_a0.6_l3,esr_a0.95_l1.5,"
+                          "esr_a0.95_l3,hard,soft")
+        table = [row.split(",") for row in rows]
+        pairs = [("0.6", "1.5"), ("0.6", "3"), ("0.95", "1.5"), ("0.95", "3")]
+        for k, (alpha, lam) in enumerate(pairs):
+            single = tmp_path / f"single{k}.csv"
+            result = runner.invoke(main, [
+                "rule-curve", "--alpha", alpha, "--lambda", lam, *grid,
+                "--out", str(single),
+            ])
+            assert result.exit_code == 0, result.output
+            single_header, *single_rows = single.read_text().splitlines()
+            assert single_header == "d,esr,hard,soft"
+            # 17 significant digits: equal text is equal bits
+            assert [[r[0], r[1 + k], r[-2], r[-1]] for r in table] == \
+                [row.split(",") for row in single_rows]
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--lambda", "inf"), ("--lambda", "nan"), ("--beta", "inf"), ("--beta", "nan"),
+    ])
+    def test_non_finite_params_domain_code(self, runner, tmp_path, flag, value):
+        flags = {"--alpha": "0.9", "--beta": "6", "--lambda": "3", flag: value}
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, [
+                "rule-curve", *(v for item in flags.items() for v in item),
+                "--out", str(out),
+            ])
+        assert not caught
+        assert result.exit_code == 4
+        assert "must be positive and finite" in result.output
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("extra,code", [
+        (["--d-min", "nan"], 4),
+        (["--d-max", "inf"], 4),
+        (["--beta", "1e308"], 4),  # the default grid end 2.5*beta overflows
+        (["--d-min", "-1e308", "--d-max", "1e308"], 5),  # the spacing overflows
+    ])
+    def test_grid_bounds_checked(self, runner, tmp_path, extra, code):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, [
+                "rule-curve", "--alpha", "0.9", "--beta", "6", "--lambda", "3",
+                *extra, "--out", str(out),
+            ])
+        assert not caught
+        assert result.exit_code == code, result.output
+        assert "grid" in result.output
+        assert not out.exists()
 
 class TestRuleStatsCommand:
     def test_columns_and_identity(self, runner, tmp_path):
@@ -469,6 +532,38 @@ class TestRuleStatsCommand:
         ])
         assert result.exit_code == 5
         assert "theta" in result.output
+
+    def test_repeated_flags_match_single_pair_runs(self, runner, tmp_path):
+        multi = tmp_path / "multi.csv"
+        result = runner.invoke(main, [
+            "rule-stats", "--alpha", "0.8", "--alpha", "0.95", "--beta", "6",
+            "--lambda", "3", "--points", "5", "--out", str(multi),
+        ])
+        assert result.exit_code == 0, result.output
+        header, *rows = multi.read_text().splitlines()
+        assert header == "curve,theta,bias_sq,variance,risk"
+        for alpha in ("0.8", "0.95"):
+            single = tmp_path / f"single{alpha}.csv"
+            result = runner.invoke(main, [
+                "rule-stats", "--alpha", alpha, "--beta", "6", "--lambda", "3",
+                "--points", "5", "--out", str(single),
+            ])
+            assert result.exit_code == 0, result.output
+            single_header, *single_rows = single.read_text().splitlines()
+            assert single_header == "theta,bias_sq,variance,risk"
+            label = f"a{alpha}_l3,"
+            assert [r[len(label):] for r in rows if r.startswith(label)] == single_rows
+
+    @pytest.mark.parametrize("sigma", ["inf", "nan"])
+    def test_non_finite_noise_sigma_domain_code(self, runner, tmp_path, sigma):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, [
+            "rule-stats", "--alpha", "0.9", "--beta", "6", "--lambda", "1",
+            "--noise", "gaussian", "--noise-sigma", sigma, "--out", str(out),
+        ])
+        assert result.exit_code == 4
+        assert "sigma must be positive and finite" in result.output
+        assert not out.exists()
 
 
 class TestStudyCommand:
@@ -520,6 +615,34 @@ class TestStudyCommand:
             "study", str(cfg), "--out-dir", str(tmp_path / "res"),
         ])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("line", ["snrs = inf", "snrs = 1, nan", "target_sd = inf"])
+    def test_non_finite_scale_config_code(self, runner, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("functions = bumps\nsizes = 64\nreplications = 1\n"
+                       f"rules = esr\n{line}\n" + ("" if "snrs" in line else "snrs = 1\n"))
+        result = runner.invoke(main, [
+            "study", str(cfg), "--out-dir", str(tmp_path / "res"),
+        ])
+        assert result.exit_code == 3
+        assert "must be positive and finite" in result.output
+
+    def test_console_prints_short_amse_matching_report(self, runner, tmp_path):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("functions = bumps\nsizes = 64\nsnrs = 1\n"
+                       "replications = 3\nrules = esr, soft\ntarget_sd = 1e150\n")
+        result = runner.invoke(main, [
+            "study", str(cfg), "--out-dir", str(tmp_path / "res"),
+        ])
+        assert result.exit_code == 0, result.output
+        cells = [line for line in result.output.splitlines() if "amse=" in line]
+        header, *rows = (tmp_path / "res" / "report.csv").read_text().splitlines()
+        amse = header.split(",").index("amse")
+        assert len(cells) == len(rows) == 2
+        for line, row in zip(cells, rows):
+            assert len(line) < 80
+            printed = line.split("amse=")[1].split()[0]
+            assert printed == f"{float(row.split(',')[amse]):.6g}"
 
     def test_preset_and_config_mutually_exclusive(self, runner, tmp_path):
         cfg = tmp_path / "c.cfg"

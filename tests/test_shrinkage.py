@@ -85,7 +85,8 @@ class TestParams:
     @pytest.mark.parametrize(
         "alpha,beta,lam",
         [(0.0, 1, 1), (1.0, 1, 1), (1.5, 1, 1), (0.5, 0.0, 1), (0.5, 1, 0.0),
-         (0.5, -2, 1), (0.5, 1, -3)],
+         (0.5, -2, 1), (0.5, 1, -3), (0.5, math.inf, 1), (0.5, math.nan, 1),
+         (0.5, 1, math.inf), (0.5, 1, math.nan)],
     )
     def test_invalid_params_rejected(self, alpha, beta, lam):
         with pytest.raises(DomainError):
@@ -276,6 +277,11 @@ class TestRuleStatistics:
             DoubleExponential(0.0)
         with pytest.raises(DomainError):
             Gaussian(-1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite"):
+                DoubleExponential(bad)
+            with pytest.raises(DomainError, match="finite"):
+                Gaussian(bad)
 
     def test_non_finite_theta_rejected(self):
         with pytest.raises(InputError):

@@ -242,6 +242,17 @@ class TestStudyConfigValidation:
                 replications=1, rules=(RuleSpec("esr"),),
             )
 
+    @pytest.mark.parametrize("field,value", [
+        ("snrs", (math.inf,)), ("snrs", (1.0, math.nan)),
+        ("target_sd", math.inf), ("target_sd", math.nan), ("target_sd", 0.0),
+    ])
+    def test_non_finite_or_non_positive_scale_rejected(self, field, value):
+        kwargs = dict(functions=(TestFunctionKind.BUMPS,), sizes=(64,),
+                      snrs=(1.0,), replications=1, rules=(RuleSpec("esr"),))
+        kwargs[field] = value
+        with pytest.raises(ConfigError, match=field):
+            StudyConfig(**kwargs)
+
 
 def _tiny_config(rules, replications=3, seed=77):
     return StudyConfig(
