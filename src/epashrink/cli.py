@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .dwt import MAX_ORDER, dwt_forward, make_daubechies_filter
+from .dwt import MAX_ORDER
 from .elicitation import ElicitationConfig, SigmaEstimator
 from .errors import (
     ConfigError,
@@ -37,7 +37,6 @@ from .study import (
     StudyConfig,
     denoise,
     run_study,
-    shrink_pyramid,
     study_preset,
     STUDY_PRESETS,
 )
@@ -356,23 +355,22 @@ def cmd_coeffs(input_path, rule, threshold, gamma, l, c, tau, j0, sigma,
     dyadic, _ = _to_dyadic(samples, pad)
     cfg = _elicitation_from_flags(gamma, l, c, tau, j0, sigma)
     spec = _rule_from_flags(rule, threshold)
-    filt = make_daubechies_filter(wavelet_order)
-    empirical = dwt_forward(dyadic, filt, cfg.coarse_level)
-    shrunk = empirical.copy()
-    shrink_pyramid(shrunk, spec, cfg, dyadic.size)
+    out = denoise(Signal(dyadic), spec, cfg, wavelet_order)
 
     def rows(pyramid):
-        for pos, value in enumerate(pyramid.scaling):
-            yield ("scaling", pyramid.coarse_level, pos, abs(float(value)))
-        for j in pyramid.levels():
-            for pos, value in enumerate(pyramid.details[j]):
-                yield ("detail", j, pos, abs(float(value)))
+        coarse = pyramid.coarse_level
+        for i, value in enumerate(np.abs(pyramid.coeffs).tolist()):
+            if i < 2**coarse:
+                yield ("scaling", coarse, i, value)
+            else:
+                j = i.bit_length() - 1
+                yield ("detail", j, i - 2**j, value)
 
     header = ["block", "level", "position", "magnitude"]
     emp_path = Path(f"{out_prefix}.empirical.csv")
     shr_path = Path(f"{out_prefix}.shrunk.csv")
-    write_table_csv(emp_path, header, rows(empirical))
-    write_table_csv(shr_path, header, rows(shrunk))
+    write_table_csv(emp_path, header, rows(out.empirical))
+    write_table_csv(shr_path, header, rows(out.shrunk))
     click.echo(f"wrote {emp_path} and {shr_path}")
 
 

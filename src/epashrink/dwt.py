@@ -6,10 +6,13 @@ for every dyadic length, including blocks shorter than the filter. Each
 step is a circular correlation along the last axis
 (``scipy.ndimage.correlate1d`` in wrap mode), so the transform works
 unchanged on stacks of signals of shape ``(..., n)``, row for row
-bit-identical to one call per row. Filter taps are produced on demand by
-spectral factorization rather than from a hard-coded table; the
-construction runs in extended precision so the taps are correctly rounded
-doubles and the orthonormality residuals sit at machine epsilon.
+bit-identical to one call per row. The coefficients live in one array of
+the signal's shape in the packed layout ``[scaling | d_J0 | ... | d_J-1]``
+(Mallat 1989), and the per-level blocks are views into that array. Filter
+taps are produced on demand by spectral factorization rather than from a
+hard-coded table; the construction runs in extended precision so the taps
+are correctly rounded doubles and the orthonormality residuals sit at
+machine epsilon.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 import mpmath as mp
 import numpy as np
@@ -158,73 +162,52 @@ def make_daubechies_filter(vanishing_moments: int) -> DaubechiesFilter:
 
 @dataclass
 class WaveletPyramid:
-    """Multiresolution coefficient container.
-
-    ``scaling`` has 2**coarse_level entries along its last axis;
-    ``details[j]`` has 2**j for coarse_level <= j <= depth-1, finer blocks
-    at larger j. The blocks of the pyramid of a stack of signals, shape
-    ``(..., n)``, share the stack's leading shape: ``(..., 2**j)``.
+    """Coefficients of a signal, or a stack ``(..., n)`` of them, in the
+    packed layout: ``scaling`` is the view ``coeffs[..., :2**coarse_level]``
+    and ``details[j]`` the view ``coeffs[..., 2**j:2**(j+1)]``. Writing into
+    a view writes the pyramid; ``details`` itself is read-only.
     """
 
     coarse_level: int
-    scaling: np.ndarray
-    details: dict[int, np.ndarray]
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.coarse_level < 0:
-            raise InputError("coarse_level must be >= 0")
-        lead = self.scaling.shape[:-1]
-        if self.scaling.shape != lead + (2**self.coarse_level,):
+        n = self.coeffs.shape[-1] if self.coeffs.ndim else 0
+        if n < 2 or n & (n - 1):
+            raise InputError(f"length {n} along the last axis is not a power of two >= 2")
+        if not 0 <= self.coarse_level < self.depth:
             raise InputError(
-                f"scaling block has shape {self.scaling.shape}, "
-                f"expected {lead + (2**self.coarse_level,)}"
-            )
-        levels = sorted(self.details)
-        if levels != list(range(self.coarse_level, self.coarse_level + len(levels))):
-            raise InputError(f"detail levels {levels} are not contiguous "
-                             f"from coarse_level {self.coarse_level}")
-        for j, block in self.details.items():
-            if block.shape != lead + (2**j,):
-                raise InputError(f"detail block at level {j} has shape {block.shape}, "
-                                 f"expected {lead + (2**j,)}")
+                f"coarse_level {self.coarse_level} out of range for length {n}")
+
+    @property
+    def n(self) -> int:
+        return self.coeffs.shape[-1]
 
     @property
     def depth(self) -> int:
         """Total dyadic depth J, i.e. the transform acted on 2**J samples."""
-        return self.coarse_level + len(self.details)
-
-    @property
-    def n(self) -> int:
-        return 2**self.depth
+        return self.n.bit_length() - 1
 
     def levels(self) -> list[int]:
-        return sorted(self.details)
+        return list(range(self.coarse_level, self.depth))
+
+    @property
+    def scaling(self) -> np.ndarray:
+        return self.coeffs[..., :2**self.coarse_level]
+
+    @property
+    def details(self) -> MappingProxyType:
+        return MappingProxyType({j: self.coeffs[..., 2**j:2**(j + 1)]
+                                 for j in self.levels()})
 
     def energy(self):
         """Squared L2 norm of all coefficients: a float, or one per row of
         a stack."""
-        e = np.vecdot(self.scaling, self.scaling)
-        for block in self.details.values():
-            e = e + np.vecdot(block, block)
+        e = np.vecdot(self.coeffs, self.coeffs)
         return e if e.ndim else float(e)
 
     def copy(self) -> "WaveletPyramid":
-        return WaveletPyramid(
-            self.coarse_level,
-            self.scaling.copy(),
-            {j: b.copy() for j, b in self.details.items()},
-        )
-
-
-def _as_dyadic_array(y) -> tuple[np.ndarray, int]:
-    arr = np.asarray(y, dtype=float)
-    if arr.ndim < 1 or arr.shape[-1] < 2:
-        raise InputError("a signal must have at least 2 samples along its last axis")
-    n = arr.shape[-1]
-    j = n.bit_length() - 1
-    if 2**j != n:
-        raise InputError(f"signal length {n} is not a power of two")
-    return arr, j
+        return WaveletPyramid(self.coarse_level, self.coeffs.copy())
 
 
 def _correlate(a: np.ndarray, taps: np.ndarray, origin: int) -> np.ndarray:
@@ -265,12 +248,11 @@ def _synthesis_step(approx: np.ndarray, detail: np.ndarray,
     return out
 
 
-def _require_finite(what: str, *blocks: np.ndarray) -> None:
+def _require_finite(what: str, values: np.ndarray) -> None:
     # ndimage's C loops ignore np.errstate, so an overflow inside
     # correlate1d shows up only as inf or nan in its output
-    for block in blocks:
-        if not np.isfinite(block).all():
-            raise NumericError(f"{what}: result is not finite")
+    if not np.isfinite(values).all():
+        raise NumericError(f"{what}: result is not finite")
 
 
 def dwt_forward(y, filt: DaubechiesFilter, coarse_level: int = 0) -> WaveletPyramid:
@@ -289,41 +271,38 @@ def dwt_forward(y, filt: DaubechiesFilter, coarse_level: int = 0) -> WaveletPyra
 
     Returns
     -------
-    WaveletPyramid with detail levels coarse_level..J-1, each block of
-    shape ``(..., 2**j)``. The map is orthogonal, so the coefficient
-    energy equals the signal energy.
-    Raises NumericError if a coefficient is not finite (an overflow, or a
+    WaveletPyramid of the input's shape, in the packed layout, with detail
+    levels coarse_level..J-1, each block of shape ``(..., 2**j)``. The map
+    is orthogonal, so the coefficient energy equals the signal energy.
+    Raises InputError unless n is a power of two >= 2 and 0 <= J0 < J, and
+    NumericError if a coefficient is not finite (an overflow, or a
     non-finite sample).
     """
-    arr, depth = _as_dyadic_array(y)
-    if not 0 <= coarse_level < depth:
-        raise InputError(
-            f"coarse_level {coarse_level} out of range for length {arr.shape[-1]}"
-        )
-    approx = arr
-    details: dict[int, np.ndarray] = {}
-    for j in range(depth - 1, coarse_level - 1, -1):
-        approx, details[j] = _analysis_step(approx, filt.lowpass, filt.highpass)
-    _require_finite("forward transform", approx, *details.values())
-    return WaveletPyramid(coarse_level, approx, details)
+    approx = np.asarray(y, dtype=float)
+    # the signal has the shape of its pyramid, so the pyramid's checks apply
+    levels = WaveletPyramid(coarse_level, approx).levels()
+    details = []
+    for _ in levels:
+        approx, detail = _analysis_step(approx, filt.lowpass, filt.highpass)
+        details.append(detail)
+    # packed once, at the end: writing each step into one array would free
+    # the step's full-length temporaries at the top of the heap, where the
+    # allocator returns them to the system and the next step faults them in
+    coeffs = np.concatenate([approx, *reversed(details)], axis=-1)
+    _require_finite("forward transform", coeffs)
+    return WaveletPyramid(coarse_level, coeffs)
 
 
 def dwt_inverse(pyramid: WaveletPyramid, filt: DaubechiesFilter) -> np.ndarray:
     """Reconstruct the signal from a pyramid; exact inverse of dwt_forward.
 
-    Returns samples of shape ``(..., n)``, the leading shape of the
-    pyramid's blocks. Raises NumericError if a sample is not finite (an
-    overflow, or a non-finite coefficient).
+    Returns samples of the shape ``(..., n)`` of the pyramid's coefficient
+    array. Raises NumericError if a sample is not finite (an overflow, or
+    a non-finite coefficient).
     """
     approx = pyramid.scaling
     with numeric_guard("inverse transform"):
-        for j in pyramid.levels():
-            det = pyramid.details[j]
-            if approx.shape != det.shape:
-                raise InputError(
-                    f"block shape mismatch at level {j}: approx {approx.shape}, "
-                    f"detail {det.shape}"
-                )
-            approx = _synthesis_step(approx, det, filt.lowpass, filt.highpass)
+        for detail in pyramid.details.values():
+            approx = _synthesis_step(approx, detail, filt.lowpass, filt.highpass)
     _require_finite("inverse transform", approx)
     return approx

@@ -53,8 +53,9 @@ class ElicitationConfig:
 
     def __post_init__(self):
         for name in ("gamma", "l", "c", "tau"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(
+                    f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.coarse_level < 0:
             raise DomainError(f"coarse_level must be >= 0, got {self.coarse_level}")
 

@@ -118,8 +118,8 @@ def generate_test_function(
     kind = TestFunctionKind(kind)
     if n < 2 or n & (n - 1):
         raise InputError(f"n must be a power of two >= 2, got {n}")
-    if not target_sd > 0.0:
-        raise DomainError(f"target_sd must be positive, got {target_sd}")
+    if not 0.0 < target_sd < math.inf:
+        raise DomainError(f"target_sd must be positive and finite, got {target_sd}")
     x = np.arange(1, n + 1) / n
     f = _raw_test_function(kind, x)
     sd = float(np.std(f))
@@ -156,8 +156,8 @@ def add_noise(truth: Signal, snr: float, seed) -> Signal:
     of the returned signal. Deterministic for a given seed key. Raises
     NumericError if a noisy sample overflows.
     """
-    if not snr > 0.0:
-        raise DomainError(f"snr must be positive, got {snr}")
+    if not 0.0 < snr < math.inf:
+        raise DomainError(f"snr must be positive and finite, got {snr}")
     f = truth.samples
     sd = scaled_std(f)
     if sd == 0.0:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dwt import dwt_forward, dwt_inverse, make_daubechies_filter
+from .dwt import WaveletPyramid, dwt_forward, dwt_inverse, make_daubechies_filter
 from .elicitation import (
     ElicitationConfig,
     SigmaEstimator,
@@ -148,25 +148,26 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
     coefficient or rate, or an overflow while eliciting or applying the
     rule, raises NumericError.
 
-    The pyramid may hold one signal (blocks of shape (2**j,)) or a stack
-    of R signals (blocks of shape (R, 2**j)). Each row of a stack is
-    elicited and shrunk on its own, bit for bit as it would be alone; its
-    noise-scale estimate, slab supports and rate or universal threshold
-    are then arrays of R values, while the spike weights and a fixed
-    threshold stay numbers.
+    Each level is shrunk in its view of the coefficient array. The pyramid
+    may hold one signal (coefficients of shape (n,)) or a stack of R
+    signals (shape (R, n)). Each row of a stack is elicited and shrunk on
+    its own, bit for bit as it would be alone; its noise-scale estimate,
+    slab supports and rate or universal threshold are then arrays of R
+    values, while the spike weights and a fixed threshold stay numbers.
     """
     cfg = elicitation
-    stacked = pyramid.scaling.ndim == 2
-    if pyramid.scaling.ndim not in (1, 2):
-        raise InputError(f"cannot shrink a pyramid of shape {pyramid.scaling.shape}")
+    coeffs = pyramid.coeffs
+    stacked = coeffs.ndim == 2
+    if coeffs.ndim not in (1, 2):
+        raise InputError(f"cannot shrink a pyramid of shape {coeffs.shape}")
+    details = pyramid.details
     with numeric_guard("shrinkage"):
-        for block in (pyramid.scaling, *pyramid.details.values()):
-            if not np.isfinite(block).all():
-                raise NumericError("wavelet coefficients are not finite")
+        if not np.isfinite(coeffs).all():
+            raise NumericError("wavelet coefficients are not finite")
         levels = [{"level": j, "alpha": _clamped_alpha(j, cfg),
-                   "beta": beta_level(pyramid.details[j])}
-                  for j in pyramid.levels()]
-        finest = pyramid.details[pyramid.depth - 1]
+                   "beta": beta_level(block)}
+                  for j, block in details.items()]
+        finest = details[pyramid.depth - 1]
         floor = SIGMA_FLOOR * np.max([level["beta"] for level in levels], axis=0)
         sigma_hat = np.maximum(estimate_sigma(finest, cfg.sigma_estimator), floor)
         diagnostics: dict = {"sigma_hat": sigma_hat if stacked else float(sigma_hat),
@@ -190,50 +191,53 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
             if np.ndim(eta):
                 eta = eta[:, None]
             threshold = hard_threshold if rule.kind == "hard" else soft_threshold
-        for level in levels:
-            j, block = level["level"], pyramid.details[level["level"]]
+        for level, block in zip(levels, details.values()):
             if rule.kind == "esr":
                 params = [MixturePriorParams(level["alpha"], beta / s, unit_lam)
                           for beta, s, unit_lam in zip(
                               np.atleast_1d(level["beta"]).tolist(), sigmas, unit_lams)]
-                pyramid.details[j] = column * esr(block / column,
-                                                  params if stacked else params[0])
+                np.multiply(column, esr(block / column, params if stacked else params[0]),
+                            out=block)
             else:
-                pyramid.details[j] = threshold(block, eta)
+                block[...] = threshold(block, eta)
     return diagnostics
 
 
 def _denoise_stack(rows: np.ndarray, rules: tuple[RuleSpec, ...],
-                   elicitation: ElicitationConfig, wavelet_order: int) -> list:
+                   elicitation: ElicitationConfig, wavelet_order: int) -> tuple:
     """The denoising pipeline: one forward transform of the signals in
-    ``rows`` (shape (n,) or (R, n)), then per rule a shrink and an inverse.
+    ``rows`` (shape (n,) or (R, n)), then per rule a shrink of a copy of
+    its coefficients and an inverse.
 
-    Returns one (estimates, diagnostics, seconds) per rule. seconds is the
-    rule's own shrink and inverse plus a 1/len(rules) share of the shared
-    forward transform. The coefficients are copied only for the rules
-    before the last, which shrinks them in place.
+    Returns the forward pyramid and, per rule, (estimates, diagnostics,
+    shrunk pyramid, seconds). seconds is the rule's own copy, shrink and
+    inverse plus a 1/len(rules) share of the shared forward transform.
     """
     filt = make_daubechies_filter(wavelet_order)
     t0 = time.perf_counter()
-    shared = dwt_forward(rows, filt, elicitation.coarse_level)
+    empirical = dwt_forward(rows, filt, elicitation.coarse_level)
     forward_share = (time.perf_counter() - t0) / len(rules)
     results = []
-    for i, rule in enumerate(rules):
+    for rule in rules:
         t0 = time.perf_counter()
-        pyramid = shared if i == len(rules) - 1 else shared.copy()
-        diagnostics = shrink_pyramid(pyramid, rule, elicitation, rows.shape[-1])
-        estimates = dwt_inverse(pyramid, filt)
-        results.append((estimates, diagnostics,
+        shrunk = empirical.copy()
+        diagnostics = shrink_pyramid(shrunk, rule, elicitation, rows.shape[-1])
+        estimates = dwt_inverse(shrunk, filt)
+        results.append((estimates, diagnostics, shrunk,
                         forward_share + time.perf_counter() - t0))
-    return results
+    return empirical, results
 
 
 @dataclass
 class Denoised(Signal):
-    """Result of :func:`denoise`: the estimate, the input's truth, and the
-    diagnostics dict that :func:`shrink_pyramid` returned for it."""
+    """Result of :func:`denoise`: the estimate, the input's truth, the
+    diagnostics dict that :func:`shrink_pyramid` returned for it, and the
+    coefficients of the input before (``empirical``) and after (``shrunk``)
+    the rule."""
 
     diagnostics: dict = field(default_factory=dict)
+    empirical: WaveletPyramid | None = None
+    shrunk: WaveletPyramid | None = None
 
 
 def denoise(
@@ -251,8 +255,10 @@ def denoise(
     elicited quantities as ``diagnostics``; see :func:`shrink_pyramid`.
     """
     cfg = elicitation or ElicitationConfig()
-    [(samples, diagnostics, _)] = _denoise_stack(y.samples, (rule,), cfg, wavelet_order)
-    return Denoised(samples=samples, truth=y.truth, diagnostics=diagnostics)
+    empirical, [(samples, diagnostics, shrunk, _)] = _denoise_stack(
+        y.samples, (rule,), cfg, wavelet_order)
+    return Denoised(samples=samples, truth=y.truth, diagnostics=diagnostics,
+                    empirical=empirical, shrunk=shrunk)
 
 
 _FUNCTION_ORDER = tuple(TestFunctionKind)
@@ -316,9 +322,9 @@ class CellResult:
 
     wall_time_s is the rule's share of the time of the batch that computed
     the cell: the study denoises all draws of one (function, n) together,
-    and a rule's time in that batch is its own shrink and inverse plus a
-    1/len(rules) share of the shared forward transform, split evenly over
-    the batch's cells (its SNRs). The noise draw and the MSE scoring belong
+    and a rule's time in that batch is its own copy, shrink and inverse
+    plus a 1/len(rules) share of the shared forward transform, split evenly
+    over the batch's cells (its SNRs). The noise draw and the MSE scoring belong
     to no rule and are not counted.
     """
 
@@ -379,11 +385,12 @@ def _cell_error(function, n, snr, rep: int, rule: str | None,
 
 def _denoise_batch(config: StudyConfig, function, n: int, coords: list,
                    rows: np.ndarray) -> list:
-    """_denoise_stack on the draws of one (function, n); on a failure,
-    names the first failing (row, rule) in the order of the draws."""
+    """The per-rule results of _denoise_stack on the draws of one
+    (function, n); on a failure, names the first failing (row, rule) in
+    the order of the draws."""
     try:
         return _denoise_stack(rows, config.rules, config.elicitation,
-                              config.wavelet_order)
+                              config.wavelet_order)[1]
     except Exception as exc:
         # rows are independent, so the failing ones fail alone as well
         for (snr, rep), row in zip(coords, rows):
@@ -403,7 +410,7 @@ def _score(config: StudyConfig, function, n: int, coords: list, truth: Signal,
     """The cells of one batch, SNR by SNR and rule by rule."""
     reps = config.replications
     with np.errstate(over="ignore"):
-        scores = np.array([mse(estimates, truth.samples) for estimates, _, _ in results])
+        scores = np.array([mse(estimates, truth.samples) for estimates, *_ in results])
         amse = scores.reshape(len(config.rules), len(config.snrs), reps).mean(axis=-1)
     bad = ~np.isfinite(scores)
     if bad.any():
@@ -426,7 +433,7 @@ def _score(config: StudyConfig, function, n: int, coords: list, truth: Signal,
                 amse=float(amse[i, k]),
                 mse_sd=0.0 if degenerate else scaled_std(vals, ddof=1),
                 mse_samples=vals.copy(),
-                wall_time_s=results[i][2] / len(config.snrs),
+                wall_time_s=results[i][-1] / len(config.snrs),
                 degenerate_sd=degenerate,
             ))
     return cells

@@ -145,6 +145,17 @@ class TestGenerate:
         ])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("flag,name", [("--target-sd", "target_sd"),
+                                           ("--snr", "snr")])
+    def test_infinite_scale_domain_code(self, runner, tmp_path, flag, name):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, [
+            "generate", "--kind", "bumps", "--n", "64", flag, "inf", "--out", str(out),
+        ])
+        assert result.exit_code == 4
+        assert f"{name} must be positive and finite, got inf" in result.output
+        assert not out.exists()
+
 
 class TestDenoiseCommand:
     def test_basic_run_and_sidecar(self, runner, tmp_path):
@@ -325,6 +336,19 @@ class TestDenoiseCommand:
         assert report["estimated_snr"] > 0
 
 
+@pytest.mark.parametrize("command", ["denoise", "coeffs"])
+@pytest.mark.parametrize("flag", ["--gamma", "--l", "--c", "--tau"])
+def test_infinite_elicitation_parameter_domain_code(runner, tmp_path, command, flag):
+    inp = tmp_path / "in.csv"
+    _write_noisy_signal(inp, n=64)
+    out = ["--out", str(tmp_path / "d.csv")] if command == "denoise" else \
+        ["--out-prefix", str(tmp_path / "co")]
+    result = runner.invoke(main, [command, str(inp), flag, "inf", *out])
+    assert result.exit_code == 4
+    assert f"{flag[2:]} must be positive and finite, got inf" in result.output
+    assert list(tmp_path.iterdir()) == [inp]
+
+
 class TestCoeffsCommand:
     def test_zero_signal_all_zero_tables(self, runner, tmp_path):
         inp = tmp_path / "zero.csv"
@@ -348,6 +372,25 @@ class TestCoeffsCommand:
         rows = (tmp_path / "co.empirical.csv").read_text().splitlines()[1:]
         energy = sum(float(r.split(",")[3]) ** 2 for r in rows)
         assert energy == pytest.approx(1.0, abs=1e-10)
+
+    def test_tables_are_the_pyramids_of_denoise(self, runner, tmp_path):
+        inp = tmp_path / "in.csv"
+        noisy = _write_noisy_signal(inp, n=64)
+        result = runner.invoke(main, [
+            "coeffs", str(inp), "--rule", "soft", "--j0", "2",
+            "--out-prefix", str(tmp_path / "co"),
+        ])
+        assert result.exit_code == 0, result.output
+        out = denoise(noisy, RuleSpec("soft"), ElicitationConfig(coarse_level=2))
+        layout = [("scaling", 2, p) for p in range(4)] + \
+            [("detail", j, p) for j in range(2, 6) for p in range(2**j)]
+        for name, pyramid in (("empirical", out.empirical), ("shrunk", out.shrunk)):
+            header, *rows = (tmp_path / f"co.{name}.csv").read_text().splitlines()
+            assert header == "block,level,position,magnitude"
+            fields = [row.split(",") for row in rows]
+            assert [(b, int(j), int(p)) for b, j, p, _ in fields] == layout
+            # 17 significant digits: equal text is equal bits
+            assert [float(m) for *_, m in fields] == np.abs(pyramid.coeffs).tolist()
 
     def test_finest_level_mostly_killed_on_noisy_input(self, runner, tmp_path):
         # measured severe-shrinkage behavior at these parameters: >95% of
@@ -616,7 +659,8 @@ class TestStudyCommand:
         ])
         assert result.exit_code == 3
 
-    @pytest.mark.parametrize("line", ["snrs = inf", "snrs = 1, nan", "target_sd = inf"])
+    @pytest.mark.parametrize("line", ["snrs = inf", "snrs = 1, nan", "target_sd = inf",
+                                      "gamma = inf", "l = inf", "c = inf", "tau = inf"])
     def test_non_finite_scale_config_code(self, runner, tmp_path, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("functions = bumps\nsizes = 64\nreplications = 1\n"

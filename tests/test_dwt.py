@@ -134,18 +134,49 @@ def test_bad_coarse_level_rejected():
 
 
 def test_pyramid_block_shape_validation():
-    with pytest.raises(InputError):
-        WaveletPyramid(0, np.zeros(1), {0: np.zeros(3)})
-    with pytest.raises(InputError):
-        WaveletPyramid(1, np.zeros(1), {1: np.zeros(2)})
+    # the packed array needs a power-of-two last axis of at least 2
+    for coeffs in (np.zeros(()), np.zeros(1), np.zeros(3), np.zeros(12)):
+        with pytest.raises(InputError):
+            WaveletPyramid(0, coeffs)
+    # and the scaling block must leave at least one detail level
+    for coarse_level in (-1, 4, 5):
+        with pytest.raises(InputError):
+            WaveletPyramid(coarse_level, np.zeros(16))
+    p = WaveletPyramid(1, np.arange(16.0))
+    assert (p.n, p.depth, p.levels()) == (16, 4, [1, 2, 3])
+    assert p.scaling.tolist() == [0.0, 1.0]
+    assert {j: b.tolist() for j, b in p.details.items()} == {
+        1: [2.0, 3.0], 2: [4.0, 5.0, 6.0, 7.0], 3: list(np.arange(8.0, 16.0))}
 
 
 def test_inverse_block_mismatch_rejected():
+    # a block cannot be swapped for one of another shape: the details
+    # mapping is read-only, so the inverse still sees the transform
     f = make_daubechies_filter(2)
-    p = dwt_forward(np.arange(16.0), f)
-    p.details[3] = p.details[3][:4]
-    with pytest.raises(InputError):
-        dwt_inverse(p, f)
+    y = np.arange(16.0)
+    p = dwt_forward(y, f)
+    with pytest.raises(TypeError):
+        p.details[3] = p.details[3][:4]
+    assert p.details[3].shape == (8,)
+    assert np.max(np.abs(dwt_inverse(p, f) - y)) < 1e-12
+
+
+def test_details_are_views_and_assignment_raises():
+    f = make_daubechies_filter(3)
+    p = dwt_forward(np.random.default_rng(1).standard_normal(32), f, 2)
+    before = p.coeffs.copy()
+    with pytest.raises(TypeError):
+        p.details[4] = np.zeros(16)
+    with pytest.raises(TypeError):
+        del p.details[4]
+    assert np.array_equal(p.coeffs, before)
+    # a write into a view writes the pyramid, and the copy is independent
+    q = p.copy()
+    q.details[3][1] = 5.0
+    q.scaling[...] = 0.0
+    assert q.coeffs[9] == 5.0 and not q.coeffs[:4].any()
+    assert np.array_equal(p.coeffs, before)
+    assert q.energy() == pytest.approx(float(q.coeffs @ q.coeffs), rel=1e-15)
 
 
 def test_single_unit_detail_reconstructs_unit_norm():
@@ -204,8 +235,9 @@ def test_forward_overflow_raises_without_warning():
 def test_inverse_overflow_raises_without_warning():
     f = make_daubechies_filter(10)
     p = dwt_forward(np.zeros(64), f)
-    for j in p.levels():
-        p.details[j] = np.full(2**j, 1.5e308)
+    for block in p.details.values():
+        block[...] = 1.5e308
+    assert np.array_equal(p.coeffs[1:], np.full(63, 1.5e308))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(NumericError):
@@ -223,7 +255,7 @@ def test_inverse_overflow_inside_one_correlation_raises():
     impulse[0] = 1.0
     w = _analysis_step(impulse, f.lowpass, f.highpass)[1]
     p = dwt_forward(np.zeros(64), f)
-    p.details[5] = 1.5e308 * np.sign(w)
+    p.details[5][...] = 1.5e308 * np.sign(w)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(NumericError):
@@ -321,14 +353,21 @@ def test_forward_and_inverse_take_any_leading_shape():
 
 def test_stacked_pyramid_shape_validation():
     with pytest.raises(InputError):
-        WaveletPyramid(0, np.zeros((2, 1)), {0: np.zeros((3, 1))})
+        WaveletPyramid(0, np.zeros((2, 3)))
     with pytest.raises(InputError):
-        WaveletPyramid(0, np.zeros((2, 1)), {0: np.zeros((2, 2))})
+        WaveletPyramid(2, np.zeros((3, 4)))
     f = make_daubechies_filter(2)
-    p = dwt_forward(np.zeros((2, 16)), f)
-    p.details[3] = p.details[3][:1]
-    with pytest.raises(InputError):
-        dwt_inverse(p, f)
+    rows = np.random.default_rng(3).standard_normal((2, 16))
+    p = dwt_forward(rows, f, 1)
+    assert p.coeffs.shape == (2, 16)
+    assert p.scaling.shape == (2, 2)
+    assert [b.shape for b in p.details.values()] == [(2, 2), (2, 4), (2, 8)]
+    with pytest.raises(TypeError):
+        p.details[3] = p.details[3][:1]
+    # a write into one row's view writes that row of the pyramid only
+    p.details[3][1] = 0.0
+    assert not p.coeffs[1, 8:].any() and p.coeffs[0, 8:].all()
+    assert np.max(np.abs(dwt_inverse(p, f)[0] - rows[0])) < 1e-12
 
 
 def test_stacked_forward_overflow_raises_without_warning():

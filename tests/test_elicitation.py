@@ -174,3 +174,7 @@ class TestConfig:
             ElicitationConfig(tau=-1.0)
         with pytest.raises(DomainError):
             ElicitationConfig(coarse_level=-1)
+        for name in ("gamma", "l", "c", "tau"):
+            for value in (math.inf, -math.inf, math.nan):
+                with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
+                    ElicitationConfig(**{name: value})

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -78,6 +79,9 @@ class TestGenerators:
     def test_bad_sd_rejected(self):
         with pytest.raises(DomainError):
             generate_test_function("bumps", 64, target_sd=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="target_sd"):
+                generate_test_function("bumps", 64, target_sd=bad)
 
 
 class TestNoise:
@@ -123,6 +127,9 @@ class TestNoise:
         truth = generate_test_function("bumps", 64, 7.0)
         with pytest.raises(DomainError):
             add_noise(truth, 0.0, seed=0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="snr"):
+                add_noise(truth, bad, seed=0)
 
     def test_constant_truth_rejected(self):
         with pytest.raises(InputError):

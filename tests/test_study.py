@@ -149,7 +149,10 @@ class TestDenoisePipeline:
         assert isinstance(out, Denoised) and isinstance(out, Signal)
         assert out.n == 512
         pyramid = dwt_forward(noisy.samples, make_daubechies_filter(10))
+        assert np.array_equal(out.empirical.coeffs, pyramid.coeffs)
         assert out.diagnostics == shrink_pyramid(pyramid, spec, cfg, 512)
+        assert np.array_equal(out.shrunk.coeffs, pyramid.coeffs)
+        assert out.shrunk.coeffs is not out.empirical.coeffs
 
     def test_non_finite_input_raises_input_error(self):
         samples = np.zeros(64)
@@ -213,6 +216,7 @@ def test_pipeline_properties(y, rule, coarse_level, sigma):
         return
     assert np.isfinite(out.samples).all()
     assert np.array_equal(denoise(Signal(-y), spec, cfg).samples, -out.samples)
+    assert np.array_equal(out.shrunk.scaling, out.empirical.scaling)
     filt = make_daubechies_filter(10)
     scaling_in = dwt_forward(y, filt, coarse_level).scaling
     scaling_out = dwt_forward(out.samples, filt, coarse_level).scaling
@@ -417,17 +421,13 @@ def test_shrink_pyramid_on_stack_matches_rows(rule, sigma, caplog):
     spec = RuleSpec.parse(rule)
     cfg = ElicitationConfig(sigma_estimator=sigma)
     stacked = _stacked_test_pyramid()
-    rows = [WaveletPyramid(0, stacked.scaling[r].copy(),
-                           {j: b[r].copy() for j, b in stacked.details.items()})
-            for r in range(3)]
+    rows = [WaveletPyramid(0, stacked.coeffs[r].copy()) for r in range(3)]
     with caplog.at_level("WARNING"):
         diag = shrink_pyramid(stacked, spec, cfg, 256)
     assert "all-zero" in caplog.text
     for r, row in enumerate(rows):
         want = shrink_pyramid(row, spec, cfg, 256)
-        for j in row.levels():
-            assert np.array_equal(stacked.details[j][r], row.details[j])
-        assert np.array_equal(stacked.scaling[r], row.scaling)
+        assert np.array_equal(stacked.coeffs[r], row.coeffs)
         assert diag["sigma_hat"][r] == want["sigma_hat"]
         for got, expected in zip(diag["levels"], want["levels"]):
             assert got["alpha"] == expected["alpha"]
