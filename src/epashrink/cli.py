@@ -31,7 +31,7 @@ from .errors import (
     numeric_guard,
 )
 from .shrinkage import Gaussian, MixturePriorParams, esr, rule_statistics
-from .signals import Signal, TestFunctionKind, add_noise, generate_test_function
+from .signals import Signal, TestFunctionKind, add_noise, generate_test_function, scaled_std
 from .study import (
     RuleSpec,
     StudyConfig,
@@ -323,7 +323,7 @@ def cmd_denoise(input_path, rule, threshold, gamma, l, c, tau, j0, sigma,
     with numeric_guard("estimated SNR"):
         # heuristic analogue of a signal-to-noise ratio: spread of the
         # denoised samples against the estimated noise scale
-        estimated_snr = float(np.std(out.samples) / out.diagnostics["sigma_hat"])
+        estimated_snr = scaled_std(out.samples) / out.diagnostics["sigma_hat"]
     report = {
         "n": out.n,
         "rule": spec.label,
@@ -419,7 +419,8 @@ def cmd_rule_curve(alphas, beta, lams, d_min, d_max, points, eta, out_path):
     grid = _grid("d", -2.5 * beta if d_min is None else d_min,
                  2.5 * beta if d_max is None else d_max, points)
     header = ["d"] + [f"esr_{label}" if label else "esr" for label, _ in curves]
-    columns = [grid] + [esr(grid, params) for _, params in curves]
+    with numeric_guard("rule curve"):
+        columns = [grid] + [esr(grid, params) for _, params in curves]
     if eta is not None:
         header += ["hard", "soft"]
         columns += [hard_threshold(grid, eta), soft_threshold(grid, eta)]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
+from .signals import scaled_std
 
 log = logging.getLogger(__name__)
 
@@ -98,30 +99,32 @@ def beta_level(details_j):
 def estimate_sigma(finest_details, method: SigmaEstimator = SigmaEstimator.MAD):
     """Noise-scale estimate from the finest-level detail coefficients.
 
-    SAMPLE_SD is the usual (n-1)-denominator standard deviation; MAD is the
-    median absolute coefficient divided by 0.6745, robust to the sparse
-    signal content of the finest level. A stack of blocks, shape (..., m),
-    gets one estimate per block.
+    SAMPLE_SD is the usual (n-1)-denominator standard deviation, finite at
+    any scale (see scaled_std); MAD is the median absolute coefficient
+    divided by 0.6745, robust to the sparse signal content of the finest
+    level. A stack of blocks, shape (..., m), gets one estimate per block.
     """
     coeffs = np.asarray(finest_details, dtype=float)
     if coeffs.ndim < 1 or coeffs.shape[-1] < 2:
         raise InputError("need at least 2 coefficients to estimate sigma")
     method = SigmaEstimator(method)
     if method is SigmaEstimator.SAMPLE_SD:
-        sigma = np.std(coeffs, axis=-1, ddof=1)
-    else:
-        sigma = np.median(np.abs(coeffs), axis=-1) / MAD_CONSISTENCY
+        return scaled_std(coeffs, ddof=1, axis=-1)
+    sigma = np.median(np.abs(coeffs), axis=-1) / MAD_CONSISTENCY
     return sigma if sigma.ndim else float(sigma)
 
 
-def lambda_from_s(s: float, c: float = 1.0, tau: float = 2.0) -> float:
+def lambda_from_s(s, c: float = 1.0, tau: float = 2.0):
     """Variance-prior rate as a function of the noise-scale estimate s.
 
     lambda(s) = 1/s^2 + (c/tau) exp(-s/tau): behaves like 1/s^2 for small s
     and decays exponentially for large s; strictly decreasing for c > 0.
+    s is a number or an array, and the result has its shape.
     """
-    if not s > 0.0:
+    s = np.asarray(s, dtype=float)
+    if not np.all(s > 0.0):
         raise DomainError(f"s must be positive, got {s}")
     if not (c > 0.0 and tau > 0.0):
         raise DomainError("c and tau must be positive")
-    return 1.0 / s**2 + (c / tau) * math.exp(-s / tau)
+    lam = 1.0 / np.square(s) + (c / tau) * np.exp(-s / tau)
+    return lam if lam.ndim else float(lam)

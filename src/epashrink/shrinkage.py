@@ -28,6 +28,12 @@ stays finite for arbitrarily large coefficients. Every quantity is
 antisymmetrized explicitly (computed at |d|, sign restored), so odd
 symmetry holds exactly in floating point.
 
+alpha, beta and lam are numbers, or arrays that broadcast against d (for
+a stack of rows, columns of shape (R, 1)); the constants of the closed
+forms are computed from them with numpy ufuncs, and one parameter set is
+the 0-d case of the same code. Each row of a stack therefore comes out
+bit for bit as it would with its parameters alone.
+
 An independent quadrature oracle (direct adaptive integration of the
 posterior-mean ratio) is provided for verification and never shares code
 with the closed form; it imports scipy.integrate on its first call, so
@@ -42,11 +48,9 @@ kinks; see rule_statistics.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -69,14 +73,18 @@ __all__ = [
 ]
 
 
-# 2 lam overflows above this; sqrt(2) sqrt(lam) stays finite there
-_HALF_MAX = 0.5 * np.finfo(float).max
+def _rate(lam):
+    """a = sqrt(2 lam), the rate of the double-exponential kernel, for a
+    number or an array of lam. Computed as 2 sqrt(lam / 2): halving is
+    exact for every lam above 4.5e-308 and a correctly rounded square root
+    commutes with scaling by 4, so this is sqrt(2 lam) to the bit, and it
+    stays finite where 2 lam overflows."""
+    return 2.0 * np.sqrt(0.5 * lam)
 
 
-def _rate(lam: float) -> float:
-    """a = sqrt(2 lam), the rate of the double-exponential kernel; finite
-    for every finite lam."""
-    return math.sqrt(2.0 * lam) if lam <= _HALF_MAX else math.sqrt(2.0) * math.sqrt(lam)
+def _inside(value, lo: float, hi: float) -> bool:
+    """lo < value < hi, for a number or for every entry of an array."""
+    return bool(np.asarray((lo < value) & (value < hi)).all())
 
 
 @dataclass(frozen=True)
@@ -84,19 +92,21 @@ class MixturePriorParams:
     """Hyperparameters of the mixture prior.
 
     alpha: spike weight in (0, 1); beta: slab half-support; lam: rate of
-    the exponential prior on the noise variance.
+    the exponential prior on the noise variance. Each is a number, or an
+    array that broadcasts against the coefficients given to esr (for a
+    stack of rows, a column of shape (R, 1) holds one value per row).
     """
 
-    alpha: float
-    beta: float
-    lam: float
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
+    lam: float | np.ndarray
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
+        if not _inside(self.alpha, 0.0, 1.0):
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 0.0 < self.beta < math.inf:
+        if not _inside(self.beta, 0.0, math.inf):
             raise DomainError(f"beta must be positive and finite, got {self.beta}")
-        if not 0.0 < self.lam < math.inf:
+        if not _inside(self.lam, 0.0, math.inf):
             raise DomainError(f"lambda must be positive and finite, got {self.lam}")
 
     @property
@@ -131,6 +141,8 @@ def _check_finite(d: np.ndarray) -> None:
         raise InputError("coefficient values must be finite")
 
 
+_TINY = np.finfo(float).tiny
+
 # below this value of v = a*beta the direct exponential forms lose too many
 # digits to cancellation (the worst term pair cancels like v^4) and a fifth
 # order expansion of the kernel exp(-v|s-t|) takes over; both sides of the
@@ -138,13 +150,15 @@ def _check_finite(d: np.ndarray) -> None:
 _SERIES_V = 0.05
 
 
-def _slab_series(s: np.ndarray, v: float):
-    """Fifth-order expansion of the scale-free slab integrals in v = a*beta.
+def _slab_series(x: np.ndarray, beta, v):
+    """The slab integrals I1, I2 at x = min(|d|, beta), by a fifth-order
+    expansion in v = a*beta.
 
-    Returns I1/beta^3 and I2/beta^4 as polynomials in v whose coefficients
-    are the moments of (1 - t^2) and t(1 - t^2) against |s - t|^m over
-    (-1, 1); relative truncation error is O(v^6).
+    I1/beta^3 and I2/beta^4 are polynomials in v whose coefficients are
+    the moments of (1 - t^2) and t(1 - t^2) against |s - t|^m over (-1, 1),
+    with s = x/beta; relative truncation error is O(v^6).
     """
+    s = x / beta
     s2 = s * s
     c = (
         4.0 / 3.0,
@@ -168,132 +182,63 @@ def _slab_series(s: np.ndarray, v: float):
         i1 = i1 + term * c[m]
         i2 = i2 + term * d[m]
         term *= -v / (m + 1)
+    return np.power(beta, 3) * i1, np.power(beta, 4) * i2
+
+
+def _direct_integrals(x: np.ndarray, beta, lam, a):
+    """The exact slab integrals I1, I2 at x = min(|d|, beta).
+
+    Powers of a that overflow (lam above about 1e154) become inf: each
+    sits in a denominator, so its quotient is the 0 it all but is, next
+    to the leading terms.
+    """
+    with np.errstate(over="ignore"):
+        a2, a3, a4 = np.square(a), np.power(a, 3), np.power(a, 4)
+    beta2 = np.square(beta)
+    # where a**2 = 2 lam overflows, K is its leading term beta^2 / lam
+    K = np.where(a2 < math.inf, 2.0 * beta2 / a2 + 6.0 * beta / a3 + 6.0 / a4,
+                 beta2 / lam)
+    ep = np.exp(-a * (beta + x))
+    em = np.exp(-a * (beta - x))
+    # em - ep evaluated as -em*expm1(-2ax): the direct difference
+    # underflows to 0 for a|d| below the rounding scale of exp(-a beta)
+    em_minus_ep = -em * np.expm1(-2.0 * a * x)
+    x2 = np.square(x)
+    two_over_a = 2.0 / a
+    i1 = (beta + 1.0 / a) * (ep + em) / lam + two_over_a * (beta2 - x2 - 1.0 / lam)
+    i2 = K * em_minus_ep + two_over_a * x * (beta2 - x2) - 12.0 * x / a3
     return i1, i2
 
 
-def _power(x: float, k: int) -> float:
-    """x**k in Python floats, inf where it overflows.
-
-    Only powers of a = sqrt(2 lam) go through here: each ends up in a
-    denominator, so an overflow (lam above about 1e154) makes its
-    quotient the 0 it all but is, next to the leading terms.
-    """
-    try:
-        return x**k
-    except OverflowError:
-        return math.inf
-
-
-class _RuleConstants(NamedTuple):
-    """The scalar constants of the closed forms for one parameter set.
-
-    Each is computed from Python floats in the order of the formulas, so
-    a parameter set gives the same bits whether it stands alone or as one
-    row of a batch. In a batch every field is a column with one entry per
-    row (see _rule_constants).
-    """
-
-    beta: float
-    lam: float
-    a: float
-    v: float
-    series: bool
-    beta2: float
-    beta3: float
-    beta4: float
-    a3: float
-    K: float
-    beta_plus: float  # beta + 1/a
-    two_over_a: float
-    inv_lam: float
-    slab_weight: float
-    spike_weight: float
-
-    @classmethod
-    def of(cls, params: MixturePriorParams) -> "_RuleConstants":
-        alpha, beta, lam = params.alpha, params.beta, params.lam
-        a = _rate(lam)
-        v = a * beta
-        a2, a3, a4 = _power(a, 2), _power(a, 3), _power(a, 4)
-        if a2 < math.inf:
-            K = 2.0 * beta**2 / a2 + 6.0 * beta / a3 + 6.0 / a4
-        else:  # a**2 = 2 lam overflows; K is its leading term beta^2 / lam
-            K = beta**2 / lam
-        return cls(
-            beta, lam, a, v, v < _SERIES_V, beta**2, beta**3, beta**4, a3, K,
-            beta + 1.0 / a,
-            2.0 / a,
-            1.0 / lam,
-            (1.0 - alpha) * 3.0 * a / (8.0 * beta**3),  # slab_weight
-            alpha * (0.5 * a),  # spike_weight
-        )
-
-    def rows(self, mask: np.ndarray) -> "_RuleConstants":
-        """The columns cut to the rows where mask is true."""
-        return _RuleConstants(*(field[mask] for field in self))
-
-
-def _rule_constants(params, d: np.ndarray) -> _RuleConstants:
-    """Constants for one parameter set, or columns for one set per row.
-
-    With a sequence of parameter sets, set r applies to d[r], so d needs
-    one row per set; each field becomes an array of shape (R, 1, ...)
-    that broadcasts against d.
-    """
-    if isinstance(params, MixturePriorParams):
-        return _RuleConstants.of(params)
-    rows = [_RuleConstants.of(p) for p in params]
-    if d.ndim < 1 or len(rows) != d.shape[0]:
-        raise InputError(f"{len(rows)} parameter sets for coefficients of shape "
-                         f"{d.shape}; esr needs one per row")
-    # one (R, fields) array read field by field; the bool field comes back
-    # as 0.0 or 1.0
-    fields = len(_RuleConstants._fields)
-    table = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * fields)
-    k = _RuleConstants(*table.reshape((len(rows), fields)).T.reshape(
-        (fields, len(rows)) + (1,) * (d.ndim - 1)))
-    return k._replace(series=k.series != 0.0)
-
-
-def _slab_parts(dabs: np.ndarray, k: _RuleConstants):
+def _slab_parts(dabs: np.ndarray, beta, lam, a):
     """Slab integrals I1, I2 and the spike likelihood kernel at |d|.
 
-    Past the support the exact integrals (and the spike likelihood) all
-    decay by the common factor exp(-a(|d| - beta)), which cancels in the
-    posterior-mean ratios; the values are therefore computed at
-    min(|d|, beta) in that shared frame, so every exponential argument is
-    nonpositive regardless of how large |d| gets. With per-row constants
-    the series seam is chosen row by row.
+    beta, lam and a = _rate(lam) are numbers, or arrays that broadcast
+    against dabs (one parameter set per row). Past the support the exact
+    integrals (and the spike likelihood) all decay by the common factor
+    exp(-a(|d| - beta)), which cancels in the posterior-mean ratios; the
+    values are therefore computed at min(|d|, beta) in that shared frame,
+    so every exponential argument is nonpositive regardless of how large
+    |d| gets.
     """
-    series = k.series
-    if not isinstance(series, bool):  # one flag per row
-        if series.all() or not series.any():
-            series = bool(series.all())
-        else:  # rows on both sides of the seam: each side on its own rows
-            rows = series.reshape(-1)
-            parts = [np.empty(dabs.shape) for _ in range(3)]
-            for side in (rows, ~rows):
-                for whole, part in zip(parts, _slab_parts(dabs[side], k.rows(side))):
-                    whole[side] = part
-            return tuple(parts)
-    x = np.minimum(dabs, k.beta)
-    if series:
-        i1, i2 = _slab_series(x / k.beta, k.v)
-        i1 = k.beta3 * i1
-        i2 = k.beta4 * i2
-    else:
-        a = k.a
-        ep = np.exp(-a * (k.beta + x))
-        em = np.exp(-a * (k.beta - x))
-        # em - ep evaluated as -em*expm1(-2ax): the direct difference
-        # underflows to 0 for a|d| below the rounding scale of exp(-a beta)
-        em_minus_ep = -em * np.expm1(-2.0 * a * x)
-        i1 = k.beta_plus * (ep + em) / k.lam + k.two_over_a * (
-            k.beta2 - x**2 - k.inv_lam
-        )
-        i2 = k.K * em_minus_ep + k.two_over_a * x * (k.beta2 - x**2) - 12.0 * x / k.a3
-    spike = np.exp(-k.a * x)
-    return i1, i2, spike
+    x = np.minimum(dabs, beta)
+    spike = np.exp(-a * x)
+    v = a * beta
+    series = v < _SERIES_V
+    rows_in_series = np.count_nonzero(series)
+    if rows_in_series == 0:
+        return (*_direct_integrals(x, beta, lam, a), spike)
+    if rows_in_series == np.size(series):
+        return (*_slab_series(x, beta, v), spike)
+    # rows on both sides of the seam: each side takes the rows of the other
+    # as the rule with beta = 1 at the seam, where both sides are finite,
+    # and np.where picks each row's own side
+    beta_s, beta_d = np.where(series, beta, 1.0), np.where(series, 1.0, beta)
+    s1, s2 = _slab_series(np.minimum(dabs, beta_s), beta_s, np.where(series, v, _SERIES_V))
+    d1, d2 = _direct_integrals(np.minimum(dabs, beta_d), beta_d,
+                               np.where(series, 0.5 * _SERIES_V**2, lam),
+                               np.where(series, _SERIES_V, a))
+    return np.where(series, s1, d1), np.where(series, s2, d2), spike
 
 
 def marginal_m(d, params: MixturePriorParams):
@@ -301,23 +246,25 @@ def marginal_m(d, params: MixturePriorParams):
 
     Strictly positive on the whole line and integrates to one. If rounding
     drives a value to zero or below, it is clamped to the smallest positive
-    normal with a logged diagnostic.
+    normal with a logged diagnostic. A floating-point failure (a slab
+    support whose cube overflows, say) raises NumericError.
     """
     arr = np.asarray(d, dtype=float)
     _check_finite(arr)
-    k = _RuleConstants.of(params)
-    dabs = np.abs(arr)
-    i1, _, _ = _slab_parts(dabs, k)
-    # undo the exterior rescale: true I1 decays like exp(-a(|d| - beta))
-    decay = np.exp(-k.a * np.maximum(dabs - k.beta, 0.0))
-    out = (3.0 * k.a / (8.0 * k.beta3)) * i1 * decay
+    with numeric_guard("marginal density"):
+        beta, a = params.beta, _rate(params.lam)
+        dabs = np.abs(arr)
+        i1, _, _ = _slab_parts(dabs, beta, params.lam, a)
+        # undo the exterior rescale: true I1 decays like exp(-a(|d| - beta))
+        decay = np.exp(-a * np.maximum(dabs - beta, 0.0))
+        out = (3.0 * a / (8.0 * np.power(beta, 3))) * i1 * decay
     bad = out <= 0.0
     if np.any(bad):
         log.warning(
             "marginal density rounded to <= 0 at %d point(s); clamping to tiny",
             int(np.count_nonzero(bad)),
         )
-        out = np.where(bad, np.finfo(float).tiny, out)
+        out = np.where(bad, _TINY, out)
     return out if out.ndim else float(out)
 
 
@@ -326,38 +273,54 @@ def delta_slab(d, params: MixturePriorParams):
 
     Antisymmetric in d and bounded strictly inside (-beta, beta); constant
     past the support since the posterior no longer depends on d there.
+    A floating-point failure raises NumericError.
     """
     arr = np.asarray(d, dtype=float)
     _check_finite(arr)
-    i1, i2, _ = _slab_parts(np.abs(arr), _RuleConstants.of(params))
-    out = np.sign(arr) * i2 / np.maximum(i1, np.finfo(float).tiny)
+    with numeric_guard("slab posterior mean"):
+        i1, i2, _ = _slab_parts(np.abs(arr), params.beta, params.lam, _rate(params.lam))
+        out = np.sign(arr) * i2 / np.maximum(i1, _TINY)
     return out if out.ndim else float(out)
 
 
-_TINY = np.finfo(float).tiny
-
-
-def esr(d, params):
+def esr(d, params: MixturePriorParams):
     """Posterior-mean shrinkage rule under the full spike-and-slab mixture.
 
-    Accepts a scalar or an array of empirical coefficients. ``params`` is
-    one MixturePriorParams, or a sequence of them with one per row of d
-    (its leading axis): row r is then shrunk with params[r], bit for bit
-    as a call on that row alone would. Odd in d, no larger than |d| and
-    bounded by the slab-only mean, hence strictly inside (-beta, beta).
-    Finite for every finite lambda.
+    Accepts a scalar or an array of empirical coefficients, and returns a
+    value of the same shape. The fields of ``params`` may be arrays that
+    broadcast against d, say columns of shape (R, 1) for a stack of R
+    rows; each coefficient is then shrunk with its own parameters, bit for
+    bit as a call with those parameters as numbers would. Parameters that
+    would broadcast d to another shape raise InputError. Odd in d, no
+    larger than |d| and bounded by the slab-only mean, hence strictly
+    inside (-beta, beta). Finite for every finite lambda; a slab support
+    whose powers overflow (beta above about 5e102) raises NumericError, as
+    does any other floating-point failure here.
     """
     arr = np.asarray(d, dtype=float)
     _check_finite(arr)
-    k = _rule_constants(params, arr)
-    dabs = np.abs(arr)
-    i1, i2, spike = _slab_parts(dabs, k)
-    num = k.slab_weight * i2
-    den = k.spike_weight * spike + k.slab_weight * i1
-    ratio = num / np.maximum(den, _TINY)
-    # the shrunk magnitude lies in [0, |d|]; at subnormal |d| the closed
-    # forms round outside that range
-    out = np.copysign(np.minimum(np.maximum(ratio, 0.0), dabs), arr)
+    alpha, beta, lam = params.alpha, params.beta, params.lam
+    shapes = [p.shape for p in (alpha, beta, lam) if isinstance(p, np.ndarray)]
+    if shapes:
+        try:
+            fits = np.broadcast_shapes(arr.shape, *shapes) == arr.shape
+        except ValueError:
+            fits = False
+        if not fits:
+            raise InputError(f"parameters of shapes {shapes} do not fit coefficients "
+                             f"of shape {arr.shape}")
+    with numeric_guard("mixture rule"):
+        a = _rate(lam)
+        dabs = np.abs(arr)
+        i1, i2, spike = _slab_parts(dabs, beta, lam, a)
+        slab_weight = (1.0 - alpha) * 3.0 * a / (8.0 * np.power(beta, 3))
+        spike_weight = alpha * (0.5 * a)
+        num = slab_weight * i2
+        den = spike_weight * spike + slab_weight * i1
+        ratio = num / np.maximum(den, _TINY)
+        # the shrunk magnitude lies in [0, |d|]; at subnormal |d| the closed
+        # forms round outside that range
+        out = np.copysign(np.minimum(np.maximum(ratio, 0.0), dabs), arr)
     return out if out.ndim else float(out)
 
 
@@ -565,8 +528,9 @@ def rule_statistics(
             half = 0.5 * np.diff(edges)
             u = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
             w = (half[:, None] * _GL_WEIGHTS).ravel() * noise.pdf(u, 0.0)
-        r = esr(theta + u, params)
-        plateau = esr(beta, params)
+        # the plateau value esr(beta) rides along as the last node
+        r = esr(np.append(theta + u, beta), params)
+        r, plateau = r[:-1], float(r[-1])
         p_hi = noise.sf(beta, theta)
         p_lo = 1.0 - noise.sf(-beta, theta)
         mean = float(w @ r) + plateau * (p_hi - p_lo)

@@ -135,17 +135,21 @@ def noise_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
-def scaled_std(values: np.ndarray, ddof: int = 0) -> float:
-    """np.std of the values; where their squares overflow or underflow,
-    the same taken of the values divided by their peak, times the peak."""
+def scaled_std(values: np.ndarray, ddof: int = 0, axis: int | None = None):
+    """np.std of the values along axis (all of them by default); where
+    their squares overflow or underflow, the same taken of the values
+    divided by their peak, times the peak. A number for axis=None, else
+    an array with one value per slice."""
+    values = np.asarray(values, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        sd = float(np.std(values, ddof=ddof))
-    if 0.0 < sd < math.inf:
-        return sd
-    peak = float(np.max(np.abs(values)))
-    if peak == 0.0:
-        return 0.0
-    return peak * float(np.std(values / peak, ddof=ddof))
+        sd = np.std(values, axis=axis, ddof=ddof)
+    bad = ~((0.0 < sd) & (sd < math.inf))
+    if np.any(bad):
+        peak = np.max(np.abs(values), axis=axis, keepdims=True)
+        peak = np.where(peak == 0.0, 1.0, peak)  # an all-zero slice has sd 0
+        rescaled = np.squeeze(peak, axis) * np.std(values / peak, axis=axis, ddof=ddof)
+        sd = np.where(bad, rescaled, sd)
+    return sd if sd.ndim else float(sd)
 
 
 def add_noise(truth: Signal, snr: float, seed) -> Signal:

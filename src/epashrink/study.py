@@ -154,6 +154,9 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
     its own, bit for bit as it would be alone; its noise-scale estimate,
     slab supports and rate or universal threshold are then arrays of R
     values, while the spike weights and a fixed threshold stay numbers.
+    The mixture rule gets one MixturePriorParams per level, whose slab
+    support and rate lambda * sigma_hat^2 (both in units of sigma_hat) are
+    columns of R values for a stack.
     """
     cfg = elicitation
     coeffs = pyramid.coeffs
@@ -170,34 +173,36 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
         finest = details[pyramid.depth - 1]
         floor = SIGMA_FLOOR * np.max([level["beta"] for level in levels], axis=0)
         sigma_hat = np.maximum(estimate_sigma(finest, cfg.sigma_estimator), floor)
-        diagnostics: dict = {"sigma_hat": sigma_hat if stacked else float(sigma_hat),
-                             "levels": levels}
-        # per-row values as Python floats, and a column that broadcasts
-        # against the stacked blocks
-        sigmas = np.atleast_1d(sigma_hat).tolist()
-        column = sigma_hat[:, None] if stacked else diagnostics["sigma_hat"]
+        if not stacked:
+            sigma_hat = float(sigma_hat)
+        diagnostics: dict = {"sigma_hat": sigma_hat, "levels": levels}
+
+        def column(values):
+            """Per-row values as a column that broadcasts against the blocks."""
+            return values[:, None] if stacked else values
+
+        sigma_col = column(sigma_hat)
         if rule.kind == "esr":
-            lams = [lambda_from_s(s, cfg.c, cfg.tau) for s in sigmas]
-            for s, lam in zip(sigmas, lams):
-                if not math.isfinite(lam):
-                    raise NumericError(f"lambda overflows at sigma_hat={s!r}")
-            diagnostics["lambda"] = np.array(lams) if stacked else lams[0]
-            unit_lams = [lam * s**2 for s, lam in zip(sigmas, lams)]
+            lam = lambda_from_s(sigma_hat, cfg.c, cfg.tau)
+            # c / tau overflows to inf in float arithmetic without raising;
+            # an overflow of lambda * sigma_hat^2 raises below
+            if not np.isfinite(lam).all():
+                raise NumericError(f"lambda overflows at sigma_hat={sigma_hat!r}")
+            diagnostics["lambda"] = lam
+            unit_lam_col = column(lam * np.square(sigma_hat))
         else:
             eta = rule.threshold
             if eta is None:
-                eta = universal_threshold(sigma_hat if stacked else sigmas[0], n_samples)
+                eta = universal_threshold(sigma_hat, n_samples)
             diagnostics["eta"] = eta
             if np.ndim(eta):
-                eta = eta[:, None]
+                eta = column(eta)
             threshold = hard_threshold if rule.kind == "hard" else soft_threshold
         for level, block in zip(levels, details.values()):
             if rule.kind == "esr":
-                params = [MixturePriorParams(level["alpha"], beta / s, unit_lam)
-                          for beta, s, unit_lam in zip(
-                              np.atleast_1d(level["beta"]).tolist(), sigmas, unit_lams)]
-                np.multiply(column, esr(block / column, params if stacked else params[0]),
-                            out=block)
+                params = MixturePriorParams(level["alpha"], column(level["beta"]) / sigma_col,
+                                            unit_lam_col)
+                np.multiply(sigma_col, esr(block / sigma_col, params), out=block)
             else:
                 block[...] = threshold(block, eta)
     return diagnostics

@@ -281,8 +281,9 @@ class TestDenoiseCommand:
             samples = generate_test_function("heavisine", 64).samples
             samples[[10, 40]] = 1e308, -1e308
         else:
-            # denoises without overflow (the finest Haar level is zero), but
-            # the spread of the output overflows the sidecar's estimated SNR
+            # denoises without overflow (the finest Haar level is zero), and
+            # the sidecar's estimated SNR takes the spread of the output
+            # without squaring values of 1e301
             samples = np.repeat([1e301, -1e301], 32)
             extra = ["--wavelet-order", "1"]
         inp = tmp_path / "huge.csv"
@@ -293,9 +294,17 @@ class TestDenoiseCommand:
             result = runner.invoke(main, [
                 "denoise", str(inp), "--rule", rule, *extra, "--out", str(out),
             ])
-        assert result.exit_code == 5, result.output
         assert not caught
-        assert not out.exists()
+        if layout != "haar-steps":
+            assert result.exit_code == 5, result.output
+            assert not out.exists()
+            return
+        assert result.exit_code == 0, result.output
+        denoised, _ = read_signal_csv(out)
+        assert np.isfinite(denoised).all()
+        report = json.loads((tmp_path / "out.csv.report.json").read_text(),
+                            parse_constant=lambda name: pytest.fail(f"sidecar holds {name}"))
+        assert math.isfinite(report["estimated_snr"]) and report["estimated_snr"] > 0
 
     def test_unreadable_path_input_code(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -346,6 +355,20 @@ def test_infinite_elicitation_parameter_domain_code(runner, tmp_path, command, f
     result = runner.invoke(main, [command, str(inp), flag, "inf", *out])
     assert result.exit_code == 4
     assert f"{flag[2:]} must be positive and finite, got inf" in result.output
+    assert list(tmp_path.iterdir()) == [inp]
+
+
+@pytest.mark.parametrize("command", ["denoise", "coeffs"])
+def test_overflowing_rate_numeric_code(runner, tmp_path, command):
+    # c / tau overflows to an infinite lambda without a floating-point flag
+    inp = tmp_path / "in.csv"
+    _write_noisy_signal(inp, n=64)
+    out = ["--out", str(tmp_path / "d.csv")] if command == "denoise" else \
+        ["--out-prefix", str(tmp_path / "co")]
+    result = runner.invoke(main, [command, str(inp), "--rule", "esr", "--c", "1e308",
+                                  "--tau", "0.5", *out])
+    assert result.exit_code == 5, result.output
+    assert "lambda overflows" in result.output
     assert list(tmp_path.iterdir()) == [inp]
 
 
@@ -516,6 +539,20 @@ class TestRuleCurveCommand:
         assert not caught
         assert result.exit_code == 4
         assert "must be positive and finite" in result.output
+        assert not out.exists()
+
+    def test_overflowing_beta_numeric_code(self, runner, tmp_path):
+        # beta^3 overflows in the rule's constants: a numeric error, not a
+        # traceback or a nan table
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, [
+                "rule-curve", "--alpha", "0.9", "--beta", "1e200", "--lambda", "3",
+                "--out", str(out),
+            ])
+        assert not caught
+        assert result.exit_code == 5, result.output
         assert not out.exists()
 
 

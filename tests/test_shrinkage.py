@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -470,33 +471,70 @@ def test_esr_at_huge_lambda_is_the_clamp(lam, beta):
     assert scalar == pytest.approx(beta, rel=1e-12)
 
 
-def _parameter_rows():
-    """Parameter sets on both sides of the series seam (a*beta = 0.05)."""
-    return [MixturePriorParams(0.95, 6.0, 3.0), MixturePriorParams(0.6, 6.0, 1e-5),
-            MixturePriorParams(0.99, 0.3, 1e-3), MixturePriorParams(0.8, 2.0, 1e12),
-            MixturePriorParams(0.9, 1.0, 1e200)]
+# (alpha, beta, lam) on both sides of the series seam (a*beta = 0.05), and
+# at lam = 1e12 and 1e200
+_PARAMETER_ROWS = [(0.95, 6.0, 3.0), (0.6, 6.0, 1e-5), (0.99, 0.3, 1e-3), (0.8, 2.0, 1e12),
+                   (0.9, 1.0, 1e200)]
+
+# rows of (alpha, beta, lam) with beta and lam spread over many decades,
+# so that a drawn stack often has rows on both sides of the seam
+_drawn_rows = st.lists(
+    st.tuples(st.floats(0.01, 0.999),
+              st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+              st.one_of(st.floats(-8.0, 12.0), st.floats(12.0, 300.0)).map(lambda e: 10.0**e)),
+    min_size=1, max_size=6)
 
 
-@pytest.mark.parametrize("rows", [slice(None), slice(0, 1), slice(1, 3), slice(0, 2)])
-def test_esr_with_one_parameter_set_per_row_matches_rows(rows):
-    params = _parameter_rows()[rows]
-    d = np.random.default_rng(4).standard_normal((len(params), 257)) * 4.0
+def _assert_columns_match_rows(rows):
+    """esr with one (alpha, beta, lam) column entry per row of a stack
+    equals, bit for bit, esr of each row with its parameters as numbers,
+    on 2-D and 3-D stacks and on scalar coefficients."""
+    columns = np.array(rows, dtype=float).T[:, :, None]  # (3, R, 1)
+    d = np.random.default_rng(4).standard_normal((len(rows), 257)) * 4.0
     d[:, 0] = 0.0
-    out = esr(d, params)
-    for r, p in enumerate(params):
-        assert np.array_equal(out[r], esr(d[r], p))
-    # rows of 3-D coefficient stacks
+    d[:, 1] = columns[1, :, 0]  # the support edge
+    out = esr(d, MixturePriorParams(*columns))
+    assert out.shape == d.shape
+    for r, p in enumerate(rows):
+        alone = MixturePriorParams(*p)
+        assert np.array_equal(out[r], esr(d[r], alone))
+        for j in (0, 1, 2, 128):
+            assert out[r, j] == esr(float(d[r, j]), alone)
+    # rows of 3-D coefficient stacks take columns of shape (R, 1, 1)
     cube = np.stack([d, -d], axis=1)
-    out = esr(cube, params)
-    for r, p in enumerate(params):
-        assert np.array_equal(out[r, 1], esr(-d[r], p))
+    out = esr(cube, MixturePriorParams(*columns[..., None]))
+    assert out.shape == cube.shape
+    for r, p in enumerate(rows):
+        assert np.array_equal(out[r, 1], esr(-d[r], MixturePriorParams(*p)))
+
+
+@pytest.mark.parametrize("rows", [slice(None), slice(0, 1), slice(1, 3), slice(0, 2),
+                                  pytest.param(_drawn_rows, id="drawn")])
+def test_esr_with_one_parameter_set_per_row_matches_rows(rows):
+    if isinstance(rows, slice):
+        _assert_columns_match_rows(_PARAMETER_ROWS[rows])
+    else:  # a hypothesis strategy
+        settings(max_examples=60, deadline=None)(given(rows)(_assert_columns_match_rows))()
 
 
 def test_esr_needs_one_parameter_set_per_row():
+    # esr's output has the shape of d: parameters that would broadcast d
+    # to another shape are an input error
+    two_rows = MixturePriorParams(np.full((2, 1), 0.9), np.full((2, 1), 6.0), 3.0)
     with pytest.raises(InputError):
-        esr(np.zeros((3, 4)), _parameter_rows()[:2])
+        esr(np.zeros((3, 4)), two_rows)
     with pytest.raises(InputError):
-        esr(1.0, _parameter_rows()[:1])
+        esr(1.0, MixturePriorParams(np.full((1, 1), 0.9), 6.0, 3.0))
+
+
+@pytest.mark.parametrize("func", [esr, marginal_m, delta_slab])
+def test_overflowing_slab_support_is_a_numeric_error(func):
+    # beta**3 overflows: outside any caller's guard this is still an
+    # error, not a nan with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            func(3.0, MixturePriorParams(0.9, 1e200, 3.0))
 
 
 @pytest.mark.parametrize("lam", [1e300, sys.float_info.max])

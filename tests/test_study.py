@@ -160,8 +160,12 @@ class TestDenoisePipeline:
         with pytest.raises(InputError, match=r"samples\[10\]"):
             denoise(Signal(samples), RuleSpec("esr"))
 
-    @pytest.mark.parametrize("c", [1e-120, 1e90, 1e100])
-    @pytest.mark.parametrize("rule", ["esr", "soft", "hard"])
+    # past a scale of about 1e154 esr fails on the raw lambda (see
+    # test_esr_past_the_raw_lambda_range_is_a_numeric_error)
+    @pytest.mark.parametrize("rule, c", [
+        *((rule, c) for rule in ("esr", "soft", "hard") for c in (1e-120, 1e90, 1e100)),
+        ("soft", 1e200), ("hard", 1e200),
+    ])
     def test_scale_equivariance(self, rule, c):
         # lambda(s) = 1/s^2 + (c/tau) exp(-s/tau) carries the scale tau, so
         # lambda * s^2 is scale-free only once the second term is below
@@ -170,18 +174,28 @@ class TestDenoisePipeline:
         truth = generate_test_function("bumps", 256, 7e3)
         y = add_noise(truth, snr=1.0, seed=5).samples
         spec = RuleSpec(rule)
-        ref = denoise(Signal(y), spec)
-        out = denoise(Signal(c * y), spec)
-        scale = np.max(np.abs(ref.samples))
-        assert np.max(np.abs(out.samples / c - ref.samples)) <= 1e-12 * scale
-        got, want = out.diagnostics, ref.diagnostics
-        assert got["sigma_hat"] == pytest.approx(c * want["sigma_hat"], rel=1e-12)
-        for got_level, want_level in zip(got["levels"], want["levels"]):
-            assert got_level["beta"] == pytest.approx(c * want_level["beta"], rel=1e-12)
-        if rule == "esr":
-            assert got["lambda"] == pytest.approx(want["lambda"] / c**2, rel=1e-12)
-        else:
-            assert got["eta"] == pytest.approx(c * want["eta"], rel=1e-12)
+        for method in SigmaEstimator:
+            cfg = ElicitationConfig(sigma_estimator=method)
+            ref = denoise(Signal(y), spec, cfg)
+            out = denoise(Signal(c * y), spec, cfg)
+            scale = np.max(np.abs(ref.samples))
+            assert np.max(np.abs(out.samples / c - ref.samples)) <= 1e-12 * scale
+            got, want = out.diagnostics, ref.diagnostics
+            assert got["sigma_hat"] == pytest.approx(c * want["sigma_hat"], rel=1e-12)
+            for got_level, want_level in zip(got["levels"], want["levels"]):
+                assert got_level["beta"] == pytest.approx(c * want_level["beta"], rel=1e-12)
+            if rule == "esr":
+                assert got["lambda"] == pytest.approx(want["lambda"] / c**2, rel=1e-12)
+            else:
+                assert got["eta"] == pytest.approx(c * want["eta"], rel=1e-12)
+
+    def test_esr_past_the_raw_lambda_range_is_a_numeric_error(self):
+        # lambda is published in the units of the data, so it overflows
+        # once sigma_hat**2 does
+        truth = generate_test_function("bumps", 256, 7e3)
+        y = add_noise(truth, snr=1.0, seed=5).samples
+        with pytest.raises(NumericError):
+            denoise(Signal(1e200 * y), RuleSpec("esr"))
 
 
 @st.composite
