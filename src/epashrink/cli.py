@@ -325,6 +325,7 @@ def cmd_denoise(input_path, rule, threshold, gamma, l, c, tau, j0, sigma,
         # denoised samples against the estimated noise scale
         estimated_snr = scaled_std(out.samples) / out.diagnostics["sigma_hat"]
     report = {
+        "version": __version__,
         "n": out.n,
         "rule": spec.label,
         "wavelet_order": wavelet_order,

@@ -3,16 +3,20 @@
 The decomposition is the classic pyramid filter-bank scheme with circular
 (periodic) boundary handling, which keeps the transform exactly orthogonal
 for every dyadic length, including blocks shorter than the filter. Each
-step is a circular correlation along the last axis
-(``scipy.ndimage.correlate1d`` in wrap mode), so the transform works
-unchanged on stacks of signals of shape ``(..., n)``, row for row
-bit-identical to one call per row. The coefficients live in one array of
-the signal's shape in the packed layout ``[scaling | d_J0 | ... | d_J-1]``
-(Mallat 1989), and the per-level blocks are views into that array. Filter
-taps are produced on demand by spectral factorization rather than from a
-hard-coded table; the construction runs in extended precision so the taps
-are correctly rounded doubles and the orthonormality residuals sit at
-machine epsilon.
+step is a circular correlation along the last axis, kept at the even
+offsets, and computed with numpy alone as a matrix product against a small
+read-only matrix cached per filter: a dense periodic matrix for blocks of
+up to 2 * _BLOCK samples, and past that one block-Toeplitz matrix that maps
+each 2 * _BLOCK samples, plus the head of the next block, to their
+coefficients. Every product treats each row of a stack on its own, so the
+transform works unchanged on stacks of signals of shape ``(..., n)``, row
+for row bit-identical to one call per row. The coefficients live in one
+array of the signal's shape in the packed layout
+``[scaling | d_J0 | ... | d_J-1]`` (Mallat 1989), and the per-level blocks
+are views into that array. Filter taps are produced on demand by spectral
+factorization rather than from a hard-coded table; the construction runs in
+extended precision so the taps are correctly rounded doubles and the
+orthonormality residuals sit at machine epsilon.
 """
 
 from __future__ import annotations
@@ -22,11 +26,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
-import mpmath as mp
 import numpy as np
-from scipy.ndimage import correlate1d
 
-from .errors import DomainError, InputError, NumericError, numeric_guard
+from .errors import DomainError, InputError, NumericError
 
 MAX_ORDER = 10
 
@@ -52,8 +54,10 @@ def _lowpass_taps(order: int) -> tuple[float, ...]:
     through y = -(z-1)^2/(4z); keeping the z-root inside the unit circle of
     each pair gives the minimum-phase factor. Everything runs at 60 decimal
     digits so the only error left in the result is the final rounding to
-    binary64.
+    binary64. mpmath is imported here, so only building a filter loads it.
     """
+    import mpmath as mp
+
     with mp.workdps(60):
         if order == 1:
             taps = [mp.mpf(1), mp.mpf(1)]
@@ -210,47 +214,93 @@ class WaveletPyramid:
         return WaveletPyramid(self.coarse_level, self.coeffs.copy())
 
 
-def _correlate(a: np.ndarray, taps: np.ndarray, origin: int) -> np.ndarray:
-    """Circular correlation of a float array with taps along the last axis.
+_BLOCK = 32  # outputs per channel of one block in the blocked steps
 
-    The output array is passed in because scipy otherwise looks up the
-    dtype by name, which on short blocks costs about as much as the C loop.
+
+def _step_matrix(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """The cached, read-only matrix of one filter-bank step on n samples.
+
+    For n up to ``2 * _BLOCK`` it is the dense periodic (n, n) matrix: n
+    samples times it are ``[approx | detail]``. Past that it is the
+    (2 * _BLOCK + L - 2, 2 * _BLOCK) block matrix, L being the filter
+    length, the same for every longer n: 2 * _BLOCK samples and the L - 2
+    that follow them, times it, are the _BLOCK approximation and the _BLOCK
+    detail coefficients of those samples. So the cache holds one dense
+    matrix per filter and short length, and one block matrix per filter.
     """
-    return correlate1d(a, taps, axis=-1, output=np.zeros(a.shape), mode="wrap",
-                       origin=origin)
+    rows = n if n <= 2 * _BLOCK else 2 * _BLOCK + lo.size - 2
+    return _taps_matrix(lo.tobytes(), hi.tobytes(), rows)
+
+
+@lru_cache(maxsize=None)
+def _taps_matrix(lo_bytes: bytes, hi_bytes: bytes, rows: int) -> np.ndarray:
+    """``m[(2k + j) % rows, k] += lo[j]`` and ``m[(2k + j) % rows, half + k]
+    += hi[j]`` for the ``half`` outputs per channel; the wrap acts only in
+    the dense matrices, whose blocks may be shorter than the filter."""
+    lo, hi = np.frombuffer(lo_bytes), np.frombuffer(hi_bytes)
+    half = min(rows, 2 * _BLOCK) // 2
+    k = np.arange(half)[:, None]
+    at = (2 * k + np.arange(lo.size)) % rows
+    m = np.zeros((rows, 2 * half))
+    np.add.at(m, (at, k), lo)
+    np.add.at(m, (at, half + k), hi)
+    m.setflags(write=False)
+    return m
 
 
 def _analysis_step(a: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """One decimating filter-bank step along the last axis.
 
     ``approx[..., k] = sum_m a[..., (2k + m) % n] * lo[m]`` and likewise
-    ``detail`` with ``hi``: a circular correlation kept at even offsets.
-    Works on any leading shape; blocks shorter than the filter wrap more
-    than once.
+    ``detail`` with ``hi``: a circular correlation kept at even offsets,
+    computed as a product with the step matrix. Short blocks go through the
+    dense matrix one row at a time, as ``(..., 1, n)`` products. Longer
+    ones are cut into blocks of 2 * _BLOCK samples; each block, followed by
+    the first L - 2 samples of the next one (cyclically), times the block
+    matrix gives that block's coefficients. Either way each row of a stack
+    goes through the same products as it would alone, so it comes out bit
+    for bit the same, and the steps act on any leading shape.
     """
-    origin = -(lo.size // 2)
-    return (_correlate(a, lo, origin)[..., ::2], _correlate(a, hi, origin)[..., ::2])
+    n = a.shape[-1]
+    m = _step_matrix(lo, hi, n)
+    if n <= 2 * _BLOCK:
+        out = (a[..., None, :] @ m)[..., 0, :]
+        return out[..., :n // 2], out[..., n // 2:]
+    lead = a.shape[:-1]
+    blocks = a.reshape(*lead, n // (2 * _BLOCK), 2 * _BLOCK)
+    # the window of a block overlaps the next, so a view of the windows is
+    # not a BLAS operand: the block and the next one's head are two products
+    out = blocks @ m[:2 * _BLOCK]
+    out += np.roll(blocks[..., :lo.size - 2], -1, axis=-2) @ m[2 * _BLOCK:]
+    return (out[..., :_BLOCK].reshape(*lead, n // 2),
+            out[..., _BLOCK:].reshape(*lead, n // 2))
 
 
 def _synthesis_step(approx: np.ndarray, detail: np.ndarray,
                     lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`_analysis_step`; exact inverse by orthogonality.
 
-    Each block is zero-upsampled into the even slots and circularly
-    convolved with its filter (a correlation with the reversed taps).
+    The product with the transposed step matrix: block by block, each
+    block's coefficients make its 2 * _BLOCK samples, and the previous
+    block's (cyclically) add into the first L - 2 of them.
     """
-    origin = lo.size - 1 - lo.size // 2
-    up = np.zeros(approx.shape[:-1] + (2 * approx.shape[-1],))
-    up[..., ::2] = approx
-    out = _correlate(up, lo[::-1], origin)
-    up[..., ::2] = detail
-    out += _correlate(up, hi[::-1], origin)
-    return out
+    half = approx.shape[-1]
+    m = _step_matrix(lo, hi, 2 * half)
+    if half <= _BLOCK:
+        coeffs = np.concatenate([approx, detail], axis=-1)
+        return (coeffs[..., None, :] @ m.T)[..., 0, :]
+    lead = approx.shape[:-1]
+    shape = (*lead, half // _BLOCK, _BLOCK)
+    coeffs = np.concatenate([approx.reshape(shape), detail.reshape(shape)], axis=-1)
+    out = coeffs @ m[:2 * _BLOCK].T
+    out[..., :lo.size - 2] += np.roll(coeffs @ m[2 * _BLOCK:].T, 1, axis=-2)
+    return out.reshape(*lead, 2 * half)
 
 
 def _require_finite(what: str, values: np.ndarray) -> None:
-    # ndimage's C loops ignore np.errstate, so an overflow inside
-    # correlate1d shows up only as inf or nan in its output
+    # the steps run with numpy's floating-point errors ignored, so an
+    # overflow, or a non-finite value passed in, shows up only as inf or nan
+    # in the output, which is checked here instead
     if not np.isfinite(values).all():
         raise NumericError(f"{what}: result is not finite")
 
@@ -282,9 +332,10 @@ def dwt_forward(y, filt: DaubechiesFilter, coarse_level: int = 0) -> WaveletPyra
     # the signal has the shape of its pyramid, so the pyramid's checks apply
     levels = WaveletPyramid(coarse_level, approx).levels()
     details = []
-    for _ in levels:
-        approx, detail = _analysis_step(approx, filt.lowpass, filt.highpass)
-        details.append(detail)
+    with np.errstate(all="ignore"):
+        for _ in levels:
+            approx, detail = _analysis_step(approx, filt.lowpass, filt.highpass)
+            details.append(detail)
     # packed once, at the end: writing each step into one array would free
     # the step's full-length temporaries at the top of the heap, where the
     # allocator returns them to the system and the next step faults them in
@@ -301,7 +352,7 @@ def dwt_inverse(pyramid: WaveletPyramid, filt: DaubechiesFilter) -> np.ndarray:
     a non-finite coefficient).
     """
     approx = pyramid.scaling
-    with numeric_guard("inverse transform"):
+    with np.errstate(all="ignore"):
         for detail in pyramid.details.values():
             approx = _synthesis_step(approx, detail, filt.lowpass, filt.highpass)
     _require_finite("inverse transform", approx)

@@ -37,7 +37,8 @@ bit for bit as it would with its parameters alone.
 An independent quadrature oracle (direct adaptive integration of the
 posterior-mean ratio) is provided for verification and never shares code
 with the closed form; it imports scipy.integrate on its first call, so
-importing the module loads no scipy at all.
+importing the module loads no scipy at all. scipy is not a runtime
+dependency: the oracle needs the ``test`` extra.
 
 The rule's frequentist properties (squared bias, variance, risk under a
 double-exponential or Gaussian noise model) are exact plateau tail terms
@@ -357,6 +358,7 @@ def posterior_mean_oracle(d: float, params: MixturePriorParams) -> float:
     over the slab support with the integration split at the likelihood kink
     theta = d, then mixes in the spike mass at zero. Absolute accuracy is
     well below 1e-9 for the parameter ranges used in the test grids.
+    It needs scipy, which comes with the ``test`` extra.
     """
     d = float(d)
     if not math.isfinite(d):

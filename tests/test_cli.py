@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +245,15 @@ class TestDenoiseCommand:
         assert result.exit_code == 0, result.output
         denoised, _ = read_signal_csv(out)
         assert denoised.size == expected_len
+
+    def test_sidecar_carries_version(self, runner, tmp_path):
+        inp = tmp_path / "in.csv"
+        _write_noisy_signal(inp, n=64)
+        out = tmp_path / "out.csv"
+        result = runner.invoke(main, ["denoise", str(inp), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "out.csv.report.json").read_text())
+        assert report["version"] == epashrink.__version__
 
     @pytest.mark.parametrize("rule", ["esr", "soft", "hard"])
     def test_sidecar_is_denoise_diagnostics(self, runner, tmp_path, rule):
@@ -749,3 +762,25 @@ class TestStudyCommand:
             assert result.exit_code == 0, result.output
         assert rows_without_wall_time(tmp_path / "a" / "report.csv") == \
             rows_without_wall_time(tmp_path / "b" / "report.csv")
+
+
+def test_cli_import_and_denoise_load_neither_scipy_nor_mpmath():
+    """Importing the CLI loads neither scipy nor mpmath, and a denoise, which
+    builds a filter with mpmath, still loads no scipy: both stay off the
+    cold-start path."""
+    code = (
+        "import sys\n"
+        "import epashrink.cli\n"
+        "heavy = [m for m in ('scipy', 'mpmath') if m in sys.modules]\n"
+        "assert not heavy, heavy\n"
+        "import numpy as np\n"
+        "from epashrink import RuleSpec, Signal, denoise\n"
+        "denoise(Signal(np.random.default_rng(0).standard_normal(64)), RuleSpec('esr'))\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    src = str(Path(epashrink.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -15,7 +15,14 @@ from epashrink import (
     dwt_inverse,
     make_daubechies_filter,
 )
-from epashrink.dwt import WaveletPyramid, _analysis_step, _synthesis_step
+from epashrink.dwt import (
+    _BLOCK,
+    WaveletPyramid,
+    _analysis_step,
+    _step_matrix,
+    _synthesis_step,
+    _taps_matrix,
+)
 
 # published extremal-phase taps for two vanishing moments
 DB2 = np.array([0.4829629131445341, 0.8365163037378079,
@@ -261,6 +268,75 @@ def test_inverse_overflow_inside_one_correlation_raises():
         with pytest.raises(NumericError):
             dwt_inverse(p, f)
     assert not caught
+
+
+def test_forward_overflow_on_the_blocked_path_raises_without_warning():
+    n = 8 * _BLOCK
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError):
+            dwt_forward(np.full(n, 1.7e308), make_daubechies_filter(10))
+    assert not caught
+
+
+def test_inverse_overflow_inside_one_product_on_the_blocked_path_raises():
+    # as above, at a length whose finest steps use the block matrix: sample 0
+    # sums the head of block 0 and the wrapped tail of the last block
+    n = 8 * _BLOCK
+    f = make_daubechies_filter(10)
+    impulse = np.zeros(n)
+    impulse[0] = 1.0
+    w = _analysis_step(impulse, f.lowpass, f.highpass)[1]
+    p = dwt_forward(np.zeros(n), f)
+    p.details[n.bit_length() - 2][...] = 1.5e308 * np.sign(w)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError):
+            dwt_inverse(p, f)
+    assert not caught
+
+
+@pytest.mark.parametrize("n", [2 * _BLOCK, 4 * _BLOCK, 8 * _BLOCK])
+@pytest.mark.parametrize("order", [1, 2, 10])
+def test_steps_around_the_block_size_match_rows_bit_for_bit(order, n):
+    # 2 * _BLOCK is the largest dense step, 4 * _BLOCK the smallest blocked one
+    f = make_daubechies_filter(order)
+    lead = (2, 3, 2)
+    rows = np.random.default_rng(order * n).standard_normal(lead + (n,))
+    approx, detail = _analysis_step(rows, f.lowpass, f.highpass)
+    merged = _synthesis_step(approx, detail, f.lowpass, f.highpass)
+    stacked = dwt_forward(rows, f)
+    rec = dwt_inverse(stacked, f)
+    for idx in np.ndindex(lead):
+        row_approx, row_detail = _analysis_step(rows[idx], f.lowpass, f.highpass)
+        assert np.array_equal(approx[idx], row_approx)
+        assert np.array_equal(detail[idx], row_detail)
+        assert np.array_equal(
+            merged[idx], _synthesis_step(row_approx, row_detail, f.lowpass, f.highpass))
+        single = dwt_forward(rows[idx], f)
+        assert np.array_equal(stacked.coeffs[idx], single.coeffs)
+        assert np.array_equal(rec[idx], dwt_inverse(single, f))
+
+
+def test_step_matrices_are_read_only_and_built_once():
+    f = make_daubechies_filter(7)
+    lo, hi = f.lowpass, f.highpass
+    y = np.random.default_rng(7).standard_normal(16 * _BLOCK)
+    dwt_inverse(dwt_forward(y, f), f)
+    misses = _taps_matrix.cache_info().misses
+    dwt_inverse(dwt_forward(y, f), f)
+    assert _taps_matrix.cache_info().misses == misses
+    for n in (2, 8, 2 * _BLOCK, 4 * _BLOCK):
+        m = _step_matrix(lo, hi, n)
+        assert m is _step_matrix(lo, hi, n)
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+    # every length past 2 * _BLOCK shares the one block matrix of the filter
+    assert _step_matrix(lo, hi, 4 * _BLOCK) is _step_matrix(lo, hi, 2**16)
+    assert _step_matrix(lo, hi, 4 * _BLOCK).shape == (2 * _BLOCK + lo.size - 2, 2 * _BLOCK)
+    g = make_daubechies_filter(6)
+    assert _step_matrix(g.lowpass, g.highpass, 4 * _BLOCK) is not _step_matrix(lo, hi, 4 * _BLOCK)
 
 
 @settings(max_examples=30, deadline=None)
