@@ -13,10 +13,10 @@ transform works unchanged on stacks of signals of shape ``(..., n)``, row
 for row bit-identical to one call per row. The coefficients live in one
 array of the signal's shape in the packed layout
 ``[scaling | d_J0 | ... | d_J-1]`` (Mallat 1989), and the per-level blocks
-are views into that array. Filter taps are produced on demand by spectral
-factorization rather than from a hard-coded table; the construction runs in
-extended precision so the taps are correctly rounded doubles and the
-orthonormality residuals sit at machine epsilon.
+are views into that array. Filter taps come from a constant table of the
+ten extremal-phase filters, the correctly rounded doubles of their spectral
+factorization, so the orthonormality residuals sit at machine epsilon; the
+tests derive every tap again in extended precision and compare bit for bit.
 """
 
 from __future__ import annotations
@@ -46,49 +46,52 @@ __all__ = [
 ]
 
 
-def _lowpass_taps(order: int) -> tuple[float, ...]:
-    """Extremal-phase Daubechies lowpass taps (2*order of them) as floats.
-
-    Spectral factorization: the roots of the degree-(order-1) binomial
-    polynomial P(y) = sum_k C(order-1+k, k) y^k are mapped to the z-plane
-    through y = -(z-1)^2/(4z); keeping the z-root inside the unit circle of
-    each pair gives the minimum-phase factor. Everything runs at 60 decimal
-    digits so the only error left in the result is the final rounding to
-    binary64. mpmath is imported here, so only building a filter loads it.
-    """
-    import mpmath as mp
-
-    with mp.workdps(60):
-        if order == 1:
-            taps = [mp.mpf(1), mp.mpf(1)]
-        else:
-            pcoeffs = [mp.binomial(order - 1 + k, k) for k in range(order)]
-            yroots = mp.polyroots(list(reversed(pcoeffs)), maxsteps=500, extraprec=200)
-            zroots = []
-            for y in yroots:
-                b = 1 - 2 * y
-                s = mp.sqrt(b * b - 1)
-                zroots.append(b + s if abs(b + s) < 1 else b - s)
-            # expand prod_j (z - z_j), ascending powers
-            poly = [mp.mpc(1)]
-            for zr in zroots:
-                nxt = [mp.mpc(0)] * (len(poly) + 1)
-                for i, c in enumerate(poly):
-                    nxt[i] -= c * zr
-                    nxt[i + 1] += c
-                poly = nxt
-            # multiply by (1 + z)^order
-            binom = [mp.binomial(order, k) for k in range(order + 1)]
-            taps = [mp.mpc(0)] * (len(poly) + order)
-            for i, c in enumerate(poly):
-                for k, b in enumerate(binom):
-                    taps[i + k] += c * b
-            taps = [mp.re(c) for c in taps]
-        total = sum(taps)
-        taps = [c * mp.sqrt(2) / total for c in taps]
-        # ascending-power coefficients come out time-reversed relative to the
-        # conventional extremal-phase tables (energy front-loaded)
-        return tuple(float(c) for c in reversed(taps))
+# Extremal-phase Daubechies lowpass taps by order, the filters of Daubechies
+# (1992, Ten Lectures on Wavelets, Table 6.1) normalized to sum sqrt(2). Each
+# tap is the correctly rounded double of the spectral factorization, which
+# tests/test_dwt.py carries out in extended precision and compares bit for bit.
+_LOWPASS = {
+    1: (0.7071067811865476, 0.7071067811865476),
+    2: (0.48296291314453416, 0.8365163037378079, 0.2241438680420134,
+        -0.12940952255126037),
+    3: (0.33267055295008263, 0.8068915093110925, 0.45987750211849154,
+        -0.13501102001025458, -0.08544127388202666, 0.03522629188570953),
+    4: (0.2303778133088965, 0.7148465705529157, 0.6308807679298589,
+        -0.027983769416859854, -0.18703481171909309, 0.030841381835560764,
+        0.0328830116668852, -0.010597401785069032),
+    5: (0.16010239797419293, 0.6038292697971896, 0.7243085284377729,
+        0.13842814590132074, -0.24229488706638203, -0.032244869584638375,
+        0.07757149384004572, -0.006241490212798274, -0.012580751999081999,
+        0.0033357252854737712),
+    6: (0.11154074335010947, 0.49462389039845306, 0.7511339080210954,
+        0.31525035170919763, -0.22626469396543983, -0.12976686756726194,
+        0.09750160558732304, 0.027522865530305727, -0.03158203931748603,
+        0.0005538422011614961, 0.004777257510945511, -0.0010773010853084796),
+    7: (0.07785205408500918, 0.3965393194819173, 0.7291320908462351,
+        0.4697822874051931, -0.14390600392856498, -0.22403618499387498,
+        0.07130921926683026, 0.08061260915108308, -0.03802993693501441,
+        -0.01657454163066688, 0.01255099855609984, 0.0004295779729213665,
+        -0.0018016407040474908, 0.00035371379997452024),
+    8: (0.05441584224310401, 0.31287159091429995, 0.6756307362972898,
+        0.5853546836542067, -0.015829105256349306, -0.2840155429615469,
+        0.0004724845739132828, 0.12874742662047847, -0.017369301001807547,
+        -0.044088253930794755, 0.013981027917398282, 0.008746094047405777,
+        -0.004870352993451574, -0.00039174037337694705, 0.0006754494064505693,
+        -0.00011747678412476953),
+    9: (0.038077947363878345, 0.24383467461259034, 0.6048231236901112,
+        0.6572880780513005, 0.13319738582500756, -0.2932737832791749,
+        -0.09684078322297646, 0.14854074933810638, 0.03072568147933338,
+        -0.06763282906132997, 0.00025094711483145197, 0.022361662123679096,
+        -0.004723204757751397, -0.00428150368246343, 0.0018476468830562265,
+        0.00023038576352319597, -0.0002519631889427101, 3.93473203162716e-05),
+    10: (0.026670057900555554, 0.1881768000776915, 0.5272011889317256,
+         0.6884590394536035, 0.2811723436605775, -0.24984642432731538,
+         -0.19594627437737705, 0.12736934033579325, 0.09305736460357235,
+         -0.07139414716639708, -0.029457536821875813, 0.033212674059341,
+         0.0036065535669561697, -0.010733175483330575, 0.001395351747052901,
+         0.001992405295185056, -0.0006858566949597116, -0.00011646685512928545,
+         9.358867032006959e-05, -1.3264202894521244e-05),
+}
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,7 @@ def _validated_filter(order: int) -> DaubechiesFilter:
 
     The taps are made read-only because every caller shares the result.
     """
-    h = np.array(_lowpass_taps(order))
+    h = np.array(_LOWPASS[order])
     g = ((-1.0) ** np.arange(2 * order)) * h[::-1]
     filt = DaubechiesFilter(order, h, g)
     filt.validate()

@@ -127,11 +127,14 @@ def generate_test_function(
 
 
 def noise_rng(seed) -> np.random.Generator:
-    """Philox generator for a seed key (an int or a tuple of ints)."""
+    """Philox generator for a seed key (an int or a tuple of ints), each
+    entry >= 0."""
     if isinstance(seed, (int, np.integer)):
         key = (int(seed),)
     else:
         key = tuple(int(s) for s in seed)
+    if any(k < 0 for k in key):
+        raise DomainError(f"seed entries must be >= 0, got {key}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 

@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dwt import WaveletPyramid, dwt_forward, dwt_inverse, make_daubechies_filter
+from .dwt import (
+    MAX_ORDER,
+    WaveletPyramid,
+    dwt_forward,
+    dwt_inverse,
+    make_daubechies_filter,
+)
 from .elicitation import (
     ElicitationConfig,
     SigmaEstimator,
@@ -148,12 +154,14 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
     coefficient or rate, or an overflow while eliciting or applying the
     rule, raises NumericError.
 
-    Each level is shrunk in its view of the coefficient array. The pyramid
-    may hold one signal (coefficients of shape (n,)) or a stack of R
-    signals (shape (R, n)). Each row of a stack is elicited and shrunk on
-    its own, bit for bit as it would be alone; its noise-scale estimate,
-    slab supports and rate or universal threshold are then arrays of R
-    values, while the spike weights and a fixed threshold stay numbers.
+    The mixture rule shrinks each level in its view of the coefficient
+    array; the thresholds, which act element by element, shrink the whole
+    detail span in one call. The pyramid may hold one signal (coefficients
+    of shape (n,)) or a stack of R signals (shape (R, n)). Each row of a
+    stack is elicited and shrunk on its own, bit for bit as it would be
+    alone; its noise-scale estimate, slab supports and rate or universal
+    threshold are then arrays of R values, while the spike weights and a
+    fixed threshold stay numbers.
     The mixture rule gets one MixturePriorParams per level, whose slab
     support and rate lambda * sigma_hat^2 (both in units of sigma_hat) are
     columns of R values for a stack.
@@ -181,8 +189,8 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
             """Per-row values as a column that broadcasts against the blocks."""
             return values[:, None] if stacked else values
 
-        sigma_col = column(sigma_hat)
         if rule.kind == "esr":
+            sigma_col = column(sigma_hat)
             lam = lambda_from_s(sigma_hat, cfg.c, cfg.tau)
             # c / tau overflows to inf in float arithmetic without raising;
             # an overflow of lambda * sigma_hat^2 raises below
@@ -190,6 +198,10 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
                 raise NumericError(f"lambda overflows at sigma_hat={sigma_hat!r}")
             diagnostics["lambda"] = lam
             unit_lam_col = column(lam * np.square(sigma_hat))
+            for level, block in zip(levels, details.values()):
+                params = MixturePriorParams(level["alpha"], column(level["beta"]) / sigma_col,
+                                            unit_lam_col)
+                np.multiply(sigma_col, esr(block / sigma_col, params), out=block)
         else:
             eta = rule.threshold
             if eta is None:
@@ -198,13 +210,8 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
             if np.ndim(eta):
                 eta = column(eta)
             threshold = hard_threshold if rule.kind == "hard" else soft_threshold
-        for level, block in zip(levels, details.values()):
-            if rule.kind == "esr":
-                params = MixturePriorParams(level["alpha"], column(level["beta"]) / sigma_col,
-                                            unit_lam_col)
-                np.multiply(sigma_col, esr(block / sigma_col, params), out=block)
-            else:
-                block[...] = threshold(block, eta)
+            span = coeffs[..., 2**pyramid.coarse_level:]
+            span[...] = threshold(span, eta)
     return diagnostics
 
 
@@ -291,6 +298,16 @@ class StudyConfig:
         for n in self.sizes:
             if n < 4 or n & (n - 1):
                 raise ConfigError(f"size {n} is not a power of two >= 4")
+        depth = min(self.sizes).bit_length() - 1
+        if self.elicitation.coarse_level >= depth:
+            raise ConfigError(
+                f"coarse level (j0) {self.elicitation.coarse_level} must be below "
+                f"log2 of the smallest size, {depth}")
+        if not 1 <= self.wavelet_order <= MAX_ORDER:
+            raise ConfigError(
+                f"wavelet_order must be in 1..{MAX_ORDER}, got {self.wavelet_order}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.snrs or not all(0.0 < s < math.inf for s in self.snrs):
             raise ConfigError(f"snrs must be positive and finite, got {self.snrs}")
         if not 0.0 < self.target_sd < math.inf:

@@ -34,7 +34,10 @@ def soft_threshold(d, eta: float):
     """Shrink magnitudes by eta, clipping at zero; continuous in d."""
     eta = _check_eta(eta)
     d = np.asarray(d, dtype=float)
-    out = np.sign(d) * np.maximum(np.abs(d) - eta, 0.0)
+    out = np.maximum(np.abs(d) - eta, 0.0)
+    # in place: on a whole detail span, one full-size temporary fewer keeps
+    # the allocator from handing the memory back and faulting it in again
+    out *= np.sign(d)
     return out if out.ndim else float(out)
 
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -158,6 +159,17 @@ class TestGenerate:
         ])
         assert result.exit_code == 4
         assert f"{name} must be positive and finite, got inf" in result.output
+        assert not out.exists()
+
+    def test_negative_seed_domain_code(self, runner, tmp_path):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, [
+            "generate", "--kind", "bumps", "--n", "64", "--snr", "1",
+            "--seed", "-1", "--out", str(out),
+        ])
+        assert result.exit_code == 4
+        assert isinstance(result.exception, SystemExit)
+        assert "seed entries must be >= 0" in result.output
         assert not out.exists()
 
 
@@ -721,6 +733,28 @@ class TestStudyCommand:
         assert result.exit_code == 3
         assert "must be positive and finite" in result.output
 
+    @pytest.mark.parametrize("line,key", [("wavelet_order = 11", "wavelet_order"),
+                                          ("j0 = 6", "j0"),
+                                          ("seed = -5", "seed")])
+    def test_out_of_range_setting_config_code(self, runner, tmp_path, line, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("functions = bumps\nsizes = 64\nsnrs = 1\n"
+                       f"replications = 1\nrules = esr\n{line}\n")
+        result = runner.invoke(main, [
+            "study", str(cfg), "--out-dir", str(tmp_path / "res"),
+        ])
+        assert result.exit_code == 3, result.output
+        assert key in result.output
+        assert not (tmp_path / "res").exists()
+
+    def test_negative_seed_override_config_code(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "study", "--preset", "smoke", "--seed", "-1",
+            "--out-dir", str(tmp_path / "res"),
+        ])
+        assert result.exit_code == 3, result.output
+        assert "seed must be >= 0" in result.output
+
     def test_console_prints_short_amse_matching_report(self, runner, tmp_path):
         cfg = tmp_path / "big.cfg"
         cfg.write_text("functions = bumps\nsizes = 64\nsnrs = 1\n"
@@ -765,18 +799,19 @@ class TestStudyCommand:
 
 
 def test_cli_import_and_denoise_load_neither_scipy_nor_mpmath():
-    """Importing the CLI loads neither scipy nor mpmath, and a denoise, which
-    builds a filter with mpmath, still loads no scipy: both stay off the
-    cold-start path."""
+    """Neither scipy nor mpmath is loaded by importing the CLI, by building
+    every filter or by a denoise: both stay off the cold-start path."""
     code = (
         "import sys\n"
+        "heavy = lambda: [m for m in ('scipy', 'mpmath') if m in sys.modules]\n"
         "import epashrink.cli\n"
-        "heavy = [m for m in ('scipy', 'mpmath') if m in sys.modules]\n"
-        "assert not heavy, heavy\n"
+        "assert not heavy(), heavy()\n"
         "import numpy as np\n"
-        "from epashrink import RuleSpec, Signal, denoise\n"
+        "from epashrink import RuleSpec, Signal, denoise, make_daubechies_filter\n"
+        "for order in range(1, 11):\n"
+        "    make_daubechies_filter(order)\n"
         "denoise(Signal(np.random.default_rng(0).standard_normal(64)), RuleSpec('esr'))\n"
-        "assert 'scipy' not in sys.modules\n"
+        "assert not heavy(), heavy()\n"
     )
     src = str(Path(epashrink.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -784,3 +819,33 @@ def test_cli_import_and_denoise_load_neither_scipy_nor_mpmath():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_package_imports_only_stdlib_numpy_and_click():
+    """Every import in the package, at module level or inside a function,
+    is of the standard library, numpy or click, apart from the lazy
+    scipy.integrate import of the quadrature oracle."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "click"}
+    exceptions = {("_quad_checked", "scipy.integrate")}
+    found = []
+
+    def walk(node, path, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, path, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [f"{child.module}.{alias.name}" for alias in child.names]
+            else:
+                names = []
+            for name in names:
+                if name.split(".")[0] not in allowed and (func, name) not in exceptions:
+                    found.append(f"{path.name}:{child.lineno} {name} in {func}")
+            walk(child, path, func)
+
+    package = Path(epashrink.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        walk(ast.parse(path.read_text()), path, "<module>")
+    assert not found, found

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,8 @@ from epashrink import (
 )
 from epashrink.dwt import (
     _BLOCK,
+    _LOWPASS,
+    MAX_ORDER,
     WaveletPyramid,
     _analysis_step,
     _step_matrix,
@@ -27,6 +30,49 @@ from epashrink.dwt import (
 # published extremal-phase taps for two vanishing moments
 DB2 = np.array([0.4829629131445341, 0.8365163037378079,
                 0.2241438680420134, -0.1294095225512604])
+
+
+def _lowpass_taps(order: int) -> tuple[float, ...]:
+    """Extremal-phase Daubechies lowpass taps (2*order of them) as floats.
+
+    Spectral factorization: the roots of the degree-(order-1) binomial
+    polynomial P(y) = sum_k C(order-1+k, k) y^k are mapped to the z-plane
+    through y = -(z-1)^2/(4z); keeping the z-root inside the unit circle of
+    each pair gives the minimum-phase factor. Everything runs at 60 decimal
+    digits so the only error left in the result is the final rounding to
+    binary64. This is the oracle for the tap table in epashrink.dwt.
+    """
+    with mp.workdps(60):
+        if order == 1:
+            taps = [mp.mpf(1), mp.mpf(1)]
+        else:
+            pcoeffs = [mp.binomial(order - 1 + k, k) for k in range(order)]
+            yroots = mp.polyroots(list(reversed(pcoeffs)), maxsteps=500, extraprec=200)
+            zroots = []
+            for y in yroots:
+                b = 1 - 2 * y
+                s = mp.sqrt(b * b - 1)
+                zroots.append(b + s if abs(b + s) < 1 else b - s)
+            # expand prod_j (z - z_j), ascending powers
+            poly = [mp.mpc(1)]
+            for zr in zroots:
+                nxt = [mp.mpc(0)] * (len(poly) + 1)
+                for i, c in enumerate(poly):
+                    nxt[i] -= c * zr
+                    nxt[i + 1] += c
+                poly = nxt
+            # multiply by (1 + z)^order
+            binom = [mp.binomial(order, k) for k in range(order + 1)]
+            taps = [mp.mpc(0)] * (len(poly) + order)
+            for i, c in enumerate(poly):
+                for k, b in enumerate(binom):
+                    taps[i + k] += c * b
+            taps = [mp.re(c) for c in taps]
+        total = sum(taps)
+        taps = [c * mp.sqrt(2) / total for c in taps]
+        # ascending-power coefficients come out time-reversed relative to the
+        # conventional extremal-phase tables (energy front-loaded)
+        return tuple(float(c) for c in reversed(taps))
 
 
 def _analysis_oracle(a, lo, hi):
@@ -55,6 +101,14 @@ def test_haar_taps():
 def test_db2_taps_match_published_table():
     f = make_daubechies_filter(2)
     assert np.allclose(f.lowpass, DB2, atol=1e-10)
+
+
+def test_tap_table_matches_spectral_factorization_bit_for_bit():
+    assert sorted(_LOWPASS) == list(range(1, MAX_ORDER + 1))
+    for order in _LOWPASS:
+        oracle = np.array(_lowpass_taps(order))
+        assert np.array_equal(np.array(_LOWPASS[order]), oracle), order
+        assert np.array_equal(make_daubechies_filter(order).lowpass, oracle), order
 
 
 @pytest.mark.parametrize("order", range(1, 11))

@@ -115,6 +115,11 @@ class TestNoise:
         b = add_noise(truth, 1.0, seed=(7, 1))
         assert np.max(np.abs(a.samples - b.samples)) > 0
 
+    @pytest.mark.parametrize("seed", [-1, (7, -1), np.int64(-3)])
+    def test_negative_seed_entry_rejected(self, seed):
+        with pytest.raises(DomainError, match="seed entries must be >= 0"):
+            noise_rng(seed)
+
     def test_noise_is_serially_uncorrelated(self):
         truth = generate_test_function("heavisine", 2048, 7.0)
         noisy = add_noise(truth, snr=1.0, seed=313)
