@@ -27,12 +27,8 @@ from .shrinkage import (
     Gaussian,
     MixturePriorParams,
     RuleStatistics,
-    delta_slab,
-    double_exp_pdf,
-    epanechnikov_pdf,
     esr,
     marginal_m,
-    posterior_mean_oracle,
     rule_statistics,
 )
 from .signals import Signal, TestFunctionKind, add_noise, generate_test_function
@@ -76,12 +72,9 @@ __all__ = [
     "alpha_level",
     "benchmark_elicitation",
     "beta_level",
-    "delta_slab",
     "denoise",
-    "double_exp_pdf",
     "dwt_forward",
     "dwt_inverse",
-    "epanechnikov_pdf",
     "esr",
     "estimate_sigma",
     "generate_test_function",
@@ -90,7 +83,6 @@ __all__ = [
     "make_daubechies_filter",
     "marginal_m",
     "mse",
-    "posterior_mean_oracle",
     "rule_statistics",
     "run_study",
     "shrink_pyramid",

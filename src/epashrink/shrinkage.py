@@ -34,11 +34,9 @@ forms are computed from them with numpy ufuncs, and one parameter set is
 the 0-d case of the same code. Each row of a stack therefore comes out
 bit for bit as it would with its parameters alone.
 
-An independent quadrature oracle (direct adaptive integration of the
-posterior-mean ratio) is provided for verification and never shares code
-with the closed form; it imports scipy.integrate on its first call, so
-importing the module loads no scipy at all. scipy is not a runtime
-dependency: the oracle needs the ``test`` extra.
+The tests check the closed form against an independent quadrature
+oracle (direct adaptive integration of the posterior-mean ratio, in
+tests/oracles.py) that shares no code with it.
 
 The rule's frequentist properties (squared bias, variance, risk under a
 double-exponential or Gaussian noise model) are exact plateau tail terms
@@ -55,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError, NumericError, numeric_guard
+from .errors import DomainError, InputError, numeric_guard
 
 log = logging.getLogger(__name__)
 
@@ -64,12 +62,8 @@ __all__ = [
     "DoubleExponential",
     "Gaussian",
     "RuleStatistics",
-    "epanechnikov_pdf",
-    "double_exp_pdf",
     "marginal_m",
-    "delta_slab",
     "esr",
-    "posterior_mean_oracle",
     "rule_statistics",
 ]
 
@@ -114,27 +108,6 @@ class MixturePriorParams:
     def noise_scale(self) -> float:
         """Scale 1/sqrt(2 lam) of the marginalized likelihood."""
         return 1.0 / _rate(self.lam)
-
-
-def epanechnikov_pdf(theta, beta: float):
-    """Slab density 3/(4 beta^3) (beta^2 - theta^2) on (-beta, beta)."""
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    theta = np.asarray(theta, dtype=float)
-    out = np.where(
-        np.abs(theta) < beta, 3.0 / (4.0 * beta**3) * (beta**2 - theta**2), 0.0
-    )
-    return out if out.ndim else float(out)
-
-
-def double_exp_pdf(d, theta, lam: float):
-    """Double-exponential density of d with mean theta, scale 1/sqrt(2 lam)."""
-    if not lam > 0.0:
-        raise DomainError(f"lambda must be positive, got {lam}")
-    a = _rate(lam)
-    d = np.asarray(d, dtype=float)
-    out = 0.5 * a * np.exp(-a * np.abs(d - theta))
-    return out if out.ndim else float(out)
 
 
 def _check_finite(d: np.ndarray) -> None:
@@ -269,21 +242,6 @@ def marginal_m(d, params: MixturePriorParams):
     return out if out.ndim else float(out)
 
 
-def delta_slab(d, params: MixturePriorParams):
-    """Posterior mean of theta given d under the slab alone.
-
-    Antisymmetric in d and bounded strictly inside (-beta, beta); constant
-    past the support since the posterior no longer depends on d there.
-    A floating-point failure raises NumericError.
-    """
-    arr = np.asarray(d, dtype=float)
-    _check_finite(arr)
-    with numeric_guard("slab posterior mean"):
-        i1, i2, _ = _slab_parts(np.abs(arr), params.beta, params.lam, _rate(params.lam))
-        out = np.sign(arr) * i2 / np.maximum(i1, _TINY)
-    return out if out.ndim else float(out)
-
-
 def esr(d, params: MixturePriorParams):
     """Posterior-mean shrinkage rule under the full spike-and-slab mixture.
 
@@ -326,65 +284,6 @@ def esr(d, params: MixturePriorParams):
 
 
 # ---------------------------------------------------------------------------
-# quadrature oracle
-
-_QUAD_KW = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
-
-
-def _quad_checked(func, lo, hi, breakpoints=(), what="integral"):
-    """Adaptive quadrature with the kink locations handed to the subdivider.
-
-    scipy.integrate is imported on first use, so importing the package does
-    not pay for it.
-    """
-    from scipy import integrate
-
-    pts = sorted(p for p in breakpoints if lo < p < hi) or None
-    try:
-        value, abserr = integrate.quad(func, lo, hi, points=pts, **_QUAD_KW)
-    except Exception as exc:  # pragma: no cover - quadpack failure paths
-        raise NumericError(f"quadrature failed for {what}: {exc}") from exc
-    if not math.isfinite(value) or abserr > 1e-6 * max(1.0, abs(value)):
-        raise NumericError(
-            f"quadrature did not converge for {what}: value={value}, abserr={abserr}"
-        )
-    return value
-
-
-def posterior_mean_oracle(d: float, params: MixturePriorParams) -> float:
-    """Posterior mean by direct numerical integration; verification oracle.
-
-    Integrates theta * g(theta) * L(d|theta) and g(theta) * L(d|theta)
-    over the slab support with the integration split at the likelihood kink
-    theta = d, then mixes in the spike mass at zero. Absolute accuracy is
-    well below 1e-9 for the parameter ranges used in the test grids.
-    It needs scipy, which comes with the ``test`` extra.
-    """
-    d = float(d)
-    if not math.isfinite(d):
-        raise InputError("d must be finite")
-    alpha, beta, lam = params.alpha, params.beta, params.lam
-    a = math.sqrt(2.0 * lam)
-
-    def lik(theta):
-        return 0.5 * a * np.exp(-a * abs(d - theta))
-
-    def slab(theta):
-        return 3.0 / (4.0 * beta**3) * (beta**2 - theta**2)
-
-    num = _quad_checked(
-        lambda t: t * slab(t) * lik(t), -beta, beta, (d,), what=f"oracle numerator d={d}"
-    )
-    den_slab = _quad_checked(
-        lambda t: slab(t) * lik(t), -beta, beta, (d,), what=f"oracle denominator d={d}"
-    )
-    den = alpha * lik(0.0) + (1.0 - alpha) * den_slab
-    if den <= 0.0:
-        raise NumericError(f"oracle denominator non-positive at d={d}")
-    return (1.0 - alpha) * num / den
-
-
-# ---------------------------------------------------------------------------
 # frequentist properties of the rule
 
 @dataclass(frozen=True)
@@ -404,7 +303,9 @@ class DoubleExponential:
         return 1.0 / _rate(self.lam)
 
     def pdf(self, d, theta: float):
-        return double_exp_pdf(d, theta, self.lam)
+        a = _rate(self.lam)
+        out = 0.5 * a * np.exp(-a * np.abs(np.asarray(d, dtype=float) - theta))
+        return out if out.ndim else float(out)
 
     def sf(self, x: float, theta: float) -> float:
         """P(d > x | theta)."""

@@ -69,8 +69,9 @@ class Signal:
         return self.samples.size
 
     def sd(self) -> float:
-        """Population standard deviation of the samples."""
-        return float(np.std(self.samples))
+        """Population standard deviation of the samples, at any scale (see
+        scaled_std)."""
+        return scaled_std(self.samples)
 
 
 class TestFunctionKind(str, enum.Enum):
@@ -138,19 +139,30 @@ def noise_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
+# below this SD np.std's squared deviations may round in the subnormal
+# range, by up to 2^-1075 each; from it up, that is under 2^-170 of the
+# variance
+_SD_FLOOR = 2.0 ** -450
+
+
 def scaled_std(values: np.ndarray, ddof: int = 0, axis: int | None = None):
     """np.std of the values along axis (all of them by default); where
-    their squares overflow or underflow, the same taken of the values
-    divided by their peak, times the peak. A number for axis=None, else
-    an array with one value per slice."""
+    that SD is zero, below 2^-450 or not finite, so their squares may have
+    underflowed or overflowed, the same taken of the values scaled by the
+    power of two at their peak, then scaled back. Scaling by a power of
+    two is exact, so that path gives the SD np.std would give with an
+    unbounded exponent. A number for axis=None, else an array with one
+    value per slice."""
     values = np.asarray(values, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         sd = np.std(values, axis=axis, ddof=ddof)
-    bad = ~((0.0 < sd) & (sd < math.inf))
+    bad = ~((_SD_FLOOR <= sd) & (sd < math.inf))
     if np.any(bad):
-        peak = np.max(np.abs(values), axis=axis, keepdims=True)
-        peak = np.where(peak == 0.0, 1.0, peak)  # an all-zero slice has sd 0
-        rescaled = np.squeeze(peak, axis) * np.std(values / peak, axis=axis, ddof=ddof)
+        # an all-zero slice has exponent 0 and sd 0
+        _, exponent = np.frexp(np.max(np.abs(values), axis=axis, keepdims=True))
+        with np.errstate(over="ignore"):
+            rescaled = np.ldexp(np.std(np.ldexp(values, -exponent), axis=axis, ddof=ddof),
+                                np.squeeze(exponent, axis))
         sd = np.where(bad, rescaled, sd)
     return sd if sd.ndim else float(sd)
 

@@ -31,10 +31,10 @@ from epashrink import (
     marginal_m,
     mse,
     alpha_level,
-    posterior_mean_oracle,
     rule_statistics,
     run_study,
 )
+from oracles import posterior_mean_oracle
 
 SEED = 20250810
 
@@ -149,7 +149,7 @@ def test_criterion_3_dwt_exactness():
     worst_pv = 0.0
     filters_ok = True
     for order in range(1, 11):
-        filt = make_daubechies_filter(order)  # validates its invariants
+        filt = make_daubechies_filter(order)
         h = filt.lowpass
         if abs(h.sum() - math.sqrt(2)) > 1e-12 or abs(h @ h - 1.0) > 1e-12:
             filters_ok = False

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import math
 import os
@@ -823,10 +824,8 @@ def test_cli_import_and_denoise_load_neither_scipy_nor_mpmath():
 
 def test_package_imports_only_stdlib_numpy_and_click():
     """Every import in the package, at module level or inside a function,
-    is of the standard library, numpy or click, apart from the lazy
-    scipy.integrate import of the quadrature oracle."""
+    is of the standard library, numpy or click."""
     allowed = set(sys.stdlib_module_names) | {"numpy", "click"}
-    exceptions = {("_quad_checked", "scipy.integrate")}
     found = []
 
     def walk(node, path, func):
@@ -841,7 +840,7 @@ def test_package_imports_only_stdlib_numpy_and_click():
             else:
                 names = []
             for name in names:
-                if name.split(".")[0] not in allowed and (func, name) not in exceptions:
+                if name.split(".")[0] not in allowed:
                     found.append(f"{path.name}:{child.lineno} {name} in {func}")
             walk(child, path, func)
 
@@ -849,3 +848,15 @@ def test_package_imports_only_stdlib_numpy_and_click():
     for path in sorted(package.glob("*.py")):
         walk(ast.parse(path.read_text()), path, "<module>")
     assert not found, found
+
+
+def test_every_exported_name_resolves():
+    """Each name in the package's __all__ and in every submodule's __all__
+    is an attribute of its module, so a removal leaves no stale export."""
+    package = Path(epashrink.__file__).resolve().parent
+    modules = [epashrink] + [importlib.import_module(f"epashrink.{path.stem}")
+                             for path in sorted(package.glob("*.py"))
+                             if path.stem != "__init__"]
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing, missing

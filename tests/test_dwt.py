@@ -134,7 +134,8 @@ def test_filter_invariants(order):
 
 def test_moment_check_discriminates():
     # order-9 highpass must NOT annihilate the 9th moment: its normalized
-    # residual sits orders of magnitude above the 1e-8 validation threshold
+    # residual sits orders of magnitude above the 1e-8 moment bound of
+    # test_filter_invariants
     f = make_daubechies_filter(9)
     k = np.arange(18, dtype=float)
     num = abs(np.dot(k**9, f.highpass))

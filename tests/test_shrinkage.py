@@ -21,14 +21,11 @@ from epashrink import (
     InputError,
     MixturePriorParams,
     NumericError,
-    delta_slab,
-    double_exp_pdf,
-    epanechnikov_pdf,
     esr,
     marginal_m,
-    posterior_mean_oracle,
     rule_statistics,
 )
+from oracles import delta_slab, epanechnikov_pdf, posterior_mean_oracle
 
 PARAMS = MixturePriorParams(alpha=0.95, beta=6.0, lam=3.0)
 
@@ -64,22 +61,22 @@ class TestPriorDensities:
 
     def test_double_exp_at_zero(self):
         # lam = 0.5 -> scale 1, density 1/2 at the mode
-        assert double_exp_pdf(0.0, 0.0, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert DoubleExponential(0.5).pdf(0.0, 0.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_double_exp_mode_value(self):
         for lam in (0.25, 1.0, 4.0):
-            assert double_exp_pdf(1.3, 1.3, lam) == pytest.approx(
+            assert DoubleExponential(lam).pdf(1.3, 1.3) == pytest.approx(
                 math.sqrt(2 * lam) / 2, abs=1e-14
             )
 
     def test_double_exp_integrates_to_one(self):
-        val = quad(lambda d: double_exp_pdf(d, 0.7, 2.0), -np.inf, np.inf,
+        val = quad(lambda d: DoubleExponential(2.0).pdf(d, 0.7), -np.inf, np.inf,
                    points=None, limit=200)[0]
         assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_double_exp_bad_lambda(self):
         with pytest.raises(DomainError):
-            double_exp_pdf(0.0, 0.0, -1.0)
+            DoubleExponential(-1.0)
 
 
 class TestParams:
@@ -424,19 +421,16 @@ class TestRuleStatisticsExtremeScales:
 
 
 def test_cli_import_leaves_quadrature_and_stats_unloaded():
-    """Importing the CLI loads neither scipy.stats nor scipy.integrate; the
-    quadrature oracle loads scipy.integrate on its first call and still
-    matches the closed form."""
+    """Importing the CLI loads neither scipy.stats nor scipy.integrate, and
+    the quadrature oracle matches the closed form."""
+    p = MixturePriorParams(0.95, 6.0, 3.0)
+    for d in (-7.0, -2.5, 0.3, 3.0, 6.0, 9.0):
+        assert abs(posterior_mean_oracle(d, p) - esr(d, p)) < 1e-9, d
     code = (
         "import sys\n"
         "import epashrink.cli\n"
         "heavy = [m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules]\n"
         "assert not heavy, heavy\n"
-        "from epashrink import MixturePriorParams, esr, posterior_mean_oracle\n"
-        "p = MixturePriorParams(0.95, 6.0, 3.0)\n"
-        "for d in (-7.0, -2.5, 0.3, 3.0, 6.0, 9.0):\n"
-        "    assert abs(posterior_mean_oracle(d, p) - esr(d, p)) < 1e-9, d\n"
-        "assert 'scipy.integrate' in sys.modules\n"
     )
     src = str(Path(epashrink.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

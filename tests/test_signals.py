@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from epashrink import (
     DomainError,
@@ -13,7 +16,7 @@ from epashrink import (
     add_noise,
     generate_test_function,
 )
-from epashrink.signals import noise_rng
+from epashrink.signals import noise_rng, scaled_std
 
 
 class TestSignalContainer:
@@ -41,6 +44,29 @@ class TestSignalContainer:
     def test_sd(self):
         s = Signal(samples=np.array([1.0, -1.0, 1.0, -1.0]))
         assert s.sd() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-155, 1e-158, 1e-160, 1e-161])
+    def test_sd_at_extreme_scales(self, scale):
+        # squares of the samples overflow at 1e200 and turn subnormal below
+        # about 1e-154; neither may warn or cost accuracy
+        y = np.random.default_rng(1).standard_normal(64)
+        assert Signal(scale * y).sd() / scale == pytest.approx(np.std(y), rel=1e-14)
+
+
+class TestScaledStd:
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(float, st.tuples(st.integers(1, 4), st.integers(2, 32)), elements=st.one_of(
+        st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))),
+        st.integers(-1000, 1000), st.sampled_from([0, 1]))
+    def test_scale_equivariant_by_powers_of_two(self, x, k, ddof):
+        # 2**k * x is exact and holds no subnormal value
+        scale = 2.0**k
+        for axis in (None, -1):
+            plain = scaled_std(x, ddof, axis)
+            np.testing.assert_allclose(scaled_std(scale * x, ddof, axis), scale * plain,
+                                       rtol=1e-14, atol=0)
+            # at unit scale the value is np.std's, bit for bit
+            assert np.array_equal(plain, np.std(x, axis=axis, ddof=ddof))
 
 
 class TestGenerators:
