@@ -199,15 +199,14 @@ def parse_study_config(text: str, source: str = "<config>") -> StudyConfig:
         raise ConfigError(f"{source}: bad numeric value: {exc}") from None
     rules = tuple(RuleSpec.parse(v) for v in split("rules"))
 
-    defaults = ElicitationConfig()
     try:
         elicitation = ElicitationConfig(
-            gamma=float(raw.get("gamma", defaults.gamma)),
-            l=float(raw.get("l", defaults.l)),
-            c=float(raw.get("c", defaults.c)),
-            tau=float(raw.get("tau", defaults.tau)),
-            sigma_estimator=SigmaEstimator(raw.get("sigma", defaults.sigma_estimator)),
-            coarse_level=int(raw.get("j0", defaults.coarse_level)),
+            gamma=float(raw.get("gamma", _ELICITATION.gamma)),
+            l=float(raw.get("l", _ELICITATION.l)),
+            c=float(raw.get("c", _ELICITATION.c)),
+            tau=float(raw.get("tau", _ELICITATION.tau)),
+            sigma_estimator=SigmaEstimator(raw.get("sigma", _ELICITATION.sigma_estimator)),
+            coarse_level=int(raw.get("j0", _ELICITATION.coarse_level)),
         )
         return StudyConfig(
             functions=functions,
@@ -234,12 +233,9 @@ def _translate_errors(func):
         try:
             return func(*args, **kwargs)
         except EpashrinkError as exc:
-            for cls, code in EXIT_CODES.items():
-                if isinstance(exc, cls):
-                    click.echo(f"error: {exc}", err=True)
-                    sys.exit(code)
             click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
+            sys.exit(next((code for cls, code in EXIT_CODES.items()
+                           if isinstance(exc, cls)), 1))
 
     return wrapper
 
@@ -297,13 +293,10 @@ def _shared_rule_options(func):
 
 
 @click.group()
-@click.option("-v", "--verbose", is_flag=True, help="Enable debug logging.")
-def main(verbose):
+def main():
     """Wavelet denoising with a bounded-support spike-and-slab rule."""
-    logging.basicConfig(
-        level=logging.DEBUG if verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(level=logging.WARNING,
+                        format="%(levelname)s %(name)s: %(message)s")
 
 
 @main.command("denoise")
@@ -359,13 +352,11 @@ def cmd_coeffs(input_path, rule, threshold, gamma, l, c, tau, j0, sigma,
     out = denoise(Signal(dyadic), spec, cfg, wavelet_order)
 
     def rows(pyramid):
-        coarse = pyramid.coarse_level
-        for i, value in enumerate(np.abs(pyramid.coeffs).tolist()):
-            if i < 2**coarse:
-                yield ("scaling", coarse, i, value)
-            else:
-                j = i.bit_length() - 1
-                yield ("detail", j, i - 2**j, value)
+        blocks = [("scaling", pyramid.coarse_level, pyramid.scaling)]
+        blocks += [("detail", j, block) for j, block in pyramid.details.items()]
+        for name, level, block in blocks:
+            for position, value in enumerate(np.abs(block).tolist()):
+                yield (name, level, position, value)
 
     header = ["block", "level", "position", "magnitude"]
     emp_path = Path(f"{out_prefix}.empirical.csv")
@@ -420,8 +411,7 @@ def cmd_rule_curve(alphas, beta, lams, d_min, d_max, points, eta, out_path):
     grid = _grid("d", -2.5 * beta if d_min is None else d_min,
                  2.5 * beta if d_max is None else d_max, points)
     header = ["d"] + [f"esr_{label}" if label else "esr" for label, _ in curves]
-    with numeric_guard("rule curve"):
-        columns = [grid] + [esr(grid, params) for _, params in curves]
+    columns = [grid] + [esr(grid, params) for _, params in curves]
     if eta is not None:
         header += ["hard", "soft"]
         columns += [hard_threshold(grid, eta), soft_threshold(grid, eta)]

@@ -8,6 +8,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+__all__ = ["EpashrinkError", "InputError", "ConfigError", "DomainError", "NumericError"]
+
 
 class EpashrinkError(Exception):
     """Base class for all package errors."""

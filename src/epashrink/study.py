@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -318,24 +318,9 @@ class StudyConfig:
             raise ConfigError("rules must not be empty")
 
     def to_dict(self) -> dict:
-        return {
-            "functions": [f.value for f in self.functions],
-            "sizes": list(self.sizes),
-            "snrs": list(self.snrs),
-            "replications": self.replications,
-            "rules": [r.label for r in self.rules],
-            "elicitation": {
-                "gamma": self.elicitation.gamma,
-                "l": self.elicitation.l,
-                "c": self.elicitation.c,
-                "tau": self.elicitation.tau,
-                "sigma_estimator": self.elicitation.sigma_estimator.value,
-                "coarse_level": self.elicitation.coarse_level,
-            },
-            "wavelet_order": self.wavelet_order,
-            "seed": self.seed,
-            "target_sd": self.target_sd,
-        }
+        """The fields in order, for json: enums dump as their string values,
+        rules as their labels."""
+        return {**asdict(self), "rules": [r.label for r in self.rules]}
 
 
 @dataclass
@@ -361,17 +346,7 @@ class CellResult:
     degenerate_sd: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "function": self.function.value,
-            "n": self.n,
-            "snr": self.snr,
-            "rule": self.rule,
-            "amse": self.amse,
-            "mse_sd": self.mse_sd,
-            "mse_samples": [float(v) for v in self.mse_samples],
-            "wall_time_s": self.wall_time_s,
-            "degenerate_sd": self.degenerate_sd,
-        }
+        return {**asdict(self), "mse_samples": [float(v) for v in self.mse_samples]}
 
 
 @dataclass
@@ -392,9 +367,11 @@ class StudyReport:
 
 
 def _noise_key(seed: int, function: TestFunctionKind, n: int, snr: float, rep: int):
-    # snr keyed at nanodigit resolution so equal floats map to equal streams
-    return (seed, _FUNCTION_ORDER.index(function), int(np.log2(n)),
-            int(round(snr * 1e9)), rep)
+    # snr keyed at nanodigit resolution so equal floats map to equal streams;
+    # where that overflows every double is a whole number, keyed exactly
+    scaled = float(snr) * 1e9
+    snr_key = int(round(scaled)) if math.isfinite(scaled) else int(snr) * 10**9
+    return (seed, _FUNCTION_ORDER.index(function), int(np.log2(n)), snr_key, rep)
 
 
 def _cell_error(function, n, snr, rep: int, rule: str | None,
@@ -499,56 +476,41 @@ def benchmark_elicitation() -> ElicitationConfig:
     )
 
 
-def _preset_smoke(seed: int) -> StudyConfig:
-    return StudyConfig(
+# the grid of each named study; every preset runs it under
+# benchmark_elicitation() and the default wavelet order and target SD
+STUDY_PRESETS = {
+    "smoke": dict(
         functions=(TestFunctionKind.HEAVISINE,),
         sizes=(512,),
         snrs=(1.0,),
         replications=1,
         rules=(RuleSpec("esr"),),
-        elicitation=benchmark_elicitation(),
-        seed=seed,
-    )
-
-
-def _preset_heavisine_desk(seed: int) -> StudyConfig:
-    return StudyConfig(
+    ),
+    "heavisine-desk": dict(
         functions=(TestFunctionKind.HEAVISINE,),
         sizes=(512, 1024, 2048),
         snrs=(1.0, 3.0),
         replications=100,
         rules=(RuleSpec("esr"), RuleSpec("soft")),
-        elicitation=benchmark_elicitation(),
-        seed=seed,
-    )
-
-
-def _preset_acceptance_desk(seed: int) -> StudyConfig:
-    return StudyConfig(
+    ),
+    "acceptance-desk": dict(
         functions=(TestFunctionKind.BUMPS, TestFunctionKind.BLOCKS,
                    TestFunctionKind.DOPPLER, TestFunctionKind.HEAVISINE),
         sizes=(512, 1024, 2048),
         snrs=(0.2, 1.0, 3.0),
         replications=100,
         rules=(RuleSpec("esr"), RuleSpec("soft")),
-        elicitation=benchmark_elicitation(),
-        seed=seed,
-    )
-
-
-STUDY_PRESETS = {
-    "smoke": _preset_smoke,
-    "heavisine-desk": _preset_heavisine_desk,
-    "acceptance-desk": _preset_acceptance_desk,
+    ),
 }
 
 
 def study_preset(name: str, seed: int = 20250810) -> StudyConfig:
-    """Named study configuration; see STUDY_PRESETS for the catalogue."""
+    """The study of a named grid in STUDY_PRESETS, run under
+    benchmark_elicitation() with the given seed."""
     try:
-        builder = STUDY_PRESETS[name]
+        grid = STUDY_PRESETS[name]
     except KeyError:
         raise ConfigError(
             f"unknown preset {name!r}; available: {sorted(STUDY_PRESETS)}"
         ) from None
-    return builder(seed)
+    return StudyConfig(**grid, elicitation=benchmark_elicitation(), seed=seed)

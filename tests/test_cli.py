@@ -714,6 +714,20 @@ class TestStudyCommand:
         assert result.exit_code == 5
         assert "cell (function=bumps, n=64, snr=1.0, rep=0) rule=" in result.output
 
+    def test_huge_snr_runs(self, runner, tmp_path):
+        """An SNR whose noise key at nanodigit resolution overflows a double
+        still gets a stream, and the study finishes."""
+        cfg = tmp_path / "snr.cfg"
+        cfg.write_text("functions = bumps\nsizes = 64\nsnrs = 1e300\n"
+                       "replications = 2\nrules = esr, soft, hard\n")
+        result = runner.invoke(main, [
+            "study", str(cfg), "--out-dir", str(tmp_path / "res"),
+        ])
+        assert result.exit_code == 0, result.output
+        cells = json.loads((tmp_path / "res" / "summary.json").read_text())["cells"]
+        assert [c["rule"] for c in cells] == ["esr", "soft-universal", "hard-universal"]
+        assert all(c["snr"] == 1e300 and math.isfinite(c["amse"]) for c in cells)
+
     def test_bad_config_exit_code(self, runner, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("functions = bumps\nnot_a_key = 1\n")
@@ -860,3 +874,39 @@ def test_every_exported_name_resolves():
     missing = [f"{module.__name__}.{name}" for module in modules
                for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing, missing
+
+
+# the package's __all__ before it was built from the submodules' lists
+_EXPORTED_NAMES = [
+    "CellResult", "ConfigError", "DaubechiesFilter", "Denoised", "DomainError",
+    "DoubleExponential", "ElicitationConfig", "EpashrinkError", "Gaussian",
+    "InputError", "MixturePriorParams", "NumericError", "RuleSpec",
+    "RuleStatistics", "SigmaEstimator", "Signal", "StudyConfig", "StudyReport",
+    "TestFunctionKind", "WaveletPyramid", "add_noise", "alpha_level",
+    "benchmark_elicitation", "beta_level", "denoise", "dwt_forward", "dwt_inverse",
+    "esr", "estimate_sigma", "generate_test_function", "hard_threshold",
+    "lambda_from_s", "make_daubechies_filter", "marginal_m", "mse",
+    "rule_statistics", "run_study", "shrink_pyramid", "soft_threshold",
+    "study_preset", "universal_threshold",
+]
+
+
+def test_package_exports_do_not_shrink():
+    """Every name the package exported stays exported, as the very object
+    of the one submodule whose __all__ lists it."""
+    modules = [importlib.import_module(f"epashrink.{name}") for name in (
+        "dwt", "elicitation", "errors", "shrinkage", "signals", "study", "thresholds")]
+    assert len(_EXPORTED_NAMES) == 41
+    assert set(_EXPORTED_NAMES) <= set(epashrink.__all__)
+    for name in _EXPORTED_NAMES:
+        [home] = [module for module in modules if name in module.__all__]
+        assert getattr(epashrink, name) is getattr(home, name)
+
+
+def test_errors_module_exports_its_exception_classes():
+    from epashrink import errors
+
+    assert sorted(errors.__all__) == ["ConfigError", "DomainError", "EpashrinkError",
+                                      "InputError", "NumericError"]
+    assert all(issubclass(getattr(errors, name), errors.EpashrinkError)
+               for name in errors.__all__)

@@ -348,6 +348,55 @@ class TestRunStudy:
         assert len(parsed["cells"]) == 1
         assert len(parsed["cells"][0]["mse_samples"]) == 2
 
+    def test_config_to_dict_schema(self):
+        """The config block of summary.json, key order included."""
+        import json
+
+        config = StudyConfig(
+            functions=(TestFunctionKind.BUMPS, TestFunctionKind.DOPPLER),
+            sizes=(64, 256),
+            snrs=(0.5, 3.0),
+            replications=2,
+            rules=(RuleSpec("esr"), RuleSpec("soft"), RuleSpec("hard", 2.0)),
+            elicitation=ElicitationConfig(gamma=2.0, l=1.0, c=0.5, tau=3.0,
+                                          sigma_estimator=SigmaEstimator.SAMPLE_SD,
+                                          coarse_level=1),
+            wavelet_order=6,
+            seed=12,
+            target_sd=5.0,
+        )
+        d = config.to_dict()
+        assert list(d) == ["functions", "sizes", "snrs", "replications", "rules",
+                           "elicitation", "wavelet_order", "seed", "target_sd"]
+        assert list(d["elicitation"]) == ["gamma", "l", "c", "tau",
+                                          "sigma_estimator", "coarse_level"]
+        assert json.loads(json.dumps(d)) == {
+            "functions": ["bumps", "doppler"],
+            "sizes": [64, 256],
+            "snrs": [0.5, 3.0],
+            "replications": 2,
+            "rules": ["esr", "soft-universal", "hard:2"],
+            "elicitation": {"gamma": 2.0, "l": 1.0, "c": 0.5, "tau": 3.0,
+                            "sigma_estimator": "sd", "coarse_level": 1},
+            "wavelet_order": 6,
+            "seed": 12,
+            "target_sd": 5.0,
+        }
+
+    def test_cell_to_dict_schema(self):
+        """The cell records of summary.json, key order included."""
+        import json
+
+        cell = run_study(_tiny_config((RuleSpec("esr"),), replications=2)).cells[0]
+        d = cell.to_dict()
+        assert list(d) == ["function", "n", "snr", "rule", "amse", "mse_sd",
+                           "mse_samples", "wall_time_s", "degenerate_sd"]
+        parsed = json.loads(json.dumps(d))
+        assert parsed["function"] == "heavisine"
+        assert (parsed["n"], parsed["snr"], parsed["rule"]) == (128, 1.0, "esr")
+        assert parsed["mse_samples"] == cell.mse_samples.tolist()
+        assert parsed["degenerate_sd"] is False
+
 
 class TestPresets:
     def test_known_presets(self):
@@ -357,6 +406,23 @@ class TestPresets:
         assert desk.seed == 5
         assert desk.replications == 100
         assert TestFunctionKind.HEAVISINE in desk.functions
+
+    @pytest.mark.parametrize("name,functions,sizes,snrs,replications,rules", [
+        ("smoke", ["heavisine"], (512,), (1.0,), 1, ["esr"]),
+        ("heavisine-desk", ["heavisine"], (512, 1024, 2048), (1.0, 3.0), 100,
+         ["esr", "soft-universal"]),
+        ("acceptance-desk", ["bumps", "blocks", "doppler", "heavisine"],
+         (512, 1024, 2048), (0.2, 1.0, 3.0), 100, ["esr", "soft-universal"]),
+    ])
+    def test_preset_grid(self, name, functions, sizes, snrs, replications, rules):
+        config = study_preset(name)
+        assert [f.value for f in config.functions] == functions
+        assert (config.sizes, config.snrs) == (sizes, snrs)
+        assert config.replications == replications
+        assert [r.label for r in config.rules] == rules
+        assert config.elicitation == benchmark_elicitation()
+        assert (config.wavelet_order, config.target_sd) == (10, 7.0)
+        assert config.seed == 20250810
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
