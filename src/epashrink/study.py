@@ -38,7 +38,7 @@ from .elicitation import (
     lambda_from_s,
 )
 from .errors import ConfigError, InputError, NumericError, numeric_guard
-from .shrinkage import MixturePriorParams, esr
+from .shrinkage import MixturePriorParams, _esr_levels
 from .signals import (
     Signal,
     TestFunctionKind,
@@ -154,17 +154,19 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
     coefficient or rate, or an overflow while eliciting or applying the
     rule, raises NumericError.
 
-    The mixture rule shrinks each level in its view of the coefficient
-    array; the thresholds, which act element by element, shrink the whole
-    detail span in one call. The pyramid may hold one signal (coefficients
-    of shape (n,)) or a stack of R signals (shape (R, n)). Each row of a
+    The thresholds, which act element by element, shrink the whole detail
+    span in one call. The pyramid may hold one signal (coefficients of
+    shape (n,)) or a stack of R signals (shape (R, n)). Each row of a
     stack is elicited and shrunk on its own, bit for bit as it would be
     alone; its noise-scale estimate, slab supports and rate or universal
     threshold are then arrays of R values, while the spike weights and a
     fixed threshold stay numbers.
-    The mixture rule gets one MixturePriorParams per level, whose slab
-    support and rate lambda * sigma_hat^2 (both in units of sigma_hat) are
-    columns of R values for a stack.
+    The mixture rule gets one MixturePriorParams for all L levels: the
+    spike weights of shape (L,), the slab supports over sigma_hat of shape
+    (L,) or (R, L), and the rate lambda * sigma_hat^2 as a number or a
+    column of R values. Its constants are computed once per shrink, and
+    it runs in blocks of bounded size: the narrowest levels together, the
+    longer ones in groups of rows or slices of a row.
     """
     cfg = elicitation
     coeffs = pyramid.coeffs
@@ -190,18 +192,19 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
             return values[:, None] if stacked else values
 
         if rule.kind == "esr":
-            sigma_col = column(sigma_hat)
             lam = lambda_from_s(sigma_hat, cfg.c, cfg.tau)
             # c / tau overflows to inf in float arithmetic without raising;
             # an overflow of lambda * sigma_hat^2 raises below
             if not np.isfinite(lam).all():
                 raise NumericError(f"lambda overflows at sigma_hat={sigma_hat!r}")
             diagnostics["lambda"] = lam
-            unit_lam_col = column(lam * np.square(sigma_hat))
-            for level, block in zip(levels, details.values()):
-                params = MixturePriorParams(level["alpha"], column(level["beta"]) / sigma_col,
-                                            unit_lam_col)
-                np.multiply(sigma_col, esr(block / sigma_col, params), out=block)
+            params = MixturePriorParams(
+                np.array([level["alpha"] for level in levels]),
+                np.stack([level["beta"] for level in levels], axis=-1) / column(sigma_hat),
+                column(lam * np.square(sigma_hat)))
+            _esr_levels(coeffs if stacked else coeffs[None],
+                        [slice(2**j, 2**(j + 1)) for j in details],
+                        np.reshape(sigma_hat, (-1, 1)), params)
         else:
             eta = rule.threshold
             if eta is None:

@@ -1,6 +1,8 @@
 """Verification oracles for the shrinkage rule, imported by the tests as
 ``from oracles import ...``: a quadrature oracle that shares no code with
-the closed form, the slab density it integrates, and the slab-only mean."""
+the closed form, the slab density it integrates, the slab-only mean, and
+the closed form evaluated the slow way, unblocked and one detail level
+per call."""
 
 from __future__ import annotations
 
@@ -10,8 +12,11 @@ import numpy as np
 from scipy import integrate
 
 from epashrink import DomainError, InputError, MixturePriorParams, NumericError
+from epashrink.elicitation import beta_level, estimate_sigma, lambda_from_s
 from epashrink.errors import numeric_guard
-from epashrink.shrinkage import _TINY, _check_finite, _rate, _slab_parts
+from epashrink.shrinkage import (_SERIES_V, _TINY, _blockwise, _rate, _rule_constants,
+                                 _slab_integrals, _validated)
+from epashrink.study import SIGMA_FLOOR, _clamped_alpha
 
 
 def epanechnikov_pdf(theta: float, beta: float) -> float:
@@ -27,12 +32,16 @@ def epanechnikov_pdf(theta: float, beta: float) -> float:
 def delta_slab(d, params: MixturePriorParams):
     """Posterior mean of theta given d under the slab alone: odd in d,
     strictly inside (-beta, beta) and constant past the support."""
-    arr = np.asarray(d, dtype=float)
-    _check_finite(arr)
+    arr = _validated(d, params)
     with numeric_guard("slab posterior mean"):
-        i1, i2, _ = _slab_parts(np.abs(arr), params.beta, params.lam, _rate(params.lam))
-        out = np.sign(arr) * i2 / np.maximum(i1, _TINY)
+        out = _blockwise(_slab_mean_block, arr, _rule_constants(0.0, params.beta, params.lam))
     return out if out.ndim else float(out)
+
+
+def _slab_mean_block(d, k):
+    dabs = np.abs(d)
+    i1, i2 = _slab_integrals(dabs, np.minimum(dabs, k.beta), k)
+    return np.sign(d) * i2 / np.maximum(i1, _TINY)
 
 
 _QUAD_KW = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
@@ -82,3 +91,113 @@ def posterior_mean_oracle(d: float, params: MixturePriorParams) -> float:
     if den <= 0.0:
         raise NumericError(f"oracle denominator non-positive at d={d}")
     return (1.0 - alpha) * num / den
+
+
+# ---------------------------------------------------------------------------
+# the closed form the slow way: every constant recomputed per call, on
+# temporaries the size of the input, and shrink_pyramid's mixture rule one
+# detail level per call. The library evaluates the same expressions in the
+# same order, so the two agree bit for bit.
+
+
+def _slab_series(x, beta, v):
+    s = x / beta
+    s2 = s * s
+    c = (
+        4.0 / 3.0,
+        0.5 + s2 * (1.0 - s2 / 6.0),
+        4.0 / 15.0 + (4.0 / 3.0) * s2,
+        1.0 / 6.0 + s2 * (1.5 + s2 * (0.5 - s2 / 30.0)),
+        4.0 / 35.0 + s2 * (8.0 / 5.0 + (4.0 / 3.0) * s2),
+        1.0 / 12.0 + s2 * (5.0 / 3.0 + s2 * (2.5 + s2 * (1.0 / 3.0 - s2 / 84.0))),
+    )
+    d = (
+        0.0,
+        s * (-0.5 + s2 * (1.0 / 3.0 - s2 / 10.0)),
+        s * (-8.0 / 15.0),
+        s * (-0.5 + s2 * (-0.5 + s2 * (0.1 - s2 / 70.0))),
+        s * (-16.0 / 35.0 - (16.0 / 15.0) * s2),
+        s * (-5.0 / 12.0 + s2 * (-5.0 / 3.0 + s2 * (-0.5 + s2 * (1.0 / 21.0 - s2 / 252.0)))),
+    )
+    i1 = i2 = 0.0
+    term = 1.0
+    for m in range(6):
+        i1 = i1 + term * c[m]
+        i2 = i2 + term * d[m]
+        term *= -v / (m + 1)
+    return np.power(beta, 3) * i1, np.power(beta, 4) * i2
+
+
+def _direct_integrals(x, beta, lam, a):
+    with np.errstate(over="ignore"):
+        a2, a3, a4 = np.square(a), np.power(a, 3), np.power(a, 4)
+    beta2 = np.square(beta)
+    K = np.where(a2 < math.inf, 2.0 * beta2 / a2 + 6.0 * beta / a3 + 6.0 / a4,
+                 beta2 / lam)
+    ep = np.exp(-a * (beta + x))
+    em = np.exp(-a * (beta - x))
+    em_minus_ep = -em * np.expm1(-2.0 * a * x)
+    x2 = np.square(x)
+    two_over_a = 2.0 / a
+    i1 = (beta + 1.0 / a) * (ep + em) / lam + two_over_a * (beta2 - x2 - 1.0 / lam)
+    i2 = K * em_minus_ep + two_over_a * x * (beta2 - x2) - 12.0 * x / a3
+    return i1, i2
+
+
+def _slab_parts(dabs, beta, lam, a):
+    x = np.minimum(dabs, beta)
+    spike = np.exp(-a * x)
+    v = a * beta
+    series = v < _SERIES_V
+    rows_in_series = np.count_nonzero(series)
+    if rows_in_series == 0:
+        return (*_direct_integrals(x, beta, lam, a), spike)
+    if rows_in_series == np.size(series):
+        return (*_slab_series(x, beta, v), spike)
+    beta_s, beta_d = np.where(series, beta, 1.0), np.where(series, 1.0, beta)
+    s1, s2 = _slab_series(np.minimum(dabs, beta_s), beta_s, np.where(series, v, _SERIES_V))
+    d1, d2 = _direct_integrals(np.minimum(dabs, beta_d), beta_d,
+                               np.where(series, 0.5 * _SERIES_V**2, lam),
+                               np.where(series, _SERIES_V, a))
+    return np.where(series, s1, d1), np.where(series, s2, d2), spike
+
+
+def unblocked_esr(d, params: MixturePriorParams):
+    """The mixture rule in one pass over the whole input."""
+    arr = _validated(d, params)
+    alpha, beta, lam = params.alpha, params.beta, params.lam
+    with numeric_guard("mixture rule"):
+        a = _rate(lam)
+        dabs = np.abs(arr)
+        i1, i2, spike = _slab_parts(dabs, beta, lam, a)
+        slab_weight = (1.0 - alpha) * 3.0 * a / (8.0 * np.power(beta, 3))
+        spike_weight = alpha * (0.5 * a)
+        num = slab_weight * i2
+        den = spike_weight * spike + slab_weight * i1
+        ratio = num / np.maximum(den, _TINY)
+        out = np.copysign(np.minimum(np.maximum(ratio, 0.0), dabs), arr)
+    return out if out.ndim else float(out)
+
+
+def per_level_esr_shrink(pyramid, cfg) -> None:
+    """shrink_pyramid's mixture rule, in place, with one unblocked_esr call
+    and one MixturePriorParams per detail level."""
+    details = pyramid.details
+    stacked = pyramid.coeffs.ndim == 2
+    levels = [(_clamped_alpha(j, cfg), beta_level(block)) for j, block in details.items()]
+    floor = SIGMA_FLOOR * np.max([beta for _, beta in levels], axis=0)
+    sigma_hat = np.maximum(estimate_sigma(details[pyramid.depth - 1], cfg.sigma_estimator),
+                           floor)
+    if not stacked:
+        sigma_hat = float(sigma_hat)
+
+    def column(values):
+        return values[:, None] if stacked else values
+
+    sigma_col = column(sigma_hat)
+    lam = lambda_from_s(sigma_hat, cfg.c, cfg.tau)
+    unit_lam_col = column(lam * np.square(sigma_hat))
+    with numeric_guard("shrinkage"):
+        for (alpha, beta), block in zip(levels, details.values()):
+            params = MixturePriorParams(alpha, column(beta) / sigma_col, unit_lam_col)
+            np.multiply(sigma_col, unblocked_esr(block / sigma_col, params), out=block)

@@ -25,7 +25,7 @@ from epashrink import (
     marginal_m,
     rule_statistics,
 )
-from oracles import delta_slab, epanechnikov_pdf, posterior_mean_oracle
+from oracles import delta_slab, epanechnikov_pdf, posterior_mean_oracle, unblocked_esr
 
 PARAMS = MixturePriorParams(alpha=0.95, beta=6.0, lam=3.0)
 
@@ -519,6 +519,47 @@ def test_esr_needs_one_parameter_set_per_row():
         esr(np.zeros((3, 4)), two_rows)
     with pytest.raises(InputError):
         esr(1.0, MixturePriorParams(np.full((1, 1), 0.9), 6.0, 3.0))
+    # marginal_m shares the check
+    with pytest.raises(InputError):
+        marginal_m(np.ones(3), two_rows)
+    with pytest.raises(InputError):
+        marginal_m(np.ones(3), MixturePriorParams(0.9, np.full((2, 1), 6.0), 3.0))
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta", "lam"])
+def test_rule_statistics_takes_one_parameter_set(field):
+    values = {"alpha": 0.9, "beta": 6.0, "lam": 3.0}
+    values[field] = np.full((2, 1), values[field])
+    with pytest.raises(InputError, match="one parameter set"):
+        rule_statistics(1.0, MixturePriorParams(**values))
+
+
+# (alpha, beta, lam) with a*beta = 0.0245 (series side of the seam) and 14.7
+_SERIES_ROW, _DIRECT_ROW = (0.9, 0.01, 3.0), (0.9, 6.0, 3.0)
+
+
+@pytest.mark.parametrize("row", [_SERIES_ROW, _DIRECT_ROW, (0.95, 6.0, 1e200)])
+def test_esr_in_blocks_matches_unblocked_oracle_on_a_long_row(row):
+    # three whole blocks and a ragged end
+    params = MixturePriorParams(*row)
+    d = np.random.default_rng(11).standard_normal(3 * shrinkage._BLOCK + 5) * 4.0 * row[1]
+    assert np.array_equal(esr(d, params), unblocked_esr(d, params))
+
+
+def test_esr_in_blocks_matches_unblocked_oracle_on_a_stack_across_the_seam():
+    # a (R, 2, m) stack with columns of shape (R, 1, 1): rows alternate
+    # between the two sides of the seam, and the first block boundary falls
+    # between two rows on different sides
+    m = 99
+    per_block = shrinkage._BLOCK // m  # rows of m coefficients per block
+    rows = [_SERIES_ROW if r % 2 == 0 else _DIRECT_ROW for r in range(per_block)]
+    assert rows[(per_block - 1) // 2] != rows[per_block // 2]
+    params = MixturePriorParams(*np.array(rows).T[:, :, None, None])
+    d = np.random.default_rng(12).standard_normal((len(rows), 2, m)) * params.beta
+    out = esr(d, params)
+    assert out.shape == d.shape
+    assert np.array_equal(out, unblocked_esr(d, params))
+    assert esr(d[..., :0], params).shape == (len(rows), 2, 0)
 
 
 @pytest.mark.parametrize("func", [esr, marginal_m, delta_slab])

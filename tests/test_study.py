@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -32,6 +33,7 @@ from epashrink import (
 )
 from epashrink.dwt import WaveletPyramid
 from epashrink.study import _noise_key
+from oracles import per_level_esr_shrink
 
 
 class TestRuleSpec:
@@ -520,6 +522,76 @@ def test_shrink_pyramid_on_stack_matches_rows(rule, sigma, caplog):
         # a * beta of the rule per row: some level straddles the series seam
         v = [np.sqrt(2.0 * diag["lambda"]) * level["beta"] for level in diag["levels"]]
         assert any(row_v[1] < 0.05 <= row_v[0] for row_v in v)
+
+
+def _assert_esr_shrink_matches_per_level_oracle(pyramid, cfg):
+    """shrink_pyramid's mixture rule equals, bit for bit, the per-level
+    unblocked oracle on a copy of the pyramid. Returns the diagnostics."""
+    want = pyramid.copy()
+    per_level_esr_shrink(want, cfg)
+    diag = shrink_pyramid(pyramid, RuleSpec("esr"), cfg, pyramid.n)
+    assert np.array_equal(pyramid.coeffs, want.coeffs)
+    return diag
+
+
+@pytest.mark.parametrize("sigma", list(SigmaEstimator))
+@pytest.mark.parametrize("n, coarse_level", [(n, j0) for n in (8, 512, 8192, 16384, 65536)
+                                             for j0 in (0, 3) if 2**j0 < n])
+def test_esr_shrink_matches_per_level_oracle(n, coarse_level, sigma):
+    cfg = ElicitationConfig(sigma_estimator=sigma, coarse_level=coarse_level)
+    y = add_noise(generate_test_function(TestFunctionKind.DOPPLER, n), 3.0, (n, coarse_level))
+    pyramid = dwt_forward(y.samples, make_daubechies_filter(10), coarse_level)
+    _assert_esr_shrink_matches_per_level_oracle(pyramid, cfg)
+
+
+@pytest.mark.parametrize("shape", [(6, 2048), (300, 256)])
+@pytest.mark.parametrize("sigma", list(SigmaEstimator))
+def test_esr_shrink_of_a_stack_matches_per_level_oracle(shape, sigma):
+    # rows of different scales; the longer levels of the (300, 256) stack
+    # go in groups of rows that cut across it
+    rng = np.random.default_rng(shape[0])
+    rows = rng.standard_normal(shape) * np.exp(rng.uniform(-3.0, 3.0, (shape[0], 1)))
+    pyramid = dwt_forward(rows, make_daubechies_filter(10))
+    _assert_esr_shrink_matches_per_level_oracle(pyramid, ElicitationConfig(sigma_estimator=sigma))
+
+
+@pytest.mark.parametrize("sigma", list(SigmaEstimator))
+def test_esr_shrink_across_the_seam_in_one_block_matches_per_level_oracle(sigma):
+    # the whole stack is small enough to be one block of all its levels,
+    # with some rows on the series side of the seam and some not
+    pyramid = _stacked_test_pyramid()
+    cfg = ElicitationConfig(sigma_estimator=sigma)
+    diag = _assert_esr_shrink_matches_per_level_oracle(pyramid, cfg)
+    v = [np.sqrt(2.0 * diag["lambda"]) * level["beta"] for level in diag["levels"]]
+    assert any(row_v[1] < 0.05 <= row_v[0] for row_v in v)
+
+
+@pytest.mark.parametrize("sigma", list(SigmaEstimator))
+def test_esr_shrink_memory_does_not_grow_with_n(sigma, monkeypatch):
+    # the rule works in blocks of bounded size: from n = 65536 to 262144
+    # the traced peak of the rule, elicitation left out, grows by less than
+    # 1 MB (with temporaries the size of a level it grew by 9 MB)
+    import epashrink.study as study_mod
+
+    peaks = []
+
+    def traced_esr_levels(*args):
+        tracemalloc.start()
+        try:
+            esr_levels(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    esr_levels = study_mod._esr_levels
+    monkeypatch.setattr(study_mod, "_esr_levels", traced_esr_levels)
+    cfg = ElicitationConfig(sigma_estimator=sigma)
+    filt = make_daubechies_filter(10)
+    for n in (65536, 262144):
+        pyramid = dwt_forward(np.random.default_rng(n).standard_normal(n), filt)
+        shrink_pyramid(pyramid, RuleSpec("esr"), cfg, n)
+    assert len(peaks) == 2
+    assert peaks[1] - peaks[0] < 1e6
 
 
 def test_run_study_wall_times_sum_to_at_most_the_run():
