@@ -248,8 +248,6 @@ def _elicitation_from_flags(gamma, l, c, tau, j0, sigma) -> ElicitationConfig:
 
 
 def _rule_from_flags(rule: str, threshold: str) -> RuleSpec:
-    if rule == "esr":
-        return RuleSpec("esr")
     if threshold == "universal":
         return RuleSpec(rule)
     try:
@@ -432,7 +430,8 @@ def cmd_rule_curve(alphas, beta, lams, d_min, d_max, points, eta, out_path):
 @click.option("--noise", type=click.Choice(["dexp", "gaussian"]), default="dexp",
               show_default=True, help="Noise model for the expectations.")
 @click.option("--noise-sigma", type=float, default=None,
-              help="Sigma of the gaussian noise model (required with it).")
+              help="Sigma of the gaussian noise model (required with it, "
+                   "rejected with dexp).")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_translate_errors
 def cmd_rule_stats(alphas, beta, lams, theta_min, theta_max, points, noise,
@@ -448,6 +447,8 @@ def cmd_rule_stats(alphas, beta, lams, theta_min, theta_max, points, noise,
         if noise_sigma is None:
             raise ConfigError("--noise-sigma is required with --noise gaussian")
         model = Gaussian(noise_sigma)
+    elif noise_sigma is not None:
+        raise ConfigError("--noise-sigma applies only to --noise gaussian")
     thetas = _grid("theta", 0.0 if theta_min is None else theta_min,
                    beta if theta_max is None else theta_max, points)
     header = ["theta", "bias_sq", "variance", "risk"]

@@ -87,7 +87,8 @@ def beta_level(details_j):
     block = np.atleast_1d(np.asarray(details_j, dtype=float))
     if block.shape[-1] == 0:
         raise InputError("empty coefficient block")
-    beta = np.max(np.abs(block), axis=-1)
+    # the larger of the two extremes: no temporary the size of the block
+    beta = np.maximum(block.max(axis=-1), -block.min(axis=-1))
     zero = beta == 0.0
     if zero.any():
         log.warning("%d all-zero coefficient block(s); flooring beta at %g",
@@ -110,7 +111,8 @@ def estimate_sigma(finest_details, method: SigmaEstimator = SigmaEstimator.MAD):
     method = SigmaEstimator(method)
     if method is SigmaEstimator.SAMPLE_SD:
         return scaled_std(coeffs, ddof=1, axis=-1)
-    sigma = np.median(np.abs(coeffs), axis=-1) / MAD_CONSISTENCY
+    # the absolute values are a fresh array, which the median may partition
+    sigma = np.median(np.abs(coeffs), axis=-1, overwrite_input=True) / MAD_CONSISTENCY
     return sigma if sigma.ndim else float(sigma)
 
 

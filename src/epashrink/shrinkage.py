@@ -28,15 +28,13 @@ stays finite for arbitrarily large coefficients. Every quantity is
 antisymmetrized explicitly (computed at |d|, sign restored), so odd
 symmetry holds exactly in floating point.
 
-alpha, beta and lam are numbers, or arrays that broadcast against d (for
-a stack of rows, columns of shape (R, 1)); the constants of the closed
-forms are computed from them once per call with numpy ufuncs, and one
-parameter set is the 0-d case of the same code. The coefficients are then
-evaluated in blocks of at most 8192, whose temporaries stay small enough
-for the heap. Every step acts element by element, so each row of a stack
-comes out bit for bit as it would with its parameters alone, and each
-block as it would in one pass over the whole array. shrink_pyramid uses
-the same pieces with one parameter set per row and detail level.
+esr takes one parameter set: alpha, beta and lam are numbers. The
+constants of the closed forms are computed from them once per call, and
+the coefficients are then evaluated in slices of at most 8192, whose
+temporaries stay small enough for the heap. Every step acts element by
+element, so each slice comes out as it would in one pass over the whole
+array. shrink_pyramid runs the same kernel with one parameter set per row
+and detail level, held as arrays (see _esr_levels).
 
 The tests check the closed form against an independent quadrature
 oracle (direct adaptive integration of the posterior-mean ratio, in
@@ -92,9 +90,9 @@ class MixturePriorParams:
     """Hyperparameters of the mixture prior.
 
     alpha: spike weight in (0, 1); beta: slab half-support; lam: rate of
-    the exponential prior on the noise variance. Each is a number, or an
-    array that broadcasts against the coefficients given to esr (for a
-    stack of rows, a column of shape (R, 1) holds one value per row).
+    the exponential prior on the noise variance. esr, marginal_m and
+    rule_statistics take numbers; shrink_pyramid builds arrays of them,
+    one value per row and detail level, for _esr_levels.
     """
 
     alpha: float | np.ndarray
@@ -115,22 +113,21 @@ class MixturePriorParams:
         return 1.0 / _rate(self.lam)
 
 
-def _validated(d, params: MixturePriorParams) -> np.ndarray:
-    """d as a float array, checked to be finite and to keep its shape when
-    the fields of params broadcast against it."""
+def _one_set(params: MixturePriorParams, caller: str) -> None:
+    """Raise InputError unless alpha, beta and lam are numbers (or 0-d)."""
+    # a float (np.float64 is one) needs no np.shape, which costs microseconds
+    shapes = [np.shape(p) for p in (params.alpha, params.beta, params.lam)
+              if not isinstance(p, float)]
+    if any(shapes):
+        raise InputError(f"{caller} takes one parameter set: alpha, beta and lambda "
+                         f"must be numbers, got shapes {shapes}")
+
+
+def _validated(d) -> np.ndarray:
+    """d as a float array, checked to be finite."""
     arr = np.asarray(d, dtype=float)
     if not np.isfinite(arr).all():
         raise InputError("coefficient values must be finite")
-    shapes = [p.shape for p in (params.alpha, params.beta, params.lam)
-              if isinstance(p, np.ndarray)]
-    if shapes:
-        try:
-            fits = np.broadcast_shapes(arr.shape, *shapes) == arr.shape
-        except ValueError:
-            fits = False
-        if not fits:
-            raise InputError(f"parameters of shapes {shapes} do not fit coefficients "
-                             f"of shape {arr.shape}")
     return arr
 
 
@@ -158,9 +155,9 @@ _POOL = _BLOCK // 2
 
 class _Constants(NamedTuple):
     """The quantities of the closed forms that depend on the parameters
-    alone, made by _rule_constants. Each is a number, or an array that
-    broadcasts against the coefficients as the parameters do. The _d and
-    _s fields belong to the direct and the series side of the seam."""
+    alone, made by _rule_constants. Each is a number, or an array of the
+    parameters' shape. The _d and _s fields belong to the direct and the
+    series side of the seam."""
 
     beta: np.ndarray
     neg_a: np.ndarray
@@ -186,7 +183,8 @@ class _Constants(NamedTuple):
 def _rule_constants(alpha, beta, lam) -> _Constants:
     """Every per-parameter-set quantity of the closed forms, computed once.
 
-    alpha, beta and lam are numbers or arrays that broadcast together. A
+    alpha, beta and lam are numbers (esr and marginal_m) or arrays that
+    broadcast together, one set per row and level (_esr_levels). A
     parameter set on the series side of the seam enters the direct side as
     the rule with beta = 1 at the seam, and one on the direct side enters
     the series side likewise: there both sides are finite, so a block with
@@ -330,39 +328,17 @@ def _blocks(rows: int, cols: int):
             yield slice(r, r + step), slice(None)
 
 
-def _cut(k: _Constants, rows: slice, cols: slice) -> _Constants:
-    """The constants over the block (rows, cols) of a 2-D array, each of
-    them a number, a column or an array the shape of the whole."""
-    return k._make(c if not getattr(c, "ndim", 0) else c[rows] if c.shape[1] == 1
-                   else c[rows, cols] for c in k)
-
-
 def _blockwise(block_fn, arr: np.ndarray, k: _Constants) -> np.ndarray:
-    """block_fn(coefficients, constants) over arr block by block, each
-    block with the constants k, which broadcast against arr, cut to it."""
-    shape = arr.shape
-    cols = shape[-1] if shape else 1
-    rows = arr.reshape(math.prod(shape[:-1]), cols)
-
-    def as_rows(c):
-        """c as a number, a column or a full array against rows."""
-        if not getattr(c, "ndim", 0):
-            return c
-        width = 1 if c.shape[-1] == 1 else cols
-        return np.broadcast_to(c, shape[:-1] + (width,)).reshape(len(rows), width)
-
-    # one parameter set: every constant is a number and fits every block,
-    # and an input of at most one block is that block. The slab weight
-    # depends on all three parameters, so it is a number only then
-    one_set = not getattr(k.slab_weight, "ndim", 0)
-    if one_set and arr.size <= _BLOCK:
+    """block_fn(coefficients, k) over arr in slices of at most _BLOCK of
+    its flattened coefficients; an input of at most one block is that
+    block."""
+    if arr.size <= _BLOCK:
         return block_fn(arr, k)
-    if not one_set:
-        k = k._make(map(as_rows, k))
-    out = np.empty(rows.shape)
-    for rs, cs in _blocks(*rows.shape):
-        out[rs, cs] = block_fn(rows[rs, cs], k if one_set else _cut(k, rs, cs))
-    return out.reshape(shape)
+    flat = arr.ravel()
+    out = np.empty(flat.shape)
+    for i in range(0, flat.size, _BLOCK):
+        out[i:i + _BLOCK] = block_fn(flat[i:i + _BLOCK], k)
+    return out.reshape(arr.shape)
 
 
 def _esr_levels(rows: np.ndarray, levels: list, sigma: np.ndarray,
@@ -401,11 +377,12 @@ def marginal_m(d, params: MixturePriorParams):
 
     Strictly positive on the whole line and integrates to one. If rounding
     drives a value to zero or below, it is clamped to the smallest positive
-    normal with a logged diagnostic. Parameters that would broadcast d to
-    another shape raise InputError, as in esr. A floating-point failure (a
-    slab support whose cube overflows, say) raises NumericError.
+    normal with a logged diagnostic. params is one parameter set, as in
+    esr. A floating-point failure (a slab support whose cube overflows,
+    say) raises NumericError.
     """
-    arr = _validated(d, params)
+    _one_set(params, "marginal_m")
+    arr = _validated(d)
     with numeric_guard("marginal density"):
         # the slab alone is the mixture with spike weight 0
         out = _blockwise(_marginal_block, arr, _rule_constants(0.0, params.beta, params.lam))
@@ -423,17 +400,16 @@ def esr(d, params: MixturePriorParams):
     """Posterior-mean shrinkage rule under the full spike-and-slab mixture.
 
     Accepts a scalar or an array of empirical coefficients, and returns a
-    value of the same shape. The fields of ``params`` may be arrays that
-    broadcast against d, say columns of shape (R, 1) for a stack of R
-    rows; each coefficient is then shrunk with its own parameters, bit for
-    bit as a call with those parameters as numbers would. Parameters that
-    would broadcast d to another shape raise InputError. Odd in d, no
-    larger than |d| and bounded by the slab-only mean, hence strictly
-    inside (-beta, beta). Finite for every finite lambda; a slab support
+    value of the same shape. params is one parameter set: a field that is
+    an array of one or more dimensions raises InputError (a stack with one
+    set per row is a loop of esr calls). Odd in d, no larger than |d|
+    and bounded by the slab-only mean, hence strictly inside
+    (-beta, beta). Finite for every finite lambda; a slab support
     whose powers overflow (beta above about 5e102) raises NumericError, as
     does any other floating-point failure here.
     """
-    arr = _validated(d, params)
+    _one_set(params, "esr")
+    arr = _validated(d)
     with numeric_guard("mixture rule"):
         out = _blockwise(_esr_block, arr, _rule_constants(params.alpha, params.beta, params.lam))
     return out if out.ndim else float(out)
@@ -575,11 +551,7 @@ def rule_statistics(
     theta = float(theta)
     if not math.isfinite(theta):
         raise InputError(f"theta must be finite, got {theta}")
-    shapes = [p.shape for p in (params.alpha, params.beta, params.lam)
-              if isinstance(p, np.ndarray)]
-    if any(shapes):
-        raise InputError("rule_statistics takes one parameter set: alpha, beta and lambda "
-                         f"must be numbers, got shapes {shapes}")
+    _one_set(params, "rule_statistics")
     if noise is None:
         noise = DoubleExponential(params.lam)
     beta = params.beta

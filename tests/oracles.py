@@ -14,8 +14,8 @@ from scipy import integrate
 from epashrink import DomainError, InputError, MixturePriorParams, NumericError
 from epashrink.elicitation import beta_level, estimate_sigma, lambda_from_s
 from epashrink.errors import numeric_guard
-from epashrink.shrinkage import (_SERIES_V, _TINY, _blockwise, _rate, _rule_constants,
-                                 _slab_integrals, _validated)
+from epashrink.shrinkage import (_SERIES_V, _TINY, _blockwise, _one_set, _rate,
+                                 _rule_constants, _slab_integrals, _validated)
 from epashrink.study import SIGMA_FLOOR, _clamped_alpha
 
 
@@ -32,7 +32,8 @@ def epanechnikov_pdf(theta: float, beta: float) -> float:
 def delta_slab(d, params: MixturePriorParams):
     """Posterior mean of theta given d under the slab alone: odd in d,
     strictly inside (-beta, beta) and constant past the support."""
-    arr = _validated(d, params)
+    _one_set(params, "delta_slab")
+    arr = _validated(d)
     with numeric_guard("slab posterior mean"):
         out = _blockwise(_slab_mean_block, arr, _rule_constants(0.0, params.beta, params.lam))
     return out if out.ndim else float(out)
@@ -163,8 +164,11 @@ def _slab_parts(dabs, beta, lam, a):
 
 
 def unblocked_esr(d, params: MixturePriorParams):
-    """The mixture rule in one pass over the whole input."""
-    arr = _validated(d, params)
+    """The mixture rule in one pass over the whole input. The fields of
+    params may be columns that broadcast against d, one set per row."""
+    arr = np.asarray(d, dtype=float)
+    if not np.isfinite(arr).all():
+        raise InputError("coefficient values must be finite")
     alpha, beta, lam = params.alpha, params.beta, params.lam
     with numeric_guard("mixture rule"):
         a = _rate(lam)

@@ -239,6 +239,26 @@ class TestDenoiseCommand:
         report = json.loads((tmp_path / "out.csv.report.json").read_text())
         assert report["eta"] == 4.5
 
+    @pytest.mark.parametrize("command, out_flag",
+                             [("denoise", "--out"), ("coeffs", "--out-prefix")],
+                             ids=["denoise", "coeffs"])
+    def test_esr_with_a_fixed_threshold_is_a_config_error(self, runner, tmp_path,
+                                                           command, out_flag):
+        inp = tmp_path / "in.csv"
+        _write_noisy_signal(inp)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            command, str(inp), "--rule", "esr", "--threshold", "4.5", out_flag, str(out),
+        ])
+        assert result.exit_code == 3
+        assert "esr rule takes no threshold" in result.output
+        assert not list(tmp_path.glob("out*"))
+        # the default policy, universal, goes with every rule
+        result = runner.invoke(main, [
+            command, str(inp), "--rule", "esr", "--threshold", "universal", out_flag, str(out),
+        ])
+        assert result.exit_code == 0, result.output
+
     def test_non_dyadic_needs_pad_policy(self, runner, tmp_path):
         inp = tmp_path / "odd.csv"
         write_signal_csv(inp, np.sin(np.arange(1000) / 50.0))
@@ -623,6 +643,16 @@ class TestRuleStatsCommand:
             "--noise", "gaussian", "--out", str(tmp_path / "x.csv"),
         ])
         assert result.exit_code == 3
+
+    def test_noise_sigma_with_dexp_noise_is_a_config_error(self, runner, tmp_path):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, [
+            "rule-stats", "--alpha", "0.9", "--beta", "3", "--lambda", "1",
+            "--noise", "dexp", "--noise-sigma", "0.3", "--out", str(out),
+        ])
+        assert result.exit_code == 3
+        assert "--noise-sigma" in result.output
+        assert not out.exists()
 
     def test_numeric_failure_exit_code(self, runner, tmp_path, monkeypatch):
         from epashrink import NumericError

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,37 @@ class TestEstimateSigma:
         assert est.shape == (5,)
         for r, row in enumerate(rows):
             assert est[r] == estimate_sigma(row, method)
+
+
+def _traced_peak(func, *args):
+    """func(*args) and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        out = func(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_beta_level_makes_no_copy_of_the_block():
+    # the largest magnitude comes from the two extremes, without a
+    # temporary array of absolute values the size of the block
+    block = np.random.default_rng(5).standard_normal(262144)
+    beta, peak = _traced_peak(beta_level, block)
+    assert beta == np.max(np.abs(block))
+    assert peak < block.nbytes / 8
+
+
+def test_mad_estimate_makes_one_copy_of_the_block():
+    # the median partitions its fresh array of absolute values in place
+    # rather than copying it again; the input itself is left untouched
+    block = np.random.default_rng(6).standard_normal(262144)
+    kept = block.copy()
+    estimate_sigma(block[:2], SigmaEstimator.MAD)  # np.median imports numpy.ma once
+    sigma, peak = _traced_peak(estimate_sigma, block, SigmaEstimator.MAD)
+    assert np.array_equal(block, kept)
+    assert sigma == np.median(np.abs(block)) / 0.6745
+    assert peak < 1.5 * block.nbytes
 
 
 def test_beta_level_of_a_stack_floors_zero_rows(caplog):

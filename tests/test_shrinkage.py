@@ -465,73 +465,20 @@ def test_esr_at_huge_lambda_is_the_clamp(lam, beta):
     assert scalar == pytest.approx(beta, rel=1e-12)
 
 
-# (alpha, beta, lam) on both sides of the series seam (a*beta = 0.05), and
-# at lam = 1e12 and 1e200
-_PARAMETER_ROWS = [(0.95, 6.0, 3.0), (0.6, 6.0, 1e-5), (0.99, 0.3, 1e-3), (0.8, 2.0, 1e12),
-                   (0.9, 1.0, 1e200)]
-
-# rows of (alpha, beta, lam) with beta and lam spread over many decades,
-# so that a drawn stack often has rows on both sides of the seam
-_drawn_rows = st.lists(
-    st.tuples(st.floats(0.01, 0.999),
-              st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
-              st.one_of(st.floats(-8.0, 12.0), st.floats(12.0, 300.0)).map(lambda e: 10.0**e)),
-    min_size=1, max_size=6)
-
-
-def _assert_columns_match_rows(rows):
-    """esr with one (alpha, beta, lam) column entry per row of a stack
-    equals, bit for bit, esr of each row with its parameters as numbers,
-    on 2-D and 3-D stacks and on scalar coefficients."""
-    columns = np.array(rows, dtype=float).T[:, :, None]  # (3, R, 1)
-    d = np.random.default_rng(4).standard_normal((len(rows), 257)) * 4.0
-    d[:, 0] = 0.0
-    d[:, 1] = columns[1, :, 0]  # the support edge
-    out = esr(d, MixturePriorParams(*columns))
-    assert out.shape == d.shape
-    for r, p in enumerate(rows):
-        alone = MixturePriorParams(*p)
-        assert np.array_equal(out[r], esr(d[r], alone))
-        for j in (0, 1, 2, 128):
-            assert out[r, j] == esr(float(d[r, j]), alone)
-    # rows of 3-D coefficient stacks take columns of shape (R, 1, 1)
-    cube = np.stack([d, -d], axis=1)
-    out = esr(cube, MixturePriorParams(*columns[..., None]))
-    assert out.shape == cube.shape
-    for r, p in enumerate(rows):
-        assert np.array_equal(out[r, 1], esr(-d[r], MixturePriorParams(*p)))
-
-
-@pytest.mark.parametrize("rows", [slice(None), slice(0, 1), slice(1, 3), slice(0, 2),
-                                  pytest.param(_drawn_rows, id="drawn")])
-def test_esr_with_one_parameter_set_per_row_matches_rows(rows):
-    if isinstance(rows, slice):
-        _assert_columns_match_rows(_PARAMETER_ROWS[rows])
-    else:  # a hypothesis strategy
-        settings(max_examples=60, deadline=None)(given(rows)(_assert_columns_match_rows))()
-
-
-def test_esr_needs_one_parameter_set_per_row():
-    # esr's output has the shape of d: parameters that would broadcast d
-    # to another shape are an input error
-    two_rows = MixturePriorParams(np.full((2, 1), 0.9), np.full((2, 1), 6.0), 3.0)
-    with pytest.raises(InputError):
-        esr(np.zeros((3, 4)), two_rows)
-    with pytest.raises(InputError):
-        esr(1.0, MixturePriorParams(np.full((1, 1), 0.9), 6.0, 3.0))
-    # marginal_m shares the check
-    with pytest.raises(InputError):
-        marginal_m(np.ones(3), two_rows)
-    with pytest.raises(InputError):
-        marginal_m(np.ones(3), MixturePriorParams(0.9, np.full((2, 1), 6.0), 3.0))
-
-
 @pytest.mark.parametrize("field", ["alpha", "beta", "lam"])
 def test_rule_statistics_takes_one_parameter_set(field):
+    # as do esr and marginal_m, with the one check they share: a field of
+    # one or more dimensions is an input error, and a 0-d array is the
+    # number it holds
     values = {"alpha": 0.9, "beta": 6.0, "lam": 3.0}
-    values[field] = np.full((2, 1), values[field])
-    with pytest.raises(InputError, match="one parameter set"):
-        rule_statistics(1.0, MixturePriorParams(**values))
+    one_set = MixturePriorParams(**values)
+    zero_d = MixturePriorParams(**{**values, field: np.array(values[field])})
+    for func in (esr, marginal_m, rule_statistics):
+        for shape in ((2, 1), (1,)):
+            rows = MixturePriorParams(**{**values, field: np.full(shape, values[field])})
+            with pytest.raises(InputError, match=f"{func.__name__} takes one parameter set"):
+                func(1.0, rows)
+        assert func(1.0, zero_d) == func(1.0, one_set)
 
 
 # (alpha, beta, lam) with a*beta = 0.0245 (series side of the seam) and 14.7
@@ -544,22 +491,13 @@ def test_esr_in_blocks_matches_unblocked_oracle_on_a_long_row(row):
     params = MixturePriorParams(*row)
     d = np.random.default_rng(11).standard_normal(3 * shrinkage._BLOCK + 5) * 4.0 * row[1]
     assert np.array_equal(esr(d, params), unblocked_esr(d, params))
-
-
-def test_esr_in_blocks_matches_unblocked_oracle_on_a_stack_across_the_seam():
-    # a (R, 2, m) stack with columns of shape (R, 1, 1): rows alternate
-    # between the two sides of the seam, and the first block boundary falls
-    # between two rows on different sides
-    m = 99
-    per_block = shrinkage._BLOCK // m  # rows of m coefficients per block
-    rows = [_SERIES_ROW if r % 2 == 0 else _DIRECT_ROW for r in range(per_block)]
-    assert rows[(per_block - 1) // 2] != rows[per_block // 2]
-    params = MixturePriorParams(*np.array(rows).T[:, :, None, None])
-    d = np.random.default_rng(12).standard_normal((len(rows), 2, m)) * params.beta
-    out = esr(d, params)
-    assert out.shape == d.shape
-    assert np.array_equal(out, unblocked_esr(d, params))
-    assert esr(d[..., :0], params).shape == (len(rows), 2, 0)
+    # a strided stack is cut in slices of its flattened coefficients and
+    # keeps its shape, as does an empty one
+    stack = d[:3 * shrinkage._BLOCK].reshape(3, -1).T
+    out = esr(stack, params)
+    assert out.shape == stack.shape
+    assert np.array_equal(out, unblocked_esr(stack, params))
+    assert esr(d[:0].reshape(2, 0), params).shape == (2, 0)
 
 
 @pytest.mark.parametrize("func", [esr, marginal_m, delta_slab])

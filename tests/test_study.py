@@ -32,6 +32,7 @@ from epashrink import (
     study_preset,
 )
 from epashrink.dwt import WaveletPyramid
+from epashrink.shrinkage import _BLOCK
 from epashrink.study import _noise_key
 from oracles import per_level_esr_shrink
 
@@ -564,6 +565,23 @@ def test_esr_shrink_across_the_seam_in_one_block_matches_per_level_oracle(sigma)
     diag = _assert_esr_shrink_matches_per_level_oracle(pyramid, cfg)
     v = [np.sqrt(2.0 * diag["lambda"]) * level["beta"] for level in diag["levels"]]
     assert any(row_v[1] < 0.05 <= row_v[0] for row_v in v)
+
+
+@pytest.mark.parametrize("sigma", list(SigmaEstimator))
+def test_esr_shrink_across_the_seam_at_a_block_boundary_matches_per_level_oracle(sigma):
+    # level 7 of a (70, 512) stack is 128 wide, so it goes in groups of
+    # 64 rows. Its coefficients in the even rows, scaled down, put those
+    # rows on the series side of the seam and the odd rows on the direct
+    # side, so rows 63 and 64, on either side of the block boundary, are
+    # on either side of the seam too
+    rows = np.random.default_rng(70).standard_normal((70, 512))
+    pyramid = dwt_forward(rows, make_daubechies_filter(10))
+    pyramid.details[7][::2] *= 1e-4
+    assert _BLOCK // 128 == 64
+    cfg = ElicitationConfig(sigma_estimator=sigma)
+    diag = _assert_esr_shrink_matches_per_level_oracle(pyramid, cfg)
+    v = np.sqrt(2.0 * diag["lambda"]) * diag["levels"][7]["beta"]
+    assert v[64] < 0.05 <= v[63]
 
 
 @pytest.mark.parametrize("sigma", list(SigmaEstimator))
