@@ -18,6 +18,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__
 from .dwt import MAX_ORDER
@@ -240,7 +241,16 @@ def _translate_errors(func):
     return wrapper
 
 
-def _elicitation_from_flags(gamma, l, c, tau, j0, sigma) -> ElicitationConfig:
+def _elicitation_from_flags(rule, gamma, l, c, tau, j0, sigma) -> ElicitationConfig:
+    """The elicitation of the flags. --c and --tau set the variance-prior
+    rate, which only the esr rule uses: given with another rule, they are
+    a ConfigError rather than silently dropped."""
+    context = click.get_current_context()
+    given = [f"--{name}" for name in ("c", "tau")
+             if context.get_parameter_source(name) is not ParameterSource.DEFAULT]
+    if given and rule != "esr":
+        raise ConfigError(f"--rule {rule} takes no {' or '.join(given)}: only esr "
+                          "uses the variance-prior rate")
     return ElicitationConfig(
         gamma=gamma, l=l, c=c, tau=tau,
         sigma_estimator=SigmaEstimator(sigma), coarse_level=j0,
@@ -269,10 +279,10 @@ def _shared_rule_options(func):
                      show_default=True, help="Spike-weight exponent."),
         click.option("--l", "l", type=float, default=_ELICITATION.l,
                      show_default=True, help="Spike-weight offset."),
-        click.option("--c", "c", type=float, default=_ELICITATION.c,
-                     show_default=True, help="Variance-prior rate coefficient."),
-        click.option("--tau", type=float, default=_ELICITATION.tau,
-                     show_default=True, help="Variance-prior rate decay scale."),
+        click.option("--c", "c", type=float, default=_ELICITATION.c, show_default=True,
+                     help="Variance-prior rate coefficient (esr only)."),
+        click.option("--tau", type=float, default=_ELICITATION.tau, show_default=True,
+                     help="Variance-prior rate decay scale (esr only)."),
         click.option("--j0", type=int, default=_ELICITATION.coarse_level,
                      show_default=True,
                      help="Coarsest resolution level kept for shrinkage."),
@@ -308,7 +318,7 @@ def cmd_denoise(input_path, rule, threshold, gamma, l, c, tau, j0, sigma,
     """Denoise a single-column CSV signal and write a diagnostics sidecar."""
     samples, _ = read_signal_csv(input_path)
     dyadic, original_n = _to_dyadic(samples, pad)
-    cfg = _elicitation_from_flags(gamma, l, c, tau, j0, sigma)
+    cfg = _elicitation_from_flags(rule, gamma, l, c, tau, j0, sigma)
     spec = _rule_from_flags(rule, threshold)
     out = denoise(Signal(dyadic), spec, cfg, wavelet_order)
     with numeric_guard("estimated SNR"):
@@ -345,7 +355,7 @@ def cmd_coeffs(input_path, rule, threshold, gamma, l, c, tau, j0, sigma,
     """Dump empirical and shrunk coefficient magnitudes by level."""
     samples, _ = read_signal_csv(input_path)
     dyadic, _ = _to_dyadic(samples, pad)
-    cfg = _elicitation_from_flags(gamma, l, c, tau, j0, sigma)
+    cfg = _elicitation_from_flags(rule, gamma, l, c, tau, j0, sigma)
     spec = _rule_from_flags(rule, threshold)
     out = denoise(Signal(dyadic), spec, cfg, wavelet_order)
 

@@ -349,11 +349,13 @@ def _esr_levels(rows: np.ndarray, levels: list, sigma: np.ndarray,
     levels, adjacent and in order of width; sigma is a column of R noise
     scales; the fields of params broadcast to (R, L), one parameter set
     per row and level. Every block is divided by its rows' sigma, shrunk
-    and multiplied back, as each level alone would be. The constants are
-    computed once for all levels.
+    and multiplied back, as each level alone would be. The parameters are
+    broadcast to (R, L) before the constants are made from them, so every
+    constant is an (R, L) array, computed once for all levels.
     """
-    k = _rule_constants(params.alpha, params.beta, params.lam)
-    k = k._make(np.broadcast_to(c, (len(rows), len(levels))) for c in k)
+    shape = (len(rows), len(levels))
+    k = _rule_constants(*(np.broadcast_to(p, shape)
+                          for p in (params.alpha, params.beta, params.lam)))
 
     def shrink(block, s, kb):
         np.multiply(s, _esr_block(block / s, kb), out=block)

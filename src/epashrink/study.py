@@ -11,7 +11,10 @@ One pipeline serves both a single denoise and a study: it takes a stack of
 signals, shape (R, n), and a tuple of rules, transforms the stack once and
 shrinks and inverts it once per rule. Every step works row by row, so each
 row comes out bit for bit as it would alone. A study runs it once per
-(function, n), on the len(snrs) x replications draws of that pair.
+(function, n), on the len(snrs) x replications draws of that pair, in
+chunks of bounded size; the noise, the slab supports and the scores of
+those draws are each computed in one pass per batch or chunk, not row by
+row or level by level.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .signals import (
     TestFunctionKind,
     add_noise,
     generate_test_function,
+    noise_rng,
     scaled_std,
 )
 from .thresholds import hard_threshold, soft_threshold, universal_threshold
@@ -56,6 +60,9 @@ ALPHA_MAX = 1.0 - 1e-15
 # noise-scale floor, relative to the largest detail coefficient so that it
 # scales with the data: keeps lambda finite when the finest level is exactly 0
 SIGMA_FLOOR = 1e-8
+# a study splits the draws of one (function, n) into chunks of whole rows
+# holding at most this many samples, 8 MB per array of a chunk
+_CHUNK = 2**20
 
 __all__ = [
     "RuleSpec",
@@ -141,6 +148,31 @@ def _clamped_alpha(j: int, cfg: ElicitationConfig) -> float:
                ALPHA_MAX)
 
 
+def _slab_supports(pyramid: WaveletPyramid) -> np.ndarray:
+    """The slab support of every detail level, shape (..., L): what
+    beta_level gives each level, bit for bit, from one max and one min
+    reduction over the packed detail span. An all-zero level goes to
+    beta_level, which floors it and logs the floor. Raises InputError where
+    a signal's largest detail coefficient is positive but subnormal: its
+    noise-scale floor, relative to that coefficient, would underflow."""
+    start = 2**pyramid.coarse_level
+    span = pyramid.coeffs[..., start:]
+    edges = [2**j - start for j in pyramid.levels()]
+    betas = np.maximum(np.maximum.reduceat(span, edges, axis=-1),
+                       -np.minimum.reduceat(span, edges, axis=-1))
+    peak = betas.max(axis=-1)
+    subnormal = (0.0 < peak) & (peak < np.finfo(float).tiny)
+    if subnormal.any():
+        raise InputError(f"the largest detail coefficient, {float(peak[subnormal][0])!r}, "
+                         "is subnormal: rescale the signal into the normal range")
+    zero = betas == 0.0
+    if zero.any():
+        for i, block in enumerate(pyramid.details.values()):
+            if zero[..., i].any():
+                betas[..., i] = beta_level(block)
+    return betas
+
+
 def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
                    n_samples: int) -> dict:
     """Apply a rule to every detail level of a pyramid, in place.
@@ -152,10 +184,13 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
     coefficients divided by the noise-scale estimate, which keeps its
     powers of the slab support in range at any signal scale. A non-finite
     coefficient or rate, or an overflow while eliciting or applying the
-    rule, raises NumericError.
+    rule, raises NumericError. A signal whose largest detail coefficient is
+    positive but below the normal range (about 2.2e-308) raises InputError
+    under every rule, before any floor is logged.
 
-    The thresholds, which act element by element, shrink the whole detail
-    span in one call. The pyramid may hold one signal (coefficients of
+    The slab supports of all levels come from one pass over the detail
+    span. The thresholds, which act element by element, shrink the whole
+    detail span in one call. The pyramid may hold one signal (coefficients of
     shape (n,)) or a stack of R signals (shape (R, n)). Each row of a
     stack is elicited and shrunk on its own, bit for bit as it would be
     alone; its noise-scale estimate, slab supports and rate or universal
@@ -177,11 +212,12 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
     with numeric_guard("shrinkage"):
         if not np.isfinite(coeffs).all():
             raise NumericError("wavelet coefficients are not finite")
+        betas = _slab_supports(pyramid)
         levels = [{"level": j, "alpha": _clamped_alpha(j, cfg),
-                   "beta": beta_level(block)}
-                  for j, block in details.items()]
+                   "beta": betas[..., i] if stacked else float(betas[i])}
+                  for i, j in enumerate(details)]
         finest = details[pyramid.depth - 1]
-        floor = SIGMA_FLOOR * np.max([level["beta"] for level in levels], axis=0)
+        floor = SIGMA_FLOOR * betas.max(axis=-1)
         sigma_hat = np.maximum(estimate_sigma(finest, cfg.sigma_estimator), floor)
         if not stacked:
             sigma_hat = float(sigma_hat)
@@ -200,7 +236,7 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
             diagnostics["lambda"] = lam
             params = MixturePriorParams(
                 np.array([level["alpha"] for level in levels]),
-                np.stack([level["beta"] for level in levels], axis=-1) / column(sigma_hat),
+                betas / column(sigma_hat),
                 column(lam * np.square(sigma_hat)))
             _esr_levels(coeffs if stacked else coeffs[None],
                         [slice(2**j, 2**(j + 1)) for j in details],
@@ -333,9 +369,9 @@ class CellResult:
     wall_time_s is the rule's share of the time of the batch that computed
     the cell: the study denoises all draws of one (function, n) together,
     and a rule's time in that batch is its own copy, shrink and inverse
-    plus a 1/len(rules) share of the shared forward transform, split evenly
-    over the batch's cells (its SNRs). The noise draw and the MSE scoring belong
-    to no rule and are not counted.
+    plus a 1/len(rules) share of the shared forward transform, summed over
+    the batch's chunks and split evenly over its cells (its SNRs). The
+    noise draw and the MSE scoring belong to no rule and are not counted.
     """
 
     function: TestFunctionKind
@@ -407,35 +443,74 @@ def _denoise_batch(config: StudyConfig, function, n: int, coords: list,
                            f"{exc}") from exc
 
 
-def _score(config: StudyConfig, function, n: int, coords: list, truth: Signal,
-           results: list) -> list[CellResult]:
-    """The cells of one batch, SNR by SNR and rule by rule."""
-    reps = config.replications
+def _noisy_rows(config: StudyConfig, function, truth: Signal, sd: float,
+                coords: list) -> np.ndarray:
+    """The noisy draws at coords, one row each: row i is
+    add_noise(truth, snr, key).samples bit for bit, the same f + sigma * eps
+    with sigma = sd / snr, sd being the truth's SD. Each row's eps is drawn
+    in place from its own stream; the scaling and the sum are one call
+    each for all rows. A draw that add_noise would reject (a constant
+    truth, or a noise scale or sample that overflows) is drawn again by
+    add_noise, whose error names the first one with its cell."""
+    f = truth.samples
+    n = f.size
+    rows = np.empty((len(coords), n))
+    for row, (snr, rep) in zip(rows, coords):
+        noise_rng(_noise_key(config.seed, function, n, snr, rep)).standard_normal(out=row)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows *= sd / np.array([[snr] for snr, _ in coords])
+        rows += f
+    # an overflowing sigma or sample leaves its row non-finite
+    if sd == 0.0 or not np.isfinite(rows).all():
+        for (snr, rep), row in zip(coords, rows):
+            if sd == 0.0 or not np.isfinite(row).all():
+                try:
+                    add_noise(truth, snr, _noise_key(config.seed, function, n, snr, rep))
+                except Exception as exc:
+                    raise _cell_error(function, n, snr, rep, None, exc) from exc
+    return rows
+
+
+def _scores(config: StudyConfig, function, n: int, coords: list, truth: Signal,
+            results: list) -> np.ndarray:
+    """The MSE of every rule's estimate of every draw at coords, shape
+    (rules, draws); an overflow names the first draw it hits."""
     with np.errstate(over="ignore"):
         scores = np.array([mse(estimates, truth.samples) for estimates, *_ in results])
-        amse = scores.reshape(len(config.rules), len(config.snrs), reps).mean(axis=-1)
     bad = ~np.isfinite(scores)
     if bad.any():
         row = int(np.argmax(bad.any(axis=0)))
         rule = config.rules[int(np.argmax(bad[:, row]))]
         raise _cell_error(function, n, *coords[row], rule.label,
                           NumericError("the squared error overflows"))
+    return scores
+
+
+def _cells(config: StudyConfig, function, n: int, scores: np.ndarray,
+           seconds: list) -> list[CellResult]:
+    """The cells of one batch, SNR by SNR and rule by rule, from its
+    scores and each rule's seconds."""
+    reps = config.replications
+    by_cell = scores.reshape(len(config.rules), len(config.snrs), reps)
+    with np.errstate(over="ignore"):
+        amse = by_cell.mean(axis=-1)
+    degenerate = reps < 2
+    sd = np.zeros(amse.shape) if degenerate else scaled_std(by_cell, ddof=1, axis=-1)
     cells = []
     for k, snr in enumerate(config.snrs):
         for i, rule in enumerate(config.rules):
-            vals = scores[i, k * reps:(k + 1) * reps]
+            vals = by_cell[i, k]
             if not np.isfinite(amse[i, k]):  # only the sum overflowed
                 amse[i, k] = vals.max() * np.mean(vals / vals.max())
-            degenerate = vals.size < 2
             cells.append(CellResult(
                 function=function,
                 n=n,
                 snr=snr,
                 rule=rule.label,
                 amse=float(amse[i, k]),
-                mse_sd=0.0 if degenerate else scaled_std(vals, ddof=1),
+                mse_sd=float(sd[i, k]),
                 mse_samples=vals.copy(),
-                wall_time_s=results[i][-1] / len(config.snrs),
+                wall_time_s=seconds[i] / len(config.snrs),
                 degenerate_sd=degenerate,
             ))
     return cells
@@ -444,30 +519,36 @@ def _score(config: StudyConfig, function, n: int, coords: list, truth: Signal,
 def run_study(config: StudyConfig) -> StudyReport:
     """Run every cell of the grid and aggregate per-rule MSE samples.
 
-    Each (function, n) is one batch: its len(snrs) x replications draws
-    are stacked (about 8 * len(snrs) * replications * n bytes per array),
-    transformed once, and shrunk and inverted once per rule. Deterministic
+    Each (function, n) is one batch of len(snrs) x replications draws. The
+    truth's SD is taken once per batch. The draws are stacked in chunks of
+    whole rows of at most _CHUNK samples (8 MB per array), and each chunk
+    is transformed once, and shrunk and inverted once per rule. The MSE
+    samples of a batch are summarized in one reduction. Deterministic
     given (config, seed): replication streams are derived from cell
     coordinates, not from execution order, and the aggregation order is
     fixed; each sample equals that of a denoise of its draw alone, bit for
     bit. A failure aborts the study with the coordinates of the first
-    failing draw attached to the error.
+    failing draw attached to the error; chunks run in order, and within
+    one a noise draw fails before a rule and a rule before the scoring.
     """
     cells: list[CellResult] = []
     for function in config.functions:
         for n in config.sizes:
             truth = generate_test_function(function, n, config.target_sd)
+            sd = scaled_std(truth.samples)
             coords = [(snr, rep) for snr in config.snrs
                       for rep in range(config.replications)]
-            rows = np.empty((len(coords), n))
-            for row, (snr, rep) in zip(rows, coords):
-                key = _noise_key(config.seed, function, n, snr, rep)
-                try:
-                    row[:] = add_noise(truth, snr, key).samples
-                except Exception as exc:
-                    raise _cell_error(function, n, snr, rep, None, exc) from exc
-            results = _denoise_batch(config, function, n, coords, rows)
-            cells += _score(config, function, n, coords, truth, results)
+            scores = np.empty((len(config.rules), len(coords)))
+            seconds = [0.0] * len(config.rules)
+            step = max(1, _CHUNK // n)
+            for start in range(0, len(coords), step):
+                chunk = coords[start:start + step]
+                rows = _noisy_rows(config, function, truth, sd, chunk)
+                results = _denoise_batch(config, function, n, chunk, rows)
+                scores[:, start:start + step] = _scores(config, function, n, chunk,
+                                                        truth, results)
+                seconds = [total + result[-1] for total, result in zip(seconds, results)]
+            cells += _cells(config, function, n, scores, seconds)
     return StudyReport(config=config, cells=cells)
 
 

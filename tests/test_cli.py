@@ -259,6 +259,44 @@ class TestDenoiseCommand:
         ])
         assert result.exit_code == 0, result.output
 
+    @pytest.mark.parametrize("command, out_flag",
+                             [("denoise", "--out"), ("coeffs", "--out-prefix")],
+                             ids=["denoise", "coeffs"])
+    def test_variance_prior_flags_without_esr_are_a_config_error(self, runner, tmp_path,
+                                                                 command, out_flag):
+        inp = tmp_path / "in.csv"
+        _write_noisy_signal(inp)
+        out = tmp_path / "out"
+        # only esr uses the rate lambda(s), so --c and --tau, even at their
+        # defaults, are rejected with hard and soft rather than dropped
+        for rule, flags, named in (("hard", ["--c", "5"], "--c"),
+                                   ("soft", ["--tau", "9"], "--tau"),
+                                   ("hard", ["--c", "1", "--tau", "2"], "--c or --tau")):
+            result = runner.invoke(main, [command, str(inp), "--rule", rule, *flags,
+                                          out_flag, str(out)])
+            assert result.exit_code == 3, result.output
+            assert f"--rule {rule} takes no {named}" in result.output
+            assert not list(tmp_path.glob("out*"))
+        result = runner.invoke(main, [command, str(inp), "--rule", "esr", "--c", "5",
+                                      "--tau", "9", out_flag, str(out)])
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("rule", ["esr", "hard", "soft"])
+    def test_subnormal_signal_is_an_input_error(self, tmp_path, rule):
+        # a fresh process, so that stderr holds all the command logs
+        samples = np.zeros(512)
+        samples[100] = 1e-317
+        inp = tmp_path / "tiny.csv"
+        write_signal_csv(inp, samples)
+        out = tmp_path / "out.csv"
+        result = _python("-m", "epashrink.cli", "denoise", str(inp), "--rule", rule,
+                         "--out", str(out))
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.splitlines() == [
+            "error: the largest detail coefficient, 6.88459e-318, is subnormal: "
+            "rescale the signal into the normal range"]
+        assert not out.exists()
+
     def test_non_dyadic_needs_pad_policy(self, runner, tmp_path):
         inp = tmp_path / "odd.csv"
         write_signal_csv(inp, np.sin(np.arange(1000) / 50.0))
@@ -843,6 +881,15 @@ class TestStudyCommand:
             rows_without_wall_time(tmp_path / "b" / "report.csv")
 
 
+def _python(*args) -> subprocess.CompletedProcess:
+    """A fresh Python process, run with these arguments on this source tree."""
+    src = str(Path(epashrink.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_cli_import_and_denoise_load_neither_scipy_nor_mpmath():
     """Neither scipy nor mpmath is loaded by importing the CLI, by building
     every filter or by a denoise: both stay off the cold-start path."""
@@ -858,11 +905,7 @@ def test_cli_import_and_denoise_load_neither_scipy_nor_mpmath():
         "denoise(Signal(np.random.default_rng(0).standard_normal(64)), RuleSpec('esr'))\n"
         "assert not heavy(), heavy()\n"
     )
-    src = str(Path(epashrink.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, timeout=120)
+    result = _python("-c", code)
     assert result.returncode == 0, result.stderr
 
 

@@ -68,6 +68,19 @@ class TestScaledStd:
             # at unit scale the value is np.std's, bit for bit
             assert np.array_equal(plain, np.std(x, axis=axis, ddof=ddof))
 
+    def test_reduction_along_the_last_axis_is_each_slice_alone(self):
+        # a study's mse_sd is one reduction over (rules, snrs, replications);
+        # every slice, on np.std's path or on the rescaled one where its
+        # squares overflow or underflow, is the value of its own call
+        x = np.random.default_rng(3).uniform(0.5, 2.0, (2, 4, 5))
+        x *= np.array([[1.0, 1e-200, 1e200, 1e300], [1e-310, 7.0, 1e-160, 1.7e308 / 2]])[..., None]
+        x[1, 1] = 3.0  # a constant slice
+        for ddof in (0, 1):
+            sd = scaled_std(x, ddof, axis=-1)
+            assert sd.shape == (2, 4)
+            for i, j in np.ndindex(2, 4):
+                assert sd[i, j] == scaled_std(x[i, j], ddof)
+
 
 class TestGenerators:
     @pytest.mark.parametrize("kind", list(TestFunctionKind))

@@ -15,6 +15,7 @@ from epashrink import (
     InputError,
     ElicitationConfig,
     NumericError,
+    STUDY_PRESETS,
     RuleSpec,
     SigmaEstimator,
     Signal,
@@ -33,7 +34,9 @@ from epashrink import (
 )
 from epashrink.dwt import WaveletPyramid
 from epashrink.shrinkage import _BLOCK
-from epashrink.study import _noise_key
+from epashrink.elicitation import beta_level
+from epashrink.signals import noise_rng
+from epashrink.study import _noise_key, _noisy_rows, _slab_supports
 from oracles import per_level_esr_shrink
 
 
@@ -223,13 +226,18 @@ def _dyadic_signals(draw):
     sigma=st.sampled_from(list(SigmaEstimator)),
 )
 def test_pipeline_properties(y, rule, coarse_level, sigma):
-    """Finite output or NumericError; odd symmetry bit for bit; the scaling
+    """Finite output, NumericError, or InputError for a signal whose largest
+    detail coefficient is subnormal; odd symmetry bit for bit; the scaling
     block passes through untouched."""
     spec = RuleSpec(rule)
     cfg = ElicitationConfig(sigma_estimator=sigma, coarse_level=coarse_level)
     try:
         out = denoise(Signal(y), spec, cfg)
     except NumericError:
+        return
+    except InputError:
+        details = dwt_forward(y, make_daubechies_filter(10), coarse_level).coeffs[2**coarse_level:]
+        assert 0.0 < np.max(np.abs(details)) < np.finfo(float).tiny
         return
     assert np.isfinite(out.samples).all()
     assert np.array_equal(denoise(Signal(-y), spec, cfg).samples, -out.samples)
@@ -630,18 +638,26 @@ def test_run_study_wall_times_sum_to_at_most_the_run():
     assert sum(times) <= total
 
 
+class _HugeDraws:
+    """A stand-in noise stream whose every draw is 7e307."""
+
+    def standard_normal(self, out):
+        out[...] = 7e307
+        return out
+
+
 def test_failure_in_a_batch_names_the_first_failing_draw(monkeypatch):
-    # one draw of the batch (snr 3, replication 1) overflows the transform
+    # one draw of the batch (snr 3, replication 1) overflows the transform:
+    # its samples are about 1.6e308
     import epashrink.study as study_mod
 
-    def add_noise_with_one_bad_draw(truth, snr, key):
-        noisy = add_noise(truth, snr, key)
-        if snr == 3.0 and key[-1] == 1:
-            noisy.samples[:] = 1.7e308
-        return noisy
-
-    monkeypatch.setattr(study_mod, "add_noise", add_noise_with_one_bad_draw)
     config = replace(_tiny_config((RuleSpec("soft"), RuleSpec("esr"))), snrs=(1.0, 3.0))
+    bad_key = _noise_key(config.seed, TestFunctionKind.HEAVISINE, 128, 3.0, 1)
+
+    def noise_rng_with_one_bad_draw(key):
+        return _HugeDraws() if key == bad_key else noise_rng(key)
+
+    monkeypatch.setattr(study_mod, "noise_rng", noise_rng_with_one_bad_draw)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(NumericError, match=r"function=heavisine, n=128, snr=3.0, "
@@ -713,3 +729,191 @@ def test_amse_whose_sum_overflows_is_finite():
     assert np.sum(cell.mse_samples / 2.0) > np.finfo(float).max / 2.0
     assert cell.amse == pytest.approx(np.mean(cell.mse_samples / 1e300) * 1e300, rel=1e-12)
     assert np.isfinite(cell.mse_sd) and cell.mse_sd > 0
+
+
+# ---------------------------------------------------------------------------
+# the batch path of run_study against its per-draw and per-level oracles
+
+
+def _draw_config(target_sd, snrs=(0.5, 3.0), replications=3):
+    return StudyConfig(functions=(TestFunctionKind.BUMPS,), sizes=(64,), snrs=snrs,
+                       replications=replications, rules=(RuleSpec("soft"),), seed=5,
+                       target_sd=target_sd)
+
+
+def _coords(config):
+    return [(snr, rep) for snr in config.snrs for rep in range(config.replications)]
+
+
+@pytest.mark.parametrize("target_sd", [7.0, 1e-200, 1e200])
+def test_every_draw_of_a_batch_is_add_noise_bit_for_bit(target_sd):
+    config = _draw_config(target_sd)
+    function, n = config.functions[0], config.sizes[0]
+    truth = generate_test_function(function, n, target_sd)
+    rows = _noisy_rows(config, function, truth, truth.sd(), _coords(config))
+    for row, (snr, rep) in zip(rows, _coords(config)):
+        want = add_noise(truth, snr, _noise_key(config.seed, function, n, snr, rep))
+        assert np.array_equal(row, want.samples)
+
+
+def _first_failing_draw(config, truth):
+    """The message and cause of the first failing add_noise call of the
+    per-draw study loop."""
+    function, n = config.functions[0], config.sizes[0]
+    for snr, rep in _coords(config):
+        try:
+            add_noise(truth, snr, _noise_key(config.seed, function, n, snr, rep))
+        except Exception as exc:
+            return (f"cell (function={function.value}, n={n}, snr={snr}, rep={rep}) "
+                    f"noise draw failed: {exc}"), type(exc)
+    pytest.fail("no draw fails")
+
+
+@pytest.mark.parametrize("case", ["constant truth", "overflowing sigma", "overflowing sample"])
+@pytest.mark.parametrize("chunk", [2**20, 2 * 64])
+def test_a_failing_draw_fails_as_add_noise_would(case, chunk, monkeypatch):
+    import epashrink.study as study_mod
+
+    monkeypatch.setattr(study_mod, "_CHUNK", chunk)
+    if case == "constant truth":
+        config = _draw_config(7.0)
+        monkeypatch.setattr(study_mod, "generate_test_function",
+                            lambda function, n, target_sd: Signal(np.full(n, 2.0)))
+    else:
+        # sigma = 1e310 overflows; sigma = 1e308 is finite, but some of the
+        # samples sigma * eps overflow. The draws at snr 1 denoise and score
+        # without overflow, so in chunks of two rows they fail nothing first
+        config = _draw_config(1e150, snrs=(1.0, 1e-160 if case == "overflowing sigma"
+                                           else 1e-158))
+    truth = study_mod.generate_test_function(config.functions[0], 64, config.target_sd)
+    message, cause = _first_failing_draw(config, truth)
+    if case != "constant truth":
+        assert "snr=1.0," not in message  # the draws at snr 1 come out whole
+    with pytest.raises(NumericError) as caught:
+        run_study(config)
+    assert str(caught.value) == message
+    assert type(caught.value.__cause__) is cause
+
+
+@pytest.mark.parametrize("coarse_level", [0, 3])
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_slab_supports_are_beta_level_per_level(coarse_level, scale, caplog):
+    # a stack with an all-zero level in one row, and a single signal
+    stacked = _stacked_test_pyramid()
+    stacked.coeffs[0] *= scale
+    pyramid = WaveletPyramid(coarse_level, stacked.coeffs)
+    for p in (pyramid, WaveletPyramid(coarse_level, pyramid.coeffs[2].copy())):
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            want = [beta_level(block) for block in p.details.values()]
+        want_log = [(r.levelname, r.getMessage()) for r in caplog.records]
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            betas = _slab_supports(p)
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == want_log
+        assert want_log == [("WARNING", "1 all-zero coefficient block(s); flooring beta at 1e-08")]
+        assert betas.shape == (*p.coeffs.shape[:-1], len(want))
+        for i, beta in enumerate(want):
+            assert np.array_equal(betas[..., i], beta)
+
+
+@pytest.mark.parametrize("rule", ["esr", "soft", "hard"])
+@pytest.mark.parametrize("sigma", list(SigmaEstimator))
+def test_subnormal_signal_is_an_input_error(rule, sigma, caplog):
+    # at a peak of 1e-317 the sigma_hat floor, 1e-8 of the largest detail
+    # coefficient, underflows to 0; every rule rejects the signal alone
+    spike = np.zeros(512)
+    spike[100] = 1e-317
+    cfg = ElicitationConfig(sigma_estimator=sigma)
+    for y in (spike, 1e-317 / 7.0 * generate_test_function("heavisine", 512).samples):
+        with caplog.at_level("WARNING"):
+            with pytest.raises(InputError, match=r"largest detail coefficient, .*e-31\d, "
+                                                 r"is subnormal"):
+                denoise(Signal(y), RuleSpec(rule), cfg)
+        assert not caplog.records
+    # one subnormal row fails a stack; all-zero and normal rows do not
+    rows = np.zeros((3, 512))
+    rows[1] = 1e-100 * np.random.default_rng(1).standard_normal(512)
+    shrink_pyramid(dwt_forward(rows, make_daubechies_filter(10)), RuleSpec(rule), cfg, 512)
+    rows[2] = spike
+    with pytest.raises(InputError):
+        shrink_pyramid(dwt_forward(rows, make_daubechies_filter(10)), RuleSpec(rule), cfg, 512)
+
+
+def test_chunked_batches_match_per_draw_oracle(monkeypatch):
+    # chunks of 4 rows at n = 64, which cut the draws of an SNR in two, and
+    # of one row at n = 256
+    import epashrink.study as study_mod
+
+    batches = []
+
+    def counted_denoise_batch(config, function, n, coords, rows):
+        batches.append((n, len(coords)))
+        return denoise_batch(config, function, n, coords, rows)
+
+    denoise_batch = study_mod._denoise_batch
+    monkeypatch.setattr(study_mod, "_denoise_batch", counted_denoise_batch)
+    monkeypatch.setattr(study_mod, "_CHUNK", 256)
+    config = StudyConfig(
+        functions=(TestFunctionKind.BLOCKS,),
+        sizes=(64, 256),
+        snrs=(0.5, 3.0),
+        replications=3,
+        rules=(RuleSpec("esr"), RuleSpec("hard")),
+        elicitation=benchmark_elicitation(),
+        seed=12,
+    )
+    report = run_study(config)
+    assert batches == [(64, 4), (64, 2)] + [(256, 1)] * 6
+    oracle = _per_draw_oracle(config)
+    assert [(c.function, c.n, c.snr, c.rule) for c in report.cells] == list(oracle)
+    for cell in report.cells:
+        want = oracle[(cell.function, cell.n, cell.snr, cell.rule)]
+        assert np.array_equal(cell.mse_samples, want)
+        assert cell.amse == float(np.mean(want))
+        assert cell.mse_sd == float(np.std(want, ddof=1))
+        assert cell.wall_time_s > 0
+
+
+def test_the_chunk_cap_leaves_acceptance_desk_one_chunk():
+    import epashrink.study as study_mod
+
+    grid = STUDY_PRESETS["acceptance-desk"]
+    rows = len(grid["snrs"]) * grid["replications"]
+    assert rows * max(grid["sizes"]) <= study_mod._CHUNK
+
+
+def test_a_batch_does_its_bookkeeping_once(monkeypatch):
+    # per (function, n): the truth's SD once and one reduction for mse_sd;
+    # per rule shrink: one reduction for the slab supports, and no per-level
+    # beta_level call; no add_noise call at all
+    import epashrink.study as study_mod
+
+    calls = {"truth sd": 0, "mse_sd": 0, "supports": 0, "shrinks": 0,
+             "beta_level": 0, "add_noise": 0}
+
+    def counting(name, fn, key=None):
+        def wrapper(*args, **kwargs):
+            calls[key(*args) if key else name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def which_std(values, *args):
+        return {1: "truth sd", 3: "mse_sd"}[np.ndim(values)]
+
+    monkeypatch.setattr(study_mod, "scaled_std", counting(None, study_mod.scaled_std, which_std))
+    for name, attr in (("supports", "_slab_supports"), ("shrinks", "shrink_pyramid"),
+                       ("beta_level", "beta_level"), ("add_noise", "add_noise")):
+        monkeypatch.setattr(study_mod, attr, counting(name, getattr(study_mod, attr)))
+    config = StudyConfig(
+        functions=(TestFunctionKind.BUMPS, TestFunctionKind.DOPPLER),
+        sizes=(128, 512),
+        snrs=(0.5, 1.0, 3.0),
+        replications=4,
+        rules=(RuleSpec("esr"), RuleSpec("soft"), RuleSpec("hard", 2.0)),
+        elicitation=benchmark_elicitation(),
+        seed=2,
+    )
+    run_study(config)
+    assert calls == {"truth sd": 4, "mse_sd": 4, "supports": 12, "shrinks": 12,
+                     "beta_level": 0, "add_noise": 0}
