@@ -5,13 +5,13 @@ The decomposition is the classic pyramid filter-bank scheme with circular
 for every dyadic length, including blocks shorter than the filter. Each
 step is a circular correlation along the last axis, kept at the even
 offsets, and computed with numpy alone as a matrix product against a small
-read-only matrix cached per filter: a dense periodic matrix for blocks of
-up to 2 * _BLOCK samples, and past that one block-Toeplitz matrix that maps
-each 2 * _BLOCK samples, plus the head of the next block, to their
-coefficients. Every product treats each row of a stack on its own, so the
-transform works unchanged on stacks of signals of shape ``(..., n)``, row
-for row bit-identical to one call per row. The coefficients live in one
-array of the signal's shape in the packed layout
+read-only matrix cached per filter: a dense periodic matrix for up to
+2 * _CHANNEL_OUTPUTS samples, and past that one block-Toeplitz matrix that
+maps each block of that many samples, plus the head of the next block, to
+their coefficients. Every product treats each row of a stack on its own,
+so the transform works unchanged on stacks of signals of shape
+``(..., n)``, row for row bit-identical to one call per row. The
+coefficients live in one array of the signal's shape in the packed layout
 ``[scaling | d_J0 | ... | d_J-1]`` (Mallat 1989), and the per-level blocks
 are views into that array. Filter taps come from a constant table of the
 ten extremal-phase filters, the correctly rounded doubles of their spectral
@@ -184,21 +184,21 @@ class WaveletPyramid:
         return WaveletPyramid(self.coarse_level, self.coeffs.copy())
 
 
-_BLOCK = 32  # outputs per channel of one block in the blocked steps
+_CHANNEL_OUTPUTS = 32  # outputs per channel of one block of the blocked steps
 
 
 def _step_matrix(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
     """The cached, read-only matrix of one filter-bank step on n samples.
 
-    For n up to ``2 * _BLOCK`` it is the dense periodic (n, n) matrix: n
-    samples times it are ``[approx | detail]``. Past that it is the
-    (2 * _BLOCK + L - 2, 2 * _BLOCK) block matrix, L being the filter
-    length, the same for every longer n: 2 * _BLOCK samples and the L - 2
-    that follow them, times it, are the _BLOCK approximation and the _BLOCK
-    detail coefficients of those samples. So the cache holds one dense
-    matrix per filter and short length, and one block matrix per filter.
+    For n up to one block, B = 2 * _CHANNEL_OUTPUTS, it is the dense
+    periodic (n, n) matrix: n samples times it are ``[approx | detail]``.
+    Past that it is the (B + L - 2, B) block matrix, L being the filter
+    length, the same for every longer n: B samples and the L - 2 that
+    follow them, times it, are their B / 2 approximation and B / 2 detail
+    coefficients. So the cache holds one dense matrix per filter and short
+    length, and one block matrix per filter.
     """
-    rows = n if n <= 2 * _BLOCK else 2 * _BLOCK + lo.size - 2
+    rows = n if n <= 2 * _CHANNEL_OUTPUTS else 2 * _CHANNEL_OUTPUTS + lo.size - 2
     return _taps_matrix(lo.tobytes(), hi.tobytes(), rows)
 
 
@@ -208,7 +208,7 @@ def _taps_matrix(lo_bytes: bytes, hi_bytes: bytes, rows: int) -> np.ndarray:
     += hi[j]`` for the ``half`` outputs per channel; the wrap acts only in
     the dense matrices, whose blocks may be shorter than the filter."""
     lo, hi = np.frombuffer(lo_bytes), np.frombuffer(hi_bytes)
-    half = min(rows, 2 * _BLOCK) // 2
+    half = min(rows, 2 * _CHANNEL_OUTPUTS) // 2
     k = np.arange(half)[:, None]
     at = (2 * k + np.arange(lo.size)) % rows
     m = np.zeros((rows, 2 * half))
@@ -225,25 +225,28 @@ def _analysis_step(a: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     ``detail`` with ``hi``: a circular correlation kept at even offsets,
     computed as a product with the step matrix. Short blocks go through the
     dense matrix one row at a time, as ``(..., 1, n)`` products. Longer
-    ones are cut into blocks of 2 * _BLOCK samples; each block, followed by
-    the first L - 2 samples of the next one (cyclically), times the block
-    matrix gives that block's coefficients. Either way each row of a stack
-    goes through the same products as it would alone, so it comes out bit
-    for bit the same, and the steps act on any leading shape.
+    ones are cut into blocks of 2 * _CHANNEL_OUTPUTS samples; each block,
+    followed by the first L - 2 samples of the next one (cyclically),
+    times the block matrix gives that block's coefficients. Either way
+    each row of a stack goes through the same products as it would alone,
+    so it comes out bit for bit the same, and the steps act on any leading
+    shape.
     """
     n = a.shape[-1]
     m = _step_matrix(lo, hi, n)
-    if n <= 2 * _BLOCK:
+    if n <= 2 * _CHANNEL_OUTPUTS:
         out = (a[..., None, :] @ m)[..., 0, :]
         return out[..., :n // 2], out[..., n // 2:]
     lead = a.shape[:-1]
-    blocks = a.reshape(*lead, n // (2 * _BLOCK), 2 * _BLOCK)
+    blocks = a.reshape(*lead, n // (2 * _CHANNEL_OUTPUTS), 2 * _CHANNEL_OUTPUTS)
     # the window of a block overlaps the next, so a view of the windows is
     # not a BLAS operand: the block and the next one's head are two products
-    out = blocks @ m[:2 * _BLOCK]
-    out += np.roll(blocks[..., :lo.size - 2], -1, axis=-2) @ m[2 * _BLOCK:]
-    return (out[..., :_BLOCK].reshape(*lead, n // 2),
-            out[..., _BLOCK:].reshape(*lead, n // 2))
+    heads = blocks[..., :lo.size - 2]
+    next_heads = np.concatenate([heads[..., 1:, :], heads[..., :1, :]], axis=-2)
+    out = blocks @ m[:2 * _CHANNEL_OUTPUTS]
+    out += next_heads @ m[2 * _CHANNEL_OUTPUTS:]
+    return (out[..., :_CHANNEL_OUTPUTS].reshape(*lead, n // 2),
+            out[..., _CHANNEL_OUTPUTS:].reshape(*lead, n // 2))
 
 
 def _synthesis_step(approx: np.ndarray, detail: np.ndarray,
@@ -251,19 +254,21 @@ def _synthesis_step(approx: np.ndarray, detail: np.ndarray,
     """Adjoint of :func:`_analysis_step`; exact inverse by orthogonality.
 
     The product with the transposed step matrix: block by block, each
-    block's coefficients make its 2 * _BLOCK samples, and the previous
-    block's (cyclically) add into the first L - 2 of them.
+    block's coefficients make its 2 * _CHANNEL_OUTPUTS samples, and the
+    previous block's (cyclically) add into the first L - 2 of them.
     """
     half = approx.shape[-1]
     m = _step_matrix(lo, hi, 2 * half)
-    if half <= _BLOCK:
+    if half <= _CHANNEL_OUTPUTS:
         coeffs = np.concatenate([approx, detail], axis=-1)
         return (coeffs[..., None, :] @ m.T)[..., 0, :]
     lead = approx.shape[:-1]
-    shape = (*lead, half // _BLOCK, _BLOCK)
+    shape = (*lead, half // _CHANNEL_OUTPUTS, _CHANNEL_OUTPUTS)
     coeffs = np.concatenate([approx.reshape(shape), detail.reshape(shape)], axis=-1)
-    out = coeffs @ m[:2 * _BLOCK].T
-    out[..., :lo.size - 2] += np.roll(coeffs @ m[2 * _BLOCK:].T, 1, axis=-2)
+    out = coeffs @ m[:2 * _CHANNEL_OUTPUTS].T
+    tail = coeffs @ m[2 * _CHANNEL_OUTPUTS:].T
+    out[..., 1:, :lo.size - 2] += tail[..., :-1, :]
+    out[..., 0, :lo.size - 2] += tail[..., -1, :]
     return out.reshape(*lead, 2 * half)
 
 

@@ -111,8 +111,15 @@ def estimate_sigma(finest_details, method: SigmaEstimator = SigmaEstimator.MAD):
     method = SigmaEstimator(method)
     if method is SigmaEstimator.SAMPLE_SD:
         return scaled_std(coeffs, ddof=1, axis=-1)
-    # the absolute values are a fresh array, which the median may partition
-    sigma = np.median(np.abs(coeffs), axis=-1, overwrite_input=True) / MAD_CONSISTENCY
+    # np.median bit for bit, but partitioned at one pivot h, not two or
+    # three: the lower middle is the largest entry below h; a nan sorts last
+    a = np.abs(coeffs)
+    m = a.shape[-1]
+    h = m // 2
+    a.partition(h, axis=-1)
+    median = a[..., h] if m % 2 else (a[..., :h].max(axis=-1) + a[..., h]) / 2
+    median = np.where(np.isnan(a[..., h:].max(axis=-1)), np.nan, median)
+    sigma = median / MAD_CONSISTENCY
     return sigma if sigma.ndim else float(sigma)
 
 

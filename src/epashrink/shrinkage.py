@@ -143,27 +143,26 @@ _SERIES_V = 0.05
 # block is then 64 KB, which glibc serves from its heap, while a temporary
 # the size of a long level lies past its mmap threshold and is mapped,
 # faulted in and returned on every call
-_BLOCK = 8192
+_BLOCK_COEFFS = 8192
 
 # the narrowest detail levels of a stack share one block while it holds at
 # most this many coefficients. Their constants are then repeated per
 # coefficient, some twenty arrays the size of the block: at a full block
 # that is 1.5 MB, which glibc hands back and faults in again block after
 # block, while a longer level, shrunk level by level, needs no repeats
-_POOL = _BLOCK // 2
+_POOL = _BLOCK_COEFFS // 2
 
 
 class _Constants(NamedTuple):
     """The quantities of the closed forms that depend on the parameters
     alone, made by _rule_constants. Each is a number, or an array of the
     parameters' shape. The _d and _s fields belong to the direct and the
-    series side of the seam."""
+    series side of the seam; series, the one bool field, comes last."""
 
     beta: np.ndarray
     neg_a: np.ndarray
     slab_weight: np.ndarray
     spike_weight: np.ndarray
-    series: np.ndarray
     beta_d: np.ndarray
     lam_d: np.ndarray
     neg_a_d: np.ndarray
@@ -178,6 +177,7 @@ class _Constants(NamedTuple):
     beta3_s: np.ndarray
     beta4_s: np.ndarray
     v_s: np.ndarray
+    series: np.ndarray
 
 
 def _rule_constants(alpha, beta, lam) -> _Constants:
@@ -214,11 +214,11 @@ def _rule_constants(alpha, beta, lam) -> _Constants:
     return _Constants(
         beta=beta, neg_a=-a,
         slab_weight=(1.0 - alpha) * 3.0 * a / (8.0 * beta3),
-        spike_weight=alpha * (0.5 * a), series=series,
+        spike_weight=alpha * (0.5 * a),
         beta_d=beta_d, lam_d=lam_d, neg_a_d=-a_d, neg_2a_d=-2.0 * a_d, beta2_d=beta2,
         k_d=k, edge_d=beta_d + 1.0 / a_d, two_over_a_d=2.0 / a_d, inv_lam_d=1.0 / lam_d,
         a3_d=a3, beta_s=beta_s, beta3_s=where(series, beta3, 1.0), beta4_s=np.power(beta_s, 4),
-        v_s=where(series, v, _SERIES_V))
+        v_s=where(series, v, _SERIES_V), series=series)
 
 
 def _slab_series(x: np.ndarray, k: _Constants):
@@ -316,28 +316,28 @@ def _marginal_block(d: np.ndarray, k: _Constants) -> np.ndarray:
 
 def _blocks(rows: int, cols: int):
     """(row slice, column slice) pairs that cover a (rows, cols) array in
-    blocks of at most _BLOCK entries: groups of whole rows, or slices of
-    one row where a row is longer than a block."""
-    if cols > _BLOCK:
+    blocks of at most _BLOCK_COEFFS entries: groups of whole rows, or
+    slices of one row where a row is longer than a block."""
+    if cols > _BLOCK_COEFFS:
         for r in range(rows):
-            for c in range(0, cols, _BLOCK):
-                yield slice(r, r + 1), slice(c, c + _BLOCK)
+            for c in range(0, cols, _BLOCK_COEFFS):
+                yield slice(r, r + 1), slice(c, c + _BLOCK_COEFFS)
     elif cols:
-        step = _BLOCK // cols
+        step = _BLOCK_COEFFS // cols
         for r in range(0, rows, step):
             yield slice(r, r + step), slice(None)
 
 
 def _blockwise(block_fn, arr: np.ndarray, k: _Constants) -> np.ndarray:
-    """block_fn(coefficients, k) over arr in slices of at most _BLOCK of
-    its flattened coefficients; an input of at most one block is that
-    block."""
-    if arr.size <= _BLOCK:
+    """block_fn(coefficients, k) over arr in slices of at most
+    _BLOCK_COEFFS of its flattened coefficients; an input of at most one
+    block is that block."""
+    if arr.size <= _BLOCK_COEFFS:
         return block_fn(arr, k)
     flat = arr.ravel()
     out = np.empty(flat.shape)
-    for i in range(0, flat.size, _BLOCK):
-        out[i:i + _BLOCK] = block_fn(flat[i:i + _BLOCK], k)
+    for i in range(0, flat.size, _BLOCK_COEFFS):
+        out[i:i + _BLOCK_COEFFS] = block_fn(flat[i:i + _BLOCK_COEFFS], k)
     return out.reshape(arr.shape)
 
 
@@ -361,13 +361,16 @@ def _esr_levels(rows: np.ndarray, levels: list, sigma: np.ndarray,
         np.multiply(s, _esr_block(block / s, kb), out=block)
 
     # the narrowest levels share one block while it holds at most _POOL
-    # coefficients, their constants repeated per coefficient
+    # coefficients, their constants repeated per coefficient (the floats
+    # in one call, the bool series flag in its own)
     start = levels[0].start
     pooled = sum(len(rows) * (level.stop - start) <= _POOL for level in levels)
     if pooled:
         widths = [level.stop - level.start for level in levels[:pooled]]
+        cut = [c[:, :pooled] for c in k]
         shrink(rows[:, start:levels[pooled - 1].stop], sigma,
-               k._make(np.repeat(c[:, :pooled], widths, axis=1) for c in k))
+               k._make([*np.repeat(np.stack(cut[:-1]), widths, axis=2),
+                        np.repeat(cut[-1], widths, axis=1)]))
     for j in range(pooled, len(levels)):
         view = rows[:, levels[j]]
         for rs, cs in _blocks(*view.shape):

@@ -91,16 +91,15 @@ _BLOCK_HEIGHTS = np.array([4, -5, 3, -4, 5, -4.2, 2.1, 4.3, -3.1, 2.1, -4.2])
 
 
 def _raw_test_function(kind: TestFunctionKind, x: np.ndarray) -> np.ndarray:
+    # bumps and blocks: one row per jump, summed from 0.0 in the jumps' order
+    t0 = _JUMPS[:, None]
     if kind is TestFunctionKind.BUMPS:
-        f = np.zeros_like(x)
-        for t0, h, w in zip(_JUMPS, _BUMP_HEIGHTS, _BUMP_WIDTHS):
-            f += h / (1.0 + np.abs((x - t0) / w)) ** 4
-        return f
+        w = _BUMP_WIDTHS[:, None]
+        bumps = _BUMP_HEIGHTS[:, None] / (1.0 + np.abs((x - t0) / w)) ** 4
+        return np.add.reduce(bumps, axis=0, initial=0.0)
     if kind is TestFunctionKind.BLOCKS:
-        f = np.zeros_like(x)
-        for t0, h in zip(_JUMPS, _BLOCK_HEIGHTS):
-            f += h * (1.0 + np.sign(x - t0)) / 2.0
-        return f
+        steps = _BLOCK_HEIGHTS[:, None] * (1.0 + np.sign(x - t0)) / 2.0
+        return np.add.reduce(steps, axis=0, initial=0.0)
     if kind is TestFunctionKind.DOPPLER:
         return np.sqrt(x * (1.0 - x)) * np.sin(2.1 * np.pi / (x + 0.05))
     if kind is TestFunctionKind.HEAVISINE:

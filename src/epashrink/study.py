@@ -8,13 +8,14 @@ diluted by noise-stream differences. Noise streams are keyed by
 pure function of (config, seed) independent of execution order.
 
 One pipeline serves both a single denoise and a study: it takes a stack of
-signals, shape (R, n), and a tuple of rules, transforms the stack once and
-shrinks and inverts it once per rule. Every step works row by row, so each
-row comes out bit for bit as it would alone. A study runs it once per
-(function, n), on the len(snrs) x replications draws of that pair, in
-chunks of bounded size; the noise, the slab supports and the scores of
-those draws are each computed in one pass per batch or chunk, not row by
-row or level by level.
+signals, shape (R, n), and a tuple of rules, transforms the stack once,
+elicits the slab supports and noise scales once, shrinks one copy of the
+coefficients per rule and inverts all the copies together. Every step
+works row by row, so each row comes out bit for bit as it would alone. A
+study runs it once per (function, n), on the len(snrs) x replications
+draws of that pair, in chunks of bounded size; the noise, the slab
+supports and the scores of those draws are each computed in one pass per
+batch or chunk, not row by row, level by level or rule by rule.
 """
 
 from __future__ import annotations
@@ -173,8 +174,21 @@ def _slab_supports(pyramid: WaveletPyramid) -> np.ndarray:
     return betas
 
 
+def _elicit(pyramid: WaveletPyramid, cfg: ElicitationConfig) -> tuple:
+    """What every rule's shrink of a pyramid shares: the finiteness check,
+    the slab supports (..., L) and the floored noise-scale estimates."""
+    with numeric_guard("shrinkage"):
+        if not np.isfinite(pyramid.coeffs).all():
+            raise NumericError("wavelet coefficients are not finite")
+        betas = _slab_supports(pyramid)
+        floor = SIGMA_FLOOR * betas.max(axis=-1)
+        finest = pyramid.coeffs[..., pyramid.n // 2:]
+        sigma_hat = np.maximum(estimate_sigma(finest, cfg.sigma_estimator), floor)
+    return betas, sigma_hat if sigma_hat.ndim else float(sigma_hat)
+
+
 def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
-                   n_samples: int) -> dict:
+                   n_samples: int, *, elicited: tuple | None = None) -> dict:
     """Apply a rule to every detail level of a pyramid, in place.
 
     The scaling block is never touched. Returns the elicited quantities:
@@ -202,6 +216,8 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
     column of R values. Its constants are computed once per shrink, and
     it runs in blocks of bounded size: the narrowest levels together, the
     longer ones in groups of rows or slices of a row.
+    ``elicited``, the _elicit of these coefficients, lets rules that
+    shrink copies of one pyramid share its checks, supports and estimates.
     """
     cfg = elicitation
     coeffs = pyramid.coeffs
@@ -209,18 +225,11 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
     if coeffs.ndim not in (1, 2):
         raise InputError(f"cannot shrink a pyramid of shape {coeffs.shape}")
     details = pyramid.details
+    betas, sigma_hat = elicited or _elicit(pyramid, cfg)
     with numeric_guard("shrinkage"):
-        if not np.isfinite(coeffs).all():
-            raise NumericError("wavelet coefficients are not finite")
-        betas = _slab_supports(pyramid)
         levels = [{"level": j, "alpha": _clamped_alpha(j, cfg),
                    "beta": betas[..., i] if stacked else float(betas[i])}
                   for i, j in enumerate(details)]
-        finest = details[pyramid.depth - 1]
-        floor = SIGMA_FLOOR * betas.max(axis=-1)
-        sigma_hat = np.maximum(estimate_sigma(finest, cfg.sigma_estimator), floor)
-        if not stacked:
-            sigma_hat = float(sigma_hat)
         diagnostics: dict = {"sigma_hat": sigma_hat, "levels": levels}
 
         def column(values):
@@ -256,27 +265,33 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
 
 def _denoise_stack(rows: np.ndarray, rules: tuple[RuleSpec, ...],
                    elicitation: ElicitationConfig, wavelet_order: int) -> tuple:
-    """The denoising pipeline: one forward transform of the signals in
-    ``rows`` (shape (n,) or (R, n)), then per rule a shrink of a copy of
-    its coefficients and an inverse.
+    """The denoising pipeline on the signals in ``rows`` (shape (n,) or
+    (R, n)): one forward transform and one _elicit, which all rules share;
+    one copy of the coefficients per rule, each shrunk in place by its
+    rule; and one inverse of all the copies.
 
-    Returns the forward pyramid and, per rule, (estimates, diagnostics,
-    shrunk pyramid, seconds). seconds is the rule's own copy, shrink and
-    inverse plus a 1/len(rules) share of the shared forward transform.
+    Returns the forward pyramid, the estimates of shape (rules, ..., n)
+    and, per rule, (diagnostics, shrunk pyramid, seconds). seconds is the
+    rule's own shrink plus a 1/len(rules) share of the forward transform,
+    the elicitation, the copy and the inverse.
     """
     filt = make_daubechies_filter(wavelet_order)
     t0 = time.perf_counter()
     empirical = dwt_forward(rows, filt, elicitation.coarse_level)
-    forward_share = (time.perf_counter() - t0) / len(rules)
+    elicited = _elicit(empirical, elicitation)
+    copies = np.repeat(empirical.coeffs[None], len(rules), axis=0)
+    shared = time.perf_counter() - t0
     results = []
-    for rule in rules:
+    for rule, coeffs in zip(rules, copies):
         t0 = time.perf_counter()
-        shrunk = empirical.copy()
-        diagnostics = shrink_pyramid(shrunk, rule, elicitation, rows.shape[-1])
-        estimates = dwt_inverse(shrunk, filt)
-        results.append((estimates, diagnostics, shrunk,
-                        forward_share + time.perf_counter() - t0))
-    return empirical, results
+        shrunk = WaveletPyramid(empirical.coarse_level, coeffs)
+        diagnostics = shrink_pyramid(shrunk, rule, elicitation, rows.shape[-1],
+                                     elicited=elicited)
+        results.append((diagnostics, shrunk, time.perf_counter() - t0))
+    t0 = time.perf_counter()
+    estimates = dwt_inverse(WaveletPyramid(empirical.coarse_level, copies), filt)
+    share = (shared + time.perf_counter() - t0) / len(rules)
+    return empirical, estimates, [(d, p, t + share) for d, p, t in results]
 
 
 @dataclass
@@ -306,9 +321,9 @@ def denoise(
     elicited quantities as ``diagnostics``; see :func:`shrink_pyramid`.
     """
     cfg = elicitation or ElicitationConfig()
-    empirical, [(samples, diagnostics, shrunk, _)] = _denoise_stack(
+    empirical, estimates, [(diagnostics, shrunk, _)] = _denoise_stack(
         y.samples, (rule,), cfg, wavelet_order)
-    return Denoised(samples=samples, truth=y.truth, diagnostics=diagnostics,
+    return Denoised(samples=estimates[0], truth=y.truth, diagnostics=diagnostics,
                     empirical=empirical, shrunk=shrunk)
 
 
@@ -368,10 +383,11 @@ class CellResult:
 
     wall_time_s is the rule's share of the time of the batch that computed
     the cell: the study denoises all draws of one (function, n) together,
-    and a rule's time in that batch is its own copy, shrink and inverse
-    plus a 1/len(rules) share of the shared forward transform, summed over
-    the batch's chunks and split evenly over its cells (its SNRs). The
-    noise draw and the MSE scoring belong to no rule and are not counted.
+    and a rule's time in that batch is its own shrink plus a 1/len(rules)
+    share of the forward transform, elicitation, copy and inverse that all
+    rules share, summed over the batch's chunks and split evenly over its
+    cells (its SNRs). The noise draw and the MSE scoring belong to no
+    rule and are not counted.
     """
 
     function: TestFunctionKind
@@ -422,13 +438,13 @@ def _cell_error(function, n, snr, rep: int, rule: str | None,
 
 
 def _denoise_batch(config: StudyConfig, function, n: int, coords: list,
-                   rows: np.ndarray) -> list:
-    """The per-rule results of _denoise_stack on the draws of one
-    (function, n); on a failure, names the first failing (row, rule) in
-    the order of the draws."""
+                   rows: np.ndarray) -> tuple:
+    """The estimates and per-rule results of _denoise_stack on the draws
+    of one (function, n); on a failure, names the first failing (row,
+    rule) in the order of the draws."""
     try:
         return _denoise_stack(rows, config.rules, config.elicitation,
-                              config.wavelet_order)[1]
+                              config.wavelet_order)[1:]
     except Exception as exc:
         # rows are independent, so the failing ones fail alone as well
         for (snr, rep), row in zip(coords, rows):
@@ -472,11 +488,11 @@ def _noisy_rows(config: StudyConfig, function, truth: Signal, sd: float,
 
 
 def _scores(config: StudyConfig, function, n: int, coords: list, truth: Signal,
-            results: list) -> np.ndarray:
+            estimates: np.ndarray) -> np.ndarray:
     """The MSE of every rule's estimate of every draw at coords, shape
-    (rules, draws); an overflow names the first draw it hits."""
+    (rules, draws), in one call; an overflow names the first draw it hits."""
     with np.errstate(over="ignore"):
-        scores = np.array([mse(estimates, truth.samples) for estimates, *_ in results])
+        scores = mse(estimates, truth.samples)
     bad = ~np.isfinite(scores)
     if bad.any():
         row = int(np.argmax(bad.any(axis=0)))
@@ -522,12 +538,12 @@ def run_study(config: StudyConfig) -> StudyReport:
     Each (function, n) is one batch of len(snrs) x replications draws. The
     truth's SD is taken once per batch. The draws are stacked in chunks of
     whole rows of at most _CHUNK samples (8 MB per array), and each chunk
-    is transformed once, and shrunk and inverted once per rule. The MSE
-    samples of a batch are summarized in one reduction. Deterministic
-    given (config, seed): replication streams are derived from cell
-    coordinates, not from execution order, and the aggregation order is
-    fixed; each sample equals that of a denoise of its draw alone, bit for
-    bit. A failure aborts the study with the coordinates of the first
+    is transformed, elicited and inverted once, and shrunk once per rule.
+    The MSE samples of a batch are summarized in one reduction.
+    Deterministic given (config, seed): replication streams are derived
+    from cell coordinates, not from execution order, and the aggregation
+    order is fixed; each sample equals that of a denoise of its draw
+    alone, bit for bit. A failure aborts the study with the coordinates of the first
     failing draw attached to the error; chunks run in order, and within
     one a noise draw fails before a rule and a rule before the scoring.
     """
@@ -544,9 +560,9 @@ def run_study(config: StudyConfig) -> StudyReport:
             for start in range(0, len(coords), step):
                 chunk = coords[start:start + step]
                 rows = _noisy_rows(config, function, truth, sd, chunk)
-                results = _denoise_batch(config, function, n, chunk, rows)
+                estimates, results = _denoise_batch(config, function, n, chunk, rows)
                 scores[:, start:start + step] = _scores(config, function, n, chunk,
-                                                        truth, results)
+                                                        truth, estimates)
                 seconds = [total + result[-1] for total, result in zip(seconds, results)]
             cells += _cells(config, function, n, scores, seconds)
     return StudyReport(config=config, cells=cells)

@@ -1,8 +1,10 @@
-"""Verification oracles for the shrinkage rule, imported by the tests as
-``from oracles import ...``: a quadrature oracle that shares no code with
-the closed form, the slab density it integrates, the slab-only mean, and
-the closed form evaluated the slow way, unblocked and one detail level
-per call."""
+"""Verification oracles, imported by the tests as ``from oracles import
+...``: a quadrature oracle for the shrinkage rule that shares no code with
+the closed form, the slab density it integrates, the slab-only mean, the
+closed form evaluated the slow way, unblocked and one detail level per
+call, and the slow paths that faster code replaced: the transform steps
+with np.roll, the MAD noise scale by np.median, and the bumps and blocks
+test functions summed jump by jump."""
 
 from __future__ import annotations
 
@@ -12,10 +14,14 @@ import numpy as np
 from scipy import integrate
 
 from epashrink import DomainError, InputError, MixturePriorParams, NumericError
-from epashrink.elicitation import beta_level, estimate_sigma, lambda_from_s
+from epashrink.dwt import _CHANNEL_OUTPUTS, _step_matrix
+from epashrink.elicitation import (MAD_CONSISTENCY, beta_level, estimate_sigma,
+                                   lambda_from_s)
 from epashrink.errors import numeric_guard
 from epashrink.shrinkage import (_SERIES_V, _TINY, _blockwise, _one_set, _rate,
                                  _rule_constants, _slab_integrals, _validated)
+from epashrink.signals import (_BLOCK_HEIGHTS, _BUMP_HEIGHTS, _BUMP_WIDTHS, _JUMPS,
+                               TestFunctionKind)
 from epashrink.study import SIGMA_FLOOR, _clamped_alpha
 
 
@@ -205,3 +211,55 @@ def per_level_esr_shrink(pyramid, cfg) -> None:
         for (alpha, beta), block in zip(levels, details.values()):
             params = MixturePriorParams(alpha, column(beta) / sigma_col, unit_lam_col)
             np.multiply(sigma_col, unblocked_esr(block / sigma_col, params), out=block)
+
+
+# ---------------------------------------------------------------------------
+# the slow paths that faster library code replaced, bit for bit
+
+
+def roll_analysis_step(a, lo, hi):
+    """dwt._analysis_step with the next blocks' heads gathered by np.roll."""
+    n = a.shape[-1]
+    m = _step_matrix(lo, hi, n)
+    if n <= 2 * _CHANNEL_OUTPUTS:
+        out = (a[..., None, :] @ m)[..., 0, :]
+        return out[..., :n // 2], out[..., n // 2:]
+    lead = a.shape[:-1]
+    blocks = a.reshape(*lead, n // (2 * _CHANNEL_OUTPUTS), 2 * _CHANNEL_OUTPUTS)
+    out = blocks @ m[:2 * _CHANNEL_OUTPUTS]
+    out += np.roll(blocks[..., :lo.size - 2], -1, axis=-2) @ m[2 * _CHANNEL_OUTPUTS:]
+    return (out[..., :_CHANNEL_OUTPUTS].reshape(*lead, n // 2),
+            out[..., _CHANNEL_OUTPUTS:].reshape(*lead, n // 2))
+
+
+def roll_synthesis_step(approx, detail, lo, hi):
+    """dwt._synthesis_step with the previous blocks' tails added by np.roll."""
+    half = approx.shape[-1]
+    m = _step_matrix(lo, hi, 2 * half)
+    if half <= _CHANNEL_OUTPUTS:
+        coeffs = np.concatenate([approx, detail], axis=-1)
+        return (coeffs[..., None, :] @ m.T)[..., 0, :]
+    lead = approx.shape[:-1]
+    shape = (*lead, half // _CHANNEL_OUTPUTS, _CHANNEL_OUTPUTS)
+    coeffs = np.concatenate([approx.reshape(shape), detail.reshape(shape)], axis=-1)
+    out = coeffs @ m[:2 * _CHANNEL_OUTPUTS].T
+    out[..., :lo.size - 2] += np.roll(coeffs @ m[2 * _CHANNEL_OUTPUTS:].T, 1, axis=-2)
+    return out.reshape(*lead, 2 * half)
+
+
+def median_mad_sigma(coeffs):
+    """The MAD noise-scale estimate by np.median, one per row of a stack."""
+    return np.median(np.abs(np.asarray(coeffs, dtype=float)), axis=-1) / MAD_CONSISTENCY
+
+
+def looped_test_function(kind, x):
+    """The bumps or blocks test function on the grid x, summed jump by jump
+    into an array of zeros."""
+    f = np.zeros_like(x)
+    if TestFunctionKind(kind) is TestFunctionKind.BUMPS:
+        for t0, h, w in zip(_JUMPS, _BUMP_HEIGHTS, _BUMP_WIDTHS):
+            f += h / (1.0 + np.abs((x - t0) / w)) ** 4
+    else:
+        for t0, h in zip(_JUMPS, _BLOCK_HEIGHTS):
+            f += h * (1.0 + np.sign(x - t0)) / 2.0
+    return f

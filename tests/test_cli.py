@@ -937,6 +937,26 @@ def test_package_imports_only_stdlib_numpy_and_click():
     assert not found, found
 
 
+def test_package_calls_none_of_numpys_slow_paths():
+    """No module of the package calls np.median, np.percentile or
+    np.quantile, which partition at two or more pivots (the middle pair
+    and the last entry, for the nan check) where the MAD needs one, nor
+    np.roll, whose per-call cost a transform step pays on every level."""
+    slow = {"median", "percentile", "quantile", "roll"}
+    found = []
+    package = Path(epashrink.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in slow and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("np", "numpy")):
+                found.append(f"{path.name}:{node.lineno} np.{node.func.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                found += [f"{path.name}:{node.lineno} numpy.{alias.name}"
+                          for alias in node.names if alias.name in slow]
+    assert not found, found
+
+
 def test_every_exported_name_resolves():
     """Each name in the package's __all__ and in every submodule's __all__
     is an attribute of its module, so a removal leaves no stale export."""

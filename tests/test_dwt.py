@@ -17,7 +17,7 @@ from epashrink import (
     make_daubechies_filter,
 )
 from epashrink.dwt import (
-    _BLOCK,
+    _CHANNEL_OUTPUTS,
     _LOWPASS,
     MAX_ORDER,
     WaveletPyramid,
@@ -26,6 +26,7 @@ from epashrink.dwt import (
     _synthesis_step,
     _taps_matrix,
 )
+from oracles import roll_analysis_step, roll_synthesis_step
 
 # published extremal-phase taps for two vanishing moments
 DB2 = np.array([0.4829629131445341, 0.8365163037378079,
@@ -326,7 +327,7 @@ def test_inverse_overflow_inside_one_correlation_raises():
 
 
 def test_forward_overflow_on_the_blocked_path_raises_without_warning():
-    n = 8 * _BLOCK
+    n = 8 * _CHANNEL_OUTPUTS
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(NumericError):
@@ -337,7 +338,7 @@ def test_forward_overflow_on_the_blocked_path_raises_without_warning():
 def test_inverse_overflow_inside_one_product_on_the_blocked_path_raises():
     # as above, at a length whose finest steps use the block matrix: sample 0
     # sums the head of block 0 and the wrapped tail of the last block
-    n = 8 * _BLOCK
+    n = 8 * _CHANNEL_OUTPUTS
     f = make_daubechies_filter(10)
     impulse = np.zeros(n)
     impulse[0] = 1.0
@@ -351,10 +352,12 @@ def test_inverse_overflow_inside_one_product_on_the_blocked_path_raises():
     assert not caught
 
 
-@pytest.mark.parametrize("n", [2 * _BLOCK, 4 * _BLOCK, 8 * _BLOCK])
+@pytest.mark.parametrize("n", [2 * _CHANNEL_OUTPUTS, 4 * _CHANNEL_OUTPUTS,
+                               8 * _CHANNEL_OUTPUTS])
 @pytest.mark.parametrize("order", [1, 2, 10])
 def test_steps_around_the_block_size_match_rows_bit_for_bit(order, n):
-    # 2 * _BLOCK is the largest dense step, 4 * _BLOCK the smallest blocked one
+    # 2 * _CHANNEL_OUTPUTS is the largest dense step, 4 * _CHANNEL_OUTPUTS
+    # the smallest blocked one
     f = make_daubechies_filter(order)
     lead = (2, 3, 2)
     rows = np.random.default_rng(order * n).standard_normal(lead + (n,))
@@ -373,25 +376,46 @@ def test_steps_around_the_block_size_match_rows_bit_for_bit(order, n):
         assert np.array_equal(rec[idx], dwt_inverse(single, f))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    order=st.integers(1, 10),
+    # lengths around the block size, 2 * _CHANNEL_OUTPUTS, weighted there
+    n=st.one_of(st.sampled_from([64, 128, 256]), st.sampled_from([2**k for k in range(1, 13)])),
+    lead=st.sampled_from([(), (3,), (2, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_steps_match_the_roll_oracle_bit_for_bit(order, n, lead, seed):
+    f = make_daubechies_filter(order)
+    rows = np.random.default_rng(seed).standard_normal(lead + (n,))
+    approx, detail = _analysis_step(rows, f.lowpass, f.highpass)
+    want_approx, want_detail = roll_analysis_step(rows, f.lowpass, f.highpass)
+    assert np.array_equal(approx, want_approx)
+    assert np.array_equal(detail, want_detail)
+    assert np.array_equal(_synthesis_step(approx, detail, f.lowpass, f.highpass),
+                          roll_synthesis_step(approx, detail, f.lowpass, f.highpass))
+
+
 def test_step_matrices_are_read_only_and_built_once():
     f = make_daubechies_filter(7)
     lo, hi = f.lowpass, f.highpass
-    y = np.random.default_rng(7).standard_normal(16 * _BLOCK)
+    y = np.random.default_rng(7).standard_normal(16 * _CHANNEL_OUTPUTS)
     dwt_inverse(dwt_forward(y, f), f)
     misses = _taps_matrix.cache_info().misses
     dwt_inverse(dwt_forward(y, f), f)
     assert _taps_matrix.cache_info().misses == misses
-    for n in (2, 8, 2 * _BLOCK, 4 * _BLOCK):
+    for n in (2, 8, 2 * _CHANNEL_OUTPUTS, 4 * _CHANNEL_OUTPUTS):
         m = _step_matrix(lo, hi, n)
         assert m is _step_matrix(lo, hi, n)
         assert not m.flags.writeable
         with pytest.raises(ValueError):
             m[0, 0] = 1.0
-    # every length past 2 * _BLOCK shares the one block matrix of the filter
-    assert _step_matrix(lo, hi, 4 * _BLOCK) is _step_matrix(lo, hi, 2**16)
-    assert _step_matrix(lo, hi, 4 * _BLOCK).shape == (2 * _BLOCK + lo.size - 2, 2 * _BLOCK)
+    # every length past 2 * _CHANNEL_OUTPUTS shares the one block matrix of
+    # the filter
+    block = 2 * _CHANNEL_OUTPUTS
+    assert _step_matrix(lo, hi, 2 * block) is _step_matrix(lo, hi, 2**16)
+    assert _step_matrix(lo, hi, 2 * block).shape == (block + lo.size - 2, block)
     g = make_daubechies_filter(6)
-    assert _step_matrix(g.lowpass, g.highpass, 4 * _BLOCK) is not _step_matrix(lo, hi, 4 * _BLOCK)
+    assert _step_matrix(g.lowpass, g.highpass, 2 * block) is not _step_matrix(lo, hi, 2 * block)
 
 
 @settings(max_examples=30, deadline=None)

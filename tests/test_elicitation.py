@@ -16,6 +16,7 @@ from epashrink import (
     estimate_sigma,
     lambda_from_s,
 )
+from oracles import median_mad_sigma
 
 # spike weights for levels 5..9 at J0=5, gamma=2.4, l=2 (4-decimal table)
 ALPHA_TABLE = {5: 0.8105, 6: 0.9284, 7: 0.9641, 8: 0.9789, 9: 0.9864}
@@ -147,11 +148,57 @@ def test_mad_estimate_makes_one_copy_of_the_block():
     # rather than copying it again; the input itself is left untouched
     block = np.random.default_rng(6).standard_normal(262144)
     kept = block.copy()
-    estimate_sigma(block[:2], SigmaEstimator.MAD)  # np.median imports numpy.ma once
+    estimate_sigma(block[:2], SigmaEstimator.MAD)  # any first-call imports
     sigma, peak = _traced_peak(estimate_sigma, block, SigmaEstimator.MAD)
     assert np.array_equal(block, kept)
     assert sigma == np.median(np.abs(block)) / 0.6745
     assert peak < 1.5 * block.nbytes
+
+
+@st.composite
+def _mad_blocks(draw):
+    """Stacks of coefficient blocks of odd or even width: magnitudes drawn
+    from a small set, so ties and zeros are common, each row at a scale
+    from 1e-300 to 1e300, with random signs."""
+    shape = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    width = draw(st.one_of(st.integers(2, 9), st.integers(10, 300)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    levels = draw(st.sampled_from([np.array([0.0, 1.0]), np.array([0.0, 0.5, 1.0, 2.0]),
+                                   None]))
+    size = shape + (width,)
+    values = rng.standard_normal(size) if levels is None else rng.choice(levels, size)
+    scales = 10.0 ** rng.integers(-300, 301, shape + (1,))
+    return values * scales * rng.choice([-1.0, 1.0], size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mad_blocks())
+def test_mad_matches_the_median_oracle_bit_for_bit(block):
+    got = estimate_sigma(block, SigmaEstimator.MAD)
+    want = median_mad_sigma(block)
+    assert np.array_equal(got, want)
+    assert np.shape(got) == block.shape[:-1]
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (2, 4), (1000, 300), (1000, 301),
+                                   (2, 32768), (2, 32769)])
+def test_mad_of_long_short_and_many_blocks_matches_the_median_oracle(shape):
+    # a partition at h leaves the largest entry below h at h - 1 in most
+    # rows, not all: some of the 1000 rows of width 300 catch a median that
+    # takes that entry for the lower middle
+    rows = np.random.default_rng(shape[-1]).standard_normal(shape)
+    assert np.array_equal(estimate_sigma(rows, "mad"), median_mad_sigma(rows))
+
+
+def test_mad_with_a_nan_is_nan_as_the_median_is():
+    rows = np.random.default_rng(3).standard_normal((4, 8))
+    rows[0, 5] = np.nan
+    rows[1, :6] = np.nan
+    rows[3, 0] = -np.inf
+    got = estimate_sigma(rows, "mad")
+    assert np.array_equal(got, median_mad_sigma(rows), equal_nan=True)
+    assert list(np.isnan(got)) == [True, True, False, False]
 
 
 def test_beta_level_of_a_stack_floors_zero_rows(caplog):

@@ -489,11 +489,12 @@ _SERIES_ROW, _DIRECT_ROW = (0.9, 0.01, 3.0), (0.9, 6.0, 3.0)
 def test_esr_in_blocks_matches_unblocked_oracle_on_a_long_row(row):
     # three whole blocks and a ragged end
     params = MixturePriorParams(*row)
-    d = np.random.default_rng(11).standard_normal(3 * shrinkage._BLOCK + 5) * 4.0 * row[1]
+    d = (np.random.default_rng(11).standard_normal(3 * shrinkage._BLOCK_COEFFS + 5)
+         * 4.0 * row[1])
     assert np.array_equal(esr(d, params), unblocked_esr(d, params))
     # a strided stack is cut in slices of its flattened coefficients and
     # keeps its shape, as does an empty one
-    stack = d[:3 * shrinkage._BLOCK].reshape(3, -1).T
+    stack = d[:3 * shrinkage._BLOCK_COEFFS].reshape(3, -1).T
     out = esr(stack, params)
     assert out.shape == stack.shape
     assert np.array_equal(out, unblocked_esr(stack, params))

@@ -16,7 +16,8 @@ from epashrink import (
     add_noise,
     generate_test_function,
 )
-from epashrink.signals import noise_rng, scaled_std
+from epashrink.signals import _raw_test_function, noise_rng, scaled_std
+from oracles import looped_test_function
 
 
 class TestSignalContainer:
@@ -98,6 +99,15 @@ class TestGenerators:
         sig = generate_test_function("blocks", 2048, 7.0)
         distinct = np.unique(np.round(sig.samples, 9))
         assert distinct.size <= 12
+
+    @pytest.mark.parametrize("kind", [TestFunctionKind.BUMPS, TestFunctionKind.BLOCKS])
+    @pytest.mark.parametrize("n", [2, 8, 512, 4096, 262144])
+    def test_bumps_and_blocks_match_the_jump_by_jump_sum(self, kind, n):
+        # the same values and the same signs of zeros as the loop's sum
+        x = np.arange(1, n + 1) / n
+        got, want = _raw_test_function(kind, x), looped_test_function(kind, x)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_doppler_envelope_vanishes_at_origin(self):
         sig = generate_test_function("doppler", 512, 7.0)

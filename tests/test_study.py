@@ -33,10 +33,10 @@ from epashrink import (
     study_preset,
 )
 from epashrink.dwt import WaveletPyramid
-from epashrink.shrinkage import _BLOCK
+from epashrink.shrinkage import _BLOCK_COEFFS
 from epashrink.elicitation import beta_level
 from epashrink.signals import noise_rng
-from epashrink.study import _noise_key, _noisy_rows, _slab_supports
+from epashrink.study import _denoise_stack, _noise_key, _noisy_rows, _slab_supports
 from oracles import per_level_esr_shrink
 
 
@@ -585,7 +585,7 @@ def test_esr_shrink_across_the_seam_at_a_block_boundary_matches_per_level_oracle
     rows = np.random.default_rng(70).standard_normal((70, 512))
     pyramid = dwt_forward(rows, make_daubechies_filter(10))
     pyramid.details[7][::2] *= 1e-4
-    assert _BLOCK // 128 == 64
+    assert _BLOCK_COEFFS // 128 == 64
     cfg = ElicitationConfig(sigma_estimator=sigma)
     diag = _assert_esr_shrink_matches_per_level_oracle(pyramid, cfg)
     v = np.sqrt(2.0 * diag["lambda"]) * diag["levels"][7]["beta"]
@@ -884,13 +884,14 @@ def test_the_chunk_cap_leaves_acceptance_desk_one_chunk():
 
 
 def test_a_batch_does_its_bookkeeping_once(monkeypatch):
-    # per (function, n): the truth's SD once and one reduction for mse_sd;
-    # per rule shrink: one reduction for the slab supports, and no per-level
-    # beta_level call; no add_noise call at all
+    # per (function, n): the truth's SD once, one reduction for mse_sd, and,
+    # in its one chunk, one reduction for the slab supports and one inverse
+    # transform that all rules share; one shrink per rule, no per-level
+    # beta_level call and no add_noise call at all
     import epashrink.study as study_mod
 
     calls = {"truth sd": 0, "mse_sd": 0, "supports": 0, "shrinks": 0,
-             "beta_level": 0, "add_noise": 0}
+             "inverses": 0, "beta_level": 0, "add_noise": 0}
 
     def counting(name, fn, key=None):
         def wrapper(*args, **kwargs):
@@ -903,7 +904,8 @@ def test_a_batch_does_its_bookkeeping_once(monkeypatch):
 
     monkeypatch.setattr(study_mod, "scaled_std", counting(None, study_mod.scaled_std, which_std))
     for name, attr in (("supports", "_slab_supports"), ("shrinks", "shrink_pyramid"),
-                       ("beta_level", "beta_level"), ("add_noise", "add_noise")):
+                       ("inverses", "dwt_inverse"), ("beta_level", "beta_level"),
+                       ("add_noise", "add_noise")):
         monkeypatch.setattr(study_mod, attr, counting(name, getattr(study_mod, attr)))
     config = StudyConfig(
         functions=(TestFunctionKind.BUMPS, TestFunctionKind.DOPPLER),
@@ -915,5 +917,60 @@ def test_a_batch_does_its_bookkeeping_once(monkeypatch):
         seed=2,
     )
     run_study(config)
-    assert calls == {"truth sd": 4, "mse_sd": 4, "supports": 12, "shrinks": 12,
-                     "beta_level": 0, "add_noise": 0}
+    assert calls == {"truth sd": 4, "mse_sd": 4, "supports": 4, "shrinks": 12,
+                     "inverses": 4, "beta_level": 0, "add_noise": 0}
+
+
+_BATCH_RULES = (RuleSpec("esr"), RuleSpec("soft"), RuleSpec("hard"), RuleSpec("hard", 2.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([4, 64, 128, 512, 2048]),
+    draws=st.integers(1, 4),
+    coarse_level=st.integers(0, 1),
+    sigma=st.sampled_from(list(SigmaEstimator)),
+    zero_row=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_multi_rule_batch_matches_one_denoise_per_draw_and_rule(
+        n, draws, coarse_level, sigma, zero_row, seed):
+    # the rules share the forward transform, the elicitation and one
+    # inverse of all their copies; each (draw, rule) is still what a
+    # denoise of that draw under that rule alone gives, bit for bit
+    cfg = ElicitationConfig(sigma_estimator=sigma, coarse_level=coarse_level)
+    truth = generate_test_function("bumps", n).samples
+    rows = truth + np.random.default_rng(seed).standard_normal((draws, n))
+    if zero_row:
+        rows[0] = 0.0
+    empirical, estimates, results = _denoise_stack(rows, _BATCH_RULES, cfg, 10)
+    assert estimates.shape == (len(_BATCH_RULES), draws, n)
+    for (diagnostics, shrunk, seconds), estimate, rule in zip(results, estimates,
+                                                              _BATCH_RULES):
+        assert seconds > 0
+        for r in range(draws):
+            one = denoise(Signal(rows[r]), rule, cfg)
+            assert np.array_equal(estimate[r], one.samples)
+            assert np.array_equal(shrunk.coeffs[r], one.shrunk.coeffs)
+            assert np.array_equal(empirical.coeffs[r], one.empirical.coeffs)
+            want = one.diagnostics
+            assert diagnostics.keys() == want.keys()
+            assert diagnostics["sigma_hat"][r] == want["sigma_hat"]
+            for key in ("lambda", "eta"):
+                if key in want:
+                    assert np.broadcast_to(diagnostics[key], draws)[r] == want[key]
+            assert [(level["level"], level["alpha"], level["beta"][r])
+                    for level in diagnostics["levels"]] == [
+                (level["level"], level["alpha"], level["beta"]) for level in want["levels"]]
+
+
+def test_an_all_zero_level_is_logged_once_per_batch(caplog):
+    # the slab supports are elicited once for all rules of a batch: the
+    # floor of each of the zero row's 8 detail levels is logged once, not
+    # once per rule
+    rows = np.random.default_rng(4).standard_normal((3, 256))
+    rows[1] = 0.0
+    with caplog.at_level("WARNING"):
+        _denoise_stack(rows, _BATCH_RULES, benchmark_elicitation(), 10)
+    assert [r.getMessage() for r in caplog.records] == [
+        "1 all-zero coefficient block(s); flooring beta at 1e-08"] * 8
