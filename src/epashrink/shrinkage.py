@@ -49,6 +49,7 @@ kinks; see rule_statistics.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -489,8 +490,18 @@ class RuleStatistics:
 
 # rule_statistics sums a 24-point Gauss-Legendre rule over panels whose
 # widths grow by this factor per panel away from each breakpoint
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _GROWTH = 1.0625
+
+
+@functools.cache
+def _gauss_legendre() -> tuple:
+    """The read-only nodes and weights of the 24-point Gauss-Legendre rule
+    on [-1, 1], made on first use: numpy.polynomial stays off the import
+    path."""
+    rule = np.polynomial.legendre.leggauss(24)
+    for values in rule:
+        values.setflags(write=False)
+    return rule
 
 
 def _graded_panels(points: list, h: float) -> np.ndarray:
@@ -569,8 +580,9 @@ def rule_statistics(
             edges = _graded_panels(points, min(noise.scale, params.noise_scale))
             mid = 0.5 * (edges[1:] + edges[:-1])
             half = 0.5 * np.diff(edges)
-            u = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-            w = (half[:, None] * _GL_WEIGHTS).ravel() * noise.pdf(u, 0.0)
+            nodes, weights = _gauss_legendre()
+            u = (mid[:, None] + half[:, None] * nodes).ravel()
+            w = (half[:, None] * weights).ravel() * noise.pdf(u, 0.0)
         # the plateau value esr(beta) rides along as the last node
         r = esr(np.append(theta + u, beta), params)
         r, plateau = r[:-1], float(r[-1])

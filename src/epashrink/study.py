@@ -8,21 +8,28 @@ diluted by noise-stream differences. Noise streams are keyed by
 pure function of (config, seed) independent of execution order.
 
 One pipeline serves both a single denoise and a study: it takes a stack of
-signals, shape (R, n), and a tuple of rules, transforms the stack once,
-elicits the slab supports and noise scales once, shrinks one copy of the
-coefficients per rule and inverts all the copies together. Every step
-works row by row, so each row comes out bit for bit as it would alone. A
-study runs it once per (function, n), on the len(snrs) x replications
-draws of that pair, in chunks of bounded size; the noise, the slab
-supports and the scores of those draws are each computed in one pass per
-batch or chunk, not row by row, level by level or rule by rule.
+signals, shape (R, n), and a tuple of rules, transforms the stack once and
+elicits the slab supports and noise scales once; then it takes the rules
+one at a time, each shrinking and inverting its own copy of the
+coefficients. Every step works row by row, so each row comes out bit for
+bit as it would alone. A study runs it once per n, on the draws of every
+function at that n, function-major, in chunks of bounded size that may
+span functions; each row is drawn and scored against its own function's
+truth, and each rule's estimates are scored and dropped before the next
+rule runs. The slab supports take one pass per chunk, and the noise and
+the scores one pass per function in a chunk, not row by row or level by
+level.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
+import operator
 import time
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +48,7 @@ from .elicitation import (
     estimate_sigma,
     lambda_from_s,
 )
-from .errors import ConfigError, InputError, NumericError, numeric_guard
+from .errors import ConfigError, EpashrinkError, InputError, NumericError, numeric_guard
 from .shrinkage import MixturePriorParams, _esr_levels
 from .signals import (
     Signal,
@@ -61,8 +68,8 @@ ALPHA_MAX = 1.0 - 1e-15
 # noise-scale floor, relative to the largest detail coefficient so that it
 # scales with the data: keeps lambda finite when the finest level is exactly 0
 SIGMA_FLOOR = 1e-8
-# a study splits the draws of one (function, n) into chunks of whole rows
-# holding at most this many samples, 8 MB per array of a chunk
+# a study splits the draws of all functions at one n into chunks of whole
+# rows holding at most this many samples, 8 MB per array of a chunk
 _CHUNK = 2**20
 
 __all__ = [
@@ -266,32 +273,36 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
 def _denoise_stack(rows: np.ndarray, rules: tuple[RuleSpec, ...],
                    elicitation: ElicitationConfig, wavelet_order: int) -> tuple:
     """The denoising pipeline on the signals in ``rows`` (shape (n,) or
-    (R, n)): one forward transform and one _elicit, which all rules share;
-    one copy of the coefficients per rule, each shrunk in place by its
-    rule; and one inverse of all the copies.
+    (R, n)): one forward transform and one _elicit, which all rules share,
+    then the rules one at a time, each on its own copy of the coefficients:
+    copy, shrink in place, inverse.
 
-    Returns the forward pyramid, the estimates of shape (rules, ..., n)
-    and, per rule, (diagnostics, shrunk pyramid, seconds). seconds is the
-    rule's own shrink plus a 1/len(rules) share of the forward transform,
-    the elicitation, the copy and the inverse.
+    Returns the forward pyramid and a generator that yields, rule by rule,
+    (estimates, diagnostics, shrunk pyramid, seconds). A rule's copy is made
+    only when the caller asks for that rule, and the generator keeps none
+    of the previous rule's arrays, so a caller that scores each rule's
+    estimates and drops them first holds one rule's arrays at a time.
+    seconds is the rule's own copy, shrink and inverse plus a 1/len(rules)
+    share of the forward transform and the elicitation; what the caller
+    does between rules is not counted.
     """
     filt = make_daubechies_filter(wavelet_order)
     t0 = time.perf_counter()
     empirical = dwt_forward(rows, filt, elicitation.coarse_level)
     elicited = _elicit(empirical, elicitation)
-    copies = np.repeat(empirical.coeffs[None], len(rules), axis=0)
-    shared = time.perf_counter() - t0
-    results = []
-    for rule, coeffs in zip(rules, copies):
-        t0 = time.perf_counter()
-        shrunk = WaveletPyramid(empirical.coarse_level, coeffs)
-        diagnostics = shrink_pyramid(shrunk, rule, elicitation, rows.shape[-1],
-                                     elicited=elicited)
-        results.append((diagnostics, shrunk, time.perf_counter() - t0))
-    t0 = time.perf_counter()
-    estimates = dwt_inverse(WaveletPyramid(empirical.coarse_level, copies), filt)
-    share = (shared + time.perf_counter() - t0) / len(rules)
-    return empirical, estimates, [(d, p, t + share) for d, p, t in results]
+    share = (time.perf_counter() - t0) / len(rules)
+
+    def each_rule():
+        for rule in rules:
+            t0 = time.perf_counter()
+            shrunk = empirical.copy()
+            diagnostics = shrink_pyramid(shrunk, rule, elicitation, empirical.n,
+                                         elicited=elicited)
+            estimates = dwt_inverse(shrunk, filt)
+            yield estimates, diagnostics, shrunk, time.perf_counter() - t0 + share
+            del estimates, shrunk
+
+    return empirical, each_rule()
 
 
 @dataclass
@@ -321,18 +332,53 @@ def denoise(
     elicited quantities as ``diagnostics``; see :func:`shrink_pyramid`.
     """
     cfg = elicitation or ElicitationConfig()
-    empirical, estimates, [(diagnostics, shrunk, _)] = _denoise_stack(
-        y.samples, (rule,), cfg, wavelet_order)
-    return Denoised(samples=estimates[0], truth=y.truth, diagnostics=diagnostics,
+    empirical, each_rule = _denoise_stack(y.samples, (rule,), cfg, wavelet_order)
+    [(estimates, diagnostics, shrunk, _)] = each_rule
+    return Denoised(samples=estimates, truth=y.truth, diagnostics=diagnostics,
                     empirical=empirical, shrunk=shrunk)
 
 
 _FUNCTION_ORDER = tuple(TestFunctionKind)
 
 
+def _function_kind(value) -> TestFunctionKind:
+    try:
+        return TestFunctionKind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"unknown test function {value!r}; available: "
+                          f"{[kind.value for kind in TestFunctionKind]}") from None
+
+
+def _rule_spec(value) -> RuleSpec:
+    if isinstance(value, RuleSpec):
+        return value
+    if isinstance(value, str):
+        return RuleSpec.parse(value)
+    raise ConfigError(f"a rule is a RuleSpec or its text, got {value!r}")
+
+
+def _whole(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be a whole number, got {value!r}") from None
+
+
+def _positive(value) -> bool:
+    return isinstance(value, numbers.Real) and 0.0 < value < math.inf
+
+
 @dataclass(frozen=True)
 class StudyConfig:
-    """Grid and protocol of one Monte-Carlo study."""
+    """Grid and protocol of one Monte-Carlo study.
+
+    Every field is checked when the config is built. functions may name
+    their kinds by value ("bumps") and rules by the text RuleSpec.parse
+    reads ("esr", "soft:2.5"); both are stored as TestFunctionKind and
+    RuleSpec. Any other function or rule, a size, replications, wavelet
+    order or seed that is not a whole number, or an SNR or target SD that
+    is not a positive, finite real number, raises ConfigError.
+    """
 
     functions: tuple[TestFunctionKind, ...]
     sizes: tuple[int, ...]
@@ -345,6 +391,15 @@ class StudyConfig:
     target_sd: float = 7.0
 
     def __post_init__(self):
+        # function names become TestFunctionKind and rule texts RuleSpec,
+        # so a study fails only where its draws or rules do
+        fields = {"functions": tuple(map(_function_kind, self.functions)),
+                  "rules": tuple(map(_rule_spec, self.rules)),
+                  "sizes": tuple(_whole("size", n) for n in self.sizes)}
+        for name in ("replications", "wavelet_order", "seed"):
+            fields[name] = _whole(name, getattr(self, name))
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
         if not self.functions:
             raise ConfigError("functions must not be empty")
         if not self.sizes:
@@ -362,9 +417,9 @@ class StudyConfig:
                 f"wavelet_order must be in 1..{MAX_ORDER}, got {self.wavelet_order}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not self.snrs or not all(0.0 < s < math.inf for s in self.snrs):
+        if not self.snrs or not all(map(_positive, self.snrs)):
             raise ConfigError(f"snrs must be positive and finite, got {self.snrs}")
-        if not 0.0 < self.target_sd < math.inf:
+        if not _positive(self.target_sd):
             raise ConfigError(f"target_sd must be positive and finite, got {self.target_sd}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
@@ -382,12 +437,12 @@ class CellResult:
     """Scores of one rule in one (function, n, snr) cell.
 
     wall_time_s is the rule's share of the time of the batch that computed
-    the cell: the study denoises all draws of one (function, n) together,
-    and a rule's time in that batch is its own shrink plus a 1/len(rules)
-    share of the forward transform, elicitation, copy and inverse that all
-    rules share, summed over the batch's chunks and split evenly over its
-    cells (its SNRs). The noise draw and the MSE scoring belong to no
-    rule and are not counted.
+    the cell: the study denoises the draws of all functions at one n
+    together, and a rule's time in that batch is its own copy, shrink and
+    inverse plus a 1/len(rules) share of the forward transform and the
+    elicitation that all rules share, summed over the batch's chunks and
+    split evenly over the batch's functions x SNRs. The noise draw and the
+    MSE scoring belong to no rule and are not counted.
     """
 
     function: TestFunctionKind
@@ -437,75 +492,107 @@ def _cell_error(function, n, snr, rep: int, rule: str | None,
                         f"rep={rep}) {step} failed: {exc}")
 
 
-def _denoise_batch(config: StudyConfig, function, n: int, coords: list,
-                   rows: np.ndarray) -> tuple:
-    """The estimates and per-rule results of _denoise_stack on the draws
-    of one (function, n); on a failure, names the first failing (row,
-    rule) in the order of the draws."""
-    try:
-        return _denoise_stack(rows, config.rules, config.elicitation,
-                              config.wavelet_order)[1:]
-    except Exception as exc:
-        # rows are independent, so the failing ones fail alone as well
-        for (snr, rep), row in zip(coords, rows):
-            for rule in config.rules:
-                try:
-                    _denoise_stack(row, (rule,), config.elicitation,
-                                   config.wavelet_order)
-                except Exception as row_exc:
-                    raise _cell_error(function, n, snr, rep, rule.label,
-                                      row_exc) from row_exc
-        raise NumericError(f"batch (function={function.value}, n={n}) failed: "
-                           f"{exc}") from exc
+class _Draws(NamedTuple):
+    """Draws of one function at one n, in row order: the function, its
+    truth, the truth's SD and each draw's (snr, rep)."""
+
+    function: TestFunctionKind
+    truth: Signal
+    sd: float
+    coords: list
 
 
-def _noisy_rows(config: StudyConfig, function, truth: Signal, sd: float,
-                coords: list) -> np.ndarray:
-    """The noisy draws at coords, one row each: row i is
+def _row_coords(parts: list) -> list:
+    """(function, (snr, rep)) of every row of the draws in parts, part
+    after part."""
+    return [(part.function, c) for part in parts for c in part.coords]
+
+
+def _noisy_rows(config: StudyConfig, parts: list) -> np.ndarray:
+    """The noisy draws of parts, a list of _Draws, one row each, part after
+    part: the row of a part's draw at (snr, rep) is
     add_noise(truth, snr, key).samples bit for bit, the same f + sigma * eps
-    with sigma = sd / snr, sd being the truth's SD. Each row's eps is drawn
-    in place from its own stream; the scaling and the sum are one call
-    each for all rows. A draw that add_noise would reject (a constant
+    with sigma = sd / snr, sd being the part's truth's SD. Each row's eps
+    is drawn in place from its own stream; the scaling and the sum are one
+    call each per part. A draw that add_noise would reject (a constant
     truth, or a noise scale or sample that overflows) is drawn again by
     add_noise, whose error names the first one with its cell."""
-    f = truth.samples
-    n = f.size
-    rows = np.empty((len(coords), n))
-    for row, (snr, rep) in zip(rows, coords):
-        noise_rng(_noise_key(config.seed, function, n, snr, rep)).standard_normal(out=row)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows *= sd / np.array([[snr] for snr, _ in coords])
-        rows += f
-    # an overflowing sigma or sample leaves its row non-finite
-    if sd == 0.0 or not np.isfinite(rows).all():
-        for (snr, rep), row in zip(coords, rows):
-            if sd == 0.0 or not np.isfinite(row).all():
-                try:
-                    add_noise(truth, snr, _noise_key(config.seed, function, n, snr, rep))
-                except Exception as exc:
-                    raise _cell_error(function, n, snr, rep, None, exc) from exc
+    n = parts[0].truth.n
+    rows = np.empty((sum(len(part.coords) for part in parts), n))
+    start = 0
+    for part in parts:
+        block = rows[start:start + len(part.coords)]
+        start += len(part.coords)
+        for row, (snr, rep) in zip(block, part.coords):
+            key = _noise_key(config.seed, part.function, n, snr, rep)
+            noise_rng(key).standard_normal(out=row)
+        with np.errstate(over="ignore", invalid="ignore"):
+            block *= part.sd / np.array([[snr] for snr, _ in part.coords])
+            block += part.truth.samples
+        # an overflowing sigma or sample leaves its row non-finite
+        if part.sd == 0.0 or not np.isfinite(block).all():
+            for (snr, rep), row in zip(part.coords, block):
+                if part.sd == 0.0 or not np.isfinite(row).all():
+                    try:
+                        add_noise(part.truth, snr,
+                                  _noise_key(config.seed, part.function, n, snr, rep))
+                    except Exception as exc:
+                        raise _cell_error(part.function, n, snr, rep, None, exc) from exc
     return rows
 
 
-def _scores(config: StudyConfig, function, n: int, coords: list, truth: Signal,
-            estimates: np.ndarray) -> np.ndarray:
-    """The MSE of every rule's estimate of every draw at coords, shape
-    (rules, draws), in one call; an overflow names the first draw it hits."""
-    with np.errstate(over="ignore"):
-        scores = mse(estimates, truth.samples)
+def _score_chunk(config: StudyConfig, n: int, parts: list, scores: np.ndarray,
+                 seconds: list) -> None:
+    """Draw, denoise and score the draws of one chunk, given as parts: rule
+    i's MSE of every row, against the row's own truth, goes to scores[i]
+    and its seconds are added to seconds[i]. The draws are dropped once
+    transformed, and each rule's estimates once scored, before the next
+    rule's copy is made. A failing noise draw fails first; then the first
+    failing (row, rule) in row order, and last the first overflowing
+    score."""
+    rows = _noisy_rows(config, parts)
+    try:
+        _, each_rule = _denoise_stack(rows, config.rules, config.elicitation,
+                                      config.wavelet_order)
+        del rows  # a failure draws them again
+        # not enumerate, whose result tuple would keep the previous rule's
+        # arrays while the next rule runs
+        for i in range(len(config.rules)):
+            estimates, _, _, rule_seconds = next(each_rule)
+            seconds[i] += rule_seconds
+            start = 0
+            with np.errstate(over="ignore"):
+                for part in parts:
+                    stop = start + len(part.coords)
+                    scores[i, start:stop] = mse(estimates[start:stop], part.truth.samples)
+                    start = stop
+            del estimates, _  # this rule's estimates and shrunk pyramid
+    except Exception as exc:
+        # rows are independent, so the failing ones fail alone as well
+        for (function, (snr, rep)), row in zip(_row_coords(parts),
+                                                _noisy_rows(config, parts)):
+            for rule in config.rules:
+                try:
+                    list(_denoise_stack(row, (rule,), config.elicitation,
+                                        config.wavelet_order)[1])
+                except Exception as row_exc:
+                    raise _cell_error(function, n, snr, rep, rule.label,
+                                      row_exc) from row_exc
+        names = ", ".join(part.function.value for part in parts)
+        raise NumericError(f"batch (function={names}, n={n}) failed: {exc}") from exc
     bad = ~np.isfinite(scores)
     if bad.any():
         row = int(np.argmax(bad.any(axis=0)))
         rule = config.rules[int(np.argmax(bad[:, row]))]
-        raise _cell_error(function, n, *coords[row], rule.label,
+        function, (snr, rep) = _row_coords(parts)[row]
+        raise _cell_error(function, n, snr, rep, rule.label,
                           NumericError("the squared error overflows"))
-    return scores
 
 
 def _cells(config: StudyConfig, function, n: int, scores: np.ndarray,
            seconds: list) -> list[CellResult]:
-    """The cells of one batch, SNR by SNR and rule by rule, from its
-    scores and each rule's seconds."""
+    """The cells of one (function, n), SNR by SNR and rule by rule, from
+    its scores (rules, draws) and each rule's seconds."""
     reps = config.replications
     by_cell = scores.reshape(len(config.rules), len(config.snrs), reps)
     with np.errstate(over="ignore"):
@@ -532,40 +619,80 @@ def _cells(config: StudyConfig, function, n: int, scores: np.ndarray,
     return cells
 
 
+def _study_pass(config: StudyConfig, n: int, functions: tuple) -> dict:
+    """One batch of the draws of every function in functions at n, in
+    chunks; maps each function to its scores, shape (rules, len(snrs) x
+    replications), and each rule's seconds, the batch's split evenly over
+    the functions."""
+    coords = [(snr, rep) for snr in config.snrs for rep in range(config.replications)]
+    draws = []
+    for function in functions:
+        truth = generate_test_function(function, n, config.target_sd)
+        draws.append(_Draws(function, truth, scaled_std(truth.samples), coords))
+    rows = [(k, c) for k in range(len(draws)) for c in coords]
+    scores = np.empty((len(config.rules), len(rows)))
+    seconds = [0.0] * len(config.rules)
+    step = max(1, _CHUNK // n)
+    for start in range(0, len(rows), step):
+        parts = [draws[k]._replace(coords=[c for _, c in group]) for k, group
+                 in itertools.groupby(rows[start:start + step], key=operator.itemgetter(0))]
+        _score_chunk(config, n, parts, scores[:, start:start + step], seconds)
+    per = len(coords)
+    return {d.function: (scores[:, k * per:(k + 1) * per],
+                         [total / len(draws) for total in seconds])
+            for k, d in enumerate(draws)}
+
+
 def run_study(config: StudyConfig) -> StudyReport:
     """Run every cell of the grid and aggregate per-rule MSE samples.
 
-    Each (function, n) is one batch of len(snrs) x replications draws. The
-    truth's SD is taken once per batch. The draws are stacked in chunks of
-    whole rows of at most _CHUNK samples (8 MB per array), and each chunk
-    is transformed, elicited and inverted once, and shrunk once per rule.
-    The MSE samples of a batch are summarized in one reduction.
+    Each n is one batch: the len(snrs) x replications draws of every
+    function at that n, function-major, each row with its own function's
+    truth and SD for the noise and the scoring. The draws are stacked in
+    chunks of whole rows of at most _CHUNK samples (8 MB per array), so a
+    chunk may hold the draws of more than one function (acceptance-desk's
+    1200 draws at n = 2048 make 3 chunks). Each chunk is
+    transformed and elicited once, so an all-zero level's beta floor is
+    logged once per chunk; then each rule in turn shrinks a copy, inverts
+    it and scores it, and its estimates are dropped before the next rule's
+    copy. CellResult says how wall_time_s is shared out. The cells are cut
+    back out per (function, n) and returned function by function, size by
+    size; a function or size listed twice is computed once and reported
+    twice, each report with half its time.
+
     Deterministic given (config, seed): replication streams are derived
     from cell coordinates, not from execution order, and the aggregation
     order is fixed; each sample equals that of a denoise of its draw
-    alone, bit for bit. A failure aborts the study with the coordinates of the first
-    failing draw attached to the error; chunks run in order, and within
-    one a noise draw fails before a rule and a rule before the scoring.
+    alone, bit for bit. A failure aborts the study with the error that a
+    batch per (function, n), run function by function and size by size,
+    meets first: the coordinates of the first failing draw, where within
+    one chunk a noise draw fails before a rule and a rule before the
+    scoring. When a batch fails, the (function, n) not yet computed are
+    run one by one in that order to find it.
     """
-    cells: list[CellResult] = []
-    for function in config.functions:
-        for n in config.sizes:
-            truth = generate_test_function(function, n, config.target_sd)
-            sd = scaled_std(truth.samples)
-            coords = [(snr, rep) for snr in config.snrs
-                      for rep in range(config.replications)]
-            scores = np.empty((len(config.rules), len(coords)))
-            seconds = [0.0] * len(config.rules)
-            step = max(1, _CHUNK // n)
-            for start in range(0, len(coords), step):
-                chunk = coords[start:start + step]
-                rows = _noisy_rows(config, function, truth, sd, chunk)
-                estimates, results = _denoise_batch(config, function, n, chunk, rows)
-                scores[:, start:start + step] = _scores(config, function, n, chunk,
-                                                        truth, estimates)
-                seconds = [total + result[-1] for total, result in zip(seconds, results)]
-            cells += _cells(config, function, n, scores, seconds)
-    return StudyReport(config=config, cells=cells)
+    functions = tuple(dict.fromkeys(config.functions))
+    sizes = tuple(dict.fromkeys(config.sizes))
+    results = {}
+    for k, n in enumerate(sizes):
+        try:
+            for function, result in _study_pass(config, n, functions).items():
+                results[function, n] = result
+        except EpashrinkError as exc:
+            error = exc
+            break
+    else:
+        cells = []
+        for function in config.functions:
+            for n in config.sizes:
+                scores, seconds = results[function, n]
+                # a pair listed more than once splits its time between its reports
+                repeats = config.functions.count(function) * config.sizes.count(n)
+                cells += _cells(config, function, n, scores, [t / repeats for t in seconds])
+        return StudyReport(config=config, cells=cells)
+    for function in functions:
+        for n in sizes[k:]:
+            _study_pass(config, n, (function,))
+    raise error
 
 
 def benchmark_elicitation() -> ElicitationConfig:

@@ -891,11 +891,13 @@ def _python(*args) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_and_denoise_load_neither_scipy_nor_mpmath():
-    """Neither scipy nor mpmath is loaded by importing the CLI, by building
-    every filter or by a denoise: both stay off the cold-start path."""
+    """Neither scipy nor mpmath, nor numpy.polynomial (which only
+    rule_statistics uses), is loaded by importing the CLI, by building
+    every filter or by a denoise: they stay off the cold-start path."""
     code = (
         "import sys\n"
-        "heavy = lambda: [m for m in ('scipy', 'mpmath') if m in sys.modules]\n"
+        "heavy = lambda: [m for m in ('scipy', 'mpmath', 'numpy.polynomial')\n"
+        "                 if m in sys.modules]\n"
         "import epashrink.cli\n"
         "assert not heavy(), heavy()\n"
         "import numpy as np\n"

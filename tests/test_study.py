@@ -1,8 +1,10 @@
 import math
+import re
 import time
 import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,7 +38,8 @@ from epashrink.dwt import WaveletPyramid
 from epashrink.shrinkage import _BLOCK_COEFFS
 from epashrink.elicitation import beta_level
 from epashrink.signals import noise_rng
-from epashrink.study import _denoise_stack, _noise_key, _noisy_rows, _slab_supports
+from epashrink.study import (_denoise_stack, _Draws, _noise_key, _noisy_rows,
+                             _slab_supports)
 from oracles import per_level_esr_shrink
 
 
@@ -272,14 +275,46 @@ class TestStudyConfigValidation:
             )
 
     @pytest.mark.parametrize("field,value", [
-        ("snrs", (math.inf,)), ("snrs", (1.0, math.nan)),
+        ("snrs", (math.inf,)), ("snrs", (1.0, math.nan)), ("snrs", ("1",)),
         ("target_sd", math.inf), ("target_sd", math.nan), ("target_sd", 0.0),
+        ("target_sd", "7"),
     ])
     def test_non_finite_or_non_positive_scale_rejected(self, field, value):
         kwargs = dict(functions=(TestFunctionKind.BUMPS,), sizes=(64,),
                       snrs=(1.0,), replications=1, rules=(RuleSpec("esr"),))
         kwargs[field] = value
         with pytest.raises(ConfigError, match=field):
+            StudyConfig(**kwargs)
+
+    def test_function_names_and_rule_texts_are_parsed(self):
+        config = StudyConfig(functions=("bumps", TestFunctionKind.DOPPLER), sizes=(64,),
+                             snrs=(1.0,), replications=1, rules=("esr", "soft:2.5"))
+        assert config.functions == (TestFunctionKind.BUMPS, TestFunctionKind.DOPPLER)
+        assert config.rules == (RuleSpec("esr"), RuleSpec("soft", 2.5))
+
+    def test_a_named_function_fails_its_draw_with_a_numeric_error(self):
+        # sigma = 7e150 / 1e-160 overflows: the draw fails with its cell named
+        config = StudyConfig(functions=("bumps",), sizes=(64,), snrs=(1e-160,),
+                             replications=1, rules=("esr",), target_sd=7e150)
+        with pytest.raises(NumericError, match=r"cell \(function=bumps, n=64, "
+                                               r"snr=1e-160, rep=0\) noise draw failed"):
+            run_study(config)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("functions", ("nonsense",), "unknown test function 'nonsense'"),
+        ("functions", (3,), "unknown test function 3"),
+        ("rules", ("median",), "cannot parse rule 'median'"),
+        ("rules", (None,), "a rule is a RuleSpec or its text, got None"),
+        ("sizes", (64.0,), "size must be a whole number, got 64.0"),
+        ("replications", 2.5, "replications must be a whole number, got 2.5"),
+        ("wavelet_order", 10.0, "wavelet_order must be a whole number"),
+        ("seed", "7", "seed must be a whole number"),
+    ])
+    def test_a_field_of_the_wrong_kind_is_a_config_error(self, field, value, message):
+        kwargs = dict(functions=(TestFunctionKind.BUMPS,), sizes=(64,),
+                      snrs=(1.0,), replications=1, rules=(RuleSpec("esr"),))
+        kwargs[field] = value
+        with pytest.raises(ConfigError, match=re.escape(message)):
             StudyConfig(**kwargs)
 
 
@@ -747,11 +782,18 @@ def _coords(config):
 
 @pytest.mark.parametrize("target_sd", [7.0, 1e-200, 1e200])
 def test_every_draw_of_a_batch_is_add_noise_bit_for_bit(target_sd):
-    config = _draw_config(target_sd)
-    function, n = config.functions[0], config.sizes[0]
-    truth = generate_test_function(function, n, target_sd)
-    rows = _noisy_rows(config, function, truth, truth.sd(), _coords(config))
-    for row, (snr, rep) in zip(rows, _coords(config)):
+    # the draws of two functions in one stack, each row with its own truth
+    config = replace(_draw_config(target_sd),
+                     functions=(TestFunctionKind.BUMPS, TestFunctionKind.HEAVISINE))
+    n = config.sizes[0]
+    truths = [generate_test_function(function, n, target_sd) for function in config.functions]
+    parts = [_Draws(function, truth, truth.sd(), _coords(config)[k:])
+             for k, (function, truth) in enumerate(zip(config.functions, truths))]
+    rows = _noisy_rows(config, parts)
+    assert rows.shape == (2 * len(_coords(config)) - 1, n)
+    wanted = [(function, truth, c) for function, truth, part in zip(config.functions, truths, parts)
+              for c in part.coords]
+    for row, (function, truth, (snr, rep)) in zip(rows, wanted, strict=True):
         want = add_noise(truth, snr, _noise_key(config.seed, function, n, snr, rep))
         assert np.array_equal(row, want.samples)
 
@@ -841,21 +883,21 @@ def test_subnormal_signal_is_an_input_error(rule, sigma, caplog):
 
 
 def test_chunked_batches_match_per_draw_oracle(monkeypatch):
-    # chunks of 4 rows at n = 64, which cut the draws of an SNR in two, and
-    # of one row at n = 256
+    # chunks of 4 rows at n = 64, which cut the draws of an SNR in two and
+    # put both functions in the middle chunk, and of one row at n = 256
     import epashrink.study as study_mod
 
-    batches = []
+    chunks = []
 
-    def counted_denoise_batch(config, function, n, coords, rows):
-        batches.append((n, len(coords)))
-        return denoise_batch(config, function, n, coords, rows)
+    def counted_score_chunk(config, n, parts, scores, seconds):
+        chunks.append((n, [(part.function.value, len(part.coords)) for part in parts]))
+        return score_chunk(config, n, parts, scores, seconds)
 
-    denoise_batch = study_mod._denoise_batch
-    monkeypatch.setattr(study_mod, "_denoise_batch", counted_denoise_batch)
+    score_chunk = study_mod._score_chunk
+    monkeypatch.setattr(study_mod, "_score_chunk", counted_score_chunk)
     monkeypatch.setattr(study_mod, "_CHUNK", 256)
     config = StudyConfig(
-        functions=(TestFunctionKind.BLOCKS,),
+        functions=(TestFunctionKind.BLOCKS, TestFunctionKind.DOPPLER),
         sizes=(64, 256),
         snrs=(0.5, 3.0),
         replications=3,
@@ -864,7 +906,9 @@ def test_chunked_batches_match_per_draw_oracle(monkeypatch):
         seed=12,
     )
     report = run_study(config)
-    assert batches == [(64, 4), (64, 2)] + [(256, 1)] * 6
+    assert chunks == ([(64, [("blocks", 4)]), (64, [("blocks", 2), ("doppler", 2)]),
+                       (64, [("doppler", 4)])]
+                      + [(256, [("blocks", 1)])] * 6 + [(256, [("doppler", 1)])] * 6)
     oracle = _per_draw_oracle(config)
     assert [(c.function, c.n, c.snr, c.rule) for c in report.cells] == list(oracle)
     for cell in report.cells:
@@ -875,19 +919,30 @@ def test_chunked_batches_match_per_draw_oracle(monkeypatch):
         assert cell.wall_time_s > 0
 
 
-def test_the_chunk_cap_leaves_acceptance_desk_one_chunk():
+def test_the_chunk_cap_cuts_acceptance_desk_into_at_most_six_chunks(monkeypatch):
+    # one batch per n of all 4 x 3 x 100 draws: 1 chunk at n = 512, 2 at
+    # 1024 and 3 at 2048, against the 12 batches of one per (function, n)
     import epashrink.study as study_mod
 
-    grid = STUDY_PRESETS["acceptance-desk"]
-    rows = len(grid["snrs"]) * grid["replications"]
-    assert rows * max(grid["sizes"]) <= study_mod._CHUNK
+    chunks = []
+
+    def counted_score_chunk(config, n, parts, scores, seconds):
+        chunks.append((n, sum(len(part.coords) for part in parts)))
+        scores[...] = 1.0
+
+    monkeypatch.setattr(study_mod, "_score_chunk", counted_score_chunk)
+    run_study(study_preset("acceptance-desk"))
+    assert len(chunks) <= 6
+    assert chunks == [(512, 1200), (1024, 1024), (1024, 176),
+                      (2048, 512), (2048, 512), (2048, 176)]
+    assert all(n * rows <= study_mod._CHUNK for n, rows in chunks)
 
 
 def test_a_batch_does_its_bookkeeping_once(monkeypatch):
-    # per (function, n): the truth's SD once, one reduction for mse_sd, and,
-    # in its one chunk, one reduction for the slab supports and one inverse
-    # transform that all rules share; one shrink per rule, no per-level
-    # beta_level call and no add_noise call at all
+    # per (function, n): the truth's SD once and one reduction for mse_sd;
+    # per n, in its one chunk: one reduction for the slab supports, and one
+    # shrink and one inverse transform per rule; no per-level beta_level
+    # call and no add_noise call at all
     import epashrink.study as study_mod
 
     calls = {"truth sd": 0, "mse_sd": 0, "supports": 0, "shrinks": 0,
@@ -917,8 +972,8 @@ def test_a_batch_does_its_bookkeeping_once(monkeypatch):
         seed=2,
     )
     run_study(config)
-    assert calls == {"truth sd": 4, "mse_sd": 4, "supports": 4, "shrinks": 12,
-                     "inverses": 4, "beta_level": 0, "add_noise": 0}
+    assert calls == {"truth sd": 4, "mse_sd": 4, "supports": 2, "shrinks": 6,
+                     "inverses": 6, "beta_level": 0, "add_noise": 0}
 
 
 _BATCH_RULES = (RuleSpec("esr"), RuleSpec("soft"), RuleSpec("hard"), RuleSpec("hard", 2.0))
@@ -935,18 +990,19 @@ _BATCH_RULES = (RuleSpec("esr"), RuleSpec("soft"), RuleSpec("hard"), RuleSpec("h
 )
 def test_a_multi_rule_batch_matches_one_denoise_per_draw_and_rule(
         n, draws, coarse_level, sigma, zero_row, seed):
-    # the rules share the forward transform, the elicitation and one
-    # inverse of all their copies; each (draw, rule) is still what a
+    # the rules share the forward transform and the elicitation, and each
+    # shrinks and inverts its own copy; each (draw, rule) is still what a
     # denoise of that draw under that rule alone gives, bit for bit
     cfg = ElicitationConfig(sigma_estimator=sigma, coarse_level=coarse_level)
     truth = generate_test_function("bumps", n).samples
     rows = truth + np.random.default_rng(seed).standard_normal((draws, n))
     if zero_row:
         rows[0] = 0.0
-    empirical, estimates, results = _denoise_stack(rows, _BATCH_RULES, cfg, 10)
-    assert estimates.shape == (len(_BATCH_RULES), draws, n)
-    for (diagnostics, shrunk, seconds), estimate, rule in zip(results, estimates,
-                                                              _BATCH_RULES):
+    empirical, each_rule = _denoise_stack(rows, _BATCH_RULES, cfg, 10)
+    results = list(each_rule)
+    assert len(results) == len(_BATCH_RULES)
+    for (estimate, diagnostics, shrunk, seconds), rule in zip(results, _BATCH_RULES):
+        assert estimate.shape == (draws, n)
         assert seconds > 0
         for r in range(draws):
             one = denoise(Signal(rows[r]), rule, cfg)
@@ -971,6 +1027,113 @@ def test_an_all_zero_level_is_logged_once_per_batch(caplog):
     rows = np.random.default_rng(4).standard_normal((3, 256))
     rows[1] = 0.0
     with caplog.at_level("WARNING"):
-        _denoise_stack(rows, _BATCH_RULES, benchmark_elicitation(), 10)
+        list(_denoise_stack(rows, _BATCH_RULES, benchmark_elicitation(), 10)[1])
     assert [r.getMessage() for r in caplog.records] == [
         "1 all-zero coefficient block(s); flooring beta at 1e-08"] * 8
+
+
+# ---------------------------------------------------------------------------
+# one batch per n against one study per (function, n)
+
+
+def _studies_per_pair(config):
+    """The cells of one run_study per (function, n) of the grid, function by
+    function and size by size, and the first error such a run raises."""
+    cells = []
+    for function in config.functions:
+        for n in config.sizes:
+            try:
+                cells += run_study(replace(config, functions=(function,), sizes=(n,))).cells
+            except NumericError as exc:
+                return cells, exc
+    return cells, None
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    functions=st.lists(st.sampled_from(list(TestFunctionKind)), min_size=1, max_size=5),
+    sizes=st.lists(st.sampled_from([8, 32, 64, 128]), min_size=1, max_size=4),
+    snrs=st.lists(st.sampled_from([0.2, 1.0, 3.0]), min_size=1, max_size=2, unique=True),
+    replications=st.integers(1, 3),
+    chunk=st.sampled_from([8, 96, 200, 2**20]),
+    seed=st.integers(0, 2**16),
+)
+def test_one_batch_per_n_matches_one_study_per_function_and_n(
+        functions, sizes, snrs, replications, chunk, seed):
+    # functions and sizes in any order, repeats included; small chunks cut
+    # across the functions of a batch
+    import epashrink.study as study_mod
+
+    config = StudyConfig(functions=tuple(functions), sizes=tuple(sizes), snrs=tuple(snrs),
+                         replications=replications, rules=(RuleSpec("esr"), RuleSpec("soft")),
+                         elicitation=benchmark_elicitation(), seed=seed)
+    with mock.patch.object(study_mod, "_CHUNK", chunk):
+        t0 = time.perf_counter()
+        report = run_study(config)
+        total = time.perf_counter() - t0
+        want, error = _studies_per_pair(config)
+    assert error is None
+    assert sum(cell.wall_time_s for cell in report.cells) <= total
+    assert len(report.cells) == len(want)
+    for got, cell in zip(report.cells, want):
+        assert (got.function, got.n, got.snr, got.rule, got.degenerate_sd) == (
+            cell.function, cell.n, cell.snr, cell.rule, cell.degenerate_sd)
+        assert np.array_equal(got.mse_samples, cell.mse_samples)
+        assert (got.amse, got.mse_sd) == (cell.amse, cell.mse_sd)
+        assert got.wall_time_s > 0
+
+
+@pytest.mark.parametrize("chunk", [2**20, 3 * 128])
+def test_failures_at_two_pairs_fail_with_the_first_in_function_major_order(chunk,
+                                                                            monkeypatch):
+    # draws fail at (bumps, 128), a rule on the draw at snr 3, rep 1, and at
+    # (doppler, 64) and (doppler, 128), a noise draw at snr 1, rep 0. The
+    # batch of n = 64 runs first and fails at doppler; in chunks of three
+    # rows the batch of n = 128 fails at doppler's noise draw before the
+    # rules of its chunk run. A study per (function, n), function by
+    # function, fails at bumps first
+    import epashrink.study as study_mod
+
+    monkeypatch.setattr(study_mod, "_CHUNK", chunk)
+    config = StudyConfig(functions=(TestFunctionKind.BUMPS, TestFunctionKind.DOPPLER),
+                         sizes=(64, 128), snrs=(1.0, 3.0), replications=2,
+                         rules=(RuleSpec("esr"), RuleSpec("soft")), seed=9)
+    bad_keys = {_noise_key(config.seed, TestFunctionKind.BUMPS, 128, 3.0, 1),
+                _noise_key(config.seed, TestFunctionKind.DOPPLER, 64, 1.0, 0),
+                _noise_key(config.seed, TestFunctionKind.DOPPLER, 128, 1.0, 0)}
+
+    def noise_rng_with_bad_draws(key):
+        return _HugeDraws() if key in bad_keys else noise_rng(key)
+
+    monkeypatch.setattr(study_mod, "noise_rng", noise_rng_with_bad_draws)
+    _, want = _studies_per_pair(config)
+    assert re.match(r"cell \(function=bumps, n=128, snr=3.0, rep=1\) rule=esr failed",
+                    str(want))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError) as got:
+            run_study(config)
+    assert not caught
+    assert type(got.value) is type(want)
+    assert str(got.value) == str(want)
+    assert type(got.value.__cause__) is type(want.__cause__)
+    assert str(got.value.__cause__) == str(want.__cause__)
+
+
+def test_study_desk_batch_memory_is_bounded():
+    # the study-desk grid at n = 2048 in one batch of 24 rows (393 kB per
+    # array): with the draws dropped once transformed and one rule's arrays
+    # alive at a time its traced peak is about 2.2 MB; one inverse of all
+    # rules' copies together took it to 3.9 MB
+    config = StudyConfig(functions=tuple(TestFunctionKind), sizes=(2048,),
+                         snrs=(0.2, 1.0, 3.0), replications=2,
+                         rules=(RuleSpec("esr"), RuleSpec("soft")),
+                         elicitation=benchmark_elicitation(), seed=4)
+    run_study(config)  # fills the filter and step-matrix caches
+    tracemalloc.start()
+    try:
+        run_study(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
