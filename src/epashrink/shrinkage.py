@@ -5,40 +5,57 @@ mass at zero with weight alpha, and the compactly supported parabola
 g(theta) = 3/(4 beta^3) (beta^2 - theta^2) on (-beta, beta). Putting an
 exponential prior with rate lam on the noise variance and integrating it
 out turns the Gaussian observation model into a double-exponential
-likelihood with scale 1/sqrt(2 lam); the posterior mean of theta is then
-available in closed form.
+likelihood with scale 1/a, a = sqrt(2 lam); the posterior mean of theta
+is then available in closed form.
 
 The closed-form slab integrals come from splitting the likelihood kernel
-exp(-a|d - theta|) at its kink. That split sits inside the integration
-range only while |d| <= beta, so the formulas are genuinely piecewise:
+exp(-a|d - theta|) at its kink, which sits inside the integration range
+only while |d| <= beta. Past the support the exact integrals -- and the
+spike likelihood -- all decay by the common factor exp(-a(|d| - beta)),
+which cancels in the posterior mean. The rule is therefore constant for
+|d| >= beta, and everything is evaluated at min(|d|, beta).
 
-For |d| <= beta, with a = sqrt(2 lam), E+- = exp(-a (beta -+ |d|)):
+In the dimensionless variables u = a min(|d|, beta) and b = a beta the
+rule is a family in b and alpha alone, scaled by 1/a:
 
-    I1 = (beta + 1/a)(E+ + E-)/lam + (2/a)(beta^2 - d^2 - 1/lam)
-    I2 = K (E- - E+) + (2/a)|d|(beta^2 - d^2) - 12|d|/a^3,
-    K  = 2 beta^2/a^2 + 6 beta/a^3 + 6/a^4
+    rule(d) = sign(d) min(max(N/D, 0) / a, |d|)
 
-Past the support the kernel has no kink inside the integration range and
-the exact integrals -- and the spike likelihood -- all decay by the common
-factor exp(-a(|d| - beta)), which cancels in the posterior-mean ratios.
-The rule is therefore constant for |d| >= beta (the posterior itself no
-longer depends on d there), and the code evaluates everything at
-min(|d|, beta), so no exponential argument is ever positive and the rule
-stays finite for arbitrarily large coefficients. Every quantity is
-antisymmetrized explicitly (computed at |d|, sign restored), so odd
-symmetry holds exactly in floating point.
+    g = ((b - u)/b) ((b + u)/b),   E = exp(u - b),   m = expm1(-2u)
+    N = u (g - 6/b^2) - (1 + 3/b + 3/b^2) E m
+    D = (g - 2/b^2) + (1/b)(1 + 1/b) E (2 + m)
+        + exp(ln(2 alpha / (3 (1 - alpha))) + ln b - u)
 
-esr takes one parameter set: alpha, beta and lam are numbers. The
-constants of the closed forms are computed from them once per call, and
-the coefficients are then evaluated in slices of at most 8192, whose
-temporaries stay small enough for the heap. Every step acts element by
-element, so each slice comes out as it would in one pass over the whole
-array. shrink_pyramid runs the same kernel with one parameter set per row
-and detail level, held as arrays (see _esr_levels).
+N and the first two terms of D are the integrals of theta (beta^2 -
+theta^2) and of (beta^2 - theta^2) against the kernel, over 2 b^2 / a^4
+and 2 b^2 / a^3; the last term of D is the spike's likelihood in the same
+units. E and m have nonpositive arguments, so the rule stays finite for
+arbitrarily large coefficients. g is kept in its factored form: near the
+edge of the support D is about 1/b, and 1 - (u/b)^2 would lose the
+relative accuracy of g there. A coefficient costs three transcendentals
+(two exp, one expm1), and a parameter set a handful of constants: b and
+functions of 1/b, and the log spike weight ln(2 alpha b / (3 (1 - alpha))).
+
+Below b = 0.05 the terms of D cancel like b^4 and a fifth-order expansion
+of the kernel in b takes over:
+
+    rule(d) = sign(d) min(max(beta P2 / (P1 + (4 alpha / (3 (1 - alpha))) e^-u), 0), |d|)
+
+with P1 and P2 polynomials in s = min(|d|, beta)/beta and b (_slab_series).
+Every quantity is computed at |d| and the sign restored, so odd symmetry
+holds exactly in floating point.
+
+esr takes one parameter set: alpha, beta and lam are numbers, and the
+constants are Python floats computed once per call. The coefficients are
+evaluated in slices of at most 8192, each in place in six work arrays of
+a slice's size, which stay small enough for the heap. Every step acts
+element by element, so each slice comes out as it would in one pass over
+the whole array. shrink_pyramid runs the same kernel with one parameter
+set per row and detail level, held as arrays (see _esr_levels).
 
 The tests check the closed form against an independent quadrature
 oracle (direct adaptive integration of the posterior-mean ratio, in
-tests/oracles.py) that shares no code with it.
+tests/oracles.py) that shares no code with it, and against the closed
+form in beta and lam that the rule had before it was put in u and b.
 
 The rule's frequentist properties (squared bias, variance, risk under a
 double-exponential or Gaussian noise model) are exact plateau tail terms
@@ -57,7 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InputError, numeric_guard
+from .errors import DomainError, InputError, NumericError, numeric_guard
 
 log = logging.getLogger(__name__)
 
@@ -81,47 +98,37 @@ def _rate(lam):
     return 2.0 * np.sqrt(0.5 * lam)
 
 
-def _inside(value, lo: float, hi: float) -> bool:
-    """lo < value < hi, for a number or for every entry of an array."""
-    return bool(np.asarray((lo < value) & (value < hi)).all())
-
-
 @dataclass(frozen=True)
 class MixturePriorParams:
-    """Hyperparameters of the mixture prior.
+    """Hyperparameters of the mixture prior, one parameter set.
 
     alpha: spike weight in (0, 1); beta: slab half-support; lam: rate of
-    the exponential prior on the noise variance. esr, marginal_m and
-    rule_statistics take numbers; shrink_pyramid builds arrays of them,
-    one value per row and detail level, for _esr_levels.
+    the exponential prior on the noise variance. Each is a number (or a
+    0-d array); an array field of one or more dimensions is an InputError.
     """
 
-    alpha: float | np.ndarray
-    beta: float | np.ndarray
-    lam: float | np.ndarray
+    alpha: float
+    beta: float
+    lam: float
 
     def __post_init__(self):
-        if not _inside(self.alpha, 0.0, 1.0):
+        shapes = {name: np.shape(value) for name, value in
+                  (("alpha", self.alpha), ("beta", self.beta), ("lambda", self.lam))
+                  if np.ndim(value)}
+        if shapes:
+            raise InputError("MixturePriorParams takes one parameter set: alpha, beta and "
+                             f"lambda must be numbers, got shapes {shapes}")
+        if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not _inside(self.beta, 0.0, math.inf):
+        if not 0.0 < self.beta < math.inf:
             raise DomainError(f"beta must be positive and finite, got {self.beta}")
-        if not _inside(self.lam, 0.0, math.inf):
+        if not 0.0 < self.lam < math.inf:
             raise DomainError(f"lambda must be positive and finite, got {self.lam}")
 
     @property
     def noise_scale(self) -> float:
         """Scale 1/sqrt(2 lam) of the marginalized likelihood."""
         return 1.0 / _rate(self.lam)
-
-
-def _one_set(params: MixturePriorParams, caller: str) -> None:
-    """Raise InputError unless alpha, beta and lam are numbers (or 0-d)."""
-    # a float (np.float64 is one) needs no np.shape, which costs microseconds
-    shapes = [np.shape(p) for p in (params.alpha, params.beta, params.lam)
-              if not isinstance(p, float)]
-    if any(shapes):
-        raise InputError(f"{caller} takes one parameter set: alpha, beta and lambda "
-                         f"must be numbers, got shapes {shapes}")
 
 
 def _validated(d) -> np.ndarray:
@@ -134,103 +141,95 @@ def _validated(d) -> np.ndarray:
 
 _TINY = np.finfo(float).tiny
 
-# below this value of v = a*beta the direct exponential forms lose too many
-# digits to cancellation (the worst term pair cancels like v^4) and a fifth
-# order expansion of the kernel exp(-v|s-t|) takes over; both sides of the
-# seam are accurate to ~1e-9 relative there
+# below this value of b = a*beta the direct forms lose too many digits to
+# cancellation (the terms of D cancel like b^4) and a fifth order
+# expansion of the kernel exp(-a|d - theta|) takes over; both sides of the
+# seam are within 1e-10 * beta of the exact rule there (measured against
+# 60-digit arithmetic: 7.3e-11 * beta on the series side, from its
+# truncation, and 2.0e-11 * beta on the direct side)
 _SERIES_V = 0.05
 
-# coefficients per block of an evaluation of the rule: each temporary of a
-# block is then 64 KB, which glibc serves from its heap, while a temporary
+# coefficients per block of an evaluation of the rule: each work array of
+# a block is then 64 KB, which glibc serves from its heap, while an array
 # the size of a long level lies past its mmap threshold and is mapped,
 # faulted in and returned on every call
 _BLOCK_COEFFS = 8192
 
 # the narrowest detail levels of a stack share one block while it holds at
 # most this many coefficients. Their constants are then repeated per
-# coefficient, some twenty arrays the size of the block: at a full block
-# that is 1.5 MB, which glibc hands back and faults in again block after
-# block, while a longer level, shrunk level by level, needs no repeats
+# coefficient, eleven float arrays the size of the block (0.35 MB at this
+# bound), while a longer level, shrunk level by level, needs no repeats
 _POOL = _BLOCK_COEFFS // 2
 
 
 class _Constants(NamedTuple):
-    """The quantities of the closed forms that depend on the parameters
-    alone, made by _rule_constants. Each is a number, or an array of the
-    parameters' shape. The _d and _s fields belong to the direct and the
-    series side of the seam; series, the one bool field, comes last."""
+    """The quantities of the rule that depend on the parameters alone, made
+    by _rule_constants: Python floats for one parameter set, arrays of one
+    shape for many. beta, r = a and v = b serve both sides of the seam;
+    the fields from b to log_spike serve the direct side, q the series
+    side; series, the one bool field, comes last."""
 
     beta: np.ndarray
-    neg_a: np.ndarray
-    slab_weight: np.ndarray
-    spike_weight: np.ndarray
-    beta_d: np.ndarray
-    lam_d: np.ndarray
-    neg_a_d: np.ndarray
-    neg_2a_d: np.ndarray
-    beta2_d: np.ndarray
-    k_d: np.ndarray
-    edge_d: np.ndarray
-    two_over_a_d: np.ndarray
-    inv_lam_d: np.ndarray
-    a3_d: np.ndarray
-    beta_s: np.ndarray
-    beta3_s: np.ndarray
-    beta4_s: np.ndarray
-    v_s: np.ndarray
+    r: np.ndarray
+    v: np.ndarray
+    b: np.ndarray
+    neg_inv_b: np.ndarray
+    c2: np.ndarray
+    c6: np.ndarray
+    k1: np.ndarray
+    k2: np.ndarray
+    log_spike: np.ndarray
+    q: np.ndarray
     series: np.ndarray
 
 
-def _rule_constants(alpha, beta, lam) -> _Constants:
-    """Every per-parameter-set quantity of the closed forms, computed once.
+def _log(x: float) -> float:
+    """ln x of a number, and -inf at 0 (the spike of the slab alone)."""
+    return math.log(x) if x else -math.inf
 
-    alpha, beta and lam are numbers (esr and marginal_m) or arrays that
-    broadcast together, one set per row and level (_esr_levels). A
-    parameter set on the series side of the seam enters the direct side as
-    the rule with beta = 1 at the seam, and one on the direct side enters
-    the series side likewise: there both sides are finite, so a block with
-    coefficients on both sides evaluates both, and np.where picks each
-    coefficient's own.
+
+def _rule_constants(alpha, beta, r) -> _Constants:
+    """Every per-parameter-set quantity of the rule, computed once.
+
+    alpha, beta and r = a are Python floats (one parameter set) or arrays
+    that broadcast together, one set per row and level (_esr_levels); every
+    field then has their common shape. A set on the series side of the
+    seam enters the direct side with b = 1, where u <= v < 1 is a valid
+    point of the closed form: a block with coefficients on both sides
+    evaluates the direct side on all of them, and the series on its own.
     """
-    a = _rate(lam)
-    v = a * beta
+    v = beta * r
     series = v < _SERIES_V
-    # for one parameter set the constants stay numbers, whose arithmetic
-    # costs less than that of 0-d arrays
-    where = np.where if series.ndim else lambda cond, yes, no: yes if cond else no
-    beta_d = where(series, 1.0, beta)
-    lam_d = where(series, 0.5 * _SERIES_V**2, lam)
-    a_d = where(series, _SERIES_V, a)
-    # powers of a that overflow (lam above about 1e154) become inf: each
-    # sits in a denominator, so its quotient is the 0 it all but is, next
-    # to the leading terms
-    with np.errstate(over="ignore"):
-        a2, a3, a4 = np.square(a_d), np.power(a_d, 3), np.power(a_d, 4)
-    beta2 = np.square(beta_d)
-    # where a**2 = 2 lam overflows, K is its leading term beta^2 / lam
-    k = where(a2 < math.inf, 2.0 * beta2 / a2 + 6.0 * beta_d / a3 + 6.0 / a4,
-              beta2 / lam_d)
-    beta3 = np.power(beta, 3)
-    beta_s = where(series, beta, 1.0)
-    return _Constants(
-        beta=beta, neg_a=-a,
-        slab_weight=(1.0 - alpha) * 3.0 * a / (8.0 * beta3),
-        spike_weight=alpha * (0.5 * a),
-        beta_d=beta_d, lam_d=lam_d, neg_a_d=-a_d, neg_2a_d=-2.0 * a_d, beta2_d=beta2,
-        k_d=k, edge_d=beta_d + 1.0 / a_d, two_over_a_d=2.0 / a_d, inv_lam_d=1.0 / lam_d,
-        a3_d=a3, beta_s=beta_s, beta3_s=where(series, beta3, 1.0), beta4_s=np.power(beta_s, 4),
-        v_s=where(series, v, _SERIES_V), series=series)
+    one_set = isinstance(series, bool)
+    ln, b = (_log, 1.0 if series else v) if one_set else (np.log, np.where(series, 1.0, v))
+    inv_b = 1.0 / b
+    inv_b2 = inv_b * inv_b
+    odds = alpha / (1.0 - alpha)
+    fields = (beta, r, v, b, -inv_b, 2.0 * inv_b2, 6.0 * inv_b2,
+              1.0 + 3.0 * inv_b + 3.0 * inv_b2, inv_b * (1.0 + inv_b),
+              ln((2.0 / 3.0) * odds * b), (4.0 / 3.0) * odds, series)
+    return _Constants(*fields) if one_set else _Constants(*np.broadcast_arrays(*fields))
 
 
-def _slab_series(x: np.ndarray, k: _Constants):
-    """The slab integrals I1, I2 at x = min(|d|, beta), by a fifth-order
-    expansion in v = a*beta.
+def _set_constants(alpha: float, params: MixturePriorParams) -> _Constants:
+    """The constants of one parameter set, with spike weight alpha (0 for
+    the slab alone), as Python floats. A slab support whose cube
+    overflows, which puts the slab density 3/(4 beta^3) out of range,
+    raises NumericError."""
+    beta = float(params.beta)
+    if beta * beta * beta == math.inf:
+        raise NumericError(f"slab support {beta!r} is out of range: its cube overflows")
+    return _rule_constants(float(alpha), beta, float(_rate(params.lam)))
 
-    I1/beta^3 and I2/beta^4 are polynomials in v whose coefficients are
-    the moments of (1 - t^2) and t(1 - t^2) against |s - t|^m over (-1, 1),
-    with s = x/beta; relative truncation error is O(v^6).
+
+def _slab_series(s: np.ndarray, v):
+    """P1 and P2 of the fifth-order expansion in v = a*beta, at
+    s = min(|d|, beta)/beta: the slab integrals are beta^3 P1 and beta^4 P2.
+
+    The coefficients of P1 and P2 are the moments of (1 - t^2) and
+    t(1 - t^2) against |s - t|^m over (-1, 1); the relative truncation
+    error is O(v^6).
     """
-    s = x / k.beta_s
     s2 = s * s
     c = (
         4.0 / 3.0,
@@ -248,71 +247,116 @@ def _slab_series(x: np.ndarray, k: _Constants):
         s * (-16.0 / 35.0 - (16.0 / 15.0) * s2),
         s * (-5.0 / 12.0 + s2 * (-5.0 / 3.0 + s2 * (-0.5 + s2 * (1.0 / 21.0 - s2 / 252.0)))),
     )
-    i1 = i2 = 0.0
+    p1 = p2 = 0.0
     term = 1.0
     for m in range(6):
-        i1 = i1 + term * c[m]
-        i2 = i2 + term * d[m]
-        term = term * (-k.v_s / (m + 1))
-    return k.beta3_s * i1, k.beta4_s * i2
+        p1 = p1 + term * c[m]
+        p2 = p2 + term * d[m]
+        term = term * (-v / (m + 1))
+    return p1, p2
 
 
-def _direct_integrals(x: np.ndarray, k: _Constants):
-    """The exact slab integrals I1, I2 at x = min(|d|, beta)."""
-    ep = np.exp(k.neg_a_d * (k.beta_d + x))
-    em = np.exp(k.neg_a_d * (k.beta_d - x))
-    # em - ep evaluated as -em*expm1(-2ax): the direct difference
-    # underflows to 0 for a|d| below the rounding scale of exp(-a beta)
-    em_minus_ep = -em * np.expm1(k.neg_2a_d * x)
-    gap = k.beta2_d - np.square(x)
-    i1 = k.edge_d * (ep + em) / k.lam_d + k.two_over_a_d * (gap - k.inv_lam_d)
-    i2 = k.k_d * em_minus_ep + k.two_over_a_d * x * gap - 12.0 * x / k.a3_d
-    return i1, i2
+def _series_magnitude(dabs: np.ndarray, beta, r, v, q) -> np.ndarray:
+    """|rule| at |d| = dabs before its clamp, on the series side of the
+    seam: beta P2 / (P1 + q e^-u)."""
+    x = np.minimum(dabs, beta)
+    p1, p2 = _slab_series(x / beta, v)
+    return beta * p2 / (p1 + q * np.exp(-(x * r)))
 
 
-def _slab_integrals(dabs: np.ndarray, x: np.ndarray, k: _Constants):
-    """Slab integrals I1, I2 at |d| = dabs, with x = min(|d|, beta).
+def _direct_parts(u: np.ndarray, k: _Constants, t1, t2, t3, t4):
+    """N and D at u on the direct side of the seam, evaluated in place in
+    the work arrays t1 to t4 of u's shape; N comes back in t4, D in t3.
+    (Every step names its out array: on small arrays an augmented
+    assignment costs twice the call.)"""
+    np.subtract(u, k.b, out=t1)
+    np.exp(t1, out=t2)                       # E
+    np.multiply(t1, k.neg_inv_b, out=t1)     # w = (b - u)/b
+    np.subtract(2.0, t1, out=t3)             # (b + u)/b = 2 - w
+    np.multiply(t3, t1, out=t3)              # g
+    np.subtract(t3, k.c6, out=t4)
+    np.multiply(t4, u, out=t4)               # u (g - 6/b^2)
+    np.subtract(t3, k.c2, out=t3)            # g - 2/b^2
+    np.multiply(u, -2.0, out=t1)
+    np.expm1(t1, out=t1)                     # m
+    np.multiply(t1, t2, out=t1)              # E m
+    np.add(t2, t2, out=t2)
+    np.add(t2, t1, out=t2)                   # E (2 + m)
+    np.multiply(t2, k.k2, out=t2)
+    np.add(t3, t2, out=t3)
+    np.multiply(t1, k.k1, out=t1)
+    np.subtract(t4, t1, out=t4)              # N
+    np.subtract(k.log_spike, u, out=t1)
+    np.exp(t1, out=t1)                       # the spike
+    np.add(t3, t1, out=t3)                   # D
+    return t4, t3
 
-    Past the support the exact integrals (and the spike likelihood) all
-    decay by the common factor exp(-a(|d| - beta)), which cancels in the
-    posterior-mean ratios; the values are therefore computed at
-    min(|d|, beta) in that shared frame, so every exponential argument is
-    nonpositive regardless of how large |d| gets.
-    """
-    in_series = np.count_nonzero(k.series)
-    if in_series == 0:
-        return _direct_integrals(x, k)
-    if in_series == np.size(k.series):
-        return _slab_series(x, k)
-    # both sides of the seam: each side over the whole block, and np.where
-    # picks each coefficient's own
-    d1, d2 = _direct_integrals(np.minimum(dabs, k.beta_d), k)
-    s1, s2 = _slab_series(np.minimum(dabs, k.beta_s), k)
-    return np.where(k.series, s1, d1), np.where(k.series, s2, d2)
+
+def _magnitude(dabs: np.ndarray, k: _Constants, u, t1, t2, t3, t4) -> np.ndarray:
+    """|rule| at |d| = dabs before its clamp, with the constants cut to
+    the block: N/(D a) in the work arrays u to t4 on the direct side of
+    the seam, and the series on the coefficients of the series side, which
+    are gathered, evaluated and scattered back where a block has both."""
+    series = k.series
+    if isinstance(series, bool):
+        some = every = series
+    else:
+        some, every = series.any(), series.all()
+    if every:
+        # into a work array, which the caller's clamps overwrite in place
+        u[...] = _series_magnitude(dabs, k.beta, k.r, k.v, k.q)
+        return u
+    np.minimum(dabs, k.beta, out=u)
+    np.multiply(u, k.r, out=u)
+    n, den = _direct_parts(u, k, t1, t2, t3, t4)
+    np.divide(n, den, out=n)
+    np.divide(n, k.r, out=n)
+    if some:
+        mask = np.broadcast_to(series, dabs.shape)
+        n[mask] = _series_magnitude(dabs[mask], *(np.broadcast_to(f, dabs.shape)[mask]
+                                                  for f in (k.beta, k.r, k.v, k.q)))
+    return n
 
 
-def _esr_block(d: np.ndarray, k: _Constants) -> np.ndarray:
-    """The mixture rule on one block of coefficients, with the constants
-    cut to the block."""
-    dabs = np.abs(d)
-    x = np.minimum(dabs, k.beta)
-    i1, i2 = _slab_integrals(dabs, x, k)
-    spike = np.exp(k.neg_a * x)
-    num = k.slab_weight * i2
-    den = k.spike_weight * spike + k.slab_weight * i1
-    ratio = num / np.maximum(den, _TINY)
+def _esr_block(d: np.ndarray, k: _Constants, work: list, out: np.ndarray) -> None:
+    """The mixture rule on one block of coefficients into out (which may
+    be d), with the constants cut to the block; work holds six arrays of
+    the block's shape."""
+    dabs = np.abs(d, out=work[0])
+    mag = _magnitude(dabs, k, *work[1:])
+    np.maximum(mag, 0.0, out=mag)
     # the shrunk magnitude lies in [0, |d|]; at subnormal |d| the closed
     # forms round outside that range
-    return np.copysign(np.minimum(np.maximum(ratio, 0.0), dabs), d)
+    np.minimum(mag, dabs, out=mag)
+    np.copysign(mag, d, out=out)
 
 
-def _marginal_block(d: np.ndarray, k: _Constants) -> np.ndarray:
-    """The slab's marginal density on one block, with k made for alpha = 0."""
-    dabs = np.abs(d)
-    i1, _ = _slab_integrals(dabs, np.minimum(dabs, k.beta), k)
-    # undo the exterior rescale: true I1 decays like exp(-a(|d| - beta))
-    decay = np.exp(k.neg_a * np.maximum(dabs - k.beta, 0.0))
-    return k.slab_weight * i1 * decay
+def _marginal_block(d: np.ndarray, k: _Constants, work: list, out: np.ndarray) -> None:
+    """The slab's marginal density on one block into out, with k made for
+    alpha = 0: (3 / (4 beta)) D, or (3 a / 8) P1 on the series side,
+    times the decay exp(-a(|d| - beta)) past the support."""
+    dabs, u, *t = work
+    np.abs(d, out=dabs)
+    x = np.minimum(dabs, k.beta, out=u)
+    if k.series:
+        density = _slab_series(x / k.beta, k.v)[0] * (0.375 * k.r)
+    else:
+        density = _direct_parts(np.multiply(x, k.r, out=x), k, *t)[1]
+        np.multiply(density, 0.75 / k.beta, out=density)
+    np.multiply(density, np.exp(-k.r * np.maximum(dabs - k.beta, 0.0)), out=out)
+
+
+def _work(shape: tuple) -> list:
+    """The six work arrays of a block evaluation, of the given shape."""
+    return [np.empty(shape) for _ in range(6)]
+
+
+def _shaped(work: list, shape: tuple) -> list:
+    """Flat work arrays cut to a block of the given shape."""
+    if work[0].shape == shape:
+        return work
+    size = math.prod(shape)
+    return [w[:size].reshape(shape) for w in work]
 
 
 def _blocks(rows: int, cols: int):
@@ -330,52 +374,54 @@ def _blocks(rows: int, cols: int):
 
 
 def _blockwise(block_fn, arr: np.ndarray, k: _Constants) -> np.ndarray:
-    """block_fn(coefficients, k) over arr in slices of at most
-    _BLOCK_COEFFS of its flattened coefficients; an input of at most one
-    block is that block."""
+    """block_fn(coefficients, k, work, out) over arr in slices of at most
+    _BLOCK_COEFFS of its flattened coefficients, into a new array of its
+    shape; an input of at most one block is that block."""
+    out = np.empty(arr.shape)
     if arr.size <= _BLOCK_COEFFS:
-        return block_fn(arr, k)
-    flat = arr.ravel()
-    out = np.empty(flat.shape)
+        block_fn(arr, k, _work(arr.shape), out)
+        return out
+    flat, flat_out = arr.ravel(), out.reshape(-1)
+    work = _work((_BLOCK_COEFFS,))
     for i in range(0, flat.size, _BLOCK_COEFFS):
-        out[i:i + _BLOCK_COEFFS] = block_fn(flat[i:i + _BLOCK_COEFFS], k)
-    return out.reshape(arr.shape)
+        block = flat[i:i + _BLOCK_COEFFS]
+        block_fn(block, k, _shaped(work, block.shape), flat_out[i:i + _BLOCK_COEFFS])
+    return out
 
 
-def _esr_levels(rows: np.ndarray, levels: list, sigma: np.ndarray,
-                params: MixturePriorParams) -> None:
+def _esr_levels(rows: np.ndarray, levels: list, alpha: np.ndarray, beta: np.ndarray,
+                r: np.ndarray) -> None:
     """Apply the mixture rule in place to the detail levels of a stack.
 
     rows has shape (R, n); levels are the column slices of its L detail
-    levels, adjacent and in order of width; sigma is a column of R noise
-    scales; the fields of params broadcast to (R, L), one parameter set
-    per row and level. Every block is divided by its rows' sigma, shrunk
-    and multiplied back, as each level alone would be. The parameters are
-    broadcast to (R, L) before the constants are made from them, so every
-    constant is an (R, L) array, computed once for all levels.
+    levels, adjacent and in order of width; alpha holds the L spike
+    weights, beta the (R, L) slab supports and r the (R, 1) rates
+    a = sqrt(2 lam), both in the units of the coefficients. The constants
+    are made once for all levels, as (R, L) arrays. The narrowest levels
+    share one block while it holds at most _POOL coefficients, their
+    constants repeated per coefficient (the floats in one call, the bool
+    series flag in its own); every longer level goes in groups of rows, or
+    slices of one row, with its constants as columns. Every block is
+    evaluated in place in the same six work arrays, of the largest block's
+    size.
     """
-    shape = (len(rows), len(levels))
-    k = _rule_constants(*(np.broadcast_to(p, shape)
-                          for p in (params.alpha, params.beta, params.lam)))
-
-    def shrink(block, s, kb):
-        np.multiply(s, _esr_block(block / s, kb), out=block)
-
-    # the narrowest levels share one block while it holds at most _POOL
-    # coefficients, their constants repeated per coefficient (the floats
-    # in one call, the bool series flag in its own)
+    k = _rule_constants(alpha, beta, r)
+    blocks = []
     start = levels[0].start
     pooled = sum(len(rows) * (level.stop - start) <= _POOL for level in levels)
     if pooled:
         widths = [level.stop - level.start for level in levels[:pooled]]
         cut = [c[:, :pooled] for c in k]
-        shrink(rows[:, start:levels[pooled - 1].stop], sigma,
-               k._make([*np.repeat(np.stack(cut[:-1]), widths, axis=2),
-                        np.repeat(cut[-1], widths, axis=1)]))
+        blocks.append((rows[:, start:levels[pooled - 1].stop],
+                       k._make([*np.repeat(np.stack(cut[:-1]), widths, axis=2),
+                                np.repeat(cut[-1], widths, axis=1)])))
     for j in range(pooled, len(levels)):
         view = rows[:, levels[j]]
-        for rs, cs in _blocks(*view.shape):
-            shrink(view[rs, cs], sigma[rs], k._make(c[rs, j:j + 1] for c in k))
+        blocks += [(view[rs, cs], k._make(c[rs, j:j + 1] for c in k))
+                   for rs, cs in _blocks(*view.shape)]
+    work = _work((max(block.size for block, _ in blocks),))
+    for block, kb in blocks:
+        _esr_block(block, kb, _shaped(work, block.shape), block)
 
 
 def marginal_m(d, params: MixturePriorParams):
@@ -383,15 +429,13 @@ def marginal_m(d, params: MixturePriorParams):
 
     Strictly positive on the whole line and integrates to one. If rounding
     drives a value to zero or below, it is clamped to the smallest positive
-    normal with a logged diagnostic. params is one parameter set, as in
-    esr. A floating-point failure (a slab support whose cube overflows,
-    say) raises NumericError.
+    normal with a logged diagnostic. A floating-point failure, or a slab
+    support whose cube overflows, raises NumericError.
     """
-    _one_set(params, "marginal_m")
     arr = _validated(d)
     with numeric_guard("marginal density"):
         # the slab alone is the mixture with spike weight 0
-        out = _blockwise(_marginal_block, arr, _rule_constants(0.0, params.beta, params.lam))
+        out = _blockwise(_marginal_block, arr, _set_constants(0.0, params))
     bad = out <= 0.0
     if np.any(bad):
         log.warning(
@@ -406,18 +450,15 @@ def esr(d, params: MixturePriorParams):
     """Posterior-mean shrinkage rule under the full spike-and-slab mixture.
 
     Accepts a scalar or an array of empirical coefficients, and returns a
-    value of the same shape. params is one parameter set: a field that is
-    an array of one or more dimensions raises InputError (a stack with one
-    set per row is a loop of esr calls). Odd in d, no larger than |d|
-    and bounded by the slab-only mean, hence strictly inside
-    (-beta, beta). Finite for every finite lambda; a slab support
-    whose powers overflow (beta above about 5e102) raises NumericError, as
-    does any other floating-point failure here.
+    value of the same shape. Odd in d, no larger than |d| and bounded by
+    the slab-only mean, hence strictly inside (-beta, beta). Finite for
+    every finite lambda; a slab support whose cube overflows (beta above
+    about 5.6e102) raises NumericError, as does any other floating-point
+    failure here.
     """
-    _one_set(params, "esr")
     arr = _validated(d)
     with numeric_guard("mixture rule"):
-        out = _blockwise(_esr_block, arr, _rule_constants(params.alpha, params.beta, params.lam))
+        out = _blockwise(_esr_block, arr, _set_constants(params.alpha, params))
     return out if out.ndim else float(out)
 
 
@@ -550,8 +591,6 @@ def rule_statistics(
     u = d - theta, where the density is evaluated exactly however narrow
     it is.
 
-    params is one parameter set: its fields are numbers.
-
     Cost: a noise density narrower than the rule takes under 100 panels; a
     wide one over a sharp rule adds about 130 panels per factor e in beta
     over the length scale (1200 at lambda = 1e12 under unit Gaussian
@@ -567,10 +606,9 @@ def rule_statistics(
     theta = float(theta)
     if not math.isfinite(theta):
         raise InputError(f"theta must be finite, got {theta}")
-    _one_set(params, "rule_statistics")
     if noise is None:
         noise = DoubleExponential(params.lam)
-    beta = params.beta
+    beta = float(params.beta)
     with numeric_guard(f"rule statistics at theta={theta}"):
         reach = noise.reach * noise.scale
         lo, hi = max(-beta - theta, -reach), min(beta - theta, reach)

@@ -49,7 +49,7 @@ from .elicitation import (
     lambda_from_s,
 )
 from .errors import ConfigError, EpashrinkError, InputError, NumericError, numeric_guard
-from .shrinkage import MixturePriorParams, _esr_levels
+from .shrinkage import _esr_levels, _rate
 from .signals import (
     Signal,
     TestFunctionKind,
@@ -201,13 +201,11 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
     The scaling block is never touched. Returns the elicited quantities:
     the noise-scale estimate, per-level spike weight and slab support, and
     the global rate (mixture rule) or the threshold (hard/soft), all in the
-    units of the coefficients. The mixture rule itself runs on the
-    coefficients divided by the noise-scale estimate, which keeps its
-    powers of the slab support in range at any signal scale. A non-finite
-    coefficient or rate, or an overflow while eliciting or applying the
-    rule, raises NumericError. A signal whose largest detail coefficient is
-    positive but below the normal range (about 2.2e-308) raises InputError
-    under every rule, before any floor is logged.
+    units of the coefficients. A non-finite coefficient or rate, or an
+    overflow while eliciting or applying the rule, raises NumericError. A
+    signal whose largest detail coefficient is positive but below the
+    normal range (about 2.2e-308) raises InputError under every rule,
+    before any floor is logged.
 
     The slab supports of all levels come from one pass over the detail
     span. The thresholds, which act element by element, shrink the whole
@@ -217,12 +215,12 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
     alone; its noise-scale estimate, slab supports and rate or universal
     threshold are then arrays of R values, while the spike weights and a
     fixed threshold stay numbers.
-    The mixture rule gets one MixturePriorParams for all L levels: the
-    spike weights of shape (L,), the slab supports over sigma_hat of shape
-    (L,) or (R, L), and the rate lambda * sigma_hat^2 as a number or a
-    column of R values. Its constants are computed once per shrink, and
-    it runs in blocks of bounded size: the narrowest levels together, the
-    longer ones in groups of rows or slices of a row.
+    The mixture rule gets plain arrays for all L levels: the spike weights
+    of shape (L,), the slab supports of shape (R, L) and the rates
+    a = sqrt(2 lambda) as a column of R values, each computed as
+    sqrt(2 lambda sigma_hat^2) / sigma_hat. Its constants are computed
+    once per shrink, and it runs in blocks of bounded size: the narrowest
+    levels together, the longer ones in groups of rows or slices of a row.
     ``elicited``, the _elicit of these coefficients, lets rules that
     shrink copies of one pyramid share its checks, supports and estimates.
     """
@@ -250,13 +248,13 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
             if not np.isfinite(lam).all():
                 raise NumericError(f"lambda overflows at sigma_hat={sigma_hat!r}")
             diagnostics["lambda"] = lam
-            params = MixturePriorParams(
-                np.array([level["alpha"] for level in levels]),
-                betas / column(sigma_hat),
-                column(lam * np.square(sigma_hat)))
+            # a = sqrt(2 lambda) per row, from lambda sigma_hat^2, the rate
+            # of the coefficients over sigma_hat
+            rate = _rate(lam * np.square(sigma_hat)) / sigma_hat
             _esr_levels(coeffs if stacked else coeffs[None],
                         [slice(2**j, 2**(j + 1)) for j in details],
-                        np.reshape(sigma_hat, (-1, 1)), params)
+                        np.array([level["alpha"] for level in levels]),
+                        betas if stacked else betas[None], np.reshape(rate, (-1, 1)))
         else:
             eta = rule.threshold
             if eta is None:
@@ -357,6 +355,15 @@ def _rule_spec(value) -> RuleSpec:
     raise ConfigError(f"a rule is a RuleSpec or its text, got {value!r}")
 
 
+def _sequence(name: str, value):
+    """value, checked to be a sequence field's sequence: a bare string or a
+    value that cannot be iterated is a ConfigError naming the field."""
+    if isinstance(value, str) or not hasattr(value, "__iter__"):
+        raise ConfigError(f"{name} takes a sequence, got {value!r}; "
+                          f"for one value write ({value!r},)")
+    return value
+
+
 def _whole(name: str, value) -> int:
     try:
         return operator.index(value)
@@ -375,9 +382,11 @@ class StudyConfig:
     Every field is checked when the config is built. functions may name
     their kinds by value ("bumps") and rules by the text RuleSpec.parse
     reads ("esr", "soft:2.5"); both are stored as TestFunctionKind and
-    RuleSpec. Any other function or rule, a size, replications, wavelet
-    order or seed that is not a whole number, or an SNR or target SD that
-    is not a positive, finite real number, raises ConfigError.
+    RuleSpec. functions, sizes, snrs and rules each take a sequence, not a
+    bare string or number. Any other function or rule, a size,
+    replications, wavelet order or seed that is not a whole number, or an
+    SNR or target SD that is not a positive, finite real number, raises
+    ConfigError.
     """
 
     functions: tuple[TestFunctionKind, ...]
@@ -393,9 +402,10 @@ class StudyConfig:
     def __post_init__(self):
         # function names become TestFunctionKind and rule texts RuleSpec,
         # so a study fails only where its draws or rules do
-        fields = {"functions": tuple(map(_function_kind, self.functions)),
-                  "rules": tuple(map(_rule_spec, self.rules)),
-                  "sizes": tuple(_whole("size", n) for n in self.sizes)}
+        fields = {"functions": tuple(map(_function_kind, _sequence("functions", self.functions))),
+                  "rules": tuple(map(_rule_spec, _sequence("rules", self.rules))),
+                  "sizes": tuple(_whole("size", n) for n in _sequence("sizes", self.sizes))}
+        _sequence("snrs", self.snrs)
         for name in ("replications", "wavelet_order", "seed"):
             fields[name] = _whole(name, getattr(self, name))
         for name, value in fields.items():

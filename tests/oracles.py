@@ -1,10 +1,12 @@
 """Verification oracles, imported by the tests as ``from oracles import
 ...``: a quadrature oracle for the shrinkage rule that shares no code with
 the closed form, the slab density it integrates, the slab-only mean, the
-closed form evaluated the slow way, unblocked and one detail level per
-call, and the slow paths that faster code replaced: the transform steps
-with np.roll, the MAD noise scale by np.median, and the bumps and blocks
-test functions summed jump by jump."""
+reference closed form in beta and lambda that the rule had before it was
+put in the dimensionless u and b, the closed form in u and b evaluated the
+slow way, unblocked and one detail level per call, and the slow paths
+that faster code replaced: the transform steps with np.roll, the MAD noise
+scale by np.median, and the bumps and blocks test functions summed jump
+by jump."""
 
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ from epashrink.dwt import _CHANNEL_OUTPUTS, _step_matrix
 from epashrink.elicitation import (MAD_CONSISTENCY, beta_level, estimate_sigma,
                                    lambda_from_s)
 from epashrink.errors import numeric_guard
-from epashrink.shrinkage import (_SERIES_V, _TINY, _blockwise, _one_set, _rate,
-                                 _rule_constants, _slab_integrals, _validated)
+from epashrink.shrinkage import (_SERIES_V, _TINY, _blockwise, _log, _magnitude, _rate,
+                                 _set_constants, _validated)
 from epashrink.signals import (_BLOCK_HEIGHTS, _BUMP_HEIGHTS, _BUMP_WIDTHS, _JUMPS,
                                TestFunctionKind)
 from epashrink.study import SIGMA_FLOOR, _clamped_alpha
@@ -37,18 +39,17 @@ def epanechnikov_pdf(theta: float, beta: float) -> float:
 
 def delta_slab(d, params: MixturePriorParams):
     """Posterior mean of theta given d under the slab alone: odd in d,
-    strictly inside (-beta, beta) and constant past the support."""
-    _one_set(params, "delta_slab")
+    strictly inside (-beta, beta) and constant past the support. The
+    library's kernel with spike weight 0."""
     arr = _validated(d)
     with numeric_guard("slab posterior mean"):
-        out = _blockwise(_slab_mean_block, arr, _rule_constants(0.0, params.beta, params.lam))
+        out = _blockwise(_slab_mean_block, arr, _set_constants(0.0, params))
     return out if out.ndim else float(out)
 
 
-def _slab_mean_block(d, k):
-    dabs = np.abs(d)
-    i1, i2 = _slab_integrals(dabs, np.minimum(dabs, k.beta), k)
-    return np.sign(d) * i2 / np.maximum(i1, _TINY)
+def _slab_mean_block(d, k, work, out):
+    dabs = np.abs(d, out=work[0])
+    np.multiply(np.sign(d), _magnitude(dabs, k, *work[1:]), out=out)
 
 
 _QUAD_KW = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
@@ -101,13 +102,14 @@ def posterior_mean_oracle(d: float, params: MixturePriorParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the closed form the slow way: every constant recomputed per call, on
-# temporaries the size of the input, and shrink_pyramid's mixture rule one
-# detail level per call. The library evaluates the same expressions in the
-# same order, so the two agree bit for bit.
+# the reference closed form: the slab integrals I1 and I2 in beta and
+# lambda, with K = 2 beta^2/a^2 + 6 beta/a^3 + 6/a^4, as the library
+# evaluated them before the rule was put in u and b. Its terms scale like
+# powers of beta and 1/a, so it loses digits where they turn subnormal,
+# as beta^2 / lambda does at small beta and huge lambda.
 
 
-def _slab_series(x, beta, v):
+def _reference_series(x, beta, v):
     s = x / beta
     s2 = s * s
     c = (
@@ -135,7 +137,7 @@ def _slab_series(x, beta, v):
     return np.power(beta, 3) * i1, np.power(beta, 4) * i2
 
 
-def _direct_integrals(x, beta, lam, a):
+def _reference_direct(x, beta, lam, a):
     with np.errstate(over="ignore"):
         a2, a3, a4 = np.square(a), np.power(a, 3), np.power(a, 4)
     beta2 = np.square(beta)
@@ -151,35 +153,23 @@ def _direct_integrals(x, beta, lam, a):
     return i1, i2
 
 
-def _slab_parts(dabs, beta, lam, a):
+def _reference_parts(dabs, beta, lam, a):
     x = np.minimum(dabs, beta)
     spike = np.exp(-a * x)
     v = a * beta
-    series = v < _SERIES_V
-    rows_in_series = np.count_nonzero(series)
-    if rows_in_series == 0:
-        return (*_direct_integrals(x, beta, lam, a), spike)
-    if rows_in_series == np.size(series):
-        return (*_slab_series(x, beta, v), spike)
-    beta_s, beta_d = np.where(series, beta, 1.0), np.where(series, 1.0, beta)
-    s1, s2 = _slab_series(np.minimum(dabs, beta_s), beta_s, np.where(series, v, _SERIES_V))
-    d1, d2 = _direct_integrals(np.minimum(dabs, beta_d), beta_d,
-                               np.where(series, 0.5 * _SERIES_V**2, lam),
-                               np.where(series, _SERIES_V, a))
-    return np.where(series, s1, d1), np.where(series, s2, d2), spike
+    if v < _SERIES_V:
+        return (*_reference_series(x, beta, v), spike)
+    return (*_reference_direct(x, beta, lam, a), spike)
 
 
-def unblocked_esr(d, params: MixturePriorParams):
-    """The mixture rule in one pass over the whole input. The fields of
-    params may be columns that broadcast against d, one set per row."""
-    arr = np.asarray(d, dtype=float)
-    if not np.isfinite(arr).all():
-        raise InputError("coefficient values must be finite")
+def reference_esr(d, params: MixturePriorParams):
+    """The mixture rule by the reference closed form, in one pass."""
+    arr = _validated(d)
     alpha, beta, lam = params.alpha, params.beta, params.lam
     with numeric_guard("mixture rule"):
         a = _rate(lam)
         dabs = np.abs(arr)
-        i1, i2, spike = _slab_parts(dabs, beta, lam, a)
+        i1, i2, spike = _reference_parts(dabs, beta, lam, a)
         slab_weight = (1.0 - alpha) * 3.0 * a / (8.0 * np.power(beta, 3))
         spike_weight = alpha * (0.5 * a)
         num = slab_weight * i2
@@ -189,28 +179,70 @@ def unblocked_esr(d, params: MixturePriorParams):
     return out if out.ndim else float(out)
 
 
+# ---------------------------------------------------------------------------
+# the closed form in u and b the slow way: every constant recomputed per
+# call, on temporaries the size of the input, both sides of the seam
+# evaluated everywhere and picked by np.where, and shrink_pyramid's mixture
+# rule one detail level per call. The library evaluates the same
+# expressions in the same order, so the two agree bit for bit.
+
+
+def _unblocked_rule(d, alpha, beta, r, ln):
+    """The rule at d for a spike weight alpha (a number), and beta and
+    r = sqrt(2 lam) that are numbers or columns, one set per row; ln is
+    the logarithm the library takes of them (math.log for one set,
+    np.log for arrays)."""
+    dabs = np.abs(d)
+    v = beta * r
+    series = v < _SERIES_V
+    b = np.where(series, 1.0, v)
+    inv_b = 1.0 / b
+    inv_b2 = inv_b * inv_b
+    odds = alpha / (1.0 - alpha)
+    u = np.minimum(dabs, beta) * r
+    big_e = np.exp(u - b)
+    w = (u - b) * -inv_b
+    g = (2.0 - w) * w
+    em = np.expm1(u * -2.0) * big_e
+    n = (g - 6.0 * inv_b2) * u - em * (1.0 + 3.0 * inv_b + 3.0 * inv_b2)
+    den = ((g - 2.0 * inv_b2) + (big_e + big_e + em) * (inv_b * (1.0 + inv_b))
+           + np.exp(ln((2.0 / 3.0) * odds * b) - u))
+    direct = n / den / r
+    # the series, with v = 0.05 standing in on the direct side; at beta =
+    # 1 the reference series integrals are the polynomials P1 and P2
+    x = np.minimum(dabs, beta)
+    p1, p2 = _reference_series(x / beta, 1.0, np.where(series, v, _SERIES_V))
+    by_series = beta * p2 / (p1 + (4.0 / 3.0) * odds * np.exp(-(x * r)))
+    mag = np.maximum(np.where(series, by_series, direct), 0.0)
+    return np.copysign(np.minimum(mag, dabs), d)
+
+
+def unblocked_esr(d, params: MixturePriorParams):
+    """The mixture rule for one parameter set in one pass over the whole
+    input."""
+    arr = _validated(d)
+    with numeric_guard("mixture rule"):
+        out = _unblocked_rule(arr, float(params.alpha), float(params.beta),
+                              float(_rate(params.lam)), _log)
+    return out if out.ndim else float(out)
+
+
 def per_level_esr_shrink(pyramid, cfg) -> None:
-    """shrink_pyramid's mixture rule, in place, with one unblocked_esr call
-    and one MixturePriorParams per detail level."""
-    details = pyramid.details
-    stacked = pyramid.coeffs.ndim == 2
-    levels = [(_clamped_alpha(j, cfg), beta_level(block)) for j, block in details.items()]
-    floor = SIGMA_FLOOR * np.max([beta for _, beta in levels], axis=0)
-    sigma_hat = np.maximum(estimate_sigma(details[pyramid.depth - 1], cfg.sigma_estimator),
+    """shrink_pyramid's mixture rule, in place, with one _unblocked_rule
+    call per detail level over all rows, each row's rate and slab
+    support a column."""
+    rows = pyramid.coeffs.reshape(-1, pyramid.n)
+    levels = [(j, _clamped_alpha(j, cfg), beta_level(rows[:, 2**j:2**(j + 1)]))
+              for j in pyramid.levels()]
+    floor = SIGMA_FLOOR * np.max([beta for *_, beta in levels], axis=0)
+    sigma_hat = np.maximum(estimate_sigma(rows[:, pyramid.n // 2:], cfg.sigma_estimator),
                            floor)
-    if not stacked:
-        sigma_hat = float(sigma_hat)
-
-    def column(values):
-        return values[:, None] if stacked else values
-
-    sigma_col = column(sigma_hat)
     lam = lambda_from_s(sigma_hat, cfg.c, cfg.tau)
-    unit_lam_col = column(lam * np.square(sigma_hat))
+    rate = (_rate(lam * np.square(sigma_hat)) / sigma_hat)[:, None]
     with numeric_guard("shrinkage"):
-        for (alpha, beta), block in zip(levels, details.values()):
-            params = MixturePriorParams(alpha, column(beta) / sigma_col, unit_lam_col)
-            np.multiply(sigma_col, unblocked_esr(block / sigma_col, params), out=block)
+        for j, alpha, beta in levels:
+            block = rows[:, 2**j:2**(j + 1)]
+            block[...] = _unblocked_rule(block, alpha, beta[:, None], rate, np.log)
 
 
 # ---------------------------------------------------------------------------

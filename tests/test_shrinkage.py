@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
@@ -25,7 +25,8 @@ from epashrink import (
     marginal_m,
     rule_statistics,
 )
-from oracles import delta_slab, epanechnikov_pdf, posterior_mean_oracle, unblocked_esr
+from oracles import (delta_slab, epanechnikov_pdf, posterior_mean_oracle, reference_esr,
+                     unblocked_esr)
 
 PARAMS = MixturePriorParams(alpha=0.95, beta=6.0, lam=3.0)
 
@@ -467,17 +468,16 @@ def test_esr_at_huge_lambda_is_the_clamp(lam, beta):
 
 @pytest.mark.parametrize("field", ["alpha", "beta", "lam"])
 def test_rule_statistics_takes_one_parameter_set(field):
-    # as do esr and marginal_m, with the one check they share: a field of
-    # one or more dimensions is an input error, and a 0-d array is the
-    # number it holds
+    # as do esr and marginal_m: MixturePriorParams holds one set, so a
+    # field of one or more dimensions is an input error when it is built,
+    # and a 0-d array is the number it holds
     values = {"alpha": 0.9, "beta": 6.0, "lam": 3.0}
     one_set = MixturePriorParams(**values)
     zero_d = MixturePriorParams(**{**values, field: np.array(values[field])})
+    for shape in ((2, 1), (1,)):
+        with pytest.raises(InputError, match="MixturePriorParams takes one parameter set"):
+            MixturePriorParams(**{**values, field: np.full(shape, values[field])})
     for func in (esr, marginal_m, rule_statistics):
-        for shape in ((2, 1), (1,)):
-            rows = MixturePriorParams(**{**values, field: np.full(shape, values[field])})
-            with pytest.raises(InputError, match=f"{func.__name__} takes one parameter set"):
-                func(1.0, rows)
         assert func(1.0, zero_d) == func(1.0, one_set)
 
 
@@ -499,6 +499,58 @@ def test_esr_in_blocks_matches_unblocked_oracle_on_a_long_row(row):
     assert out.shape == stack.shape
     assert np.array_equal(out, unblocked_esr(stack, params))
     assert esr(d[:0].reshape(2, 0), params).shape == (2, 0)
+
+
+def _reference_at_normal_scale(d, params):
+    """reference_esr at the point (s d, s beta, lam / s^2), divided by s.
+
+    The rule is equivariant under that rescale, and for a power of two s
+    so is the reference closed form, bit for bit, except where its terms
+    turn subnormal: it loses digits once beta^2 / lam falls below about
+    1e-300. s is the least power of two that lifts beta^2 / lam to 2^-900,
+    and the rule is constant past the support, so d is cut to 2 beta
+    first."""
+    k = max(0, math.ceil((math.log2(params.lam) - 2.0 * math.log2(params.beta) - 900) / 4))
+    s = 2.0**k
+    scaled = MixturePriorParams(params.alpha, params.beta * s, params.lam / s / s)
+    return reference_esr(np.clip(d, -2.0 * params.beta, 2.0 * params.beta) * s, scaled) / s
+
+
+@st.composite
+def _rule_points(draw):
+    """A parameter set with b = a beta >= 0.05, over spike weights from
+    1e-12 to 1 - 1e-15, slab supports from 1e-3 to 1e8 and lam up to the
+    largest float, with b in [0.05, 1) as often as above it, and
+    coefficients at 0, at the edge +-beta and near it, subnormal, past the
+    support and at 1e300."""
+    alpha = draw(st.one_of(st.floats(-12.0, -0.3).map(lambda e: 10.0**e),
+                           st.floats(-15.0, -0.3).map(lambda e: 1.0 - 10.0**e)))
+    beta = 10.0 ** draw(st.floats(-3.0, 8.0))
+    log_b = draw(st.one_of(st.floats(math.log10(0.05), 0.0), st.floats(0.0, 163.0)))
+    ratio = 10.0**log_b / beta
+    lam = draw(st.sampled_from([0.5 * ratio * ratio, sys.float_info.max]))
+    assume(0.0 < lam < math.inf)
+    b = float(shrinkage._rate(lam)) * beta
+    assume(b >= 0.05)
+    params = MixturePriorParams(alpha, beta, lam)
+    fractions = draw(st.lists(st.floats(-1.5, 1.5), max_size=4))
+    # and within a few 1/b of the edge, where D is about 1/b
+    edges = draw(st.lists(st.floats(0.0, 20.0), max_size=3))
+    d = np.array([0.0, beta, -beta, 5e-324, -5e-324, 1e300, -1e300,
+                  *(f * beta for f in fractions), *(beta * (1.0 - t / b) for t in edges)])
+    return params, d
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rule_points())
+def test_esr_matches_the_reference_closed_form(point):
+    # the form in u and b against the one in beta and lam: to 1e-13 beta
+    # for b >= 1, and to 1e-9 beta where the terms of D cancel, down to
+    # the seam at b = 0.05
+    params, d = point
+    b = float(shrinkage._rate(params.lam)) * params.beta
+    tol = (1e-13 if b >= 1.0 else 1e-9) * params.beta
+    assert np.max(np.abs(esr(d, params) - _reference_at_normal_scale(d, params))) <= tol
 
 
 @pytest.mark.parametrize("func", [esr, marginal_m, delta_slab])

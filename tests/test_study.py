@@ -318,6 +318,19 @@ class TestStudyConfigValidation:
             StudyConfig(**kwargs)
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("functions", "bumps"), ("rules", "esr"), ("sizes", 64), ("snrs", 1.0),
+    ])
+    def test_a_bare_value_for_a_sequence_field_is_a_config_error(self, field, value):
+        # a bare string is not read as the sequence of its characters
+        kwargs = dict(functions=(TestFunctionKind.BUMPS,), sizes=(64,),
+                      snrs=(1.0,), replications=1, rules=(RuleSpec("esr"),))
+        kwargs[field] = value
+        with pytest.raises(ConfigError, match=re.escape(f"{field} takes a sequence, "
+                                                        f"got {value!r}")):
+            StudyConfig(**kwargs)
+
+
 def _tiny_config(rules, replications=3, seed=77):
     return StudyConfig(
         functions=(TestFunctionKind.HEAVISINE,),
@@ -625,6 +638,23 @@ def test_esr_shrink_across_the_seam_at_a_block_boundary_matches_per_level_oracle
     diag = _assert_esr_shrink_matches_per_level_oracle(pyramid, cfg)
     v = np.sqrt(2.0 * diag["lambda"]) * diag["levels"][7]["beta"]
     assert v[64] < 0.05 <= v[63]
+
+
+@pytest.mark.parametrize("sigma", list(SigmaEstimator))
+def test_esr_shrink_of_a_floored_level_at_a_huge_scale_matches_per_level_oracle(sigma, caplog):
+    # an all-zero level gets the slab support 1e-8 while the noise scale is
+    # about 1e150, so its b = a * beta is about 1e-158, whose 1/b^2 would
+    # overflow: the direct side must never see a set of the series side
+    rows = np.random.default_rng(5).standard_normal((2, 256)) * 1e150
+    pyramid = dwt_forward(rows, make_daubechies_filter(10))
+    pyramid.details[6][0] = 0.0
+    with caplog.at_level("WARNING"):
+        diag = _assert_esr_shrink_matches_per_level_oracle(pyramid, ElicitationConfig(
+            sigma_estimator=sigma))
+    assert "all-zero" in caplog.text
+    v = np.sqrt(2.0 * diag["lambda"]) * diag["levels"][6 - pyramid.coarse_level]["beta"]
+    assert v[0] < 1e-154 < v[1]
+    assert np.isfinite(pyramid.coeffs).all() and not pyramid.details[6][0].any()
 
 
 @pytest.mark.parametrize("sigma", list(SigmaEstimator))
