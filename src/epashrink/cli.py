@@ -525,11 +525,15 @@ def cmd_study(config_path, preset, seed, out_dir):
         config = parse_study_config(text, source=str(path))
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
+    out = Path(out_dir)
+    # before any draw, so a bad directory does not fail only after the grid
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot make the output directory {out}: {exc}") from exc
 
     report = run_study(config)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "report.csv"
     rows = []
     for cell in report.cells:

@@ -10,15 +10,19 @@ pure function of (config, seed) independent of execution order.
 One pipeline serves both a single denoise and a study: it takes a stack of
 signals, shape (R, n), and a tuple of rules, transforms the stack once and
 elicits the slab supports and noise scales once; then it takes the rules
-one at a time, each shrinking and inverting its own copy of the
-coefficients. Every step works row by row, so each row comes out bit for
-bit as it would alone. A study runs it once per n, on the draws of every
-function at that n, function-major, in chunks of bounded size that may
-span functions; each row is drawn and scored against its own function's
-truth, and each rule's estimates are scored and dropped before the next
-rule runs. The slab supports take one pass per chunk, and the noise and
-the scores one pass per function in a chunk, not row by row or level by
-level.
+one at a time, each shrinking its own copy of the coefficients. Every step
+works row by row, so each row comes out bit for bit as it would alone.
+A denoise inverts the one shrunk pyramid it returns. A study never
+inverts: the periodic transform is orthogonal, so the squared error of an
+estimate equals that of its shrunk coefficients against the transform of
+the truth (Parseval), and the study scores the coefficients. It runs the
+pipeline once per n, on the draws of every function at that n,
+function-major, in chunks of bounded size that may span functions; each
+row is drawn and scored against its own function's truth, whose transform
+is taken once per (function, n), and each rule's coefficients are scored
+and dropped before the next rule runs. The slab supports take one pass per
+chunk, and the noise and the scores one pass per function in a chunk, not
+row by row or level by level.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import numpy as np
 
 from .dwt import (
     MAX_ORDER,
+    DaubechiesFilter,
     WaveletPyramid,
     dwt_forward,
     dwt_inverse,
@@ -269,22 +274,21 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
 
 
 def _denoise_stack(rows: np.ndarray, rules: tuple[RuleSpec, ...],
-                   elicitation: ElicitationConfig, wavelet_order: int) -> tuple:
+                   elicitation: ElicitationConfig, filt: DaubechiesFilter) -> tuple:
     """The denoising pipeline on the signals in ``rows`` (shape (n,) or
     (R, n)): one forward transform and one _elicit, which all rules share,
     then the rules one at a time, each on its own copy of the coefficients:
-    copy, shrink in place, inverse.
+    copy, shrink in place. Nothing is inverted here.
 
     Returns the forward pyramid and a generator that yields, rule by rule,
-    (estimates, diagnostics, shrunk pyramid, seconds). A rule's copy is made
-    only when the caller asks for that rule, and the generator keeps none
-    of the previous rule's arrays, so a caller that scores each rule's
-    estimates and drops them first holds one rule's arrays at a time.
-    seconds is the rule's own copy, shrink and inverse plus a 1/len(rules)
-    share of the forward transform and the elicitation; what the caller
-    does between rules is not counted.
+    (diagnostics, shrunk pyramid, seconds). A rule's copy is made only when
+    the caller asks for that rule, and the generator keeps none of the
+    previous rule's arrays, so a caller that scores each rule's
+    coefficients and drops them first holds one rule's arrays at a time.
+    seconds is the rule's own copy and shrink plus a 1/len(rules) share of
+    the forward transform and the elicitation; what the caller does
+    between rules is not counted.
     """
-    filt = make_daubechies_filter(wavelet_order)
     t0 = time.perf_counter()
     empirical = dwt_forward(rows, filt, elicitation.coarse_level)
     elicited = _elicit(empirical, elicitation)
@@ -296,9 +300,8 @@ def _denoise_stack(rows: np.ndarray, rules: tuple[RuleSpec, ...],
             shrunk = empirical.copy()
             diagnostics = shrink_pyramid(shrunk, rule, elicitation, empirical.n,
                                          elicited=elicited)
-            estimates = dwt_inverse(shrunk, filt)
-            yield estimates, diagnostics, shrunk, time.perf_counter() - t0 + share
-            del estimates, shrunk
+            yield diagnostics, shrunk, time.perf_counter() - t0 + share
+            del shrunk
 
     return empirical, each_rule()
 
@@ -330,10 +333,11 @@ def denoise(
     elicited quantities as ``diagnostics``; see :func:`shrink_pyramid`.
     """
     cfg = elicitation or ElicitationConfig()
-    empirical, each_rule = _denoise_stack(y.samples, (rule,), cfg, wavelet_order)
-    [(estimates, diagnostics, shrunk, _)] = each_rule
-    return Denoised(samples=estimates, truth=y.truth, diagnostics=diagnostics,
-                    empirical=empirical, shrunk=shrunk)
+    filt = make_daubechies_filter(wavelet_order)
+    empirical, each_rule = _denoise_stack(y.samples, (rule,), cfg, filt)
+    [(diagnostics, shrunk, _)] = each_rule
+    return Denoised(samples=dwt_inverse(shrunk, filt), truth=y.truth,
+                    diagnostics=diagnostics, empirical=empirical, shrunk=shrunk)
 
 
 _FUNCTION_ORDER = tuple(TestFunctionKind)
@@ -446,13 +450,19 @@ class StudyConfig:
 class CellResult:
     """Scores of one rule in one (function, n, snr) cell.
 
+    mse_samples holds each draw's squared error, taken over the wavelet
+    coefficients: the mean squared difference between the rule's shrunk
+    coefficients and the transform of the truth. The transform is
+    orthogonal, so this equals the time-domain MSE of the draw's estimate
+    up to rounding (Parseval); no estimate is reconstructed.
+
     wall_time_s is the rule's share of the time of the batch that computed
     the cell: the study denoises the draws of all functions at one n
-    together, and a rule's time in that batch is its own copy, shrink and
-    inverse plus a 1/len(rules) share of the forward transform and the
-    elicitation that all rules share, summed over the batch's chunks and
-    split evenly over the batch's functions x SNRs. The noise draw and the
-    MSE scoring belong to no rule and are not counted.
+    together, and a rule's time in that batch is its own copy and shrink
+    plus a 1/len(rules) share of the forward transform and the elicitation
+    that all rules share, summed over the batch's chunks and split evenly
+    over the batch's functions x SNRs. The noise draw and the scoring
+    belong to no rule and are not counted.
     """
 
     function: TestFunctionKind
@@ -504,12 +514,25 @@ def _cell_error(function, n, snr, rep: int, rule: str | None,
 
 class _Draws(NamedTuple):
     """Draws of one function at one n, in row order: the function, its
-    truth, the truth's SD and each draw's (snr, rep)."""
+    truth, the truth's wavelet coefficients, which the draws are scored
+    against, the truth's SD and each draw's (snr, rep)."""
 
     function: TestFunctionKind
     truth: Signal
+    coeffs: np.ndarray
     sd: float
     coords: list
+
+
+def _truth_coeffs(truth: Signal, filt: DaubechiesFilter, coarse_level: int) -> np.ndarray:
+    """The coefficients of the truth's forward transform. A truth so large
+    that its transform overflows gets infinite coefficients: its draws
+    overflow the transform as well and fail their rules first, and
+    otherwise every score against it overflows."""
+    try:
+        return dwt_forward(truth.samples, filt, coarse_level).coeffs
+    except NumericError:
+        return np.full(truth.n, np.inf)
 
 
 def _row_coords(parts: list) -> list:
@@ -554,37 +577,36 @@ def _noisy_rows(config: StudyConfig, parts: list) -> np.ndarray:
 def _score_chunk(config: StudyConfig, n: int, parts: list, scores: np.ndarray,
                  seconds: list) -> None:
     """Draw, denoise and score the draws of one chunk, given as parts: rule
-    i's MSE of every row, against the row's own truth, goes to scores[i]
-    and its seconds are added to seconds[i]. The draws are dropped once
-    transformed, and each rule's estimates once scored, before the next
-    rule's copy is made. A failing noise draw fails first; then the first
-    failing (row, rule) in row order, and last the first overflowing
-    score."""
+    i's squared error of every row, its shrunk coefficients against the
+    row's own truth's, goes to scores[i] and its seconds are added to
+    seconds[i]. The draws are dropped once transformed, and each rule's
+    coefficients once scored, before the next rule's copy is made. A
+    failing noise draw fails first; then the first failing (row, rule) in
+    row order, and last the first overflowing score."""
+    filt = make_daubechies_filter(config.wavelet_order)
     rows = _noisy_rows(config, parts)
     try:
-        _, each_rule = _denoise_stack(rows, config.rules, config.elicitation,
-                                      config.wavelet_order)
+        _, each_rule = _denoise_stack(rows, config.rules, config.elicitation, filt)
         del rows  # a failure draws them again
         # not enumerate, whose result tuple would keep the previous rule's
         # arrays while the next rule runs
         for i in range(len(config.rules)):
-            estimates, _, _, rule_seconds = next(each_rule)
+            _, shrunk, rule_seconds = next(each_rule)
             seconds[i] += rule_seconds
             start = 0
             with np.errstate(over="ignore"):
                 for part in parts:
                     stop = start + len(part.coords)
-                    scores[i, start:stop] = mse(estimates[start:stop], part.truth.samples)
+                    scores[i, start:stop] = mse(shrunk.coeffs[start:stop], part.coeffs)
                     start = stop
-            del estimates, _  # this rule's estimates and shrunk pyramid
+            del _, shrunk  # this rule's diagnostics and coefficients
     except Exception as exc:
         # rows are independent, so the failing ones fail alone as well
         for (function, (snr, rep)), row in zip(_row_coords(parts),
                                                 _noisy_rows(config, parts)):
             for rule in config.rules:
                 try:
-                    list(_denoise_stack(row, (rule,), config.elicitation,
-                                        config.wavelet_order)[1])
+                    list(_denoise_stack(row, (rule,), config.elicitation, filt)[1])
                 except Exception as row_exc:
                     raise _cell_error(function, n, snr, rep, rule.label,
                                       row_exc) from row_exc
@@ -631,14 +653,17 @@ def _cells(config: StudyConfig, function, n: int, scores: np.ndarray,
 
 def _study_pass(config: StudyConfig, n: int, functions: tuple) -> dict:
     """One batch of the draws of every function in functions at n, in
-    chunks; maps each function to its scores, shape (rules, len(snrs) x
-    replications), and each rule's seconds, the batch's split evenly over
-    the functions."""
+    chunks, each function's truth transformed once; maps each function to
+    its scores, shape (rules, len(snrs) x replications), and each rule's
+    seconds, the batch's split evenly over the functions."""
     coords = [(snr, rep) for snr in config.snrs for rep in range(config.replications)]
+    filt = make_daubechies_filter(config.wavelet_order)
     draws = []
     for function in functions:
         truth = generate_test_function(function, n, config.target_sd)
-        draws.append(_Draws(function, truth, scaled_std(truth.samples), coords))
+        draws.append(_Draws(function, truth,
+                            _truth_coeffs(truth, filt, config.elicitation.coarse_level),
+                            scaled_std(truth.samples), coords))
     rows = [(k, c) for k in range(len(draws)) for c in coords]
     scores = np.empty((len(config.rules), len(rows)))
     seconds = [0.0] * len(config.rules)
@@ -663,22 +688,26 @@ def run_study(config: StudyConfig) -> StudyReport:
     chunk may hold the draws of more than one function (acceptance-desk's
     1200 draws at n = 2048 make 3 chunks). Each chunk is
     transformed and elicited once, so an all-zero level's beta floor is
-    logged once per chunk; then each rule in turn shrinks a copy, inverts
-    it and scores it, and its estimates are dropped before the next rule's
-    copy. CellResult says how wall_time_s is shared out. The cells are cut
-    back out per (function, n) and returned function by function, size by
-    size; a function or size listed twice is computed once and reported
-    twice, each report with half its time.
+    logged once per chunk; then each rule in turn shrinks a copy and
+    scores it against the transform of its row's truth, taken once per
+    (function, n), and the copy is dropped before the next rule's. Nothing
+    is inverted. CellResult says what a sample is and how wall_time_s is
+    shared out. The cells are cut back out per (function, n) and returned
+    function by function, size by size; a function or size listed twice is
+    computed once and reported twice, each report with half its time.
 
     Deterministic given (config, seed): replication streams are derived
     from cell coordinates, not from execution order, and the aggregation
-    order is fixed; each sample equals that of a denoise of its draw
-    alone, bit for bit. A failure aborts the study with the error that a
-    batch per (function, n), run function by function and size by size,
-    meets first: the coordinates of the first failing draw, where within
-    one chunk a noise draw fails before a rule and a rule before the
-    scoring. When a batch fails, the (function, n) not yet computed are
-    run one by one in that order to find it.
+    order is fixed. Each sample is a squared error in the coefficient
+    domain: mse(denoise(draw).shrunk.coeffs, dwt_forward(truth).coeffs)
+    of a denoise of its draw alone, bit for bit, which equals the
+    time-domain mse of that denoise up to rounding (Parseval). A failure
+    aborts the study with the error that a batch per (function, n), run
+    function by function and size by size, meets first: the coordinates of
+    the first failing draw, where within one chunk a noise draw fails
+    before a rule and a rule before the scoring. When a batch fails, the
+    (function, n) not yet computed are run one by one in that order to
+    find it.
     """
     functions = tuple(dict.fromkeys(config.functions))
     sizes = tuple(dict.fromkeys(config.sizes))

@@ -830,6 +830,28 @@ class TestStudyCommand:
         assert key in result.output
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize("below", [("res",), ()])
+    def test_out_dir_that_cannot_be_made_is_an_input_error_before_any_draw(
+            self, tmp_path, monkeypatch, below):
+        # an --out-dir under a regular file, or that is one: one error line
+        # and exit 2 from a fresh process, and in process no study is run
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        out_dir = str(blocker.joinpath(*below))
+        result = _python("-m", "epashrink.cli", "study", "--preset", "smoke",
+                         "--out-dir", out_dir)
+        assert result.returncode == 2, result.stderr
+        [line] = result.stderr.splitlines()
+        assert line.startswith(f"error: cannot make the output directory {out_dir}: ")
+        assert "Traceback" not in result.stderr
+        import epashrink.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "run_study", lambda config: pytest.fail("study ran"))
+        result = CliRunner().invoke(main, ["study", "--preset", "acceptance-desk",
+                                           "--out-dir", out_dir])
+        assert result.exit_code == 2, result.output
+        assert blocker.read_text() == "not a directory\n"
+
     def test_negative_seed_override_config_code(self, runner, tmp_path):
         result = runner.invoke(main, [
             "study", "--preset", "smoke", "--seed", "-1",

@@ -27,6 +27,7 @@ from epashrink import (
     benchmark_elicitation,
     denoise,
     dwt_forward,
+    dwt_inverse,
     generate_test_function,
     make_daubechies_filter,
     mse,
@@ -496,13 +497,17 @@ class TestPresets:
         assert len(report.cells) == 1
 
 
-def _per_draw_oracle(config: StudyConfig) -> dict:
+def _per_draw_oracle(config: StudyConfig, time_domain: bool = False) -> dict:
     """The per-draw study loop: one denoise per replication and rule, each
-    scored with mse. Returns {(function, n, snr, rule label): samples}."""
+    scored with mse, its shrunk coefficients against the transform of the
+    truth or, with time_domain, its estimate against the truth. Returns
+    {(function, n, snr, rule label): samples}."""
+    filt = make_daubechies_filter(config.wavelet_order)
     samples = {}
     for function in config.functions:
         for n in config.sizes:
             truth = generate_test_function(function, n, config.target_sd)
+            truth_coeffs = dwt_forward(truth.samples, filt, config.elicitation.coarse_level).coeffs
             for snr in config.snrs:
                 for rule in config.rules:
                     samples[(function, n, snr, rule.label)] = np.empty(config.replications)
@@ -511,8 +516,9 @@ def _per_draw_oracle(config: StudyConfig) -> dict:
                     noisy = add_noise(truth, snr, key)
                     for rule in config.rules:
                         out = denoise(noisy, rule, config.elicitation, config.wavelet_order)
-                        samples[(function, n, snr, rule.label)][rep] = mse(out.samples,
-                                                                           truth.samples)
+                        samples[(function, n, snr, rule.label)][rep] = (
+                            mse(out.samples, truth.samples) if time_domain
+                            else mse(out.shrunk.coeffs, truth_coeffs))
     return samples
 
 
@@ -539,6 +545,34 @@ def test_run_study_matches_per_draw_oracle(sigma, coarse_level, replications):
         assert np.array_equal(cell.mse_samples, want)
         assert cell.amse == float(np.mean(want))
         assert cell.mse_sd == (0.0 if replications == 1 else float(np.std(want, ddof=1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    function=st.sampled_from(list(TestFunctionKind)),
+    n=st.sampled_from([8, 64, 512, 2048]),
+    snr=st.floats(0.1, 10.0),
+    sigma=st.sampled_from(list(SigmaEstimator)),
+    coarse_level=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
+)
+def test_coefficient_domain_scores_are_the_time_domain_mse(function, n, snr, sigma,
+                                                           coarse_level, seed):
+    # the transform is orthogonal, so each study sample, taken over the
+    # coefficients, is the time-domain MSE of the draw's denoise up to
+    # the rounding of the transforms
+    config = StudyConfig(
+        functions=(function,), sizes=(n,), snrs=(snr,), replications=2,
+        rules=(RuleSpec("esr"), RuleSpec("soft"), RuleSpec("hard", 2.0)),
+        elicitation=ElicitationConfig(gamma=2.0, l=1.0, sigma_estimator=sigma,
+                                      coarse_level=coarse_level),
+        seed=seed,
+    )
+    oracle = _per_draw_oracle(config, time_domain=True)
+    for cell in run_study(config).cells:
+        np.testing.assert_allclose(cell.mse_samples,
+                                   oracle[(cell.function, cell.n, cell.snr, cell.rule)],
+                                   rtol=1e-12, atol=0.0)
 
 
 def _stacked_test_pyramid():
@@ -751,6 +785,26 @@ def test_huge_signal_study_fails_with_cell_and_no_warning():
     assert not caught
 
 
+@pytest.mark.parametrize("snr", [1.0, 1e6])
+def test_a_truth_whose_transform_overflows_fails_at_its_first_draw(snr):
+    # the truth's samples are finite but its transform is not; the draws
+    # overflow the transform as well, and the first one names its cell
+    config = StudyConfig(functions=(TestFunctionKind.HEAVISINE,), sizes=(1024,),
+                         snrs=(snr,), replications=2, rules=(RuleSpec("soft"),),
+                         seed=1, target_sd=1e307)
+    truth = generate_test_function("heavisine", 1024, 1e307)
+    with pytest.raises(NumericError):
+        dwt_forward(truth.samples, make_daubechies_filter(10))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError) as got:
+            run_study(config)
+    assert not caught
+    assert str(got.value) == (f"cell (function=heavisine, n=1024, snr={snr}, rep=0) "
+                              "rule=soft-universal failed: forward transform: "
+                              "result is not finite")
+
+
 def test_large_signal_study_has_finite_scores_without_warnings():
     config = StudyConfig(
         functions=(TestFunctionKind.HEAVISINE,),
@@ -817,7 +871,7 @@ def test_every_draw_of_a_batch_is_add_noise_bit_for_bit(target_sd):
                      functions=(TestFunctionKind.BUMPS, TestFunctionKind.HEAVISINE))
     n = config.sizes[0]
     truths = [generate_test_function(function, n, target_sd) for function in config.functions]
-    parts = [_Draws(function, truth, truth.sd(), _coords(config)[k:])
+    parts = [_Draws(function, truth, None, truth.sd(), _coords(config)[k:])
              for k, (function, truth) in enumerate(zip(config.functions, truths))]
     rows = _noisy_rows(config, parts)
     assert rows.shape == (2 * len(_coords(config)) - 1, n)
@@ -970,9 +1024,9 @@ def test_the_chunk_cap_cuts_acceptance_desk_into_at_most_six_chunks(monkeypatch)
 
 def test_a_batch_does_its_bookkeeping_once(monkeypatch):
     # per (function, n): the truth's SD once and one reduction for mse_sd;
-    # per n, in its one chunk: one reduction for the slab supports, and one
-    # shrink and one inverse transform per rule; no per-level beta_level
-    # call and no add_noise call at all
+    # per n, in its one chunk: one reduction for the slab supports and one
+    # shrink per rule; no inverse transform, no per-level beta_level call
+    # and no add_noise call at all
     import epashrink.study as study_mod
 
     calls = {"truth sd": 0, "mse_sd": 0, "supports": 0, "shrinks": 0,
@@ -1003,7 +1057,7 @@ def test_a_batch_does_its_bookkeeping_once(monkeypatch):
     )
     run_study(config)
     assert calls == {"truth sd": 4, "mse_sd": 4, "supports": 2, "shrinks": 6,
-                     "inverses": 6, "beta_level": 0, "add_noise": 0}
+                     "inverses": 0, "beta_level": 0, "add_noise": 0}
 
 
 _BATCH_RULES = (RuleSpec("esr"), RuleSpec("soft"), RuleSpec("hard"), RuleSpec("hard", 2.0))
@@ -1021,23 +1075,25 @@ _BATCH_RULES = (RuleSpec("esr"), RuleSpec("soft"), RuleSpec("hard"), RuleSpec("h
 def test_a_multi_rule_batch_matches_one_denoise_per_draw_and_rule(
         n, draws, coarse_level, sigma, zero_row, seed):
     # the rules share the forward transform and the elicitation, and each
-    # shrinks and inverts its own copy; each (draw, rule) is still what a
-    # denoise of that draw under that rule alone gives, bit for bit
+    # shrinks its own copy; each (draw, rule) is still what a denoise of
+    # that draw under that rule alone gives, bit for bit, and that
+    # denoise's estimate is the inverse of its shrunk coefficients
     cfg = ElicitationConfig(sigma_estimator=sigma, coarse_level=coarse_level)
+    filt = make_daubechies_filter(10)
     truth = generate_test_function("bumps", n).samples
     rows = truth + np.random.default_rng(seed).standard_normal((draws, n))
     if zero_row:
         rows[0] = 0.0
-    empirical, each_rule = _denoise_stack(rows, _BATCH_RULES, cfg, 10)
+    empirical, each_rule = _denoise_stack(rows, _BATCH_RULES, cfg, filt)
     results = list(each_rule)
     assert len(results) == len(_BATCH_RULES)
-    for (estimate, diagnostics, shrunk, seconds), rule in zip(results, _BATCH_RULES):
-        assert estimate.shape == (draws, n)
+    for (diagnostics, shrunk, seconds), rule in zip(results, _BATCH_RULES):
+        assert shrunk.coeffs.shape == (draws, n)
         assert seconds > 0
         for r in range(draws):
             one = denoise(Signal(rows[r]), rule, cfg)
-            assert np.array_equal(estimate[r], one.samples)
             assert np.array_equal(shrunk.coeffs[r], one.shrunk.coeffs)
+            assert np.array_equal(one.samples, dwt_inverse(one.shrunk, filt))
             assert np.array_equal(empirical.coeffs[r], one.empirical.coeffs)
             want = one.diagnostics
             assert diagnostics.keys() == want.keys()
@@ -1057,7 +1113,8 @@ def test_an_all_zero_level_is_logged_once_per_batch(caplog):
     rows = np.random.default_rng(4).standard_normal((3, 256))
     rows[1] = 0.0
     with caplog.at_level("WARNING"):
-        list(_denoise_stack(rows, _BATCH_RULES, benchmark_elicitation(), 10)[1])
+        list(_denoise_stack(rows, _BATCH_RULES, benchmark_elicitation(),
+                            make_daubechies_filter(10))[1])
     assert [r.getMessage() for r in caplog.records] == [
         "1 all-zero coefficient block(s); flooring beta at 1e-08"] * 8
 
@@ -1152,9 +1209,10 @@ def test_failures_at_two_pairs_fail_with_the_first_in_function_major_order(chunk
 
 def test_study_desk_batch_memory_is_bounded():
     # the study-desk grid at n = 2048 in one batch of 24 rows (393 kB per
-    # array): with the draws dropped once transformed and one rule's arrays
-    # alive at a time its traced peak is about 2.2 MB; one inverse of all
-    # rules' copies together took it to 3.9 MB
+    # array): with the draws dropped once transformed, one rule's
+    # coefficients alive at a time and no estimate ever made, its traced
+    # peak is about 1.8 MB (2.2 MB when each rule's estimates were made,
+    # 3.9 MB when all rules' copies were inverted together)
     config = StudyConfig(functions=tuple(TestFunctionKind), sizes=(2048,),
                          snrs=(0.2, 1.0, 3.0), replications=2,
                          rules=(RuleSpec("esr"), RuleSpec("soft")),
@@ -1166,4 +1224,4 @@ def test_study_desk_batch_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3e6
+    assert peak <= 2.5e6
