@@ -3,11 +3,14 @@
 Subcommands: denoise, coeffs, rule-curve, rule-stats, generate, study.
 All numeric CSV output is written with 17 significant digits so files
 round-trip bit-faithfully. Exit codes: 0 success, 2 input error, 3 config
-error, 4 domain error, 5 numeric error.
+error, 4 domain error, 5 numeric error. Every output path is checked
+before the work: one under a missing directory, or that is a directory,
+is an input error, as is an input that cannot be read or is not UTF-8.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -57,7 +60,40 @@ def _fmt(value: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# signal file I/O
+# file boundary
+
+
+def _read_text(path: Path) -> str:
+    """The text of an input file; InputError if it cannot be read or is
+    not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text "
+                         f"({exc.reason} at offset {exc.start})") from exc
+
+
+def _output_path(path) -> Path:
+    """path, checked before any work to name a file that can be written:
+    InputError if it is a directory or its directory does not exist."""
+    path = Path(path)
+    if path.is_dir():
+        raise InputError(f"cannot write {path}: it is a directory")
+    if not path.parent.is_dir():
+        raise InputError(f"cannot write {path}: no directory {path.parent}")
+    return path
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """An output file open for writing text; InputError if it cannot be."""
+    try:
+        with Path(path).open("w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def read_signal_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
@@ -68,10 +104,7 @@ def read_signal_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
     emits).
     """
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
     ys: list[float] = []
     fs: list[float] = []
     saw_truth = False
@@ -106,8 +139,7 @@ def read_signal_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def write_signal_csv(path, samples: np.ndarray, truth: np.ndarray | None = None):
-    path = Path(path)
-    with path.open("w") as fh:
+    with _writing(path) as fh:
         if truth is None:
             fh.write("y\n")
             for v in samples:
@@ -119,12 +151,16 @@ def write_signal_csv(path, samples: np.ndarray, truth: np.ndarray | None = None)
 
 
 def write_table_csv(path, header: list[str], rows):
-    path = Path(path)
-    with path.open("w") as fh:
+    with _writing(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
                               for v in row) + "\n")
+
+
+def _write_json(path, value) -> None:
+    with _writing(path) as fh:
+        fh.write(json.dumps(value, indent=2) + "\n")
 
 
 def _to_dyadic(samples: np.ndarray, pad: str | None):
@@ -316,6 +352,8 @@ def main():
 def cmd_denoise(input_path, rule, threshold, gamma, l, c, tau, j0, sigma,
                 wavelet_order, pad, out_path):
     """Denoise a single-column CSV signal and write a diagnostics sidecar."""
+    out_path = _output_path(out_path)
+    report_path = _output_path(f"{out_path}.report.json")
     samples, _ = read_signal_csv(input_path)
     dyadic, original_n = _to_dyadic(samples, pad)
     cfg = _elicitation_from_flags(rule, gamma, l, c, tau, j0, sigma)
@@ -339,8 +377,7 @@ def cmd_denoise(input_path, rule, threshold, gamma, l, c, tau, j0, sigma,
         "pad": pad,
     }
     write_signal_csv(out_path, out.samples[:original_n])
-    report_path = Path(str(out_path) + ".report.json")
-    report_path.write_text(json.dumps(report, indent=2) + "\n")
+    _write_json(report_path, report)
     click.echo(f"wrote {out_path} and {report_path}")
 
 
@@ -353,6 +390,8 @@ def cmd_denoise(input_path, rule, threshold, gamma, l, c, tau, j0, sigma,
 def cmd_coeffs(input_path, rule, threshold, gamma, l, c, tau, j0, sigma,
                wavelet_order, pad, out_prefix):
     """Dump empirical and shrunk coefficient magnitudes by level."""
+    emp_path = _output_path(f"{out_prefix}.empirical.csv")
+    shr_path = _output_path(f"{out_prefix}.shrunk.csv")
     samples, _ = read_signal_csv(input_path)
     dyadic, _ = _to_dyadic(samples, pad)
     cfg = _elicitation_from_flags(rule, gamma, l, c, tau, j0, sigma)
@@ -367,8 +406,6 @@ def cmd_coeffs(input_path, rule, threshold, gamma, l, c, tau, j0, sigma,
                 yield (name, level, position, value)
 
     header = ["block", "level", "position", "magnitude"]
-    emp_path = Path(f"{out_prefix}.empirical.csv")
-    shr_path = Path(f"{out_prefix}.shrunk.csv")
     write_table_csv(emp_path, header, rows(out.empirical))
     write_table_csv(shr_path, header, rows(out.shrunk))
     click.echo(f"wrote {emp_path} and {shr_path}")
@@ -415,6 +452,7 @@ def cmd_rule_curve(alphas, beta, lams, d_min, d_max, points, eta, out_path):
     Several --alpha/--lambda values give one column esr_a{alpha}_l{lambda}
     per pair, alpha-major; a single pair gives the column esr.
     """
+    out_path = _output_path(out_path)
     curves = _curves(alphas, beta, lams)
     grid = _grid("d", -2.5 * beta if d_min is None else d_min,
                  2.5 * beta if d_max is None else d_max, points)
@@ -451,6 +489,7 @@ def cmd_rule_stats(alphas, beta, lams, theta_min, theta_max, points, noise,
     Several --alpha/--lambda values give one block of rows per pair,
     alpha-major, labelled a{alpha}_l{lambda} in a leading curve column.
     """
+    out_path = _output_path(out_path)
     curves = _curves(alphas, beta, lams)
     model = None  # dexp: each prior's own lambda, rule_statistics' default
     if noise == "gaussian":
@@ -492,6 +531,7 @@ def cmd_rule_stats(alphas, beta, lams, theta_min, theta_max, points, noise,
 @_translate_errors
 def cmd_generate(kind, n, target_sd, snr, seed, out_path):
     """Emit a benchmark signal as CSV (header `y` or `y,f`)."""
+    out_path = _output_path(out_path)
     clean = generate_test_function(kind, n, target_sd)
     if snr is None:
         write_signal_csv(out_path, clean.samples)
@@ -518,11 +558,7 @@ def cmd_study(config_path, preset, seed, out_dir):
         config = study_preset(preset)
     else:
         path = Path(config_path)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc}") from exc
-        config = parse_study_config(text, source=str(path))
+        config = parse_study_config(_read_text(path), source=str(path))
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
     out = Path(out_dir)
@@ -531,10 +567,11 @@ def cmd_study(config_path, preset, seed, out_dir):
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot make the output directory {out}: {exc}") from exc
+    csv_path = _output_path(out / "report.csv")
+    json_path = _output_path(out / "summary.json")
 
     report = run_study(config)
 
-    csv_path = out / "report.csv"
     rows = []
     for cell in report.cells:
         rows.append([
@@ -548,9 +585,7 @@ def cmd_study(config_path, preset, seed, out_dir):
          "wall_time_s", "degenerate_sd"],
         rows,
     )
-    json_path = out / "summary.json"
-    summary = {"version": __version__, **report.to_dict()}
-    json_path.write_text(json.dumps(summary, indent=2) + "\n")
+    _write_json(json_path, {"version": __version__, **report.to_dict()})
     click.echo(f"wrote {csv_path} and {json_path}")
     for cell in report.cells:
         click.echo(

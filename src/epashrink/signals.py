@@ -8,7 +8,10 @@ is set through the ratio SNR = SD(f)/sigma.
 
 Randomness comes from the counter-based Philox generator keyed through a
 SeedSequence, so every (seed, stream) pair is an independent reproducible
-stream; the study harness splits streams per (cell, replication).
+stream; the study harness splits streams per (cell, replication). It keys
+the streams of a whole batch in one pass: _seed_states reproduces
+SeedSequence's hash over all keys at once, bit for bit, so each stream is
+noise_rng's without a SeedSequence per key.
 """
 
 from __future__ import annotations
@@ -113,7 +116,8 @@ def generate_test_function(
     """Evaluate a benchmark function on x_i = i/n and rescale to target SD.
 
     The rescale is purely multiplicative, so doubling target_sd exactly
-    doubles every sample.
+    doubles every sample. A target_sd so large that a sample overflows
+    raises DomainError.
     """
     kind = TestFunctionKind(kind)
     if n < 2 or n & (n - 1):
@@ -123,7 +127,12 @@ def generate_test_function(
     x = np.arange(1, n + 1) / n
     f = _raw_test_function(kind, x)
     sd = float(np.std(f))
-    return Signal(samples=f * (target_sd / sd))
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = f * (target_sd / sd)
+    if not np.isfinite(samples).all():
+        raise DomainError(f"target_sd {target_sd!r} is too large: the {kind.value} "
+                          f"samples at n={n} overflow")
+    return Signal(samples=samples)
 
 
 def noise_rng(seed) -> np.random.Generator:
@@ -136,6 +145,111 @@ def noise_rng(seed) -> np.random.Generator:
     if any(k < 0 for k in key):
         raise DomainError(f"seed entries must be >= 0, got {key}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of
+# four 32-bit words, the hashmix constants A for the entropy and B for the
+# output, the mix multipliers and the xorshift
+_WORD = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL = 4
+# the hashmix call, in SeedSequence's order, that mixes pool word s into
+# pool word d != s; the diagonal's result is discarded and takes call 0
+_MIX_CALLS = np.array([[0 if d == s else _POOL + (_POOL - 1) * s + d - (d > s)
+                        for d in range(_POOL)] for s in range(_POOL)])
+
+
+def _hash_multipliers(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**t mod 2^32 for t < count: the running hash constant
+    before each hashmix call, in call order."""
+    out = np.empty(count, dtype=np.uint32)
+    for t in range(count):
+        out[t] = init
+        init = init * mult & _WORD
+    return out
+
+
+_OUTPUT_CONSTS = _hash_multipliers(_INIT_B, _MULT_B, _POOL + 1)
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """hashmix of values, shape (k, m) or a column (k, 1), by m calls at
+    once: call i xors with xor[i] and multiplies by mul[i]."""
+    v = values ^ xor
+    v *= mul
+    v ^= v >> 16
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    v = x * _MIX_L
+    v -= y * _MIX_R
+    v ^= v >> 16
+    return v
+
+
+def _entropy_words(keys) -> tuple:
+    """The uint32 words that SeedSequence assembles from each key, a row
+    of ints >= 0: entry after entry, least significant word first, one word
+    for 0. Returns the words, shape (R, W) with W >= 4, each row's padded
+    with zeros, and each row's word count."""
+    try:
+        entries = np.array(keys, dtype=np.uint64)
+    except OverflowError:  # an entry past 2^64
+        entries = np.array(keys, dtype=object)
+    entries = entries.reshape(len(keys), -1)
+    per_entry = max(1, -(-int(entries.max()).bit_length() // 32))
+    # (R, entries, words of an entry), flattened entry-major
+    words = np.zeros(entries.shape + (per_entry,), dtype=np.uint32)
+    present = np.ones(words.shape, dtype=bool)
+    for i in range(per_entry):
+        shifted = entries >> (32 * i)
+        words[..., i] = shifted & _WORD
+        if i:
+            present[..., i] = shifted != 0
+    words = words.reshape(len(keys), -1)
+    present = present.reshape(len(keys), -1)
+    # drop the words no row has; where rows differ, each row's present
+    # words to its front, in order
+    keep = present.any(axis=0)
+    words, present = words[:, keep], present[:, keep]
+    if not present.all():
+        order = np.argsort(~present, axis=1, kind="stable")
+        words = np.take_along_axis(words, order, axis=1)
+    if words.shape[1] < _POOL:
+        words = np.pad(words, ((0, 0), (0, _POOL - words.shape[1])))
+    return words, present.sum(axis=1)
+
+
+def _seed_states(keys) -> np.ndarray:
+    """SeedSequence(key).generate_state(2, np.uint64) of every key, shape
+    (R, 2), bit for bit: the Philox key that noise_rng(key) runs on.
+
+    keys holds R keys of one length, rows of ints >= 0. They are hashed
+    together, one numpy call per step of the hash over all R keys, so a
+    batch costs about 40 calls, and 10 more per word of its longest key
+    past the fourth, whatever R is.
+    """
+    words, counts = _entropy_words(keys)
+    consts = _hash_multipliers(_INIT_A, _MULT_A, _POOL * words.shape[1] + 1)
+    # the pool hashes the first four words, zeros past a key's end
+    pool = _hashmix(words[:, :_POOL], consts[:_POOL], consts[1:_POOL + 1])
+    # each pool word into each other
+    for s in range(_POOL):
+        calls = _MIX_CALLS[s]
+        mixed = _mix(pool, _hashmix(pool[:, s:s + 1], consts[calls], consts[calls + 1]))
+        mixed[:, s] = pool[:, s]
+        pool = mixed
+    # each further word into every pool word, from call 4 s on, for the
+    # keys that have it
+    for s in range(_POOL, words.shape[1]):
+        calls = slice(_POOL * s, _POOL * (s + 1) + 1)
+        mixed = _mix(pool, _hashmix(words[:, s:s + 1], consts[calls][:-1], consts[calls][1:]))
+        pool = np.where((counts > s)[:, None], mixed, pool)
+    out = _hashmix(pool, _OUTPUT_CONSTS[:_POOL], _OUTPUT_CONSTS[1:])
+    return np.ascontiguousarray(out, dtype="<u4").view("<u8").astype(np.uint64)
 
 
 # below this SD np.std's squared deviations may round in the subnormal

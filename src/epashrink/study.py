@@ -18,11 +18,13 @@ estimate equals that of its shrunk coefficients against the transform of
 the truth (Parseval), and the study scores the coefficients. It runs the
 pipeline once per n, on the draws of every function at that n,
 function-major, in chunks of bounded size that may span functions; each
-row is drawn and scored against its own function's truth, whose transform
-is taken once per (function, n), and each rule's coefficients are scored
-and dropped before the next rule runs. The slab supports take one pass per
-chunk, and the noise and the scores one pass per function in a chunk, not
-row by row or level by level.
+row is drawn and scored against its own function's truth, and each rule's
+coefficients are scored and dropped before the next rule runs. The truths
+at one n are transformed, and their SDs taken, as one stack. A chunk's
+noise streams are keyed in one pass, each bit for bit noise_rng's, and
+drawn through one re-keyed Philox; the slab supports take one pass per
+chunk, and the scaling of the noise and the scores one pass per function
+in a chunk, not row by row or level by level.
 """
 
 from __future__ import annotations
@@ -58,9 +60,9 @@ from .shrinkage import _esr_levels, _rate
 from .signals import (
     Signal,
     TestFunctionKind,
+    _seed_states,
     add_noise,
     generate_test_function,
-    noise_rng,
     scaled_std,
 )
 from .thresholds import hard_threshold, soft_threshold, universal_threshold
@@ -541,24 +543,39 @@ def _row_coords(parts: list) -> list:
     return [(part.function, c) for part in parts for c in part.coords]
 
 
+def _draw_eps(keys: list, rows: np.ndarray) -> None:
+    """Fill row i of rows with the standard normals that noise_rng(keys[i])
+    draws first, bit for bit: the keys are hashed in one pass
+    (_seed_states), and one Philox is re-keyed for each row, counter 0 and
+    nothing buffered, as noise_rng's starts."""
+    bitgen = np.random.Philox(0)
+    draw = np.random.Generator(bitgen).standard_normal
+    state = bitgen.state  # a fresh stream's: counter 0, an empty buffer
+    for key, row in zip(_seed_states(keys), rows):
+        state["state"]["key"] = key
+        bitgen.state = state
+        draw(out=row)
+
+
 def _noisy_rows(config: StudyConfig, parts: list) -> np.ndarray:
     """The noisy draws of parts, a list of _Draws, one row each, part after
     part: the row of a part's draw at (snr, rep) is
     add_noise(truth, snr, key).samples bit for bit, the same f + sigma * eps
-    with sigma = sd / snr, sd being the part's truth's SD. Each row's eps
-    is drawn in place from its own stream; the scaling and the sum are one
-    call each per part. A draw that add_noise would reject (a constant
-    truth, or a noise scale or sample that overflows) is drawn again by
-    add_noise, whose error names the first one with its cell."""
+    with sigma = sd / snr, sd being the part's truth's SD. Every row's eps
+    comes from its own key's stream, noise_rng's bit for bit, the keys of
+    all rows hashed in one pass and each row drawn in place (_draw_eps);
+    the scaling and the sum are one call each per part. A draw that
+    add_noise would reject (a constant truth, or a noise scale or sample
+    that overflows) is drawn again by add_noise, whose error names the
+    first one with its cell."""
     n = parts[0].truth.n
     rows = np.empty((sum(len(part.coords) for part in parts), n))
+    _draw_eps([_noise_key(config.seed, part.function, n, snr, rep)
+               for part in parts for snr, rep in part.coords], rows)
     start = 0
     for part in parts:
         block = rows[start:start + len(part.coords)]
         start += len(part.coords)
-        for row, (snr, rep) in zip(block, part.coords):
-            key = _noise_key(config.seed, part.function, n, snr, rep)
-            noise_rng(key).standard_normal(out=row)
         with np.errstate(over="ignore", invalid="ignore"):
             block *= part.sd / np.array([[snr] for snr, _ in part.coords])
             block += part.truth.samples
@@ -653,17 +670,22 @@ def _cells(config: StudyConfig, function, n: int, scores: np.ndarray,
 
 def _study_pass(config: StudyConfig, n: int, functions: tuple) -> dict:
     """One batch of the draws of every function in functions at n, in
-    chunks, each function's truth transformed once; maps each function to
-    its scores, shape (rules, len(snrs) x replications), and each rule's
-    seconds, the batch's split evenly over the functions."""
+    chunks; maps each function to its scores, shape (rules, len(snrs) x
+    replications), and each rule's seconds, the batch's split evenly over
+    the functions. The truths are transformed, and their SDs taken, as one
+    stack, each row as it would be alone; if the stack's transform
+    overflows, each truth is transformed alone (_truth_coeffs)."""
     coords = [(snr, rep) for snr in config.snrs for rep in range(config.replications)]
     filt = make_daubechies_filter(config.wavelet_order)
-    draws = []
-    for function in functions:
-        truth = generate_test_function(function, n, config.target_sd)
-        draws.append(_Draws(function, truth,
-                            _truth_coeffs(truth, filt, config.elicitation.coarse_level),
-                            scaled_std(truth.samples), coords))
+    truths = [generate_test_function(function, n, config.target_sd) for function in functions]
+    stack = np.array([truth.samples for truth in truths])
+    try:
+        coeffs = dwt_forward(stack, filt, config.elicitation.coarse_level).coeffs
+    except NumericError:  # one truth at a time, so each overflowing one gets inf
+        coeffs = [_truth_coeffs(truth, filt, config.elicitation.coarse_level)
+                  for truth in truths]
+    draws = [_Draws(*draw, coords) for draw in zip(functions, truths, coeffs,
+                                                    scaled_std(stack, axis=-1))]
     rows = [(k, c) for k in range(len(draws)) for c in coords]
     scores = np.empty((len(config.rules), len(rows)))
     seconds = [0.0] * len(config.rules)
@@ -686,11 +708,12 @@ def run_study(config: StudyConfig) -> StudyReport:
     truth and SD for the noise and the scoring. The draws are stacked in
     chunks of whole rows of at most _CHUNK samples (8 MB per array), so a
     chunk may hold the draws of more than one function (acceptance-desk's
-    1200 draws at n = 2048 make 3 chunks). Each chunk is
-    transformed and elicited once, so an all-zero level's beta floor is
-    logged once per chunk; then each rule in turn shrinks a copy and
-    scores it against the transform of its row's truth, taken once per
-    (function, n), and the copy is dropped before the next rule's. Nothing
+    1200 draws at n = 2048 make 3 chunks). Each chunk's noise streams are
+    keyed in one pass, and each chunk is transformed and elicited once, so
+    an all-zero level's beta floor is logged once per chunk; then each rule
+    in turn shrinks a copy and scores it against the transform of its
+    row's truth, the truths at one n transformed together once, and the
+    copy is dropped before the next rule's. Nothing
     is inverted. CellResult says what a sample is and how wall_time_s is
     shared out. The cells are cut back out per (function, n) and returned
     function by function, size by size; a function or size listed twice is

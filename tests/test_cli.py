@@ -903,6 +903,131 @@ class TestStudyCommand:
             rows_without_wall_time(tmp_path / "b" / "report.csv")
 
 
+def _one_error_line(result, code: int) -> str:
+    """The one stderr line of a run that exited with code and no traceback."""
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
+# per command: its arguments given an input signal, the output path (or
+# prefix) last, and the names of the cli functions that do its work
+_FILE_COMMANDS = {
+    "generate": (["generate", "--kind", "bumps", "--n", "64", "--snr", "1", "--out"],
+                 ["generate_test_function", "add_noise"]),
+    "denoise": (["denoise", "{input}", "--out"], ["read_signal_csv", "denoise"]),
+    "coeffs": (["coeffs", "{input}", "--out-prefix"], ["read_signal_csv", "denoise"]),
+    "rule-curve": (["rule-curve", "--alpha", "0.5", "--beta", "3", "--lambda", "1",
+                    "--out"], ["esr"]),
+    "rule-stats": (["rule-stats", "--alpha", "0.5", "--beta", "3", "--lambda", "1",
+                    "--points", "2", "--out"], ["rule_statistics"]),
+}
+
+
+class TestFileBoundary:
+    """Every file a command reads or writes fails as an input error (exit 2)
+    with one error line, before the command does its work."""
+
+    @staticmethod
+    def _args(command, tmp_path, out):
+        args, _ = _FILE_COMMANDS[command]
+        inp = tmp_path / "in.csv"
+        _write_noisy_signal(inp, n=64)
+        return [a.replace("{input}", str(inp)) for a in args] + [str(out)]
+
+    @pytest.mark.parametrize("command", sorted(_FILE_COMMANDS))
+    def test_output_under_a_missing_directory(self, runner, tmp_path, monkeypatch,
+                                              command):
+        import epashrink.cli as cli_mod
+
+        out = tmp_path / "missing" / "out.csv"
+        args = self._args(command, tmp_path, out)
+        for name in _FILE_COMMANDS[command][1]:
+            monkeypatch.setattr(cli_mod, name, lambda *a, **k: pytest.fail("work ran"))
+        line = _one_error_line(runner.invoke(main, args), 2)
+        assert line.startswith(f"error: cannot write {out}")
+        assert "no directory" in line
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", sorted(_FILE_COMMANDS))
+    def test_output_that_is_a_directory(self, runner, tmp_path, command):
+        out = tmp_path / "taken"
+        targets = ([Path(f"{out}.empirical.csv"), Path(f"{out}.shrunk.csv")]
+                   if command == "coeffs" else [out])
+        for target in targets:
+            target.mkdir()
+            line = _one_error_line(runner.invoke(main, self._args(command, tmp_path, out)), 2)
+            assert line == f"error: cannot write {target}: it is a directory"
+            target.rmdir()
+        if command == "denoise":  # the sidecar
+            Path(f"{out}.report.json").mkdir()
+            _one_error_line(runner.invoke(main, self._args(command, tmp_path, out)), 2)
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["denoise", "coeffs"])
+    def test_input_that_is_not_utf8(self, runner, tmp_path, command):
+        args = self._args(command, tmp_path, tmp_path / "out.csv")
+        (tmp_path / "in.csv").write_bytes(b"y\n1.0\n\xff\xfe2.0\n")
+        line = _one_error_line(runner.invoke(main, args), 2)
+        assert line.startswith(f"error: cannot read {tmp_path / 'in.csv'}: not UTF-8 text")
+        assert line.endswith("(invalid start byte at offset 6)")
+
+    def test_output_that_cannot_be_opened(self, runner, tmp_path, monkeypatch):
+        # an unwritable directory, as open reports it (root may write anywhere)
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "open", refuse)
+        out = tmp_path / "out.csv"
+        line = _one_error_line(runner.invoke(main, [
+            "generate", "--kind", "bumps", "--n", "64", "--out", str(out)]), 2)
+        assert line == f"error: cannot write {out}: [Errno 13] Permission denied: '{out}'"
+
+    def test_study_config_that_is_not_utf8(self, runner, tmp_path):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_bytes("functions = bumps # \u00e9\n".encode("latin-1"))
+        line = _one_error_line(runner.invoke(main, [
+            "study", str(cfg), "--out-dir", str(tmp_path / "res")]), 2)
+        assert line.startswith(f"error: cannot read {cfg}: not UTF-8 text")
+
+    @pytest.mark.parametrize("name", ["report.csv", "summary.json"])
+    def test_study_output_that_is_a_directory_fails_before_any_draw(
+            self, runner, tmp_path, monkeypatch, name):
+        # mkdir -p res/report.csv: an input error, not an IsADirectoryError
+        # after the whole grid
+        import epashrink.cli as cli_mod
+
+        (tmp_path / "res" / name).mkdir(parents=True)
+        monkeypatch.setattr(cli_mod, "run_study", lambda config: pytest.fail("study ran"))
+        line = _one_error_line(runner.invoke(main, [
+            "study", "--preset", "acceptance-desk", "--out-dir", str(tmp_path / "res")]), 2)
+        assert line == f"error: cannot write {tmp_path / 'res' / name}: it is a directory"
+        assert [p.name for p in (tmp_path / "res").iterdir()] == [name]
+
+    def test_study_output_that_is_a_directory_fails_from_a_fresh_process(self, tmp_path):
+        (tmp_path / "res" / "report.csv").mkdir(parents=True)
+        result = _python("-m", "epashrink.cli", "study", "--preset", "smoke",
+                         "--out-dir", str(tmp_path / "res"))
+        assert result.returncode == 2, result.stderr
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: cannot write ")
+        assert "Traceback" not in result.stderr
+
+
+def test_generate_with_an_overflowing_target_sd_is_a_domain_error(runner, tmp_path):
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["generate", "--kind", "bumps", "--n", "512",
+                                      "--target-sd", "5e307", "--out", str(out)])
+    assert not caught
+    line = _one_error_line(result, 4)
+    assert line == "error: target_sd 5e+307 is too large: the bumps samples at n=512 overflow"
+    assert not out.exists()
+
+
 def _python(*args) -> subprocess.CompletedProcess:
     """A fresh Python process, run with these arguments on this source tree."""
     src = str(Path(epashrink.__file__).resolve().parents[1])

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,7 +16,7 @@ from epashrink import (
     add_noise,
     generate_test_function,
 )
-from epashrink.signals import _raw_test_function, noise_rng, scaled_std
+from epashrink.signals import _raw_test_function, _seed_states, noise_rng, scaled_std
 from oracles import looped_test_function
 
 
@@ -132,6 +132,16 @@ class TestGenerators:
             with pytest.raises(DomainError, match="target_sd"):
                 generate_test_function("bumps", 64, target_sd=bad)
 
+    def test_overflowing_target_sd_is_a_domain_error(self):
+        # bumps at n = 512 peaks at 7.6 times its SD: past a target SD of
+        # about 2.3e307 its peak overflows
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match=r"^target_sd 5e\+307 is too large"):
+                generate_test_function("bumps", 512, target_sd=5e307)
+            assert np.isfinite(generate_test_function("bumps", 512, 2e307).samples).all()
+        assert not caught
+
 
 class TestNoise:
     def test_sigma_calibration(self):
@@ -218,3 +228,26 @@ class TestNoise:
             with pytest.raises(NumericError):
                 add_noise(generate_test_function("bumps", 64), 1e-310, seed=0)
         assert not caught
+
+
+# entries of every word count, numpy's word edges among them
+_KEY_ENTRIES = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64]),
+                         st.integers(0, 2**32 - 1), st.integers(0, 2**140))
+
+
+class TestSeedStates:
+    @settings(max_examples=60, deadline=None)
+    @given(keys=st.integers(1, 8).flatmap(
+        lambda length: st.lists(st.tuples(*[_KEY_ENTRIES] * length), min_size=1, max_size=9)))
+    @example(keys=[(0,)])
+    @example(keys=[(2**32 - 1,), (2**32,), (0,)])
+    # study keys (seed, function, log2 n, snr key, rep): seed 0, and SNR
+    # keys past 2^32 and past 2^64 next to ones below 2^32
+    @example(keys=[(0, 1, 9, 5_000_000_000, 0), (0, 1, 9, 3_000_000_000, 7),
+                   (20250810, 3, 11, 200_000_000, 99), (2**40, 0, 2, 10**309, 1)])
+    def test_every_key_gets_its_seed_sequence_state(self, keys):
+        # a batch of keys of 1 to 40 words, hashed together
+        want = [np.random.SeedSequence(key).generate_state(2, np.uint64) for key in keys]
+        got = _seed_states(keys)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from epashrink import (
     ConfigError,
     Denoised,
+    DomainError,
     InputError,
     ElicitationConfig,
     NumericError,
@@ -38,7 +39,7 @@ from epashrink import (
 from epashrink.dwt import WaveletPyramid
 from epashrink.shrinkage import _BLOCK_COEFFS
 from epashrink.elicitation import beta_level
-from epashrink.signals import noise_rng
+from epashrink import signals as signals_mod
 from epashrink.study import (_denoise_stack, _Draws, _noise_key, _noisy_rows,
                              _slab_supports)
 from oracles import per_level_esr_shrink
@@ -737,12 +738,20 @@ def test_run_study_wall_times_sum_to_at_most_the_run():
     assert sum(times) <= total
 
 
-class _HugeDraws:
-    """A stand-in noise stream whose every draw is 7e307."""
+def _eps_with_huge_draws(bad_keys):
+    """A stand-in for study._draw_eps whose every draw for a key in
+    bad_keys is 7e307."""
+    import epashrink.study as study_mod
 
-    def standard_normal(self, out):
-        out[...] = 7e307
-        return out
+    draw_eps = study_mod._draw_eps
+
+    def eps_with_huge_draws(keys, rows):
+        draw_eps(keys, rows)
+        for key, row in zip(keys, rows):
+            if key in bad_keys:
+                row[...] = 7e307
+
+    return eps_with_huge_draws
 
 
 def test_failure_in_a_batch_names_the_first_failing_draw(monkeypatch):
@@ -752,11 +761,7 @@ def test_failure_in_a_batch_names_the_first_failing_draw(monkeypatch):
 
     config = replace(_tiny_config((RuleSpec("soft"), RuleSpec("esr"))), snrs=(1.0, 3.0))
     bad_key = _noise_key(config.seed, TestFunctionKind.HEAVISINE, 128, 3.0, 1)
-
-    def noise_rng_with_one_bad_draw(key):
-        return _HugeDraws() if key == bad_key else noise_rng(key)
-
-    monkeypatch.setattr(study_mod, "noise_rng", noise_rng_with_one_bad_draw)
+    monkeypatch.setattr(study_mod, "_draw_eps", _eps_with_huge_draws({bad_key}))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(NumericError, match=r"function=heavisine, n=128, snr=3.0, "
@@ -880,6 +885,32 @@ def test_every_draw_of_a_batch_is_add_noise_bit_for_bit(target_sd):
     for row, (function, truth, (snr, rep)) in zip(rows, wanted, strict=True):
         want = add_noise(truth, snr, _noise_key(config.seed, function, n, snr, rep))
         assert np.array_equal(row, want.samples)
+
+
+@settings(max_examples=25, deadline=None)
+@given(keys=st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 3), st.integers(2, 16),
+                               st.integers(0, 10**12), st.integers(0, 2**33)),
+                     min_size=1, max_size=6),
+       n=st.sampled_from([1, 3, 64]))
+def test_draw_eps_draws_each_keys_noise_rng_stream(keys, n):
+    import epashrink.study as study_mod
+
+    rows = np.empty((len(keys), n))
+    study_mod._draw_eps(keys, rows)
+    for key, row in zip(keys, rows):
+        assert np.array_equal(row, signals_mod.noise_rng(key).standard_normal(n))
+
+
+def test_an_overflowing_target_sd_fails_the_study_as_a_domain_error():
+    # bumps overflows at this target SD; heavisine's samples stay finite
+    config = replace(_draw_config(5e307), functions=(TestFunctionKind.BUMPS,
+                                                     TestFunctionKind.HEAVISINE))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError, match=r"^target_sd 5e\+307 is too large: "
+                                              r"the bumps samples at n=64 overflow"):
+            run_study(config)
+    assert not caught
 
 
 def _first_failing_draw(config, truth):
@@ -1023,10 +1054,10 @@ def test_the_chunk_cap_cuts_acceptance_desk_into_at_most_six_chunks(monkeypatch)
 
 
 def test_a_batch_does_its_bookkeeping_once(monkeypatch):
-    # per (function, n): the truth's SD once and one reduction for mse_sd;
-    # per n, in its one chunk: one reduction for the slab supports and one
-    # shrink per rule; no inverse transform, no per-level beta_level call
-    # and no add_noise call at all
+    # per n: one SD for the stack of its truths; per (function, n): one
+    # reduction for mse_sd; per n, in its one chunk: one reduction for the
+    # slab supports and one shrink per rule; no inverse transform, no
+    # per-level beta_level call and no add_noise call at all
     import epashrink.study as study_mod
 
     calls = {"truth sd": 0, "mse_sd": 0, "supports": 0, "shrinks": 0,
@@ -1039,7 +1070,7 @@ def test_a_batch_does_its_bookkeeping_once(monkeypatch):
         return wrapper
 
     def which_std(values, *args):
-        return {1: "truth sd", 3: "mse_sd"}[np.ndim(values)]
+        return {2: "truth sd", 3: "mse_sd"}[np.ndim(values)]
 
     monkeypatch.setattr(study_mod, "scaled_std", counting(None, study_mod.scaled_std, which_std))
     for name, attr in (("supports", "_slab_supports"), ("shrinks", "shrink_pyramid"),
@@ -1056,8 +1087,43 @@ def test_a_batch_does_its_bookkeeping_once(monkeypatch):
         seed=2,
     )
     run_study(config)
-    assert calls == {"truth sd": 4, "mse_sd": 4, "supports": 2, "shrinks": 6,
+    assert calls == {"truth sd": 2, "mse_sd": 4, "supports": 2, "shrinks": 6,
                      "inverses": 0, "beta_level": 0, "add_noise": 0}
+
+
+@pytest.mark.parametrize("chunk", [2**20, 5 * 128])
+def test_a_batch_keys_its_streams_once_per_chunk(chunk, monkeypatch):
+    # on the success path a chunk hashes all its rows' keys in one pass and
+    # re-keys one Philox: no SeedSequence, Philox or Generator per row, and
+    # no noise_rng call. The truths at each n are transformed together:
+    # one forward transform per n besides one per chunk
+    import epashrink.study as study_mod
+
+    calls = {"SeedSequence": 0, "Philox": 0, "Generator": 0, "noise_rng": 0,
+             "seed_states": 0, "forward": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("SeedSequence", "Philox", "Generator"):
+        monkeypatch.setattr(np.random, name, counting(name, getattr(np.random, name)))
+    monkeypatch.setattr(signals_mod, "noise_rng", counting("noise_rng", signals_mod.noise_rng))
+    monkeypatch.setattr(study_mod, "_seed_states", counting("seed_states", study_mod._seed_states))
+    monkeypatch.setattr(study_mod, "dwt_forward", counting("forward", study_mod.dwt_forward))
+    monkeypatch.setattr(study_mod, "_CHUNK", chunk)
+    config = StudyConfig(functions=(TestFunctionKind.BUMPS, TestFunctionKind.DOPPLER),
+                         sizes=(128, 256), snrs=(0.5, 3.0), replications=3,
+                         rules=(RuleSpec("esr"), RuleSpec("soft")), seed=2)
+    report = run_study(config)
+    assert all(np.isfinite(cell.mse_samples).all() for cell in report.cells)
+    # 12 rows at each n: one chunk each, or chunks of 5 rows at n = 128 and
+    # of 2 at n = 256
+    chunks = 2 if chunk == 2**20 else 3 + 6
+    assert calls == {"SeedSequence": 0, "Philox": chunks, "Generator": chunks,
+                     "noise_rng": 0, "seed_states": chunks, "forward": chunks + 2}
 
 
 _BATCH_RULES = (RuleSpec("esr"), RuleSpec("soft"), RuleSpec("hard"), RuleSpec("hard", 2.0))
@@ -1188,11 +1254,7 @@ def test_failures_at_two_pairs_fail_with_the_first_in_function_major_order(chunk
     bad_keys = {_noise_key(config.seed, TestFunctionKind.BUMPS, 128, 3.0, 1),
                 _noise_key(config.seed, TestFunctionKind.DOPPLER, 64, 1.0, 0),
                 _noise_key(config.seed, TestFunctionKind.DOPPLER, 128, 1.0, 0)}
-
-    def noise_rng_with_bad_draws(key):
-        return _HugeDraws() if key in bad_keys else noise_rng(key)
-
-    monkeypatch.setattr(study_mod, "noise_rng", noise_rng_with_bad_draws)
+    monkeypatch.setattr(study_mod, "_draw_eps", _eps_with_huge_draws(bad_keys))
     _, want = _studies_per_pair(config)
     assert re.match(r"cell \(function=bumps, n=128, snr=3.0, rep=1\) rule=esr failed",
                     str(want))
