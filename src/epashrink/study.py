@@ -8,33 +8,45 @@ diluted by noise-stream differences. Noise streams are keyed by
 pure function of (config, seed) independent of execution order.
 
 One pipeline serves both a single denoise and a study: it takes a stack of
-signals, shape (R, n), and a tuple of rules, transforms the stack once and
-elicits the slab supports and noise scales once; then it takes the rules
-one at a time, each shrinking its own copy of the coefficients. Every step
-works row by row, so each row comes out bit for bit as it would alone.
-A denoise inverts the one shrunk pyramid it returns. A study never
-inverts: the periodic transform is orthogonal, so the squared error of an
-estimate equals that of its shrunk coefficients against the transform of
-the truth (Parseval), and the study scores the coefficients. It runs the
-pipeline once per n, on the draws of every function at that n,
-function-major, in chunks of bounded size that may span functions; each
-row is drawn and scored against its own function's truth, and each rule's
-coefficients are scored and dropped before the next rule runs. The truths
-at one n are transformed, and their SDs taken, as one stack. A chunk's
-noise streams are keyed in one pass, each bit for bit noise_rng's, and
-drawn through one re-keyed Philox; the slab supports take one pass per
-chunk, and the scaling of the noise and the scores one pass per function
-in a chunk, not row by row or level by level.
+signals, shape (R, n), and a tuple of rules, and transforms the stack
+once. It elicits what no rule changes once for all rules: the finiteness
+check, the slab supports of all levels in one pass and the noise scale of
+each row, so an all-zero level's beta floor is logged once per stack, not
+once per rule. Then it takes the rules one at a time, each shrinking its
+own copy of the coefficients. Every step works row by row, so each row
+comes out bit for bit as it would alone. A denoise inverts the one shrunk
+pyramid it returns. A study never inverts: the periodic transform is
+orthogonal, so the squared error of an estimate equals that of its shrunk
+coefficients against the transform of the truth (Parseval), and the study
+scores the coefficients.
+
+A study runs the pipeline once per n, on the draws of every function at
+that n, function-major, each row drawn and scored against its own
+function's truth. The draws are stacked in chunks of whole rows of at most
+_CHUNK samples, which may span functions: acceptance-desk's 1200 draws per
+n make 1 chunk at n = 512, 2 at 1024 and 3 at 2048. The draws are dropped
+once transformed, and each rule's coefficients once scored, before the
+next rule's copy is made. A chunk's noise streams are keyed in one pass
+that reproduces numpy's SeedSequence hash (signals._seed_states), and one
+Philox, re-keyed for each row through its state setter, draws each row in
+place; so every stream is noise_rng's bit for bit, without a SeedSequence,
+Philox or Generator per row. The scaling of the noise and the scores take
+one pass per function in a chunk, not row by row or level by level. The
+truths, their transforms and SDs are memoised per process (_truths), the
+missing ones at one n generated and transformed as one stack, and the
+cells of all functions at one n come from one mean and one SD reduction
+(_cells).
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import numbers
 import operator
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -78,6 +90,12 @@ SIGMA_FLOOR = 1e-8
 # a study splits the draws of all functions at one n into chunks of whole
 # rows holding at most this many samples, 8 MB per array of a chunk
 _CHUNK = 2**20
+# a process keeps the truths (_truths) of this many (function, n, target SD,
+# wavelet order, coarse level), each 16n bytes of samples and coefficients:
+# at most 256n bytes at a largest size n, 4.2 MB at n = 16384. study-desk's
+# 12 truths, at n = 512, 1024 and 2048, hold 0.23 MB
+_TRUTHS = 16
+_TRUTH_MEMO: collections.OrderedDict = collections.OrderedDict()
 
 __all__ = [
     "RuleSpec",
@@ -342,7 +360,7 @@ def denoise(
                     diagnostics=diagnostics, empirical=empirical, shrunk=shrunk)
 
 
-_FUNCTION_ORDER = tuple(TestFunctionKind)
+_FUNCTION_INDEX = {kind: i for i, kind in enumerate(TestFunctionKind)}
 
 
 def _function_kind(value) -> TestFunctionKind:
@@ -503,7 +521,7 @@ def _noise_key(seed: int, function: TestFunctionKind, n: int, snr: float, rep: i
     # where that overflows every double is a whole number, keyed exactly
     scaled = float(snr) * 1e9
     snr_key = int(round(scaled)) if math.isfinite(scaled) else int(snr) * 10**9
-    return (seed, _FUNCTION_ORDER.index(function), int(np.log2(n)), snr_key, rep)
+    return (seed, _FUNCTION_INDEX[function], n.bit_length() - 1, snr_key, rep)
 
 
 def _cell_error(function, n, snr, rep: int, rule: str | None,
@@ -516,25 +534,58 @@ def _cell_error(function, n, snr, rep: int, rule: str | None,
 
 class _Draws(NamedTuple):
     """Draws of one function at one n, in row order: the function, its
-    truth, the truth's wavelet coefficients, which the draws are scored
-    against, the truth's SD and each draw's (snr, rep)."""
+    truth's samples, the truth's wavelet coefficients, which the draws are
+    scored against, the truth's SD and each draw's (snr, rep)."""
 
     function: TestFunctionKind
-    truth: Signal
+    truth: np.ndarray
     coeffs: np.ndarray
     sd: float
     coords: list
 
 
-def _truth_coeffs(truth: Signal, filt: DaubechiesFilter, coarse_level: int) -> np.ndarray:
+def _truth_coeffs(samples: np.ndarray, filt: DaubechiesFilter, coarse_level: int) -> np.ndarray:
     """The coefficients of the truth's forward transform. A truth so large
     that its transform overflows gets infinite coefficients: its draws
     overflow the transform as well and fail their rules first, and
     otherwise every score against it overflows."""
     try:
-        return dwt_forward(truth.samples, filt, coarse_level).coeffs
+        return dwt_forward(samples, filt, coarse_level).coeffs
     except NumericError:
-        return np.full(truth.n, np.inf)
+        return np.full(samples.size, np.inf)
+
+
+def _truths(config: StudyConfig, n: int, functions: tuple) -> list:
+    """(samples, coefficients, SD) of the truth of each of functions at n,
+    the arrays read-only. The last _TRUTHS truths used are memoised per
+    process, keyed by what determines a truth, the type of target_sd
+    included (a float32 one scales in float32). The missing ones are
+    generated, then transformed and their SDs taken as one stack, each row
+    as it would be alone; if the stack's transform overflows, each truth
+    is transformed alone (_truth_coeffs). An error is not memoised: a
+    target_sd whose samples overflow raises its DomainError every call."""
+    keys = [(function, n, type(config.target_sd), config.target_sd, config.wavelet_order,
+             config.elicitation.coarse_level) for function in functions]
+    missing = [key for key in keys if key not in _TRUTH_MEMO]
+    if missing:
+        filt, coarse = make_daubechies_filter(config.wavelet_order), keys[0][-1]
+        stack = np.array([generate_test_function(key[0], n, config.target_sd).samples
+                          for key in missing])
+        try:
+            coeffs = dwt_forward(stack, filt, coarse).coeffs
+        except NumericError:
+            coeffs = [_truth_coeffs(row, filt, coarse) for row in stack]
+        sds = scaled_std(stack, axis=-1).tolist()
+        for key, samples, row_coeffs, sd in zip(missing, stack, coeffs, sds):
+            samples, row_coeffs = samples.copy(), row_coeffs.copy()  # no view keeps the stack
+            samples.flags.writeable = row_coeffs.flags.writeable = False
+            _TRUTH_MEMO[key] = (samples, row_coeffs, sd)
+    for key in keys:
+        _TRUTH_MEMO.move_to_end(key)
+    truths = [_TRUTH_MEMO[key] for key in keys]
+    while len(_TRUTH_MEMO) > _TRUTHS:
+        _TRUTH_MEMO.popitem(last=False)
+    return truths
 
 
 def _row_coords(parts: list) -> list:
@@ -560,7 +611,7 @@ def _draw_eps(keys: list, rows: np.ndarray) -> None:
 def _noisy_rows(config: StudyConfig, parts: list) -> np.ndarray:
     """The noisy draws of parts, a list of _Draws, one row each, part after
     part: the row of a part's draw at (snr, rep) is
-    add_noise(truth, snr, key).samples bit for bit, the same f + sigma * eps
+    add_noise(Signal(truth), snr, key).samples bit for bit, f + sigma * eps
     with sigma = sd / snr, sd being the part's truth's SD. Every row's eps
     comes from its own key's stream, noise_rng's bit for bit, the keys of
     all rows hashed in one pass and each row drawn in place (_draw_eps);
@@ -568,7 +619,7 @@ def _noisy_rows(config: StudyConfig, parts: list) -> np.ndarray:
     add_noise would reject (a constant truth, or a noise scale or sample
     that overflows) is drawn again by add_noise, whose error names the
     first one with its cell."""
-    n = parts[0].truth.n
+    n = parts[0].truth.size
     rows = np.empty((sum(len(part.coords) for part in parts), n))
     _draw_eps([_noise_key(config.seed, part.function, n, snr, rep)
                for part in parts for snr, rep in part.coords], rows)
@@ -578,13 +629,13 @@ def _noisy_rows(config: StudyConfig, parts: list) -> np.ndarray:
         start += len(part.coords)
         with np.errstate(over="ignore", invalid="ignore"):
             block *= part.sd / np.array([[snr] for snr, _ in part.coords])
-            block += part.truth.samples
+            block += part.truth
         # an overflowing sigma or sample leaves its row non-finite
         if part.sd == 0.0 or not np.isfinite(block).all():
             for (snr, rep), row in zip(part.coords, block):
                 if part.sd == 0.0 or not np.isfinite(row).all():
                     try:
-                        add_noise(part.truth, snr,
+                        add_noise(Signal(part.truth), snr,
                                   _noise_key(config.seed, part.function, n, snr, rep))
                     except Exception as exc:
                         raise _cell_error(part.function, n, snr, rep, None, exc) from exc
@@ -638,54 +689,37 @@ def _score_chunk(config: StudyConfig, n: int, parts: list, scores: np.ndarray,
                           NumericError("the squared error overflows"))
 
 
-def _cells(config: StudyConfig, function, n: int, scores: np.ndarray,
-           seconds: list) -> list[CellResult]:
-    """The cells of one (function, n), SNR by SNR and rule by rule, from
-    its scores (rules, draws) and each rule's seconds."""
-    reps = config.replications
-    by_cell = scores.reshape(len(config.rules), len(config.snrs), reps)
+def _cells(config: StudyConfig, n: int, functions: tuple, scores: np.ndarray,
+           seconds: list) -> dict:
+    """The cells of every function in functions at n, from the batch's
+    scores (rules, functions x snrs x replications) and each rule's
+    seconds, by one mean and one SD reduction for all of them. Maps each
+    (function, n) to its cells, SNR by SNR and rule by rule, each with its
+    share of the time."""
+    snrs, labels, reps = config.snrs, [r.label for r in config.rules], config.replications
+    by_cell = scores.reshape(len(labels), len(functions), len(snrs), reps)
     with np.errstate(over="ignore"):
         amse = by_cell.mean(axis=-1)
+    for i, k, s in np.argwhere(~np.isfinite(amse)):  # only the sum overflowed
+        vals = by_cell[i, k, s]
+        amse[i, k, s] = vals.max() * np.mean(vals / vals.max())
     degenerate = reps < 2
     sd = np.zeros(amse.shape) if degenerate else scaled_std(by_cell, ddof=1, axis=-1)
-    cells = []
-    for k, snr in enumerate(config.snrs):
-        for i, rule in enumerate(config.rules):
-            vals = by_cell[i, k]
-            if not np.isfinite(amse[i, k]):  # only the sum overflowed
-                amse[i, k] = vals.max() * np.mean(vals / vals.max())
-            cells.append(CellResult(
-                function=function,
-                n=n,
-                snr=snr,
-                rule=rule.label,
-                amse=float(amse[i, k]),
-                mse_sd=float(sd[i, k]),
-                mse_samples=vals.copy(),
-                wall_time_s=seconds[i] / len(config.snrs),
-                degenerate_sd=degenerate,
-            ))
-    return cells
+    amse, sd = amse.tolist(), sd.tolist()
+    times = [t / len(functions) / len(snrs) for t in seconds]
+    return {(function, n): [CellResult(function, n, snr, label, amse[i][k][s], sd[i][k][s],
+                                       by_cell[i, k, s].copy(), times[i], degenerate)
+                            for s, snr in enumerate(snrs) for i, label in enumerate(labels)]
+            for k, function in enumerate(functions)}
 
 
 def _study_pass(config: StudyConfig, n: int, functions: tuple) -> dict:
     """One batch of the draws of every function in functions at n, in
-    chunks; maps each function to its scores, shape (rules, len(snrs) x
-    replications), and each rule's seconds, the batch's split evenly over
-    the functions. The truths are transformed, and their SDs taken, as one
-    stack, each row as it would be alone; if the stack's transform
-    overflows, each truth is transformed alone (_truth_coeffs)."""
+    chunks, scored against the memoised truths (_truths); the _cells of
+    the batch, its seconds split evenly over the functions."""
     coords = [(snr, rep) for snr in config.snrs for rep in range(config.replications)]
-    filt = make_daubechies_filter(config.wavelet_order)
-    truths = [generate_test_function(function, n, config.target_sd) for function in functions]
-    stack = np.array([truth.samples for truth in truths])
-    try:
-        coeffs = dwt_forward(stack, filt, config.elicitation.coarse_level).coeffs
-    except NumericError:  # one truth at a time, so each overflowing one gets inf
-        coeffs = [_truth_coeffs(truth, filt, config.elicitation.coarse_level)
-                  for truth in truths]
-    draws = [_Draws(*draw, coords) for draw in zip(functions, truths, coeffs,
-                                                    scaled_std(stack, axis=-1))]
+    draws = [_Draws(function, *truth, coords)
+             for function, truth in zip(functions, _truths(config, n, functions))]
     rows = [(k, c) for k in range(len(draws)) for c in coords]
     scores = np.empty((len(config.rules), len(rows)))
     seconds = [0.0] * len(config.rules)
@@ -694,10 +728,7 @@ def _study_pass(config: StudyConfig, n: int, functions: tuple) -> dict:
         parts = [draws[k]._replace(coords=[c for _, c in group]) for k, group
                  in itertools.groupby(rows[start:start + step], key=operator.itemgetter(0))]
         _score_chunk(config, n, parts, scores[:, start:start + step], seconds)
-    per = len(coords)
-    return {d.function: (scores[:, k * per:(k + 1) * per],
-                         [total / len(draws) for total in seconds])
-            for k, d in enumerate(draws)}
+    return _cells(config, n, functions, scores, seconds)
 
 
 def run_study(config: StudyConfig) -> StudyReport:
@@ -712,12 +743,13 @@ def run_study(config: StudyConfig) -> StudyReport:
     keyed in one pass, and each chunk is transformed and elicited once, so
     an all-zero level's beta floor is logged once per chunk; then each rule
     in turn shrinks a copy and scores it against the transform of its
-    row's truth, the truths at one n transformed together once, and the
-    copy is dropped before the next rule's. Nothing
-    is inverted. CellResult says what a sample is and how wall_time_s is
-    shared out. The cells are cut back out per (function, n) and returned
-    function by function, size by size; a function or size listed twice is
-    computed once and reported twice, each report with half its time.
+    row's truth, and the copy is dropped before the next rule's. Nothing
+    is inverted. The truths, their transforms and SDs are memoised per
+    process (_truths). CellResult says what a sample is and how wall_time_s
+    is shared out. The cells of all functions at one n come from one pass
+    (_cells) and are returned function by function, size by size; a
+    function or size listed twice is computed once and reported twice,
+    each report with half its time and samples of its own.
 
     Deterministic given (config, seed): replication streams are derived
     from cell coordinates, not from execution order, and the aggregation
@@ -737,8 +769,7 @@ def run_study(config: StudyConfig) -> StudyReport:
     results = {}
     for k, n in enumerate(sizes):
         try:
-            for function, result in _study_pass(config, n, functions).items():
-                results[function, n] = result
+            results.update(_study_pass(config, n, functions))
         except EpashrinkError as exc:
             error = exc
             break
@@ -746,10 +777,13 @@ def run_study(config: StudyConfig) -> StudyReport:
         cells = []
         for function in config.functions:
             for n in config.sizes:
-                scores, seconds = results[function, n]
-                # a pair listed more than once splits its time between its reports
+                # a pair listed more than once splits its time between its
+                # reports, each with samples of its own
                 repeats = config.functions.count(function) * config.sizes.count(n)
-                cells += _cells(config, function, n, scores, [t / repeats for t in seconds])
+                cells += results[function, n] if repeats == 1 else [
+                    replace(cell, mse_samples=cell.mse_samples.copy(),
+                            wall_time_s=cell.wall_time_s / repeats)
+                    for cell in results[function, n]]
         return StudyReport(config=config, cells=cells)
     for function in functions:
         for n in sizes[k:]:

@@ -8,13 +8,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epashrink import (
     ConfigError,
     Denoised,
     DomainError,
+    EpashrinkError,
     InputError,
     ElicitationConfig,
     NumericError,
@@ -876,7 +877,7 @@ def test_every_draw_of_a_batch_is_add_noise_bit_for_bit(target_sd):
                      functions=(TestFunctionKind.BUMPS, TestFunctionKind.HEAVISINE))
     n = config.sizes[0]
     truths = [generate_test_function(function, n, target_sd) for function in config.functions]
-    parts = [_Draws(function, truth, None, truth.sd(), _coords(config)[k:])
+    parts = [_Draws(function, truth.samples, None, truth.sd(), _coords(config)[k:])
              for k, (function, truth) in enumerate(zip(config.functions, truths))]
     rows = _noisy_rows(config, parts)
     assert rows.shape == (2 * len(_coords(config)) - 1, n)
@@ -913,6 +914,17 @@ def test_an_overflowing_target_sd_fails_the_study_as_a_domain_error():
     assert not caught
 
 
+@pytest.fixture
+def cold_truths():
+    """An empty truth memo, emptied again afterwards: for tests that count
+    the work of making a truth, or that replace generate_test_function."""
+    import epashrink.study as study_mod
+
+    study_mod._TRUTH_MEMO.clear()
+    yield
+    study_mod._TRUTH_MEMO.clear()
+
+
 def _first_failing_draw(config, truth):
     """The message and cause of the first failing add_noise call of the
     per-draw study loop."""
@@ -926,6 +938,7 @@ def _first_failing_draw(config, truth):
     pytest.fail("no draw fails")
 
 
+@pytest.mark.usefixtures("cold_truths")
 @pytest.mark.parametrize("case", ["constant truth", "overflowing sigma", "overflowing sample"])
 @pytest.mark.parametrize("chunk", [2**20, 2 * 64])
 def test_a_failing_draw_fails_as_add_noise_would(case, chunk, monkeypatch):
@@ -1053,14 +1066,17 @@ def test_the_chunk_cap_cuts_acceptance_desk_into_at_most_six_chunks(monkeypatch)
     assert all(n * rows <= study_mod._CHUNK for n, rows in chunks)
 
 
+@pytest.mark.usefixtures("cold_truths")
 def test_a_batch_does_its_bookkeeping_once(monkeypatch):
-    # per n: one SD for the stack of its truths; per (function, n): one
-    # reduction for mse_sd; per n, in its one chunk: one reduction for the
-    # slab supports and one shrink per rule; no inverse transform, no
-    # per-level beta_level call and no add_noise call at all
+    # per (function, n), the first time: one truth; per n: one SD for the
+    # stack of its truths, the first time, and one reduction for the mse_sd
+    # of all its cells; per n, in its one chunk: one reduction for the slab
+    # supports and one shrink per rule; no inverse transform, no per-level
+    # beta_level call and no add_noise call at all. A second run takes
+    # every truth and its SD from the memo
     import epashrink.study as study_mod
 
-    calls = {"truth sd": 0, "mse_sd": 0, "supports": 0, "shrinks": 0,
+    calls = {"generate": 0, "truth sd": 0, "mse_sd": 0, "supports": 0, "shrinks": 0,
              "inverses": 0, "beta_level": 0, "add_noise": 0}
 
     def counting(name, fn, key=None):
@@ -1070,10 +1086,11 @@ def test_a_batch_does_its_bookkeeping_once(monkeypatch):
         return wrapper
 
     def which_std(values, *args):
-        return {2: "truth sd", 3: "mse_sd"}[np.ndim(values)]
+        return {2: "truth sd", 4: "mse_sd"}[np.ndim(values)]
 
     monkeypatch.setattr(study_mod, "scaled_std", counting(None, study_mod.scaled_std, which_std))
-    for name, attr in (("supports", "_slab_supports"), ("shrinks", "shrink_pyramid"),
+    for name, attr in (("generate", "generate_test_function"),
+                       ("supports", "_slab_supports"), ("shrinks", "shrink_pyramid"),
                        ("inverses", "dwt_inverse"), ("beta_level", "beta_level"),
                        ("add_noise", "add_noise")):
         monkeypatch.setattr(study_mod, attr, counting(name, getattr(study_mod, attr)))
@@ -1087,20 +1104,26 @@ def test_a_batch_does_its_bookkeeping_once(monkeypatch):
         seed=2,
     )
     run_study(config)
-    assert calls == {"truth sd": 2, "mse_sd": 4, "supports": 2, "shrinks": 6,
+    assert calls == {"generate": 4, "truth sd": 2, "mse_sd": 2, "supports": 2, "shrinks": 6,
+                     "inverses": 0, "beta_level": 0, "add_noise": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    run_study(config)
+    assert calls == {"generate": 0, "truth sd": 0, "mse_sd": 2, "supports": 2, "shrinks": 6,
                      "inverses": 0, "beta_level": 0, "add_noise": 0}
 
 
+@pytest.mark.usefixtures("cold_truths")
 @pytest.mark.parametrize("chunk", [2**20, 5 * 128])
 def test_a_batch_keys_its_streams_once_per_chunk(chunk, monkeypatch):
     # on the success path a chunk hashes all its rows' keys in one pass and
     # re-keys one Philox: no SeedSequence, Philox or Generator per row, and
-    # no noise_rng call. The truths at each n are transformed together:
-    # one forward transform per n besides one per chunk
+    # no noise_rng call. Each truth is generated once, the first time, and
+    # the truths at each n are transformed together: one forward transform
+    # per n besides one per chunk, and on a second run one per chunk alone
     import epashrink.study as study_mod
 
     calls = {"SeedSequence": 0, "Philox": 0, "Generator": 0, "noise_rng": 0,
-             "seed_states": 0, "forward": 0}
+             "seed_states": 0, "generate": 0, "forward": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -1113,17 +1136,98 @@ def test_a_batch_keys_its_streams_once_per_chunk(chunk, monkeypatch):
     monkeypatch.setattr(signals_mod, "noise_rng", counting("noise_rng", signals_mod.noise_rng))
     monkeypatch.setattr(study_mod, "_seed_states", counting("seed_states", study_mod._seed_states))
     monkeypatch.setattr(study_mod, "dwt_forward", counting("forward", study_mod.dwt_forward))
+    monkeypatch.setattr(study_mod, "generate_test_function",
+                        counting("generate", study_mod.generate_test_function))
     monkeypatch.setattr(study_mod, "_CHUNK", chunk)
     config = StudyConfig(functions=(TestFunctionKind.BUMPS, TestFunctionKind.DOPPLER),
                          sizes=(128, 256), snrs=(0.5, 3.0), replications=3,
                          rules=(RuleSpec("esr"), RuleSpec("soft")), seed=2)
-    report = run_study(config)
-    assert all(np.isfinite(cell.mse_samples).all() for cell in report.cells)
     # 12 rows at each n: one chunk each, or chunks of 5 rows at n = 128 and
     # of 2 at n = 256
     chunks = 2 if chunk == 2**20 else 3 + 6
-    assert calls == {"SeedSequence": 0, "Philox": chunks, "Generator": chunks,
-                     "noise_rng": 0, "seed_states": chunks, "forward": chunks + 2}
+    for truths, stacks in ((4, 2), (0, 0)):
+        calls.update(dict.fromkeys(calls, 0))
+        report = run_study(config)
+        assert all(np.isfinite(cell.mse_samples).all() for cell in report.cells)
+        assert calls == {"SeedSequence": 0, "Philox": chunks, "Generator": chunks,
+                         "noise_rng": 0, "seed_states": chunks, "generate": truths,
+                         "forward": chunks + stacks}
+
+
+def _values(report):
+    """Every value of a report's cells but wall_time_s, bit for bit."""
+    return [(c.function, c.n, c.snr, c.rule, c.amse.hex(), c.mse_sd.hex(),
+             c.mse_samples.tobytes(), c.degenerate_sd) for c in report.cells]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    functions=st.lists(st.sampled_from(list(TestFunctionKind)), min_size=1, max_size=4),
+    sizes=st.lists(st.sampled_from([4, 8, 64, 1024, 2048]), min_size=1, max_size=3),
+    replications=st.integers(1, 3),
+    target_sd=st.sampled_from([7.0, np.float32(7.0), 1e-200, 1e307, 5e307]),
+    seed=st.integers(0, 2**16),
+)
+# a truth whose transform overflows, and one whose samples overflow
+@example(functions=["heavisine"], sizes=[1024], replications=2, target_sd=1e307, seed=1)
+@example(functions=["heavisine", "bumps"], sizes=[64], replications=2, target_sd=5e307,
+         seed=1)
+# a float32 target SD scales in float32, so it may not take the float64 truths
+@example(functions=["bumps"], sizes=[64], replications=2, target_sd=np.float32(7.0), seed=1)
+def test_a_warm_truth_memo_gives_the_report_of_a_cleared_one(functions, sizes, replications,
+                                                             target_sd, seed):
+    # with repeated functions and sizes; a failing study fails alike. The
+    # warm runs come after studies that differ in one part of a truth's key
+    # have filled the memo with truths of the same functions and sizes (so
+    # does one whose target SD is a float64 where the drawn one is a
+    # float32), and then on the memo of config's own truths, after every
+    # sample of a report was overwritten
+    import epashrink.study as study_mod
+
+    config = StudyConfig(functions=tuple(functions), sizes=tuple(sizes), snrs=(1.0, 3.0),
+                         replications=replications, rules=(RuleSpec("esr"), RuleSpec("soft")),
+                         seed=seed, target_sd=target_sd)
+
+    def outcome():
+        try:
+            report = run_study(config)
+        except EpashrinkError as exc:
+            return type(exc), str(exc)
+        values = _values(report)
+        for cell in report.cells:
+            cell.mse_samples[...] = -1.0
+        return values
+
+    study_mod._TRUTH_MEMO.clear()
+    cold = outcome()
+    study_mod._TRUTH_MEMO.clear()
+    for other in (replace(config, target_sd=3.0), replace(config, wavelet_order=4),
+                  replace(config, elicitation=ElicitationConfig(coarse_level=1)),
+                  replace(config, target_sd=float(target_sd))):
+        try:
+            run_study(other)
+        except EpashrinkError:
+            pass
+    assert outcome() == cold
+    assert outcome() == cold
+    for function in set(config.functions):
+        for n in set(config.sizes):
+            try:
+                [memoised] = study_mod._truths(config, n, (function,))
+            except DomainError:
+                continue
+            for values in memoised[:2]:
+                assert values.base is None  # no view keeps a whole stack alive
+                with pytest.raises(ValueError):
+                    values[0] = 0.0
+
+
+def test_noise_keys_are_the_log2_of_n_and_the_function_s_place():
+    order = tuple(TestFunctionKind)
+    for function in TestFunctionKind:
+        for n in (2**j for j in range(2, 63)):
+            assert _noise_key(3, function, n, 0.5, 7) == (
+                3, order.index(function), int(np.log2(n)), 500_000_000, 7)
 
 
 _BATCH_RULES = (RuleSpec("esr"), RuleSpec("soft"), RuleSpec("hard"), RuleSpec("hard", 2.0))
@@ -1227,6 +1331,9 @@ def test_one_batch_per_n_matches_one_study_per_function_and_n(
         want, error = _studies_per_pair(config)
     assert error is None
     assert sum(cell.wall_time_s for cell in report.cells) <= total
+    # every cell owns its samples, so the reports of a pair listed twice too
+    assert len({id(cell.mse_samples) for cell in report.cells}) == len(report.cells)
+    assert all(cell.mse_samples.base is None for cell in report.cells)
     assert len(report.cells) == len(want)
     for got, cell in zip(report.cells, want):
         assert (got.function, got.n, got.snr, got.rule, got.degenerate_sd) == (
@@ -1272,9 +1379,11 @@ def test_failures_at_two_pairs_fail_with_the_first_in_function_major_order(chunk
 def test_study_desk_batch_memory_is_bounded():
     # the study-desk grid at n = 2048 in one batch of 24 rows (393 kB per
     # array): with the draws dropped once transformed, one rule's
-    # coefficients alive at a time and no estimate ever made, its traced
-    # peak is about 1.8 MB (2.2 MB when each rule's estimates were made,
-    # 3.9 MB when all rules' copies were inverted together)
+    # coefficients alive at a time, no estimate ever made and the truths
+    # taken from the memo, its traced peak is about 1.65 MB (1.79 MB on an
+    # empty memo, which makes the truths as one stack; 1.85 MB when that
+    # stack was made on every run, 2.2 MB when each rule's estimates were
+    # made, 3.9 MB when all rules' copies were inverted together)
     config = StudyConfig(functions=tuple(TestFunctionKind), sizes=(2048,),
                          snrs=(0.2, 1.0, 3.0), replications=2,
                          rules=(RuleSpec("esr"), RuleSpec("soft")),
