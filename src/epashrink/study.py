@@ -31,23 +31,22 @@ that reproduces numpy's SeedSequence hash (signals._seed_states), and one
 Philox, re-keyed for each row through its state setter, draws each row in
 place; so every stream is noise_rng's bit for bit, without a SeedSequence,
 Philox or Generator per row. The scaling of the noise and the scores take
-one pass per function in a chunk, not row by row or level by level. The
-truths, their transforms and SDs are memoised per process (_truths), the
-missing ones at one n generated and transformed as one stack, and the
-cells of all functions at one n come from one mean and one SD reduction
-(_cells).
+one pass per function in a chunk, not row by row or level by level. A
+row's function, SNR and replication follow from its index (_row). The
+truths of all functions at one n, their transforms and SDs are one stack,
+generated and transformed at once and memoised per process (_truths), and
+the cells of all functions at one n come from one mean and one SD
+reduction (_cells).
 """
 
 from __future__ import annotations
 
-import collections
-import itertools
+import functools
 import math
 import numbers
 import operator
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -90,12 +89,11 @@ SIGMA_FLOOR = 1e-8
 # a study splits the draws of all functions at one n into chunks of whole
 # rows holding at most this many samples, 8 MB per array of a chunk
 _CHUNK = 2**20
-# a process keeps the truths (_truths) of this many (function, n, target SD,
-# wavelet order, coarse level), each 16n bytes of samples and coefficients:
+# a process keeps this many truth stacks (_truths), each of at most 4
+# distinct functions at 16n bytes of samples and coefficients per function:
 # at most 256n bytes at a largest size n, 4.2 MB at n = 16384. study-desk's
-# 12 truths, at n = 512, 1024 and 2048, hold 0.23 MB
-_TRUTHS = 16
-_TRUTH_MEMO: collections.OrderedDict = collections.OrderedDict()
+# 3 stacks, at n = 512, 1024 and 2048, hold 0.23 MB
+_TRUTHS = 4
 
 __all__ = [
     "RuleSpec",
@@ -407,10 +405,10 @@ class StudyConfig:
     their kinds by value ("bumps") and rules by the text RuleSpec.parse
     reads ("esr", "soft:2.5"); both are stored as TestFunctionKind and
     RuleSpec. functions, sizes, snrs and rules each take a sequence, not a
-    bare string or number. Any other function or rule, a size,
-    replications, wavelet order or seed that is not a whole number, or an
-    SNR or target SD that is not a positive, finite real number, raises
-    ConfigError.
+    bare string or number, and are stored as tuples. Any other function or
+    rule, a size, replications, wavelet order or seed that is not a whole
+    number, or an SNR or target SD that is not a positive, finite real
+    number, raises ConfigError.
     """
 
     functions: tuple[TestFunctionKind, ...]
@@ -428,8 +426,8 @@ class StudyConfig:
         # so a study fails only where its draws or rules do
         fields = {"functions": tuple(map(_function_kind, _sequence("functions", self.functions))),
                   "rules": tuple(map(_rule_spec, _sequence("rules", self.rules))),
-                  "sizes": tuple(_whole("size", n) for n in _sequence("sizes", self.sizes))}
-        _sequence("snrs", self.snrs)
+                  "sizes": tuple(_whole("size", n) for n in _sequence("sizes", self.sizes)),
+                  "snrs": tuple(_sequence("snrs", self.snrs))}
         for name in ("replications", "wavelet_order", "seed"):
             fields[name] = _whole(name, getattr(self, name))
         for name, value in fields.items():
@@ -532,18 +530,6 @@ def _cell_error(function, n, snr, rep: int, rule: str | None,
                         f"rep={rep}) {step} failed: {exc}")
 
 
-class _Draws(NamedTuple):
-    """Draws of one function at one n, in row order: the function, its
-    truth's samples, the truth's wavelet coefficients, which the draws are
-    scored against, the truth's SD and each draw's (snr, rep)."""
-
-    function: TestFunctionKind
-    truth: np.ndarray
-    coeffs: np.ndarray
-    sd: float
-    coords: list
-
-
 def _truth_coeffs(samples: np.ndarray, filt: DaubechiesFilter, coarse_level: int) -> np.ndarray:
     """The coefficients of the truth's forward transform. A truth so large
     that its transform overflows gets infinite coefficients: its draws
@@ -555,43 +541,46 @@ def _truth_coeffs(samples: np.ndarray, filt: DaubechiesFilter, coarse_level: int
         return np.full(samples.size, np.inf)
 
 
-def _truths(config: StudyConfig, n: int, functions: tuple) -> list:
-    """(samples, coefficients, SD) of the truth of each of functions at n,
-    the arrays read-only. The last _TRUTHS truths used are memoised per
-    process, keyed by what determines a truth, the type of target_sd
-    included (a float32 one scales in float32). The missing ones are
-    generated, then transformed and their SDs taken as one stack, each row
-    as it would be alone; if the stack's transform overflows, each truth
-    is transformed alone (_truth_coeffs). An error is not memoised: a
-    target_sd whose samples overflow raises its DomainError every call."""
-    keys = [(function, n, type(config.target_sd), config.target_sd, config.wavelet_order,
-             config.elicitation.coarse_level) for function in functions]
-    missing = [key for key in keys if key not in _TRUTH_MEMO]
-    if missing:
-        filt, coarse = make_daubechies_filter(config.wavelet_order), keys[0][-1]
-        stack = np.array([generate_test_function(key[0], n, config.target_sd).samples
-                          for key in missing])
-        try:
-            coeffs = dwt_forward(stack, filt, coarse).coeffs
-        except NumericError:
-            coeffs = [_truth_coeffs(row, filt, coarse) for row in stack]
-        sds = scaled_std(stack, axis=-1).tolist()
-        for key, samples, row_coeffs, sd in zip(missing, stack, coeffs, sds):
-            samples, row_coeffs = samples.copy(), row_coeffs.copy()  # no view keeps the stack
-            samples.flags.writeable = row_coeffs.flags.writeable = False
-            _TRUTH_MEMO[key] = (samples, row_coeffs, sd)
-    for key in keys:
-        _TRUTH_MEMO.move_to_end(key)
-    truths = [_TRUTH_MEMO[key] for key in keys]
-    while len(_TRUTH_MEMO) > _TRUTHS:
-        _TRUTH_MEMO.popitem(last=False)
-    return truths
+@functools.lru_cache(maxsize=_TRUTHS, typed=True)
+def _truths(functions: tuple, n: int, target_sd, wavelet_order: int,
+            coarse_level: int) -> tuple:
+    """The truths of functions at n as one stack: their samples (F, n), the
+    coefficients of their forward transforms (F, n), both read-only, and
+    their SDs as a tuple. The stack is transformed and its SDs taken at
+    once, each row as it would be alone; if the stack's transform
+    overflows, each truth is transformed alone (_truth_coeffs). The last
+    _TRUTHS stacks used are memoised per process; typed keeps a float32
+    target_sd, which scales in float32, apart from the equal float64. An
+    error is not memoised: a target_sd whose samples overflow raises its
+    DomainError every call."""
+    filt = make_daubechies_filter(wavelet_order)
+    samples = np.array([generate_test_function(function, n, target_sd).samples
+                        for function in functions])
+    try:
+        coeffs = dwt_forward(samples, filt, coarse_level).coeffs
+    except NumericError:
+        coeffs = np.array([_truth_coeffs(row, filt, coarse_level) for row in samples])
+    samples.flags.writeable = coeffs.flags.writeable = False
+    return samples, coeffs, tuple(scaled_std(samples, axis=-1).tolist())
 
 
-def _row_coords(parts: list) -> list:
-    """(function, (snr, rep)) of every row of the draws in parts, part
-    after part."""
-    return [(part.function, c) for part in parts for c in part.coords]
+def _row(config: StudyConfig, i: int) -> tuple:
+    """(k, snr, rep) of row i of a batch: its function's place k in the
+    batch's functions, its SNR and its replication. Rows are
+    function-major, len(snrs) x replications of them per function, and
+    SNR-major within a function."""
+    k, rest = divmod(i, len(config.snrs) * config.replications)
+    s, rep = divmod(rest, config.replications)
+    return k, config.snrs[s], rep
+
+
+def _parts(config: StudyConfig, rows: range):
+    """(k, part) for each function k with rows in the chunk rows: part is
+    the slice of the chunk that holds them."""
+    per = len(config.snrs) * config.replications
+    for k in range(rows.start // per, (rows.stop - 1) // per + 1):
+        yield k, slice(max(rows.start, k * per) - rows.start,
+                       min(rows.stop, (k + 1) * per) - rows.start)
 
 
 def _draw_eps(keys: list, rows: np.ndarray) -> None:
@@ -608,84 +597,85 @@ def _draw_eps(keys: list, rows: np.ndarray) -> None:
         draw(out=row)
 
 
-def _noisy_rows(config: StudyConfig, parts: list) -> np.ndarray:
-    """The noisy draws of parts, a list of _Draws, one row each, part after
-    part: the row of a part's draw at (snr, rep) is
-    add_noise(Signal(truth), snr, key).samples bit for bit, f + sigma * eps
-    with sigma = sd / snr, sd being the part's truth's SD. Every row's eps
-    comes from its own key's stream, noise_rng's bit for bit, the keys of
-    all rows hashed in one pass and each row drawn in place (_draw_eps);
-    the scaling and the sum are one call each per part. A draw that
-    add_noise would reject (a constant truth, or a noise scale or sample
-    that overflows) is drawn again by add_noise, whose error names the
-    first one with its cell."""
-    n = parts[0].truth.size
-    rows = np.empty((sum(len(part.coords) for part in parts), n))
-    _draw_eps([_noise_key(config.seed, part.function, n, snr, rep)
-               for part in parts for snr, rep in part.coords], rows)
-    start = 0
-    for part in parts:
-        block = rows[start:start + len(part.coords)]
-        start += len(part.coords)
+def _noisy_rows(config: StudyConfig, functions: tuple, truths: tuple,
+                rows: range) -> np.ndarray:
+    """The noisy draws of the batch rows in rows, one row each, given the
+    batch's functions and their _truths: the draw of a row of function k
+    at (snr, rep) (_row) is add_noise(Signal(truth), snr, key).samples bit
+    for bit, f + sigma * eps with sigma = sd / snr, f and sd being truth
+    k's samples and SD. Every row's eps comes from its own key's stream,
+    noise_rng's bit for bit, the keys of all rows hashed in one pass and
+    each row drawn in place (_draw_eps); the scaling and the sum are one
+    call each per function. A draw that add_noise would reject (a constant
+    truth, or a noise scale or sample that overflows) is drawn again by
+    add_noise, whose error names the first one with its cell."""
+    samples, _, sds = truths
+    n = samples.shape[-1]
+    coords = [_row(config, i) for i in rows]
+    out = np.empty((len(rows), n))
+    _draw_eps([_noise_key(config.seed, functions[k], n, snr, rep)
+               for k, snr, rep in coords], out)
+    for k, part in _parts(config, rows):
+        block = out[part]
         with np.errstate(over="ignore", invalid="ignore"):
-            block *= part.sd / np.array([[snr] for snr, _ in part.coords])
-            block += part.truth
+            block *= sds[k] / np.array([[snr] for _, snr, _ in coords[part]])
+            block += samples[k]
         # an overflowing sigma or sample leaves its row non-finite
-        if part.sd == 0.0 or not np.isfinite(block).all():
-            for (snr, rep), row in zip(part.coords, block):
-                if part.sd == 0.0 or not np.isfinite(row).all():
+        if sds[k] == 0.0 or not np.isfinite(block).all():
+            for (_, snr, rep), row in zip(coords[part], block):
+                if sds[k] == 0.0 or not np.isfinite(row).all():
                     try:
-                        add_noise(Signal(part.truth), snr,
-                                  _noise_key(config.seed, part.function, n, snr, rep))
+                        add_noise(Signal(samples[k]), snr,
+                                  _noise_key(config.seed, functions[k], n, snr, rep))
                     except Exception as exc:
-                        raise _cell_error(part.function, n, snr, rep, None, exc) from exc
-    return rows
+                        raise _cell_error(functions[k], n, snr, rep, None, exc) from exc
+    return out
 
 
-def _score_chunk(config: StudyConfig, n: int, parts: list, scores: np.ndarray,
-                 seconds: list) -> None:
-    """Draw, denoise and score the draws of one chunk, given as parts: rule
-    i's squared error of every row, its shrunk coefficients against the
-    row's own truth's, goes to scores[i] and its seconds are added to
-    seconds[i]. The draws are dropped once transformed, and each rule's
-    coefficients once scored, before the next rule's copy is made. A
-    failing noise draw fails first; then the first failing (row, rule) in
-    row order, and last the first overflowing score."""
+def _score_chunk(config: StudyConfig, functions: tuple, truths: tuple, rows: range,
+                 scores: np.ndarray, seconds: list) -> None:
+    """Draw, denoise and score the batch rows in rows, given the batch's
+    functions and their _truths: rule i's squared error of every row, its
+    shrunk coefficients against the row's own truth's, goes to scores[i]
+    and its seconds are added to seconds[i]. The draws are dropped once
+    transformed, and each rule's coefficients once scored, before the next
+    rule's copy is made. A failing noise draw fails first; then the first
+    failing (row, rule) in row order, and last the first overflowing
+    score."""
+    coeffs = truths[1]
+    n = coeffs.shape[-1]
     filt = make_daubechies_filter(config.wavelet_order)
-    rows = _noisy_rows(config, parts)
+    draws = _noisy_rows(config, functions, truths, rows)
     try:
-        _, each_rule = _denoise_stack(rows, config.rules, config.elicitation, filt)
-        del rows  # a failure draws them again
+        _, each_rule = _denoise_stack(draws, config.rules, config.elicitation, filt)
+        del draws  # a failure draws them again
         # not enumerate, whose result tuple would keep the previous rule's
         # arrays while the next rule runs
         for i in range(len(config.rules)):
             _, shrunk, rule_seconds = next(each_rule)
             seconds[i] += rule_seconds
-            start = 0
             with np.errstate(over="ignore"):
-                for part in parts:
-                    stop = start + len(part.coords)
-                    scores[i, start:stop] = mse(shrunk.coeffs[start:stop], part.coeffs)
-                    start = stop
+                for k, part in _parts(config, rows):
+                    scores[i, part] = mse(shrunk.coeffs[part], coeffs[k])
             del _, shrunk  # this rule's diagnostics and coefficients
     except Exception as exc:
         # rows are independent, so the failing ones fail alone as well
-        for (function, (snr, rep)), row in zip(_row_coords(parts),
-                                                _noisy_rows(config, parts)):
+        for i, row in zip(rows, _noisy_rows(config, functions, truths, rows)):
+            k, snr, rep = _row(config, i)
             for rule in config.rules:
                 try:
                     list(_denoise_stack(row, (rule,), config.elicitation, filt)[1])
                 except Exception as row_exc:
-                    raise _cell_error(function, n, snr, rep, rule.label,
+                    raise _cell_error(functions[k], n, snr, rep, rule.label,
                                       row_exc) from row_exc
-        names = ", ".join(part.function.value for part in parts)
+        names = ", ".join(functions[k].value for k, _ in _parts(config, rows))
         raise NumericError(f"batch (function={names}, n={n}) failed: {exc}") from exc
     bad = ~np.isfinite(scores)
     if bad.any():
         row = int(np.argmax(bad.any(axis=0)))
         rule = config.rules[int(np.argmax(bad[:, row]))]
-        function, (snr, rep) = _row_coords(parts)[row]
-        raise _cell_error(function, n, snr, rep, rule.label,
+        k, snr, rep = _row(config, rows[row])
+        raise _cell_error(functions[k], n, snr, rep, rule.label,
                           NumericError("the squared error overflows"))
 
 
@@ -715,19 +705,17 @@ def _cells(config: StudyConfig, n: int, functions: tuple, scores: np.ndarray,
 
 def _study_pass(config: StudyConfig, n: int, functions: tuple) -> dict:
     """One batch of the draws of every function in functions at n, in
-    chunks, scored against the memoised truths (_truths); the _cells of
-    the batch, its seconds split evenly over the functions."""
-    coords = [(snr, rep) for snr in config.snrs for rep in range(config.replications)]
-    draws = [_Draws(function, *truth, coords)
-             for function, truth in zip(functions, _truths(config, n, functions))]
-    rows = [(k, c) for k in range(len(draws)) for c in coords]
-    scores = np.empty((len(config.rules), len(rows)))
+    chunks of batch rows, scored against the memoised truths (_truths); the
+    _cells of the batch, its seconds split evenly over the functions."""
+    truths = _truths(functions, n, config.target_sd, config.wavelet_order,
+                     config.elicitation.coarse_level)
+    batch = range(len(functions) * len(config.snrs) * config.replications)
+    scores = np.empty((len(config.rules), len(batch)))
     seconds = [0.0] * len(config.rules)
     step = max(1, _CHUNK // n)
-    for start in range(0, len(rows), step):
-        parts = [draws[k]._replace(coords=[c for _, c in group]) for k, group
-                 in itertools.groupby(rows[start:start + step], key=operator.itemgetter(0))]
-        _score_chunk(config, n, parts, scores[:, start:start + step], seconds)
+    for start in batch[::step]:
+        _score_chunk(config, functions, truths, batch[start:start + step],
+                     scores[:, start:start + step], seconds)
     return _cells(config, n, functions, scores, seconds)
 
 
@@ -744,12 +732,13 @@ def run_study(config: StudyConfig) -> StudyReport:
     an all-zero level's beta floor is logged once per chunk; then each rule
     in turn shrinks a copy and scores it against the transform of its
     row's truth, and the copy is dropped before the next rule's. Nothing
-    is inverted. The truths, their transforms and SDs are memoised per
-    process (_truths). CellResult says what a sample is and how wall_time_s
-    is shared out. The cells of all functions at one n come from one pass
-    (_cells) and are returned function by function, size by size; a
-    function or size listed twice is computed once and reported twice,
-    each report with half its time and samples of its own.
+    is inverted. The truths at each n, their transforms and SDs are one
+    stack, memoised per process (_truths). CellResult says what a sample
+    is and how wall_time_s is shared out. The cells of all functions at
+    one n come from one pass (_cells) and are returned function by
+    function, size by size; a function or size listed twice is computed
+    once and reported twice, each report with half its time and samples of
+    its own.
 
     Deterministic given (config, seed): replication streams are derived
     from cell coordinates, not from execution order, and the aggregation

@@ -1028,6 +1028,59 @@ def test_generate_with_an_overflowing_target_sd_is_a_domain_error(runner, tmp_pa
     assert not out.exists()
 
 
+_STUDY_CFG = "functions = heavisine\nsizes = 64\nsnrs = 1\nreplications = 1\nrules = esr\n"
+
+# per case: the input file's name and text (None for no file), the command
+# line with {input} for that file and {out} for the output, the exit code and
+# the start of the error line after "error: "
+_REJECTIONS = {
+    "three columns": ("in.csv", "y\n1,2,3\n4,5,6\n", ["denoise", "{input}", "--out", "{out}"],
+                      2, "{input}: expected at most 2 columns on line 2"),
+    "truth on some rows": ("in.csv", "1,2\n3\n4,5\n6,7\n",
+                           ["denoise", "{input}", "--out", "{out}"],
+                           2, "{input}: truth column is present on only some rows"),
+    "no numeric samples": ("in.csv", "y\n\n", ["denoise", "{input}", "--out", "{out}"],
+                           2, "{input}: no numeric samples found"),
+    "pad on one sample": ("in.csv", "1.5\n", ["denoise", "{input}", "--pad", "reflect",
+                                               "--out", "{out}"],
+                          2, "need at least 2 samples"),
+    "config line without =": ("study.cfg", _STUDY_CFG + "seed 7\n",
+                              ["study", "{input}", "--out-dir", "{out}"],
+                              3, "{input}:6: expected 'key = value'"),
+    "duplicate config key": ("study.cfg", _STUDY_CFG + "snrs = 3\n",
+                             ["study", "{input}", "--out-dir", "{out}"],
+                             3, "{input}:6: duplicate key 'snrs'"),
+    "bad function name": ("study.cfg", _STUDY_CFG.replace("heavisine", "sawtooth"),
+                          ["study", "{input}", "--out-dir", "{out}"],
+                          3, "{input}: bad function name: "),
+    "threshold abc": ("in.csv", None, ["denoise", "{input}", "--rule", "soft",
+                                       "--threshold", "abc", "--out", "{out}"],
+                      3, "--threshold must be 'universal' or a number, got 'abc'"),
+    "d-max below d-min": (None, None, ["rule-curve", "--alpha", "0.9", "--beta", "6",
+                                       "--lambda", "3", "--d-min", "2", "--d-max", "-2",
+                                       "--out", "{out}"],
+                          4, "empty grid: d_max -2.0 < d_min 2.0"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REJECTIONS))
+def test_a_documented_rejection_exits_with_its_code_and_one_error_line(runner, tmp_path,
+                                                                      case):
+    name, text, args, code, message = _REJECTIONS[case]
+    inp, out = tmp_path / (name or "unused"), tmp_path / "out"
+    if text is None:
+        _write_noisy_signal(inp, n=64)
+    else:
+        inp.write_text(text)
+    args = [a.format(input=inp, out=out) for a in args]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = _one_error_line(runner.invoke(main, args), code)
+    assert not caught
+    assert line.startswith("error: " + message.format(input=inp))
+    assert not out.exists()
+
+
 def _python(*args) -> subprocess.CompletedProcess:
     """A fresh Python process, run with these arguments on this source tree."""
     src = str(Path(epashrink.__file__).resolve().parents[1])

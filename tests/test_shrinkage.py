@@ -29,6 +29,8 @@ from oracles import (delta_slab, epanechnikov_pdf, posterior_mean_oracle, refere
                      unblocked_esr)
 
 PARAMS = MixturePriorParams(alpha=0.95, beta=6.0, lam=3.0)
+# a slab so narrow that the marginal takes its series side
+SERIES_PARAMS = MixturePriorParams(alpha=0.9, beta=0.01, lam=3.0)
 
 param_strategy = st.builds(
     MixturePriorParams,
@@ -109,27 +111,33 @@ class TestMarginal:
         )
 
     def test_matches_direct_quadrature_on_grid(self):
-        beta, lam = PARAMS.beta, PARAMS.lam
-        a = math.sqrt(2 * lam)
+        # PARAMS on the direct side of the seam; the second set on its
+        # series side, a * beta = 0.024 < 0.05
+        assert shrinkage._set_constants(0.0, SERIES_PARAMS).series
+        grids = [(PARAMS, (0.0, 1.0, 4.0, 5.999, 6.0, 6.5, 9.0, 25.0)),
+                 (SERIES_PARAMS, (0.0, 0.002, 0.008, 0.00999, 0.01, 0.011, 0.5, 5.0))]
+        for params, ds in grids:
+            beta, lam = params.beta, params.lam
+            a = math.sqrt(2 * lam)
 
-        def brute(d):
-            f = lambda t: (3 / (4 * beta**3)) * (beta**2 - t**2) \
-                * (a / 2) * math.exp(-a * abs(d - t))
-            pts = [d] if -beta < d < beta else None
-            return quad(f, -beta, beta, points=pts, limit=200, epsabs=1e-13)[0]
+            def brute(d):
+                f = lambda t: (3 / (4 * beta**3)) * (beta**2 - t**2) \
+                    * (a / 2) * math.exp(-a * abs(d - t))
+                pts = [d] if -beta < d < beta else None
+                return quad(f, -beta, beta, points=pts, limit=200, epsabs=1e-13)[0]
 
-        for d in (0.0, 1.0, 4.0, 5.999, 6.0, 6.5, 9.0, 25.0):
-            assert marginal_m(d, PARAMS) == pytest.approx(brute(d), abs=1e-10)
+            for d in ds:
+                assert marginal_m(d, params) == pytest.approx(brute(d), abs=1e-10)
 
     def test_integrates_to_one(self):
-        for beta in (3.0, 6.0, 8.0):
-            for lam in (0.5, 1.0, 3.0, 7.0):
-                p = MixturePriorParams(0.5, beta, lam)
-                core = quad(lambda d: marginal_m(d, p), -beta, beta,
-                            points=[0.0], limit=200, epsabs=1e-12)[0]
-                tail = quad(lambda d: marginal_m(d, p), beta, np.inf,
-                            limit=200, epsabs=1e-12)[0]
-                assert core + 2 * tail == pytest.approx(1.0, abs=1e-6)
+        sets = [MixturePriorParams(0.5, beta, lam)
+                for beta in (3.0, 6.0, 8.0) for lam in (0.5, 1.0, 3.0, 7.0)]
+        for p in [*sets, SERIES_PARAMS]:
+            core = quad(lambda d: marginal_m(d, p), -p.beta, p.beta,
+                        points=[0.0], limit=200, epsabs=1e-12)[0]
+            tail = quad(lambda d: marginal_m(d, p), p.beta, np.inf,
+                        limit=200, epsabs=1e-12)[0]
+            assert core + 2 * tail == pytest.approx(1.0, abs=1e-6)
 
     def test_positive_everywhere(self):
         ds = np.concatenate([np.linspace(-30, 30, 301), [1e3, 1e6, -1e6]])

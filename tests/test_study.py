@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import time
@@ -39,10 +40,9 @@ from epashrink import (
 )
 from epashrink.dwt import WaveletPyramid
 from epashrink.shrinkage import _BLOCK_COEFFS
-from epashrink.elicitation import beta_level
+from epashrink.elicitation import beta_level, lambda_from_s
 from epashrink import signals as signals_mod
-from epashrink.study import (_denoise_stack, _Draws, _noise_key, _noisy_rows,
-                             _slab_supports)
+from epashrink.study import _denoise_stack, _noise_key, _noisy_rows, _slab_supports
 from oracles import per_level_esr_shrink
 
 
@@ -279,6 +279,7 @@ class TestStudyConfigValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("snrs", (math.inf,)), ("snrs", (1.0, math.nan)), ("snrs", ("1",)),
+        ("snrs", np.array([1.0, -5.0])), ("snrs", np.array([])),
         ("target_sd", math.inf), ("target_sd", math.nan), ("target_sd", 0.0),
         ("target_sd", "7"),
     ])
@@ -332,6 +333,46 @@ class TestStudyConfigValidation:
         with pytest.raises(ConfigError, match=re.escape(f"{field} takes a sequence, "
                                                         f"got {value!r}")):
             StudyConfig(**kwargs)
+
+    def test_snrs_are_stored_as_a_tuple(self):
+        # a list given for snrs leaves the frozen config hashable, and what
+        # is appended to it afterwards does not reach the study
+        snrs = [1.0, 3.0]
+        config = StudyConfig(functions=("bumps",), sizes=(64,), snrs=snrs, replications=2,
+                             rules=("soft",))
+        assert config.snrs == (1.0, 3.0)
+        assert hash(config) == hash(replace(config, snrs=(1.0, 3.0)))
+        snrs.append(-5.0)
+        assert [cell.snr for cell in run_study(config).cells] == [1.0, 3.0]
+        assert replace(config, snrs=np.array(snrs[:2])).snrs == (1.0, 3.0)
+
+
+def _config(**fields):
+    return StudyConfig(**{**dict(functions=(TestFunctionKind.BUMPS,), sizes=(64,), snrs=(1.0,),
+                                 replications=1, rules=(RuleSpec("esr"),)), **fields})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: RuleSpec("bogus"), ConfigError, "unknown rule kind 'bogus'"),
+    (lambda: RuleSpec("soft", -1.0), ConfigError, "threshold must be >= 0, got -1.0"),
+    (lambda: _config(functions=()), ConfigError, "functions must not be empty"),
+    (lambda: _config(sizes=()), ConfigError, "sizes must not be empty"),
+    (lambda: _config(replications=0), ConfigError, "replications must be >= 1"),
+    (lambda: lambda_from_s(1.0, c=0), DomainError, "c and tau must be positive"),
+    (lambda: shrink_pyramid(WaveletPyramid(0, np.array([1.0, np.nan] * 32)), RuleSpec("esr"),
+                            ElicitationConfig(), 64),
+     NumericError, "wavelet coefficients are not finite"),
+    (lambda: shrink_pyramid(WaveletPyramid(0, np.zeros((2, 2, 64))), RuleSpec("soft"),
+                            ElicitationConfig(), 64),
+     InputError, "cannot shrink a pyramid of shape (2, 2, 64)"),
+], ids=["unknown rule kind", "negative threshold", "no functions", "no sizes",
+        "no replications", "zero c", "nan coefficient", "3-D pyramid"])
+def test_a_documented_rejection_is_its_error(call, error, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+    assert not caught
 
 
 def _tiny_config(rules, replications=3, seed=77):
@@ -877,12 +918,14 @@ def test_every_draw_of_a_batch_is_add_noise_bit_for_bit(target_sd):
                      functions=(TestFunctionKind.BUMPS, TestFunctionKind.HEAVISINE))
     n = config.sizes[0]
     truths = [generate_test_function(function, n, target_sd) for function in config.functions]
-    parts = [_Draws(function, truth.samples, None, truth.sd(), _coords(config)[k:])
-             for k, (function, truth) in enumerate(zip(config.functions, truths))]
-    rows = _noisy_rows(config, parts)
-    assert rows.shape == (2 * len(_coords(config)) - 1, n)
-    wanted = [(function, truth, c) for function, truth, part in zip(config.functions, truths, parts)
-              for c in part.coords]
+    stack = (np.array([truth.samples for truth in truths]), None,
+             tuple(truth.sd() for truth in truths))
+    # the batch rows from 1 on: every draw of both functions but the first
+    per = len(_coords(config))
+    rows = _noisy_rows(config, config.functions, stack, range(1, 2 * per))
+    assert rows.shape == (2 * per - 1, n)
+    wanted = [(function, truth, c) for function, truth in zip(config.functions, truths)
+              for c in _coords(config)][1:]
     for row, (function, truth, (snr, rep)) in zip(rows, wanted, strict=True):
         want = add_noise(truth, snr, _noise_key(config.seed, function, n, snr, rep))
         assert np.array_equal(row, want.samples)
@@ -920,9 +963,9 @@ def cold_truths():
     the work of making a truth, or that replace generate_test_function."""
     import epashrink.study as study_mod
 
-    study_mod._TRUTH_MEMO.clear()
+    study_mod._truths.cache_clear()
     yield
-    study_mod._TRUTH_MEMO.clear()
+    study_mod._truths.cache_clear()
 
 
 def _first_failing_draw(config, truth):
@@ -1017,9 +1060,11 @@ def test_chunked_batches_match_per_draw_oracle(monkeypatch):
 
     chunks = []
 
-    def counted_score_chunk(config, n, parts, scores, seconds):
-        chunks.append((n, [(part.function.value, len(part.coords)) for part in parts]))
-        return score_chunk(config, n, parts, scores, seconds)
+    def counted_score_chunk(config, functions, truths, rows, scores, seconds):
+        per = len(config.snrs) * config.replications
+        chunks.append((truths[0].shape[-1], [(functions[k].value, len(list(group))) for k, group
+                                             in itertools.groupby(i // per for i in rows)]))
+        return score_chunk(config, functions, truths, rows, scores, seconds)
 
     score_chunk = study_mod._score_chunk
     monkeypatch.setattr(study_mod, "_score_chunk", counted_score_chunk)
@@ -1054,8 +1099,8 @@ def test_the_chunk_cap_cuts_acceptance_desk_into_at_most_six_chunks(monkeypatch)
 
     chunks = []
 
-    def counted_score_chunk(config, n, parts, scores, seconds):
-        chunks.append((n, sum(len(part.coords) for part in parts)))
+    def counted_score_chunk(config, functions, truths, rows, scores, seconds):
+        chunks.append((truths[0].shape[-1], len(rows)))
         scores[...] = 1.0
 
     monkeypatch.setattr(study_mod, "_score_chunk", counted_score_chunk)
@@ -1198,9 +1243,9 @@ def test_a_warm_truth_memo_gives_the_report_of_a_cleared_one(functions, sizes, r
             cell.mse_samples[...] = -1.0
         return values
 
-    study_mod._TRUTH_MEMO.clear()
+    study_mod._truths.cache_clear()
     cold = outcome()
-    study_mod._TRUTH_MEMO.clear()
+    study_mod._truths.cache_clear()
     for other in (replace(config, target_sd=3.0), replace(config, wavelet_order=4),
                   replace(config, elicitation=ElicitationConfig(coarse_level=1)),
                   replace(config, target_sd=float(target_sd))):
@@ -1210,16 +1255,17 @@ def test_a_warm_truth_memo_gives_the_report_of_a_cleared_one(functions, sizes, r
             pass
     assert outcome() == cold
     assert outcome() == cold
-    for function in set(config.functions):
-        for n in set(config.sizes):
-            try:
-                [memoised] = study_mod._truths(config, n, (function,))
-            except DomainError:
-                continue
-            for values in memoised[:2]:
-                assert values.base is None  # no view keeps a whole stack alive
-                with pytest.raises(ValueError):
-                    values[0] = 0.0
+    for n in set(config.sizes):
+        try:
+            memoised = study_mod._truths(tuple(dict.fromkeys(config.functions)), n,
+                                         config.target_sd, config.wavelet_order,
+                                         config.elicitation.coarse_level)
+        except DomainError:
+            continue
+        for values in memoised[:2]:
+            assert values.base is None  # each memoised stack owns its memory
+            with pytest.raises(ValueError):
+                values[0] = 0.0
 
 
 def test_noise_keys_are_the_log2_of_n_and_the_function_s_place():
