@@ -370,6 +370,8 @@ def cmd_denoise(input_path, rule, threshold, gamma, l, c, tau, j0, sigma,
         "wavelet_order": wavelet_order,
         "coarse_level": cfg.coarse_level,
         "sigma_estimator": cfg.sigma_estimator.value,
+        # the whole elicitation, as summary.json's config records it
+        "elicitation": dataclasses.asdict(cfg),
         "estimated_snr": estimated_snr,
         **out.diagnostics,
         "input": str(input_path),

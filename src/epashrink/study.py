@@ -12,31 +12,33 @@ signals, shape (R, n), and a tuple of rules, and transforms the stack
 once. It elicits what no rule changes once for all rules: the finiteness
 check, the slab supports of all levels in one pass and the noise scale of
 each row, so an all-zero level's beta floor is logged once per stack, not
-once per rule. Then it takes the rules one at a time, each shrinking its
-own copy of the coefficients. Every step works row by row, so each row
-comes out bit for bit as it would alone. A denoise inverts the one shrunk
-pyramid it returns. A study never inverts: the periodic transform is
-orthogonal, so the squared error of an estimate equals that of its shrunk
-coefficients against the transform of the truth (Parseval), and the study
-scores the coefficients.
+once per rule. Then it takes the rules one at a time in one work array:
+each rule copies the coefficients into it and shrinks them there, the
+thresholds writing through their out=. Every step works row by row, so
+each row comes out bit for bit as it would alone. A denoise inverts the
+one shrunk pyramid it returns. A study never inverts: the periodic
+transform is orthogonal, so the squared error of an estimate equals that
+of its shrunk coefficients against the transform of the truth
+(Parseval), and the study scores the coefficients.
 
 A study runs the pipeline once per n, on the draws of every function at
 that n, function-major, each row drawn and scored against its own
 function's truth. The draws are stacked in chunks of whole rows of at most
 _CHUNK samples, which may span functions: acceptance-desk's 1200 draws per
-n make 1 chunk at n = 512, 2 at 1024 and 3 at 2048. The draws are dropped
-once transformed, and each rule's coefficients once scored, before the
-next rule's copy is made. A chunk's noise streams are keyed in one pass
-that reproduces numpy's SeedSequence hash (signals._seed_states), and one
-Philox, re-keyed for each row through its state setter, draws each row in
-place; so every stream is noise_rng's bit for bit, without a SeedSequence,
-Philox or Generator per row. The scaling of the noise and the scores take
-one pass per function in a chunk, not row by row or level by level. A
-row's function, SNR and replication follow from its index (_row). The
-truths of all functions at one n, their transforms and SDs are one stack,
-generated and transformed at once and memoised per process (_truths), and
-the cells of all functions at one n come from one mean and one SD
-reduction (_cells).
+n make 2 chunks at n = 512, 3 at 1024 and 5 at 2048. The draws are dead
+once transformed, so their array is the chunk's work array: each rule's
+coefficients are copied into it, shrunk there and scored there in place,
+with no array of the chunk's size made per rule. A chunk's noise streams
+are keyed in one pass that reproduces numpy's SeedSequence hash
+(signals._seed_states), and one Philox, re-keyed for each row through its
+state setter, draws each row in place; so every stream is noise_rng's bit
+for bit, without a SeedSequence, Philox or Generator per row. The scaling
+of the noise and the scores take one pass per function in a chunk, not
+row by row or level by level. A row's function, SNR and replication
+follow from its index (_row). The truths of all functions at one n, their
+transforms and SDs are one stack, generated and transformed at once and
+memoised per process (_truths), and the cells of all functions at one n
+come from one mean and one SD reduction (_cells).
 """
 
 from __future__ import annotations
@@ -87,8 +89,11 @@ ALPHA_MAX = 1.0 - 1e-15
 # scales with the data: keeps lambda finite when the finest level is exactly 0
 SIGMA_FLOOR = 1e-8
 # a study splits the draws of all functions at one n into chunks of whole
-# rows holding at most this many samples, 8 MB per array of a chunk
-_CHUNK = 2**20
+# rows holding at most this many samples, 4 MiB per array of a chunk:
+# half the memory of 2**20, and faster than 2**18, whose 2 MiB arrays fall
+# below the 4 MiB from which numpy asks the kernel for huge pages, and so
+# are faulted in 4 KiB at a time, chunk after chunk
+_CHUNK = 2**19
 # a process keeps this many truth stacks (_truths), each of at most 4
 # distinct functions at 16n bytes of samples and coefficients per function:
 # at most 256n bytes at a largest size n, 4.2 MB at n = 16384. study-desk's
@@ -231,9 +236,10 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
     before any floor is logged.
 
     The slab supports of all levels come from one pass over the detail
-    span. The thresholds, which act element by element, shrink the whole
-    detail span in one call. The pyramid may hold one signal (coefficients of
-    shape (n,)) or a stack of R signals (shape (R, n)). Each row of a
+    span. The thresholds, which act element by element, shrink whole rows
+    in place in one call (out=), and the scaling block is put back. The
+    pyramid may hold one signal (coefficients of shape (n,)) or a stack of
+    R signals (shape (R, n)). Each row of a
     stack is elicited and shrunk on its own, bit for bit as it would be
     alone; its noise-scale estimate, slab supports and rate or universal
     threshold are then arrays of R values, while the spike weights and a
@@ -286,40 +292,51 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
             if np.ndim(eta):
                 eta = column(eta)
             threshold = hard_threshold if rule.kind == "hard" else soft_threshold
-            span = coeffs[..., 2**pyramid.coarse_level:]
-            span[...] = threshold(span, eta)
+            # whole rows, which numpy runs as one contiguous loop where it
+            # takes the detail span row by row; the scaling block, which no
+            # rule touches, is put back
+            scaling = pyramid.scaling.copy()
+            threshold(coeffs, eta, out=coeffs)
+            pyramid.scaling[...] = scaling
     return diagnostics
 
 
 def _denoise_stack(rows: np.ndarray, rules: tuple[RuleSpec, ...],
-                   elicitation: ElicitationConfig, filt: DaubechiesFilter) -> tuple:
+                   elicitation: ElicitationConfig, filt: DaubechiesFilter,
+                   work: np.ndarray | None = None) -> tuple:
     """The denoising pipeline on the signals in ``rows`` (shape (n,) or
     (R, n)): one forward transform and one _elicit, which all rules share,
-    then the rules one at a time, each on its own copy of the coefficients:
-    copy, shrink in place. Nothing is inverted here.
+    then the rules one at a time, all in one work array of the shape of
+    rows: each rule copies the coefficients into it (np.copyto) and shrinks
+    them there. Nothing is inverted here.
+
+    ``work`` is that array, or None for a fresh one. It may be rows
+    itself, which are dead once transformed: nothing is written to it
+    before the transform is done.
 
     Returns the forward pyramid and a generator that yields, rule by rule,
-    (diagnostics, shrunk pyramid, seconds). A rule's copy is made only when
-    the caller asks for that rule, and the generator keeps none of the
-    previous rule's arrays, so a caller that scores each rule's
-    coefficients and drops them first holds one rule's arrays at a time.
-    seconds is the rule's own copy and shrink plus a 1/len(rules) share of
-    the forward transform and the elicitation; what the caller does
-    between rules is not counted.
+    (diagnostics, shrunk pyramid, seconds). The shrunk pyramid is a view of
+    the work array, so it is valid only until the caller asks for the next
+    rule; a caller may write into it, to score it in place. A rule's copy
+    is made only when the caller asks for that rule. seconds is the rule's
+    own copy and shrink plus a 1/len(rules) share of the forward transform
+    and the elicitation; what the caller does between rules is not
+    counted.
     """
     t0 = time.perf_counter()
     empirical = dwt_forward(rows, filt, elicitation.coarse_level)
     elicited = _elicit(empirical, elicitation)
+    shrunk = WaveletPyramid(empirical.coarse_level, np.empty_like(empirical.coeffs)
+                            if work is None else work)
     share = (time.perf_counter() - t0) / len(rules)
 
     def each_rule():
         for rule in rules:
             t0 = time.perf_counter()
-            shrunk = empirical.copy()
+            np.copyto(shrunk.coeffs, empirical.coeffs)
             diagnostics = shrink_pyramid(shrunk, rule, elicitation, empirical.n,
                                          elicited=elicited)
             yield diagnostics, shrunk, time.perf_counter() - t0 + share
-            del shrunk
 
     return empirical, each_rule()
 
@@ -393,8 +410,16 @@ def _whole(name: str, value) -> int:
         raise ConfigError(f"{name} must be a whole number, got {value!r}") from None
 
 
-def _positive(value) -> bool:
-    return isinstance(value, numbers.Real) and 0.0 < value < math.inf
+def _scale(value) -> float | None:
+    """value as a Python float if it is a positive, finite real number,
+    else None."""
+    if not isinstance(value, numbers.Real):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:  # an int past the largest double
+        return None
+    return value if 0.0 < value < math.inf else None
 
 
 @dataclass(frozen=True)
@@ -408,7 +433,9 @@ class StudyConfig:
     bare string or number, and are stored as tuples. Any other function or
     rule, a size, replications, wavelet order or seed that is not a whole
     number, or an SNR or target SD that is not a positive, finite real
-    number, raises ConfigError.
+    number, raises ConfigError. SNRs and the target SD are stored as Python
+    floats, so a numpy scalar scales as the equal float does and the
+    config dumps to json as given.
     """
 
     functions: tuple[TestFunctionKind, ...]
@@ -449,10 +476,14 @@ class StudyConfig:
                 f"wavelet_order must be in 1..{MAX_ORDER}, got {self.wavelet_order}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not self.snrs or not all(map(_positive, self.snrs)):
+        snrs = tuple(map(_scale, self.snrs))
+        if not snrs or None in snrs:
             raise ConfigError(f"snrs must be positive and finite, got {self.snrs}")
-        if not _positive(self.target_sd):
+        target_sd = _scale(self.target_sd)
+        if target_sd is None:
             raise ConfigError(f"target_sd must be positive and finite, got {self.target_sd}")
+        object.__setattr__(self, "snrs", snrs)
+        object.__setattr__(self, "target_sd", target_sd)
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if not self.rules:
@@ -479,8 +510,9 @@ class CellResult:
     together, and a rule's time in that batch is its own copy and shrink
     plus a 1/len(rules) share of the forward transform and the elicitation
     that all rules share, summed over the batch's chunks and split evenly
-    over the batch's functions x SNRs. The noise draw and the scoring
-    belong to no rule and are not counted.
+    over the batch's functions x SNRs. A rule's own part is the np.copyto
+    of the coefficients into the chunk's work array and the shrink there.
+    The noise draw and the scoring belong to no rule and are not counted.
     """
 
     function: TestFunctionKind
@@ -541,7 +573,7 @@ def _truth_coeffs(samples: np.ndarray, filt: DaubechiesFilter, coarse_level: int
         return np.full(samples.size, np.inf)
 
 
-@functools.lru_cache(maxsize=_TRUTHS, typed=True)
+@functools.lru_cache(maxsize=_TRUTHS)
 def _truths(functions: tuple, n: int, target_sd, wavelet_order: int,
             coarse_level: int) -> tuple:
     """The truths of functions at n as one stack: their samples (F, n), the
@@ -549,10 +581,9 @@ def _truths(functions: tuple, n: int, target_sd, wavelet_order: int,
     their SDs as a tuple. The stack is transformed and its SDs taken at
     once, each row as it would be alone; if the stack's transform
     overflows, each truth is transformed alone (_truth_coeffs). The last
-    _TRUTHS stacks used are memoised per process; typed keeps a float32
-    target_sd, which scales in float32, apart from the equal float64. An
-    error is not memoised: a target_sd whose samples overflow raises its
-    DomainError every call."""
+    _TRUTHS stacks used are memoised per process. An error is not
+    memoised: a target_sd whose samples overflow raises its DomainError
+    every call."""
     filt = make_daubechies_filter(wavelet_order)
     samples = np.array([generate_test_function(function, n, target_sd).samples
                         for function in functions])
@@ -637,27 +668,28 @@ def _score_chunk(config: StudyConfig, functions: tuple, truths: tuple, rows: ran
     """Draw, denoise and score the batch rows in rows, given the batch's
     functions and their _truths: rule i's squared error of every row, its
     shrunk coefficients against the row's own truth's, goes to scores[i]
-    and its seconds are added to seconds[i]. The draws are dropped once
-    transformed, and each rule's coefficients once scored, before the next
-    rule's copy is made. A failing noise draw fails first; then the first
-    failing (row, rule) in row order, and last the first overflowing
-    score."""
+    and its seconds are added to seconds[i]. The draws are dead once
+    transformed, so their array is every rule's work array: each rule
+    copies the coefficients into it, shrinks them there and is scored
+    there, in place, with what mse computes, bit for bit. A failing noise
+    draw fails first; then the first failing (row, rule) in row order, and
+    last the first overflowing score."""
     coeffs = truths[1]
     n = coeffs.shape[-1]
     filt = make_daubechies_filter(config.wavelet_order)
     draws = _noisy_rows(config, functions, truths, rows)
     try:
-        _, each_rule = _denoise_stack(draws, config.rules, config.elicitation, filt)
-        del draws  # a failure draws them again
-        # not enumerate, whose result tuple would keep the previous rule's
-        # arrays while the next rule runs
-        for i in range(len(config.rules)):
-            _, shrunk, rule_seconds = next(each_rule)
+        # the rules write over the draws; a failure draws them again
+        _, each_rule = _denoise_stack(draws, config.rules, config.elicitation, filt,
+                                      work=draws)
+        for i, (_, shrunk, rule_seconds) in enumerate(each_rule):
             seconds[i] += rule_seconds
             with np.errstate(over="ignore"):
                 for k, part in _parts(config, rows):
-                    scores[i, part] = mse(shrunk.coeffs[part], coeffs[k])
-            del _, shrunk  # this rule's diagnostics and coefficients
+                    d = shrunk.coeffs[part]
+                    d -= coeffs[k]
+                    d *= d
+                    scores[i, part] = d.mean(axis=-1)
     except Exception as exc:
         # rows are independent, so the failing ones fail alone as well
         for i, row in zip(rows, _noisy_rows(config, functions, truths, rows)):
@@ -725,20 +757,20 @@ def run_study(config: StudyConfig) -> StudyReport:
     Each n is one batch: the len(snrs) x replications draws of every
     function at that n, function-major, each row with its own function's
     truth and SD for the noise and the scoring. The draws are stacked in
-    chunks of whole rows of at most _CHUNK samples (8 MB per array), so a
+    chunks of whole rows of at most _CHUNK samples (4 MiB per array), so a
     chunk may hold the draws of more than one function (acceptance-desk's
-    1200 draws at n = 2048 make 3 chunks). Each chunk's noise streams are
+    1200 draws at n = 2048 make 5 chunks). Each chunk's noise streams are
     keyed in one pass, and each chunk is transformed and elicited once, so
     an all-zero level's beta floor is logged once per chunk; then each rule
-    in turn shrinks a copy and scores it against the transform of its
-    row's truth, and the copy is dropped before the next rule's. Nothing
-    is inverted. The truths at each n, their transforms and SDs are one
-    stack, memoised per process (_truths). CellResult says what a sample
-    is and how wall_time_s is shared out. The cells of all functions at
-    one n come from one pass (_cells) and are returned function by
-    function, size by size; a function or size listed twice is computed
-    once and reported twice, each report with half its time and samples of
-    its own.
+    in turn copies the coefficients into the array of the chunk's draws,
+    dead once transformed, shrinks them there and scores them there in
+    place against the transform of each row's truth. Nothing is inverted.
+    The truths at each n, their transforms and SDs are one stack, memoised
+    per process (_truths). CellResult says what a sample is and how
+    wall_time_s is shared out. The cells of all functions at one n come
+    from one pass (_cells) and are returned function by function, size by
+    size; a function or size listed twice is computed once and reported
+    twice, each report with half its time and samples of its own.
 
     Deterministic given (config, seed): replication streams are derived
     from cell coordinates, not from execution order, and the aggregation

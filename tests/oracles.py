@@ -5,8 +5,8 @@ reference closed form in beta and lambda that the rule had before it was
 put in the dimensionless u and b, the closed form in u and b evaluated the
 slow way, unblocked and one detail level per call, and the slow paths
 that faster code replaced: the transform steps with np.roll, the MAD noise
-scale by np.median, and the bumps and blocks test functions summed jump
-by jump."""
+scale by np.median, the thresholds by np.where and np.sign, and the bumps
+and blocks test functions summed jump by jump."""
 
 from __future__ import annotations
 
@@ -277,6 +277,19 @@ def roll_synthesis_step(approx, detail, lo, hi):
     out = coeffs @ m[:2 * _CHANNEL_OUTPUTS].T
     out[..., :lo.size - 2] += np.roll(coeffs @ m[2 * _CHANNEL_OUTPUTS:].T, 1, axis=-2)
     return out.reshape(*lead, 2 * half)
+
+
+def where_hard_threshold(d, eta):
+    """hard_threshold by np.where over |d|, into a new array."""
+    d = np.asarray(d, dtype=float)
+    return np.where(np.abs(d) > eta, d, 0.0)
+
+
+def sign_soft_threshold(d, eta):
+    """soft_threshold as max(|d| - eta, 0) times np.sign(d), into a new
+    array."""
+    d = np.asarray(d, dtype=float)
+    return np.maximum(np.abs(d) - eta, 0.0) * np.sign(d)
 
 
 def median_mad_sigma(coeffs):

@@ -22,6 +22,7 @@ from epashrink import (
     add_noise,
     denoise,
     generate_test_function,
+    study_preset,
 )
 
 
@@ -325,6 +326,34 @@ class TestDenoiseCommand:
         assert result.exit_code == 0, result.output
         report = json.loads((tmp_path / "out.csv.report.json").read_text())
         assert report["version"] == epashrink.__version__
+
+    def test_sidecar_records_the_whole_elicitation(self, runner, tmp_path):
+        # in the shape of summary.json's config, so that the run can be
+        # replayed from the sidecar alone
+        inp = tmp_path / "in.csv"
+        _write_noisy_signal(inp)
+        out = tmp_path / "out.csv"
+        result = runner.invoke(main, [
+            "denoise", str(inp), "--gamma", "3", "--l", "1.5", "--c", "3", "--tau", "5",
+            "--j0", "1", "--sigma", "sd", "--wavelet-order", "6", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "out.csv.report.json").read_text())
+        elicitation = report["elicitation"]
+        assert elicitation == {"gamma": 3.0, "l": 1.5, "c": 3.0, "tau": 5.0,
+                               "sigma_estimator": "sd", "coarse_level": 1}
+        summary_config = json.loads(json.dumps(study_preset("smoke").to_dict()))
+        assert list(elicitation) == list(summary_config["elicitation"])
+        replay = tmp_path / "replay.csv"
+        result = runner.invoke(main, [
+            "denoise", str(inp), "--rule", report["rule"],
+            "--gamma", repr(elicitation["gamma"]), "--l", repr(elicitation["l"]),
+            "--c", repr(elicitation["c"]), "--tau", repr(elicitation["tau"]),
+            "--j0", str(elicitation["coarse_level"]), "--sigma", elicitation["sigma_estimator"],
+            "--wavelet-order", str(report["wavelet_order"]), "--out", str(replay),
+        ])
+        assert result.exit_code == 0, result.output
+        assert replay.read_bytes() == out.read_bytes()
 
     @pytest.mark.parametrize("rule", ["esr", "soft", "hard"])
     def test_sidecar_is_denoise_diagnostics(self, runner, tmp_path, rule):

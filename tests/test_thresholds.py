@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from epashrink import (
     DomainError,
@@ -14,6 +15,7 @@ from epashrink import (
     soft_threshold,
     universal_threshold,
 )
+from oracles import sign_soft_threshold, where_hard_threshold
 
 
 class TestHard:
@@ -120,3 +122,59 @@ def test_per_row_thresholds_are_checked():
         universal_threshold(np.array([1.0, 0.0]), 16)
     with pytest.raises(NumericError):
         universal_threshold(np.array([1.0, 1e308]), 4096)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+_coefficients = hnp.arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 9)),
+                           elements=st.floats(allow_nan=False, width=64))
+_thresholds = st.floats(0, 1e300) | st.just(0.0) | st.just(math.inf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=_coefficients, eta_kind=st.sampled_from(["scalar", "column", "array"]),
+       data=st.data())
+@pytest.mark.parametrize("rule, oracle", [(hard_threshold, where_hard_threshold),
+                                          (soft_threshold, sign_soft_threshold)],
+                         ids=["hard", "soft"])
+def test_in_place_thresholds_are_the_allocating_forms_bit_for_bit(rule, oracle, d, eta_kind,
+                                                                  data):
+    # out=d writes the result over its own input, signed zeros included,
+    # for a number, a column of one per row and an array of one per
+    # coefficient; and both forms are the np.where and np.sign definitions
+    # they replaced, wherever those are not a nan
+    if eta_kind == "scalar":
+        eta = data.draw(_thresholds)
+    else:
+        shape = (d.shape[0], 1) if eta_kind == "column" else d.shape
+        eta = data.draw(hnp.arrays(float, shape, elements=_thresholds))
+    with np.errstate(invalid="ignore"):  # inf - inf under soft
+        fresh = rule(d, eta)
+        want = oracle(d, eta)
+        inplace = d.copy()
+        assert rule(inplace, eta, out=inplace) is inplace
+    assert np.array_equal(_bits(inplace), _bits(fresh))
+    assert np.array_equal(np.isnan(fresh), np.isnan(want))
+    kept = ~np.isnan(want)
+    assert np.array_equal(_bits(fresh[kept]), _bits(want[kept]))
+
+
+@pytest.mark.parametrize("rule", [hard_threshold, soft_threshold])
+def test_out_takes_the_broadcast_shape(rule):
+    d = np.array([-3.0, -0.0, 0.0, 0.5, 3.0])
+    eta = np.array([[0.0], [1.0]])
+    out = np.full((2, 5), np.nan)
+    assert rule(d, eta, out=out) is out
+    assert np.array_equal(_bits(out), _bits(rule(d, eta)))
+    assert np.array_equal(_bits(out[1]), _bits(rule(d, 1.0)))
+
+
+def test_signed_zeros():
+    # a negative d shrunk to zero keeps its sign under soft, a killed one
+    # does not under hard, and -0.0 comes out +0.0 under both
+    d = np.array([-0.5, -0.0, 0.0, 0.5])
+    assert _bits(soft_threshold(d, 1.0)).tolist() == _bits([-0.0, 0.0, 0.0, 0.0]).tolist()
+    assert _bits(hard_threshold(d, 1.0)).tolist() == _bits([0.0] * 4).tolist()
+    assert _bits(soft_threshold(d, 0.0)).tolist() == _bits([-0.5, 0.0, 0.0, 0.5]).tolist()
