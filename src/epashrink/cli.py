@@ -14,7 +14,6 @@ import contextlib
 import dataclasses
 import functools
 import json
-import logging
 import math
 import sys
 from pathlib import Path
@@ -242,7 +241,7 @@ def parse_study_config(text: str, source: str = "<config>") -> StudyConfig:
             l=float(raw.get("l", _ELICITATION.l)),
             c=float(raw.get("c", _ELICITATION.c)),
             tau=float(raw.get("tau", _ELICITATION.tau)),
-            sigma_estimator=SigmaEstimator(raw.get("sigma", _ELICITATION.sigma_estimator)),
+            sigma_estimator=raw.get("sigma", _ELICITATION.sigma_estimator),
             coarse_level=int(raw.get("j0", _ELICITATION.coarse_level)),
         )
         return StudyConfig(
@@ -289,7 +288,7 @@ def _elicitation_from_flags(rule, gamma, l, c, tau, j0, sigma) -> ElicitationCon
                           "uses the variance-prior rate")
     return ElicitationConfig(
         gamma=gamma, l=l, c=c, tau=tau,
-        sigma_estimator=SigmaEstimator(sigma), coarse_level=j0,
+        sigma_estimator=sigma, coarse_level=j0,
     )
 
 
@@ -339,8 +338,6 @@ def _shared_rule_options(func):
 @click.group()
 def main():
     """Wavelet denoising with a bounded-support spike-and-slab rule."""
-    logging.basicConfig(level=logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
 
 
 @main.command("denoise")

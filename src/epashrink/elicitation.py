@@ -8,16 +8,12 @@ empirical function of the noise-scale estimate taken from the finest level.
 from __future__ import annotations
 
 import enum
-import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, _member, _scale, _whole
 from .signals import scaled_std
-
-log = logging.getLogger(__name__)
 
 BETA_FLOOR = 1e-8
 MAD_CONSISTENCY = 0.6745  # median(|Z|) for Z ~ N(0, 1)
@@ -43,6 +39,9 @@ class ElicitationConfig:
 
     Defaults are the no-prior-information choices; the benchmark preset in
     :mod:`epashrink.study` overrides gamma, l and the sigma estimator.
+    Each field is checked when the config is built, a bad one raising
+    DomainError, and stored as a Python float, int or SigmaEstimator, so a
+    numpy scalar works as the equal Python number does.
     """
 
     gamma: float = 2.4
@@ -54,9 +53,11 @@ class ElicitationConfig:
 
     def __post_init__(self):
         for name in ("gamma", "l", "c", "tau"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise DomainError(
-                    f"{name} must be positive and finite, got {getattr(self, name)}")
+            object.__setattr__(self, name, _scale(name, getattr(self, name), DomainError))
+        object.__setattr__(self, "coarse_level",
+                           _whole("coarse_level", self.coarse_level, DomainError))
+        object.__setattr__(self, "sigma_estimator", _member(
+            SigmaEstimator, "sigma_estimator", self.sigma_estimator, DomainError))
         if self.coarse_level < 0:
             raise DomainError(f"coarse_level must be >= 0, got {self.coarse_level}")
 
@@ -80,20 +81,17 @@ def alpha_level(j: int, coarse_level: int, gamma: float, l: float) -> float:
 def beta_level(details_j):
     """Slab half-support for one level: the largest absolute coefficient.
 
-    An all-zero block would give a degenerate slab, so it is floored at
-    BETA_FLOOR (the rule then maps everything to ~0, the correct limit).
-    A stack of blocks, shape (..., m), gets one value per block.
+    An all-zero block would give a degenerate slab, so its value is
+    BETA_FLOOR (the rule then maps everything to ~0, the correct limit),
+    with no other trace. A stack of blocks, shape (..., m), gets one value
+    per block.
     """
     block = np.atleast_1d(np.asarray(details_j, dtype=float))
     if block.shape[-1] == 0:
         raise InputError("empty coefficient block")
     # the larger of the two extremes: no temporary the size of the block
     beta = np.maximum(block.max(axis=-1), -block.min(axis=-1))
-    zero = beta == 0.0
-    if zero.any():
-        log.warning("%d all-zero coefficient block(s); flooring beta at %g",
-                    int(np.count_nonzero(zero)), BETA_FLOOR)
-        beta = np.where(zero, BETA_FLOOR, beta)
+    beta = np.where(beta == 0.0, BETA_FLOOR, beta)
     return beta if beta.ndim else float(beta)
 
 

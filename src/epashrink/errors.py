@@ -1,9 +1,13 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the checks of
+config fields that raise it.
 
 The CLI maps each category to a distinct exit code, so library code should
 raise the most specific class that applies.
 """
 
+import math
+import numbers
+import operator
 from contextlib import contextmanager
 
 import numpy as np
@@ -47,3 +51,32 @@ def numeric_guard(what: str):
         raise NumericError(
             f"{what}: floating-point failure ({type(exc).__name__}: {exc})"
         ) from exc
+
+
+def _whole(name: str, value, error=ConfigError) -> int:
+    """value as a Python int if it is a whole number (operator.index),
+    else error naming the field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be a whole number, got {value!r}") from None
+
+
+def _member(kind, name: str, value, error=ConfigError):
+    """value as a member of the enum kind, else error naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise error(f"unknown {name} {value!r}; available: "
+                    f"{[member.value for member in kind]}") from None
+
+
+def _scale(name: str, value, error=ConfigError) -> float:
+    """value as a Python float if it is a positive, finite real number,
+    else error naming the field."""
+    try:
+        if isinstance(value, numbers.Real) and 0.0 < float(value) < math.inf:
+            return float(value)
+    except OverflowError:  # an int past the largest double
+        pass
+    raise error(f"{name} must be positive and finite, got {value}")

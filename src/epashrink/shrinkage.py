@@ -72,7 +72,6 @@ kinks; see rule_statistics.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -80,8 +79,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, InputError, NumericError, numeric_guard
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "MixturePriorParams",
@@ -433,21 +430,15 @@ def marginal_m(d, params: MixturePriorParams):
     """Marginal density of d under the slab alone (no spike weight applied).
 
     Strictly positive on the whole line and integrates to one. If rounding
-    drives a value to zero or below, it is clamped to the smallest positive
-    normal with a logged diagnostic. A floating-point failure, or a slab
-    support whose cube overflows, raises NumericError.
+    drives a value to zero or below, that value is the smallest positive
+    normal (about 2.2e-308), with no other trace. A floating-point failure,
+    or a slab support whose cube overflows, raises NumericError.
     """
     arr = _validated(d)
     with numeric_guard("marginal density"):
         # the slab alone is the mixture with spike weight 0
         out = _blockwise(_marginal_block, arr, _set_constants(0.0, params))
-    bad = out <= 0.0
-    if np.any(bad):
-        log.warning(
-            "marginal density rounded to <= 0 at %d point(s); clamping to tiny",
-            int(np.count_nonzero(bad)),
-        )
-        out = np.where(bad, _TINY, out)
+    out = np.where(out <= 0.0, _TINY, out)
     return out if out.ndim else float(out)
 
 

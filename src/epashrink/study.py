@@ -11,8 +11,7 @@ One pipeline serves both a single denoise and a study: it takes a stack of
 signals, shape (R, n), and a tuple of rules, and transforms the stack
 once. It elicits what no rule changes once for all rules: the finiteness
 check, the slab supports of all levels in one pass and the noise scale of
-each row, so an all-zero level's beta floor is logged once per stack, not
-once per rule. Then it takes the rules one at a time in one work array:
+each row. Then it takes the rules one at a time in one work array:
 each rule copies the coefficients into it and shrinks them there, the
 thresholds writing through their out=. Every step works row by row, so
 each row comes out bit for bit as it would alone. A denoise inverts the
@@ -45,8 +44,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-import operator
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -61,14 +58,15 @@ from .dwt import (
     make_daubechies_filter,
 )
 from .elicitation import (
+    BETA_FLOOR,
     ElicitationConfig,
     SigmaEstimator,
     alpha_level,
-    beta_level,
     estimate_sigma,
     lambda_from_s,
 )
-from .errors import ConfigError, EpashrinkError, InputError, NumericError, numeric_guard
+from .errors import (ConfigError, EpashrinkError, InputError, NumericError, _member, _scale,
+                     _whole, numeric_guard)
 from .shrinkage import _esr_levels, _rate
 from .signals import (
     Signal,
@@ -138,11 +136,15 @@ class RuleSpec:
 
     @property
     def label(self) -> str:
+        """The text parse reads back as this rule: a threshold in %g form
+        where that is the same number, else its repr."""
         if self.kind == "esr":
             return "esr"
         if self.threshold is None:
             return f"{self.kind}-universal"
-        return f"{self.kind}:{self.threshold:g}"
+        eta = float(self.threshold)
+        text = f"{eta:g}"
+        return f"{self.kind}:{text if float(text) == eta else repr(eta)}"
 
     @classmethod
     def parse(cls, text: str) -> "RuleSpec":
@@ -187,10 +189,10 @@ def _clamped_alpha(j: int, cfg: ElicitationConfig) -> float:
 def _slab_supports(pyramid: WaveletPyramid) -> np.ndarray:
     """The slab support of every detail level, shape (..., L): what
     beta_level gives each level, bit for bit, from one max and one min
-    reduction over the packed detail span. An all-zero level goes to
-    beta_level, which floors it and logs the floor. Raises InputError where
-    a signal's largest detail coefficient is positive but subnormal: its
-    noise-scale floor, relative to that coefficient, would underflow."""
+    reduction over the packed detail span, an all-zero level floored at
+    BETA_FLOOR. Raises InputError where a signal's largest detail
+    coefficient is positive but subnormal: its noise-scale floor, relative
+    to that coefficient, would underflow."""
     start = 2**pyramid.coarse_level
     span = pyramid.coeffs[..., start:]
     edges = [2**j - start for j in pyramid.levels()]
@@ -201,11 +203,7 @@ def _slab_supports(pyramid: WaveletPyramid) -> np.ndarray:
     if subnormal.any():
         raise InputError(f"the largest detail coefficient, {float(peak[subnormal][0])!r}, "
                          "is subnormal: rescale the signal into the normal range")
-    zero = betas == 0.0
-    if zero.any():
-        for i, block in enumerate(pyramid.details.values()):
-            if zero[..., i].any():
-                betas[..., i] = beta_level(block)
+    betas[betas == 0.0] = BETA_FLOOR
     return betas
 
 
@@ -232,8 +230,12 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
     units of the coefficients. A non-finite coefficient or rate, or an
     overflow while eliciting or applying the rule, raises NumericError. A
     signal whose largest detail coefficient is positive but below the
-    normal range (about 2.2e-308) raises InputError under every rule,
-    before any floor is logged.
+    normal range (about 2.2e-308) raises InputError under every rule.
+
+    Every floor and clamp shows only as the value it leaves here: an
+    all-zero level's slab support is BETA_FLOOR, the noise-scale estimate
+    at least SIGMA_FLOOR times the largest detail coefficient and a spike
+    weight within [ALPHA_MIN, ALPHA_MAX].
 
     The slab supports of all levels come from one pass over the detail
     span. The thresholds, which act element by element, shrink whole rows
@@ -378,14 +380,6 @@ def denoise(
 _FUNCTION_INDEX = {kind: i for i, kind in enumerate(TestFunctionKind)}
 
 
-def _function_kind(value) -> TestFunctionKind:
-    try:
-        return TestFunctionKind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"unknown test function {value!r}; available: "
-                          f"{[kind.value for kind in TestFunctionKind]}") from None
-
-
 def _rule_spec(value) -> RuleSpec:
     if isinstance(value, RuleSpec):
         return value
@@ -403,25 +397,6 @@ def _sequence(name: str, value):
     return value
 
 
-def _whole(name: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be a whole number, got {value!r}") from None
-
-
-def _scale(value) -> float | None:
-    """value as a Python float if it is a positive, finite real number,
-    else None."""
-    if not isinstance(value, numbers.Real):
-        return None
-    try:
-        value = float(value)
-    except OverflowError:  # an int past the largest double
-        return None
-    return value if 0.0 < value < math.inf else None
-
-
 @dataclass(frozen=True)
 class StudyConfig:
     """Grid and protocol of one Monte-Carlo study.
@@ -432,8 +407,9 @@ class StudyConfig:
     RuleSpec. functions, sizes, snrs and rules each take a sequence, not a
     bare string or number, and are stored as tuples. Any other function or
     rule, a size, replications, wavelet order or seed that is not a whole
-    number, or an SNR or target SD that is not a positive, finite real
-    number, raises ConfigError. SNRs and the target SD are stored as Python
+    number, an SNR or target SD that is not a positive, finite real number,
+    or an elicitation that is not an ElicitationConfig raises ConfigError
+    naming the field. SNRs and the target SD are stored as Python
     floats, so a numpy scalar scales as the equal float does and the
     config dumps to json as given.
     """
@@ -451,10 +427,12 @@ class StudyConfig:
     def __post_init__(self):
         # function names become TestFunctionKind and rule texts RuleSpec,
         # so a study fails only where its draws or rules do
-        fields = {"functions": tuple(map(_function_kind, _sequence("functions", self.functions))),
+        fields = {"functions": tuple(_member(TestFunctionKind, "test function", f)
+                                     for f in _sequence("functions", self.functions)),
                   "rules": tuple(map(_rule_spec, _sequence("rules", self.rules))),
                   "sizes": tuple(_whole("size", n) for n in _sequence("sizes", self.sizes)),
-                  "snrs": tuple(_sequence("snrs", self.snrs))}
+                  "snrs": tuple(_scale("snrs", snr) for snr in _sequence("snrs", self.snrs)),
+                  "target_sd": _scale("target_sd", self.target_sd)}
         for name in ("replications", "wavelet_order", "seed"):
             fields[name] = _whole(name, getattr(self, name))
         for name, value in fields.items():
@@ -466,6 +444,9 @@ class StudyConfig:
         for n in self.sizes:
             if n < 4 or n & (n - 1):
                 raise ConfigError(f"size {n} is not a power of two >= 4")
+        if not isinstance(self.elicitation, ElicitationConfig):
+            raise ConfigError(f"elicitation must be an ElicitationConfig, "
+                              f"got {self.elicitation!r}")
         depth = min(self.sizes).bit_length() - 1
         if self.elicitation.coarse_level >= depth:
             raise ConfigError(
@@ -476,14 +457,8 @@ class StudyConfig:
                 f"wavelet_order must be in 1..{MAX_ORDER}, got {self.wavelet_order}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        snrs = tuple(map(_scale, self.snrs))
-        if not snrs or None in snrs:
-            raise ConfigError(f"snrs must be positive and finite, got {self.snrs}")
-        target_sd = _scale(self.target_sd)
-        if target_sd is None:
-            raise ConfigError(f"target_sd must be positive and finite, got {self.target_sd}")
-        object.__setattr__(self, "snrs", snrs)
-        object.__setattr__(self, "target_sd", target_sd)
+        if not self.snrs:
+            raise ConfigError("snrs must not be empty")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if not self.rules:
@@ -760,11 +735,11 @@ def run_study(config: StudyConfig) -> StudyReport:
     chunks of whole rows of at most _CHUNK samples (4 MiB per array), so a
     chunk may hold the draws of more than one function (acceptance-desk's
     1200 draws at n = 2048 make 5 chunks). Each chunk's noise streams are
-    keyed in one pass, and each chunk is transformed and elicited once, so
-    an all-zero level's beta floor is logged once per chunk; then each rule
-    in turn copies the coefficients into the array of the chunk's draws,
-    dead once transformed, shrinks them there and scores them there in
-    place against the transform of each row's truth. Nothing is inverted.
+    keyed in one pass, and each chunk is transformed and elicited once;
+    then each rule in turn copies the coefficients into the array of the
+    chunk's draws, dead once transformed, shrinks them there and scores
+    them there in place against the transform of each row's truth. Nothing
+    is inverted.
     The truths at each n, their transforms and SDs are one stack, memoised
     per process (_truths). CellResult says what a sample is and how
     wall_time_s is shared out. The cells of all functions at one n come

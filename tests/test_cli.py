@@ -5,12 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epashrink
 from epashrink.cli import main, parse_study_config, read_signal_csv, write_signal_csv
@@ -298,6 +301,19 @@ class TestDenoiseCommand:
             "rescale the signal into the normal range"]
         assert not out.exists()
 
+    def test_all_zero_levels_are_floored_silently(self, tmp_path):
+        # a fresh process, so that stderr holds all it writes: the beta
+        # floor shows only as its value in the sidecar
+        inp = tmp_path / "zero.csv"
+        write_signal_csv(inp, np.zeros(64))
+        out = tmp_path / "out.csv"
+        result = _python("-m", "epashrink.cli", "denoise", str(inp), "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        report = json.loads((tmp_path / "out.csv.report.json").read_text())
+        assert [level["beta"] for level in report["levels"]] == [1e-8] * 6
+        assert read_signal_csv(out)[0].tolist() == [0.0] * 64
+
     def test_non_dyadic_needs_pad_policy(self, runner, tmp_path):
         inp = tmp_path / "odd.csv"
         write_signal_csv(inp, np.sin(np.arange(1000) / 50.0))
@@ -354,6 +370,56 @@ class TestDenoiseCommand:
         ])
         assert result.exit_code == 0, result.output
         assert replay.read_bytes() == out.read_bytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_a_run_replays_from_its_sidecar(self, data):
+        # random finite input and random valid flags: the flags read back
+        # from the sidecar write the same CSV and sidecar, byte for byte,
+        # and neither run writes to stderr
+        pad = data.draw(st.sampled_from([None, "reflect", "truncate"]))
+        n = data.draw(st.sampled_from([4, 8, 16, 64]) if pad is None else st.integers(5, 80))
+        dyadic = n if n & (n - 1) == 0 else 1 << (n.bit_length() - (pad == "truncate"))
+        value = st.floats(-1e6, 1e6).filter(lambda v: v == 0.0 or abs(v) > 1e-200)
+        samples = data.draw(st.lists(value, min_size=n, max_size=n))
+        rule = data.draw(st.sampled_from(["esr", "hard", "soft"]))
+        flags = ["--rule", rule]
+        if rule != "esr":
+            flags += ["--threshold", data.draw(st.one_of(
+                st.just("universal"), st.floats(0.0, 1e3).map(repr)))]
+        for name, low, high in (("gamma", 0.1, 5.0), ("l", 0.1, 4.0), ("c", 0.1, 10.0),
+                                ("tau", 0.1, 10.0)):
+            if name in ("c", "tau") and rule != "esr":
+                continue
+            if data.draw(st.booleans()):
+                flags += [f"--{name}", repr(data.draw(st.floats(low, high)))]
+        flags += ["--j0", str(data.draw(st.integers(0, dyadic.bit_length() - 2))),
+                  "--sigma", data.draw(st.sampled_from(["sd", "mad"])),
+                  "--wavelet-order", str(data.draw(st.integers(1, 10)))]
+        if pad is not None:
+            flags += ["--pad", pad]
+        runner = CliRunner()
+        with tempfile.TemporaryDirectory() as tmp:
+            inp, first, again = (Path(tmp) / name for name in ("in.csv", "a.csv", "b.csv"))
+            write_signal_csv(inp, np.array(samples))
+            result = runner.invoke(main, ["denoise", str(inp), *flags, "--out", str(first)])
+            assert result.exit_code == 0 and result.stderr == "", (flags, result.output)
+            report = json.loads(Path(f"{first}.report.json").read_text())
+            spec, cfg = RuleSpec.parse(report["rule"]), report["elicitation"]
+            replay = ["--rule", spec.kind, "--threshold",
+                      "universal" if spec.threshold is None else repr(spec.threshold),
+                      "--gamma", repr(cfg["gamma"]), "--l", repr(cfg["l"]),
+                      "--j0", str(cfg["coarse_level"]), "--sigma", cfg["sigma_estimator"],
+                      "--wavelet-order", str(report["wavelet_order"])]
+            if spec.kind == "esr":
+                replay += ["--c", repr(cfg["c"]), "--tau", repr(cfg["tau"])]
+            if report["pad"] is not None:
+                replay += ["--pad", report["pad"]]
+            result = runner.invoke(main, ["denoise", str(inp), *replay, "--out", str(again)])
+            assert result.exit_code == 0 and result.stderr == "", (replay, result.output)
+            assert again.read_bytes() == first.read_bytes()
+            assert Path(f"{again}.report.json").read_bytes() == \
+                Path(f"{first}.report.json").read_bytes()
 
     @pytest.mark.parametrize("rule", ["esr", "soft", "hard"])
     def test_sidecar_is_denoise_diagnostics(self, runner, tmp_path, rule):
@@ -1110,6 +1176,26 @@ def test_a_documented_rejection_exits_with_its_code_and_one_error_line(runner, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, option", [
+    (["denoise", "{input}", "--wavelet-order", "0", "--out", "{out}"], "--wavelet-order"),
+    (["denoise", "{input}", "--pad", "zero", "--out", "{out}"], "--pad"),
+    (["denoise", "{input}", "--rule", "bogus", "--out", "{out}"], "--rule"),
+    (["study", "--preset", "nope", "--out-dir", "{out}"], "--preset"),
+], ids=["wavelet-order", "pad", "rule", "preset"])
+def test_a_bad_option_value_is_a_usage_error(runner, tmp_path, args, option):
+    # click's form, not the package's: exit 2, a usage block and one
+    # Error: line naming the option; nothing is written
+    inp, out = tmp_path / "in.csv", tmp_path / "out"
+    _write_noisy_signal(inp, n=64)
+    result = runner.invoke(main, [a.format(input=inp, out=out) for a in args])
+    assert result.exit_code == 2 and result.stdout == ""
+    usage, hint, blank, error = result.stderr.splitlines()
+    assert usage.startswith(f"Usage: main {args[0]} [OPTIONS]")
+    assert hint == f"Try 'main {args[0]} --help' for help." and blank == ""
+    assert error.startswith(f"Error: Invalid value for '{option}': ")
+    assert list(tmp_path.iterdir()) == [inp]
+
+
 def _python(*args) -> subprocess.CompletedProcess:
     """A fresh Python process, run with these arguments on this source tree."""
     src = str(Path(epashrink.__file__).resolve().parents[1])
@@ -1122,10 +1208,12 @@ def _python(*args) -> subprocess.CompletedProcess:
 def test_cli_import_and_denoise_load_neither_scipy_nor_mpmath():
     """Neither scipy nor mpmath, nor numpy.polynomial (which only
     rule_statistics uses), is loaded by importing the CLI, by building
-    every filter or by a denoise: they stay off the cold-start path."""
+    every filter or by a denoise: they stay off the cold-start path. Nor is
+    logging: the package has no log channel, a floor or clamp showing as
+    its value (numpy and click load no logging either)."""
     code = (
         "import sys\n"
-        "heavy = lambda: [m for m in ('scipy', 'mpmath', 'numpy.polynomial')\n"
+        "heavy = lambda: [m for m in ('scipy', 'mpmath', 'numpy.polynomial', 'logging')\n"
         "                 if m in sys.modules]\n"
         "import epashrink.cli\n"
         "assert not heavy(), heavy()\n"

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from epashrink import (
     estimate_sigma,
     lambda_from_s,
 )
+from epashrink.elicitation import BETA_FLOOR
 from oracles import median_mad_sigma
 
 # spike weights for levels 5..9 at J0=5, gamma=2.4, l=2 (4-decimal table)
@@ -66,11 +68,10 @@ class TestBetaLevel:
     def test_max_abs(self):
         assert beta_level([-3.0, 1.0, 2.0]) == 3.0
 
-    def test_all_zero_block_floored(self, caplog):
-        with caplog.at_level("WARNING"):
-            val = beta_level([0.0, 0.0])
-        assert val == 1e-8
-        assert "all-zero" in caplog.text
+    def test_all_zero_block_floored(self):
+        # the floor shows only as the value it leaves
+        assert beta_level([0.0, 0.0]) == BETA_FLOOR == 1e-8
+        assert beta_level([-0.0, 0.0]) == BETA_FLOOR
 
     def test_empty_block_rejected(self):
         with pytest.raises(InputError):
@@ -201,12 +202,11 @@ def test_mad_with_a_nan_is_nan_as_the_median_is():
     assert list(np.isnan(got)) == [True, True, False, False]
 
 
-def test_beta_level_of_a_stack_floors_zero_rows(caplog):
+def test_beta_level_of_a_stack_floors_zero_rows():
     block = np.array([[-3.0, 1.0], [0.0, 0.0], [0.5, -0.25]])
-    with caplog.at_level("WARNING"):
-        betas = beta_level(block)
-    assert np.array_equal(betas, [3.0, 1e-8, 0.5])
-    assert "1 all-zero" in caplog.text
+    betas = beta_level(block)
+    assert np.array_equal(betas, [3.0, BETA_FLOOR, 0.5])
+    assert betas[1] == beta_level(block[1])
 
 
 class TestLambdaFromS:
@@ -254,6 +254,16 @@ class TestConfig:
         with pytest.raises(DomainError):
             ElicitationConfig(coarse_level=-1)
         for name in ("gamma", "l", "c", "tau"):
-            for value in (math.inf, -math.inf, math.nan):
+            for value in (math.inf, -math.inf, math.nan, "2", None, 10**400):
                 with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
                     ElicitationConfig(**{name: value})
+        # named when the config is built, not at the first denoise
+        for field, value, message in (
+                ("coarse_level", 1.5, "coarse_level must be a whole number, got 1.5"),
+                ("coarse_level", "1", "coarse_level must be a whole number, got '1'"),
+                ("sigma_estimator", "bogus", "unknown sigma_estimator 'bogus'; available: "
+                                             "['sd', 'mad']"),
+                ("sigma_estimator", None, "unknown sigma_estimator None; available: "
+                                          "['sd', 'mad']")):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                ElicitationConfig(**{field: value})

@@ -40,7 +40,7 @@ from epashrink import (
 )
 from epashrink.dwt import WaveletPyramid
 from epashrink.shrinkage import _BLOCK_COEFFS
-from epashrink.elicitation import beta_level, lambda_from_s
+from epashrink.elicitation import BETA_FLOOR, beta_level, lambda_from_s
 from epashrink import signals as signals_mod
 from epashrink.study import _denoise_stack, _noise_key, _noisy_rows, _slab_supports
 from oracles import per_level_esr_shrink
@@ -73,6 +73,19 @@ class TestRuleSpec:
         assert RuleSpec("esr").label == "esr"
         assert RuleSpec("soft").label == "soft-universal"
         assert RuleSpec("hard", 2.0).label == "hard:2"
+        # %g keeps 6 significant digits: past them the label is the repr
+        assert RuleSpec("soft", 2.123456789).label == "soft:2.123456789"
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["hard", "soft"]),
+           threshold=st.one_of(st.none(), st.floats(min_value=0.0)))
+    @example(kind="soft", threshold=2.123456789)
+    @example(kind="hard", threshold=math.inf)
+    @example(kind="hard", threshold=5e-324)
+    def test_a_label_parses_back_to_its_rule(self, kind, threshold):
+        spec = RuleSpec(kind, threshold)
+        again = RuleSpec.parse(spec.label)
+        assert again == spec and again.label == spec.label
 
 
 class TestMse:
@@ -313,6 +326,7 @@ class TestStudyConfigValidation:
         ("replications", 2.5, "replications must be a whole number, got 2.5"),
         ("wavelet_order", 10.0, "wavelet_order must be a whole number"),
         ("seed", "7", "seed must be a whole number"),
+        ("elicitation", None, "elicitation must be an ElicitationConfig, got None"),
     ])
     def test_a_field_of_the_wrong_kind_is_a_config_error(self, field, value, message):
         kwargs = dict(functions=(TestFunctionKind.BUMPS,), sizes=(64,),
@@ -633,14 +647,13 @@ def _stacked_test_pyramid():
 
 @pytest.mark.parametrize("rule", ["esr", "soft", "hard", "hard:4"])
 @pytest.mark.parametrize("sigma", list(SigmaEstimator))
-def test_shrink_pyramid_on_stack_matches_rows(rule, sigma, caplog):
+def test_shrink_pyramid_on_stack_matches_rows(rule, sigma):
     spec = RuleSpec.parse(rule)
     cfg = ElicitationConfig(sigma_estimator=sigma)
     stacked = _stacked_test_pyramid()
     rows = [WaveletPyramid(0, stacked.coeffs[r].copy()) for r in range(3)]
-    with caplog.at_level("WARNING"):
-        diag = shrink_pyramid(stacked, spec, cfg, 256)
-    assert "all-zero" in caplog.text
+    floored = beta_level(stacked.details[5][2])
+    diag = shrink_pyramid(stacked, spec, cfg, 256)
     for r, row in enumerate(rows):
         want = shrink_pyramid(row, spec, cfg, 256)
         assert np.array_equal(stacked.coeffs[r], row.coeffs)
@@ -651,7 +664,8 @@ def test_shrink_pyramid_on_stack_matches_rows(rule, sigma, caplog):
         key = "lambda" if spec.kind == "esr" else "eta"
         assert np.ndim(diag[key]) == (spec.threshold is None)
         assert (diag[key][r] if np.ndim(diag[key]) else diag[key]) == want[key]
-    assert diag["levels"][5]["beta"][2] == 1e-8  # the beta floor
+    # the beta floor, which shows only as its value
+    assert _bits(diag["levels"][5]["beta"][2]) == _bits(floored) == _bits(BETA_FLOOR)
     if spec.kind == "esr":
         # a * beta of the rule per row: some level straddles the series seam
         v = [np.sqrt(2.0 * diag["lambda"]) * level["beta"] for level in diag["levels"]]
@@ -718,18 +732,18 @@ def test_esr_shrink_across_the_seam_at_a_block_boundary_matches_per_level_oracle
 
 
 @pytest.mark.parametrize("sigma", list(SigmaEstimator))
-def test_esr_shrink_of_a_floored_level_at_a_huge_scale_matches_per_level_oracle(sigma, caplog):
+def test_esr_shrink_of_a_floored_level_at_a_huge_scale_matches_per_level_oracle(sigma):
     # an all-zero level gets the slab support 1e-8 while the noise scale is
     # about 1e150, so its b = a * beta is about 1e-158, whose 1/b^2 would
     # overflow: the direct side must never see a set of the series side
     rows = np.random.default_rng(5).standard_normal((2, 256)) * 1e150
     pyramid = dwt_forward(rows, make_daubechies_filter(10))
     pyramid.details[6][0] = 0.0
-    with caplog.at_level("WARNING"):
-        diag = _assert_esr_shrink_matches_per_level_oracle(pyramid, ElicitationConfig(
-            sigma_estimator=sigma))
-    assert "all-zero" in caplog.text
-    v = np.sqrt(2.0 * diag["lambda"]) * diag["levels"][6 - pyramid.coarse_level]["beta"]
+    diag = _assert_esr_shrink_matches_per_level_oracle(pyramid, ElicitationConfig(
+        sigma_estimator=sigma))
+    betas = diag["levels"][6 - pyramid.coarse_level]["beta"]
+    assert _bits(betas[0]) == _bits(beta_level(np.zeros(64))) == _bits(BETA_FLOOR)
+    v = np.sqrt(2.0 * diag["lambda"]) * betas
     assert v[0] < 1e-154 < v[1]
     assert np.isfinite(pyramid.coeffs).all() and not pyramid.details[6][0].any()
 
@@ -1010,40 +1024,34 @@ def test_a_failing_draw_fails_as_add_noise_would(case, chunk, monkeypatch):
 
 @pytest.mark.parametrize("coarse_level", [0, 3])
 @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
-def test_slab_supports_are_beta_level_per_level(coarse_level, scale, caplog):
-    # a stack with an all-zero level in one row, and a single signal
+def test_slab_supports_are_beta_level_per_level(coarse_level, scale):
+    # a stack with an all-zero level in one row, and a single signal: the
+    # floored level is BETA_FLOOR, as beta_level gives it
     stacked = _stacked_test_pyramid()
     stacked.coeffs[0] *= scale
     pyramid = WaveletPyramid(coarse_level, stacked.coeffs)
     for p in (pyramid, WaveletPyramid(coarse_level, pyramid.coeffs[2].copy())):
-        caplog.clear()
-        with caplog.at_level("WARNING"):
-            want = [beta_level(block) for block in p.details.values()]
-        want_log = [(r.levelname, r.getMessage()) for r in caplog.records]
-        caplog.clear()
-        with caplog.at_level("WARNING"):
-            betas = _slab_supports(p)
-        assert [(r.levelname, r.getMessage()) for r in caplog.records] == want_log
-        assert want_log == [("WARNING", "1 all-zero coefficient block(s); flooring beta at 1e-08")]
+        want = [beta_level(block) for block in p.details.values()]
+        betas = _slab_supports(p)
         assert betas.shape == (*p.coeffs.shape[:-1], len(want))
         for i, beta in enumerate(want):
-            assert np.array_equal(betas[..., i], beta)
+            assert np.array_equal(_bits(betas[..., i]), _bits(beta))
+        assert _bits(betas[..., 5 - coarse_level].reshape(-1)[-1]) == _bits(BETA_FLOOR)
+        assert np.count_nonzero(betas == BETA_FLOOR) == 1
 
 
 @pytest.mark.parametrize("rule", ["esr", "soft", "hard"])
 @pytest.mark.parametrize("sigma", list(SigmaEstimator))
-def test_subnormal_signal_is_an_input_error(rule, sigma, caplog):
+def test_subnormal_signal_is_an_input_error(rule, sigma):
     # at a peak of 1e-317 the sigma_hat floor, 1e-8 of the largest detail
     # coefficient, underflows to 0; every rule rejects the signal alone
     spike = np.zeros(512)
     spike[100] = 1e-317
     cfg = ElicitationConfig(sigma_estimator=sigma)
     for y in (spike, 1e-317 / 7.0 * generate_test_function("heavisine", 512).samples):
-        with caplog.at_level("WARNING"):
-            with pytest.raises(InputError, match=r"largest detail coefficient, .*e-31\d, "
-                                                 r"is subnormal"):
-                denoise(Signal(y), RuleSpec(rule), cfg)
-        assert not caplog.records
+        with pytest.raises(InputError, match=r"largest detail coefficient, .*e-31\d, "
+                                             r"is subnormal"):
+            denoise(Signal(y), RuleSpec(rule), cfg)
     # one subnormal row fails a stack; all-zero and normal rows do not
     rows = np.zeros((3, 512))
     rows[1] = 1e-100 * np.random.default_rng(1).standard_normal(512)
@@ -1116,13 +1124,13 @@ def test_a_batch_does_its_bookkeeping_once(monkeypatch):
     # per (function, n), the first time: one truth; per n: one SD for the
     # stack of its truths, the first time, and one reduction for the mse_sd
     # of all its cells; per n, in its one chunk: one reduction for the slab
-    # supports and one shrink per rule; no inverse transform, no per-level
-    # beta_level call and no add_noise call at all. A second run takes
-    # every truth and its SD from the memo
+    # supports and one shrink per rule; no inverse transform and no
+    # add_noise call at all. A second run takes every truth and its SD from
+    # the memo
     import epashrink.study as study_mod
 
     calls = {"generate": 0, "truth sd": 0, "mse_sd": 0, "supports": 0, "shrinks": 0,
-             "inverses": 0, "beta_level": 0, "add_noise": 0}
+             "inverses": 0, "add_noise": 0}
 
     def counting(name, fn, key=None):
         def wrapper(*args, **kwargs):
@@ -1136,8 +1144,7 @@ def test_a_batch_does_its_bookkeeping_once(monkeypatch):
     monkeypatch.setattr(study_mod, "scaled_std", counting(None, study_mod.scaled_std, which_std))
     for name, attr in (("generate", "generate_test_function"),
                        ("supports", "_slab_supports"), ("shrinks", "shrink_pyramid"),
-                       ("inverses", "dwt_inverse"), ("beta_level", "beta_level"),
-                       ("add_noise", "add_noise")):
+                       ("inverses", "dwt_inverse"), ("add_noise", "add_noise")):
         monkeypatch.setattr(study_mod, attr, counting(name, getattr(study_mod, attr)))
     config = StudyConfig(
         functions=(TestFunctionKind.BUMPS, TestFunctionKind.DOPPLER),
@@ -1150,11 +1157,11 @@ def test_a_batch_does_its_bookkeeping_once(monkeypatch):
     )
     run_study(config)
     assert calls == {"generate": 4, "truth sd": 2, "mse_sd": 2, "supports": 2, "shrinks": 6,
-                     "inverses": 0, "beta_level": 0, "add_noise": 0}
+                     "inverses": 0, "add_noise": 0}
     calls.update(dict.fromkeys(calls, 0))
     run_study(config)
     assert calls == {"generate": 0, "truth sd": 0, "mse_sd": 2, "supports": 2, "shrinks": 6,
-                     "inverses": 0, "beta_level": 0, "add_noise": 0}
+                     "inverses": 0, "add_noise": 0}
 
 
 @pytest.mark.usefixtures("cold_truths")
@@ -1318,19 +1325,6 @@ def test_a_multi_rule_batch_matches_one_denoise_per_draw_and_rule(
                 (level["level"], level["alpha"], level["beta"]) for level in want["levels"]]
 
 
-def test_an_all_zero_level_is_logged_once_per_batch(caplog):
-    # the slab supports are elicited once for all rules of a batch: the
-    # floor of each of the zero row's 8 detail levels is logged once, not
-    # once per rule
-    rows = np.random.default_rng(4).standard_normal((3, 256))
-    rows[1] = 0.0
-    with caplog.at_level("WARNING"):
-        list(_denoise_stack(rows, _BATCH_RULES, benchmark_elicitation(),
-                            make_daubechies_filter(10))[1])
-    assert [r.getMessage() for r in caplog.records] == [
-        "1 all-zero coefficient block(s); flooring beta at 1e-08"] * 8
-
-
 # ---------------------------------------------------------------------------
 # one batch per n against one study per (function, n)
 
@@ -1485,14 +1479,24 @@ def test_every_rule_shrinks_and_is_scored_in_the_chunk_s_draws(monkeypatch):
 
 class TestPlainNumbers:
     def test_a_float32_scale_is_the_equal_float(self):
-        # SNRs and the target SD are stored as Python floats, so float32
-        # ones give the report of the equal floats, bit for bit
+        # SNRs, the target SD and the elicitation's numbers are stored as
+        # Python floats and ints, and its estimator as a SigmaEstimator, so
+        # numpy scalars give the report of the equal plain values, bit for bit
         grid = dict(functions=("bumps",), sizes=(64,), replications=2,
                     rules=("esr", "soft"), seed=3)
-        config = StudyConfig(**grid, snrs=(np.float32(0.5),), target_sd=np.float32(7.0))
+        elicitation = ElicitationConfig(gamma=np.float32(2), l=np.float64(1), c=np.int64(3),
+                                        tau=5, sigma_estimator="sd", coarse_level=np.int64(1))
+        config = StudyConfig(**grid, snrs=(np.float32(0.5),), target_sd=np.float32(7.0),
+                             elicitation=elicitation)
         assert type(config.snrs[0]) is float and type(config.target_sd) is float
+        assert [type(getattr(elicitation, name)) for name in ("gamma", "l", "c", "tau")] == \
+            [float] * 4
+        assert type(elicitation.coarse_level) is int
+        assert elicitation.sigma_estimator is SigmaEstimator.SAMPLE_SD
+        plain = ElicitationConfig(gamma=2.0, l=1.0, c=3.0, tau=5.0,
+                                  sigma_estimator=SigmaEstimator.SAMPLE_SD, coarse_level=1)
         assert _values(run_study(config)) == _values(
-            run_study(StudyConfig(**grid, snrs=(0.5,), target_sd=7.0)))
+            run_study(StudyConfig(**grid, snrs=(0.5,), target_sd=7.0, elicitation=plain)))
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -1503,16 +1507,25 @@ class TestPlainNumbers:
         seed=st.integers(0, 1000),
         real=st.sampled_from([float, np.float16, np.float32, np.float64]),
         whole=st.sampled_from([int, np.int32, np.int64, np.uint16]),
+        gamma=st.floats(0.5, 4.0),
+        coarse_level=st.integers(0, 2),
     )
     def test_a_report_of_numpy_scalar_fields_dumps_to_json(self, sizes, snrs, target_sd,
-                                                           replications, seed, real, whole):
+                                                           replications, seed, real, whole,
+                                                           gamma, coarse_level):
         import json
 
+        elicitation = ElicitationConfig(gamma=real(gamma), l=real(1.5), c=real(1.0),
+                                        tau=real(2.0), sigma_estimator="sd",
+                                        coarse_level=whole(coarse_level))
         config = StudyConfig(functions=("bumps", "blocks"), sizes=[whole(n) for n in sizes],
                              snrs=np.array(snrs, dtype=real), replications=whole(replications),
-                             rules=("esr", "soft"), wavelet_order=whole(4), seed=whole(seed),
-                             target_sd=real(target_sd))
+                             rules=("esr", "soft"), elicitation=elicitation,
+                             wavelet_order=whole(4), seed=whole(seed), target_sd=real(target_sd))
         parsed = json.loads(json.dumps(run_study(config).to_dict()))
         assert parsed["config"]["snrs"] == [float(real(snr)) for snr in snrs]
         assert parsed["config"]["target_sd"] == float(real(target_sd))
         assert parsed["config"]["sizes"] == sizes
+        assert parsed["config"]["elicitation"] == {
+            "gamma": float(real(gamma)), "l": 1.5, "c": 1.0, "tau": 2.0,
+            "sigma_estimator": "sd", "coarse_level": coarse_level}
