@@ -184,20 +184,35 @@ def _to_dyadic(samples: np.ndarray, pad: str | None):
 # ---------------------------------------------------------------------------
 # study config files
 
-_LIST_KEYS = {"functions", "sizes", "snrs", "rules"}
-_SCALAR_KEYS = {
-    "replications", "gamma", "l", "c", "tau", "j0", "sigma",
-    "wavelet_order", "seed", "target_sd",
+def _listed(read):
+    """The reader of a comma-separated list of what read reads."""
+    return lambda text: tuple(read(item.strip()) for item in text.split(",") if item.strip())
+
+
+# each key of a study config file: the StudyConfig or ElicitationConfig
+# field it sets, and the reader of its text
+_KEYS = {
+    "functions": ("functions", _listed(str.lower)), "sizes": ("sizes", _listed(int)),
+    "snrs": ("snrs", _listed(float)), "rules": ("rules", _listed(str)),
+    "replications": ("replications", int), "wavelet_order": ("wavelet_order", int),
+    "seed": ("seed", int), "target_sd": ("target_sd", float),
+    "gamma": ("gamma", float), "l": ("l", float), "c": ("c", float), "tau": ("tau", float),
+    "j0": ("coarse_level", int), "sigma": ("sigma_estimator", str),
 }
+_ELICITATION_FIELDS = {f.name for f in dataclasses.fields(ElicitationConfig)}
 
 
 def parse_study_config(text: str, source: str = "<config>") -> StudyConfig:
     """Parse the flat key-value study format (one `key = value` per line).
 
-    Lists are comma separated. Unknown keys and malformed values are
-    reported with their line number.
+    Each key sets one field of the StudyConfig or of its
+    ElicitationConfig (_KEYS); lists are comma separated. The text is only
+    read here, as ints, floats or text: the configs check every field and
+    give every omitted key its default. Unknown and duplicate keys and
+    values that cannot be read are reported with their line number, and
+    every error is a ConfigError.
     """
-    raw: dict[str, str] = {}
+    fields: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -206,57 +221,26 @@ def parse_study_config(text: str, source: str = "<config>") -> StudyConfig:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in stripped.split("=", 1))
         key = key.lower().replace("-", "_")
-        if key not in _LIST_KEYS | _SCALAR_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        if key in raw:
+        name, read = _KEYS[key]
+        if name in fields:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         if not value:
             raise ConfigError(f"{source}:{lineno}: empty value for {key!r}")
-        raw[key] = value
-
-    def split(key):
-        return [v.strip() for v in raw[key].split(",") if v.strip()]
-
-    def require(key):
-        if key not in raw:
-            raise ConfigError(f"{source}: missing required key {key!r}")
-
-    for key in ("functions", "sizes", "snrs", "replications", "rules"):
-        require(key)
+        try:
+            fields[name] = read(value)
+        except ValueError as exc:
+            raise ConfigError(f"{source}:{lineno}: cannot read {key!r}: {exc}") from None
+    for f in dataclasses.fields(StudyConfig):
+        # a field with neither a default nor a default factory
+        if f.name not in fields and f.default is f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{source}: missing required key {f.name!r}")
+    elicitation = {name: fields.pop(name) for name in _ELICITATION_FIELDS & fields.keys()}
     try:
-        functions = tuple(TestFunctionKind(v.lower()) for v in split("functions"))
-    except ValueError as exc:
-        raise ConfigError(f"{source}: bad function name: {exc}") from None
-    try:
-        sizes = tuple(int(v) for v in split("sizes"))
-        snrs = tuple(float(v) for v in split("snrs"))
-        replications = int(raw["replications"])
-    except ValueError as exc:
-        raise ConfigError(f"{source}: bad numeric value: {exc}") from None
-    rules = tuple(RuleSpec.parse(v) for v in split("rules"))
-
-    try:
-        elicitation = ElicitationConfig(
-            gamma=float(raw.get("gamma", _ELICITATION.gamma)),
-            l=float(raw.get("l", _ELICITATION.l)),
-            c=float(raw.get("c", _ELICITATION.c)),
-            tau=float(raw.get("tau", _ELICITATION.tau)),
-            sigma_estimator=raw.get("sigma", _ELICITATION.sigma_estimator),
-            coarse_level=int(raw.get("j0", _ELICITATION.coarse_level)),
-        )
-        return StudyConfig(
-            functions=functions,
-            sizes=sizes,
-            snrs=snrs,
-            replications=replications,
-            rules=rules,
-            elicitation=elicitation,
-            wavelet_order=int(raw.get("wavelet_order", _STUDY["wavelet_order"])),
-            seed=int(raw.get("seed", _STUDY["seed"])),
-            target_sd=float(raw.get("target_sd", _STUDY["target_sd"])),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{source}: bad value: {exc}") from None
+        return StudyConfig(**fields, elicitation=ElicitationConfig(**elicitation))
+    except EpashrinkError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError, _member, _scale, _whole
+from .errors import DomainError, InputError, _floats, _member, _scale, _whole
 from .signals import scaled_std
 
 BETA_FLOOR = 1e-8
@@ -66,16 +66,21 @@ def alpha_level(j: int, coarse_level: int, gamma: float, l: float) -> float:
     """Level-dependent spike weight 1 - (j - J0 + l)^(-gamma).
 
     Increasing in j: finer levels are shrunk more aggressively. Requires
-    j - J0 + l > 1 so the weight is strictly positive.
+    j - J0 + l > 1 so the weight is strictly positive, and j, J0, gamma
+    and l within the double range; DomainError otherwise.
     """
     if j < coarse_level:
         raise DomainError(f"level {j} below coarse level {coarse_level}")
-    base = j - coarse_level + l
-    if base <= 1.0:
-        raise DomainError(
-            f"j - J0 + l = {base} must exceed 1 for a positive spike weight"
-        )
-    return 1.0 - base ** (-gamma)
+    try:
+        base = j - coarse_level + l
+        if base <= 1.0:
+            raise DomainError(
+                f"j - J0 + l = {base} must exceed 1 for a positive spike weight"
+            )
+        return 1.0 - base ** (-gamma)
+    except (OverflowError, TypeError):
+        raise DomainError("j, J0, gamma and l must be real numbers within the double range, "
+                          f"got {j!r}, {coarse_level!r}, {gamma!r} and {l!r}") from None
 
 
 def beta_level(details_j):
@@ -126,11 +131,18 @@ def lambda_from_s(s, c: float = 1.0, tau: float = 2.0):
 
     lambda(s) = 1/s^2 + (c/tau) exp(-s/tau): behaves like 1/s^2 for small s
     and decays exponentially for large s; strictly decreasing for c > 0.
-    s is a number or an array, and the result has its shape.
+    s is a number or an array, and the result has its shape. A
+    nonpositive s, c or tau, or one past the double range, is a
+    DomainError.
     """
-    s = np.asarray(s, dtype=float)
+    s = _floats("s", s, DomainError)
     if not np.all(s > 0.0):
         raise DomainError(f"s must be positive, got {s}")
+    try:
+        c, tau = float(c), float(tau)
+    except (OverflowError, TypeError, ValueError):
+        raise DomainError("c and tau must be real numbers within the double range, "
+                          f"got {c!r} and {tau!r}") from None
     if not (c > 0.0 and tau > 0.0):
         raise DomainError("c and tau must be positive")
     lam = 1.0 / np.square(s) + (c / tau) * np.exp(-s / tau)

@@ -71,12 +71,28 @@ def _member(kind, name: str, value, error=ConfigError):
                     f"{[member.value for member in kind]}") from None
 
 
-def _scale(name: str, value, error=ConfigError) -> float:
-    """value as a Python float if it is a positive, finite real number,
-    else error naming the field."""
+def _real(name: str, value, rule: str, accept, error=ConfigError) -> float:
+    """value as a Python float if it is a real number that accept takes,
+    else error saying that the field named name rule."""
     try:
-        if isinstance(value, numbers.Real) and 0.0 < float(value) < math.inf:
+        if isinstance(value, numbers.Real) and accept(float(value)):
             return float(value)
     except OverflowError:  # an int past the largest double
         pass
-    raise error(f"{name} must be positive and finite, got {value}")
+    raise error(f"{name} {rule}, got {value!r}")
+
+
+def _scale(name: str, value, error=ConfigError) -> float:
+    """value as a Python float if it is a positive, finite real number,
+    else error naming the field."""
+    return _real(name, value, "must be positive and finite",
+                 lambda x: 0.0 < x < math.inf, error)
+
+
+def _floats(name: str, value, error) -> np.ndarray:
+    """np.asarray(value, dtype=float), or error naming the field where
+    that fails, as it does for an int past the largest double."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise error(f"{name} must be real numbers within the double range: {exc}") from None

@@ -78,7 +78,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InputError, NumericError, numeric_guard
+from .errors import DomainError, InputError, NumericError, _floats, _real, _scale, numeric_guard
 
 __all__ = [
     "MixturePriorParams",
@@ -106,7 +106,9 @@ class MixturePriorParams:
 
     alpha: spike weight in (0, 1); beta: slab half-support; lam: rate of
     the exponential prior on the noise variance. Each is a number (or a
-    0-d array); an array field of one or more dimensions is an InputError.
+    0-d array), stored as a Python float; an array field of one or more
+    dimensions is an InputError, and a value out of range a DomainError
+    naming the field.
     """
 
     alpha: float
@@ -120,12 +122,13 @@ class MixturePriorParams:
         if shapes:
             raise InputError("MixturePriorParams takes one parameter set: alpha, beta and "
                              f"lambda must be numbers, got shapes {shapes}")
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 0.0 < self.beta < math.inf:
-            raise DomainError(f"beta must be positive and finite, got {self.beta}")
-        if not 0.0 < self.lam < math.inf:
-            raise DomainError(f"lambda must be positive and finite, got {self.lam}")
+        # a 0-d array is the number it holds
+        alpha, beta, lam = (value[()] if isinstance(value, np.ndarray) else value
+                            for value in (self.alpha, self.beta, self.lam))
+        object.__setattr__(self, "alpha", _real("alpha", alpha, "must lie in (0, 1)",
+                                                lambda x: 0.0 < x < 1.0, DomainError))
+        object.__setattr__(self, "beta", _scale("beta", beta, DomainError))
+        object.__setattr__(self, "lam", _scale("lambda", lam, DomainError))
 
     @property
     def noise_scale(self) -> float:
@@ -135,7 +138,7 @@ class MixturePriorParams:
 
 def _validated(d) -> np.ndarray:
     """d as a float array, checked to be finite."""
-    arr = np.asarray(d, dtype=float)
+    arr = _floats("coefficient values", d, InputError)
     if not np.isfinite(arr).all():
         raise InputError("coefficient values must be finite")
     return arr
@@ -218,10 +221,10 @@ def _set_constants(alpha: float, params: MixturePriorParams) -> _Constants:
     the slab alone), as Python floats. A slab support whose cube
     overflows, which puts the slab density 3/(4 beta^3) out of range,
     raises NumericError."""
-    beta = float(params.beta)
+    beta = params.beta
     if beta * beta * beta == math.inf:
         raise NumericError(f"slab support {beta!r} is out of range: its cube overflows")
-    return _rule_constants(float(alpha), beta, float(_rate(params.lam)))
+    return _rule_constants(alpha, beta, float(_rate(params.lam)))
 
 
 def _slab_series(s: np.ndarray, v):
@@ -470,8 +473,7 @@ class DoubleExponential:
     reach = 80.0
 
     def __post_init__(self):
-        if not 0.0 < self.lam < math.inf:
-            raise DomainError(f"lambda must be positive and finite, got {self.lam}")
+        object.__setattr__(self, "lam", _scale("lambda", self.lam, DomainError))
 
     @property
     def scale(self) -> float:
@@ -499,8 +501,7 @@ class Gaussian:
     reach = 13.0
 
     def __post_init__(self):
-        if not 0.0 < self.sigma < math.inf:
-            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
+        object.__setattr__(self, "sigma", _scale("sigma", self.sigma, DomainError))
 
     @property
     def scale(self) -> float:
@@ -599,12 +600,10 @@ def rule_statistics(
     than assembled from the moments, so risk == bias_sq + variance is a
     meaningful cross-check on the result.
     """
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise InputError(f"theta must be finite, got {theta}")
+    theta = _real("theta", theta, "must be finite", math.isfinite, InputError)
     if noise is None:
         noise = DoubleExponential(params.lam)
-    beta = float(params.beta)
+    beta = params.beta
     with numeric_guard(f"rule statistics at theta={theta}"):
         reach = noise.reach * noise.scale
         lo, hi = max(-beta - theta, -reach), min(beta - theta, reach)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError, NumericError, numeric_guard
+from .errors import DomainError, InputError, NumericError, _scale, _whole, numeric_guard
 
 __all__ = [
     "Signal",
@@ -122,8 +122,7 @@ def generate_test_function(
     kind = TestFunctionKind(kind)
     if n < 2 or n & (n - 1):
         raise InputError(f"n must be a power of two >= 2, got {n}")
-    if not 0.0 < target_sd < math.inf:
-        raise DomainError(f"target_sd must be positive and finite, got {target_sd}")
+    target_sd = _scale("target_sd", target_sd, DomainError)
     x = np.arange(1, n + 1) / n
     f = _raw_test_function(kind, x)
     sd = float(np.std(f))
@@ -137,11 +136,9 @@ def generate_test_function(
 
 def noise_rng(seed) -> np.random.Generator:
     """Philox generator for a seed key (an int or a tuple of ints), each
-    entry >= 0."""
-    if isinstance(seed, (int, np.integer)):
-        key = (int(seed),)
-    else:
-        key = tuple(int(s) for s in seed)
+    entry >= 0; DomainError naming an entry that is not a whole number."""
+    entries = seed if np.ndim(seed) else (seed,)
+    key = tuple(_whole("seed entry", entry, DomainError) for entry in entries)
     if any(k < 0 for k in key):
         raise DomainError(f"seed entries must be >= 0, got {key}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
@@ -288,8 +285,7 @@ def add_noise(truth: Signal, snr: float, seed) -> Signal:
     of the returned signal. Deterministic for a given seed key. Raises
     NumericError if a noisy sample overflows.
     """
-    if not 0.0 < snr < math.inf:
-        raise DomainError(f"snr must be positive and finite, got {snr}")
+    snr = _scale("snr", snr, DomainError)
     f = truth.samples
     sd = scaled_std(f)
     if sd == 0.0:

@@ -65,8 +65,8 @@ from .elicitation import (
     estimate_sigma,
     lambda_from_s,
 )
-from .errors import (ConfigError, EpashrinkError, InputError, NumericError, _member, _scale,
-                     _whole, numeric_guard)
+from .errors import (ConfigError, EpashrinkError, InputError, NumericError, _member, _real,
+                     _scale, _whole, numeric_guard)
 from .shrinkage import _esr_levels, _rate
 from .signals import (
     Signal,
@@ -119,8 +119,9 @@ class RuleSpec:
     """One shrinkage or thresholding rule under test.
 
     kind is "esr", "hard" or "soft"; for the thresholding kinds,
-    threshold is either a fixed positive value or None for the universal
-    policy sigma_hat * sqrt(2 ln n).
+    threshold is either a fixed value or None for the universal policy
+    sigma_hat * sqrt(2 ln n). A fixed value is a real number >= 0, inf
+    included, stored as a Python float; any other is a ConfigError.
     """
 
     kind: str
@@ -131,8 +132,9 @@ class RuleSpec:
             raise ConfigError(f"unknown rule kind {self.kind!r}")
         if self.kind == "esr" and self.threshold is not None:
             raise ConfigError("the esr rule takes no threshold")
-        if self.threshold is not None and not self.threshold >= 0.0:
-            raise ConfigError(f"threshold must be >= 0, got {self.threshold}")
+        if self.threshold is not None:
+            object.__setattr__(self, "threshold", _real(
+                "threshold", self.threshold, "must be >= 0", lambda eta: eta >= 0.0))
 
     @property
     def label(self) -> str:
@@ -142,7 +144,7 @@ class RuleSpec:
             return "esr"
         if self.threshold is None:
             return f"{self.kind}-universal"
-        eta = float(self.threshold)
+        eta = self.threshold
         text = f"{eta:g}"
         return f"{self.kind}:{text if float(text) == eta else repr(eta)}"
 

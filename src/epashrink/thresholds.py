@@ -1,7 +1,9 @@
 """Classical keep-or-kill and shrink-by-eta thresholding baselines.
 
 A threshold is a number, or an array that broadcasts against the
-coefficients, such as a column with one threshold per row of a stack.
+coefficients, such as a column with one threshold per row of a stack. A
+threshold below 0, given as text or past the double range is a
+DomainError.
 """
 
 from __future__ import annotations
@@ -10,13 +12,17 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, _floats
 
 __all__ = ["hard_threshold", "soft_threshold", "universal_threshold"]
 
 
 def _check_eta(eta):
-    eta = np.asarray(eta, dtype=float)
+    """eta as a float array (a number for a number); DomainError unless it
+    holds numbers, not text, that are >= 0 and within the double range."""
+    if np.asarray(eta).dtype.kind in "SU":
+        raise DomainError(f"threshold must be a number, got {eta!r}")
+    eta = _floats("threshold", eta, DomainError)
     if not np.all(eta >= 0.0):
         raise DomainError(f"threshold must be >= 0, got {eta}")
     return eta if eta.ndim else float(eta)
@@ -84,7 +90,7 @@ def universal_threshold(sigma_hat, n):
     sigma_hat is a number, or an array of them (one threshold each).
     Raises NumericError if the product overflows.
     """
-    sigma_hat = np.asarray(sigma_hat, dtype=float)
+    sigma_hat = _floats("sigma_hat", sigma_hat, DomainError)
     if not np.all(sigma_hat > 0.0):
         raise DomainError(f"sigma_hat must be positive, got {sigma_hat}")
     if not n >= 2:

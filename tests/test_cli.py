@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -22,6 +23,7 @@ from epashrink import (
     ElicitationConfig,
     RuleSpec,
     Signal,
+    StudyConfig,
     add_noise,
     denoise,
     generate_test_function,
@@ -111,11 +113,39 @@ class TestConfigParser:
             parse_study_config("functions = bumps\nsizes = 64\nsnrs = 1\nrules = esr\n")
 
     def test_bad_value_reported(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^<config>:2: cannot read 'sizes': "):
             parse_study_config(
                 "functions = bumps\nsizes = sixty\nsnrs = 1\n"
                 "replications = 1\nrules = esr\n"
             )
+
+    def test_every_key_sets_its_config_field(self):
+        cfg = parse_study_config(
+            "functions = Bumps, doppler\nsizes = 64, 128\nsnrs = 0.5, 3\n"
+            "replications = 2\nrules = esr, SOFT:2.5\ngamma = 2\nl = 1\nc = 3\n"
+            "tau = 4\nj0 = 1\nsigma = sd\nwavelet-order = 4\nseed = 9\ntarget_sd = 5\n")
+        assert cfg == StudyConfig(
+            functions=("bumps", "doppler"), sizes=(64, 128), snrs=(0.5, 3.0), replications=2,
+            rules=("esr", "soft:2.5"), wavelet_order=4, seed=9, target_sd=5.0,
+            elicitation=ElicitationConfig(gamma=2.0, l=1.0, c=3.0, tau=4.0,
+                                          coarse_level=1, sigma_estimator="sd"))
+
+    def test_an_omitted_key_takes_the_library_default(self):
+        cfg = parse_study_config("functions = bumps\nsizes = 64\nsnrs = 1\n"
+                                 "replications = 1\nrules = esr\n")
+        assert cfg == StudyConfig(functions=("bumps",), sizes=(64,), snrs=(1.0,),
+                                  replications=1, rules=("esr",))
+
+    @pytest.mark.parametrize("line, message", [
+        ("gamma = 0", "gamma must be positive and finite, got 0.0"),
+        ("sigma = bogus", "unknown sigma_estimator 'bogus'"),
+        ("rules = median", "cannot parse rule 'median'"),
+    ])
+    def test_a_value_the_configs_reject_is_a_config_error(self, line, message):
+        text = ("functions = bumps\nsizes = 64\nsnrs = 1\nreplications = 1\n"
+                f"{'' if line.startswith('rules') else 'rules = esr'}\n{line}\n")
+        with pytest.raises(ConfigError, match=f"^cfg: {re.escape(message)}"):
+            parse_study_config(text, source="cfg")
 
     def test_empty_rules_rejected(self):
         with pytest.raises(ConfigError):
@@ -1147,7 +1177,7 @@ _REJECTIONS = {
                              3, "{input}:6: duplicate key 'snrs'"),
     "bad function name": ("study.cfg", _STUDY_CFG.replace("heavisine", "sawtooth"),
                           ["study", "{input}", "--out-dir", "{out}"],
-                          3, "{input}: bad function name: "),
+                          3, "{input}: unknown test function 'sawtooth'; available: "),
     "threshold abc": ("in.csv", None, ["denoise", "{input}", "--rule", "soft",
                                        "--threshold", "abc", "--out", "{out}"],
                       3, "--threshold must be 'universal' or a number, got 'abc'"),

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from epashrink import STUDY_PRESETS, add_noise, generate_test_function
-from epashrink.cli import main, write_signal_csv
+from epashrink.cli import _KEYS, main, write_signal_csv
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -39,6 +39,13 @@ def test_the_readme_has_the_examples_this_module_runs():
             "study"} <= set(commands)
     assert [block.splitlines()[0] for block in _blocks("ini")] == ["# study.cfg",
                                                                    "# doppler.cfg"]
+
+
+def test_the_study_cfg_block_sets_exactly_the_keys_the_parser_reads():
+    [study_cfg] = [block for block in _blocks("ini") if block.startswith("# study.cfg")]
+    settings = [line.split("#", 1)[0] for line in study_cfg.splitlines()]
+    assert sorted(line.split("=", 1)[0].strip() for line in settings if "=" in line) == \
+        sorted(_KEYS)
 
 
 def test_the_python_quick_start_runs():

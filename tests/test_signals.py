@@ -179,6 +179,12 @@ class TestNoise:
         with pytest.raises(DomainError, match="seed entries must be >= 0"):
             noise_rng(seed)
 
+    @pytest.mark.parametrize("seed, entry", [((1.5,), "1.5"), (1.5, "1.5"), ("a", "'a'")])
+    def test_a_seed_entry_that_is_not_a_whole_number_is_named(self, seed, entry):
+        # (1.5,) is not read as the key (1,)
+        with pytest.raises(DomainError, match=f"^seed entry must be a whole number, got {entry}$"):
+            noise_rng(seed)
+
     def test_noise_is_serially_uncorrelated(self):
         truth = generate_test_function("heavisine", 2048, 7.0)
         noisy = add_noise(truth, snr=1.0, seed=313)

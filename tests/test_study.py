@@ -40,7 +40,10 @@ from epashrink import (
 )
 from epashrink.dwt import WaveletPyramid
 from epashrink.shrinkage import _BLOCK_COEFFS
-from epashrink.elicitation import BETA_FLOOR, beta_level, lambda_from_s
+from epashrink.elicitation import BETA_FLOOR, alpha_level, beta_level, lambda_from_s
+from epashrink.shrinkage import (DoubleExponential, Gaussian, MixturePriorParams, esr,
+                                 marginal_m, rule_statistics)
+from epashrink.thresholds import hard_threshold, soft_threshold, universal_threshold
 from epashrink import signals as signals_mod
 from epashrink.study import _denoise_stack, _noise_key, _noisy_rows, _slab_supports
 from oracles import per_level_esr_shrink
@@ -1529,3 +1532,79 @@ class TestPlainNumbers:
         assert parsed["config"]["elicitation"] == {
             "gamma": float(real(gamma)), "l": 1.5, "c": 1.0, "tau": 2.0,
             "sigma_estimator": "sd", "coarse_level": coarse_level}
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        functions=st.lists(st.sampled_from(list(TestFunctionKind)), min_size=1, max_size=2),
+        sizes=st.lists(st.sampled_from([8, 16, 32]), min_size=1, max_size=2),
+        snrs=st.lists(st.floats(0.05, 50.0), min_size=1, max_size=2),
+        target_sd=st.floats(0.1, 100.0),
+        real=st.sampled_from([np.float32, np.float64]),
+        rules=st.lists(st.sampled_from(["esr", "soft", "hard-universal", "soft:2.123456789",
+                                        "hard:0.1", "soft:inf"]),
+                       min_size=1, max_size=3),
+        sigma=st.sampled_from(list(SigmaEstimator)),
+        replications=st.integers(1, 2),
+        seed=st.integers(0, 1000),
+    )
+    def test_a_study_replays_from_its_summary(self, functions, sizes, snrs, target_sd, real,
+                                              rules, sigma, replications, seed):
+        # the config summary.json records rebuilds the config, and that
+        # config reruns the study to the same cells, bit for bit
+        import json
+
+        config = StudyConfig(functions=functions, sizes=sizes,
+                             snrs=[real(snr) for snr in snrs], replications=replications,
+                             rules=rules, elicitation=ElicitationConfig(sigma_estimator=sigma),
+                             seed=seed, target_sd=real(target_sd))
+        report = run_study(config)
+        recorded = json.loads(json.dumps(report.to_dict()))["config"]
+        replayed = StudyConfig(**{**recorded,
+                                  "elicitation": ElicitationConfig(**recorded["elicitation"])})
+        assert replayed == config
+        assert _values(run_study(replayed)) == _values(report)
+
+
+@pytest.mark.parametrize("call, error, field", [
+    (lambda: esr(10**400, MixturePriorParams(0.9, 6.0, 3.0)), InputError, "coefficient values"),
+    (lambda: marginal_m(10**400, MixturePriorParams(0.9, 6.0, 3.0)), InputError,
+     "coefficient values"),
+    (lambda: hard_threshold(np.ones(4), 10**400), DomainError, "threshold"),
+    (lambda: soft_threshold(np.ones(4), 10**400), DomainError, "threshold"),
+    (lambda: hard_threshold(np.ones(4), "1"), DomainError, "threshold"),
+    (lambda: soft_threshold(np.ones(4), "1"), DomainError, "threshold"),
+    (lambda: universal_threshold(10**400, 8), DomainError, "sigma_hat"),
+    (lambda: lambda_from_s(1.0, 10**400), DomainError, "c and tau"),
+    (lambda: rule_statistics(10**400, MixturePriorParams(0.9, 6.0, 3.0)), InputError, "theta"),
+    (lambda: alpha_level(3, 0, 10**400, 2.0), DomainError, "j, J0, gamma and l"),
+    (lambda: alpha_level(3, 0, 2.0, 10**400), DomainError, "j, J0, gamma and l"),
+    (lambda: alpha_level(10**400, 0, 2.0, 2.0), DomainError, "j, J0, gamma and l"),
+    (lambda: RuleSpec("soft", 10**400), ConfigError, "threshold"),
+], ids=["esr", "marginal_m", "hard", "soft", "hard text", "soft text", "universal",
+        "lambda_from_s", "rule_statistics", "alpha_level gamma", "alpha_level l", "alpha_level j",
+        "RuleSpec"])
+def test_a_number_past_the_double_range_or_text_is_the_error_its_docstring_names(call, error,
+                                                                                 field):
+    with pytest.raises(error, match=f"^{re.escape(field)} "):
+        call()
+
+
+_PARAMETERS = {
+    "MixturePriorParams.alpha": lambda v: MixturePriorParams(v, 6.0, 3.0).alpha,
+    "MixturePriorParams.beta": lambda v: MixturePriorParams(0.9, v, 3.0).beta,
+    "MixturePriorParams.lam": lambda v: MixturePriorParams(0.9, 6.0, v).lam,
+    "DoubleExponential.lam": lambda v: DoubleExponential(v).lam,
+    "Gaussian.sigma": lambda v: Gaussian(v).sigma,
+    "RuleSpec.threshold": lambda v: RuleSpec("soft", v).threshold,
+}
+
+
+@pytest.mark.parametrize("parameter", list(_PARAMETERS))
+def test_a_parameter_is_stored_as_a_float_or_rejected_by_name(parameter):
+    make, field = _PARAMETERS[parameter], parameter.split(".")[1]
+    for value in (10**400, "2", (1.5,)):
+        with pytest.raises(EpashrinkError, match={"lam": "lambda"}.get(field, field)):
+            make(value)
+    for value in (np.float32(0.5),) if field == "alpha" else (np.float32(0.5), True, 2):
+        stored = make(value)
+        assert type(stored) is float and stored == float(value)
