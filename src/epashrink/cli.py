@@ -10,12 +10,12 @@ is an input error, as is an input that cannot be read or is not UTF-8.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import json
 import math
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import click
@@ -54,10 +54,6 @@ _ELICITATION = ElicitationConfig()
 _STUDY = {f.name: f.default for f in dataclasses.fields(StudyConfig)}
 
 
-def _fmt(value: float) -> str:
-    return _FMT % value
-
-
 # ---------------------------------------------------------------------------
 # file boundary
 
@@ -83,16 +79,6 @@ def _output_path(path) -> Path:
     if not path.parent.is_dir():
         raise InputError(f"cannot write {path}: no directory {path.parent}")
     return path
-
-
-@contextlib.contextmanager
-def _writing(path):
-    """An output file open for writing text; InputError if it cannot be."""
-    try:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            yield fh
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def read_signal_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
@@ -138,28 +124,37 @@ def read_signal_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def write_signal_csv(path, samples: np.ndarray, truth: np.ndarray | None = None):
-    with _writing(path) as fh:
-        if truth is None:
-            fh.write("y\n")
-            for v in samples:
-                fh.write(_fmt(v) + "\n")
-        else:
-            fh.write("y,f\n")
-            for v, t in zip(samples, truth):
-                fh.write(_fmt(v) + "," + _fmt(t) + "\n")
+    """samples, and truth beside them if given, under the header y or
+    y,f, one row per sample."""
+    samples = np.asarray(samples).tolist()
+    if truth is None:
+        text = "y\n" + "".join(map((_FMT + "\n").__mod__, samples))
+    else:
+        text = "y,f\n" + "".join(map((_FMT + "," + _FMT + "\n").__mod__,
+                                     zip(samples, np.asarray(truth).tolist())))
+    _write_text(path, text)
 
 
 def write_table_csv(path, header: list[str], rows):
-    with _writing(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+    """header, then one line per row of a table whose columns each hold
+    one kind of value: a column whose first entry is a float is written
+    with 17 significant digits, any other as its text."""
+    rows = [tuple(row) for row in rows]
+    line = ",".join(_FMT if isinstance(v, float) else "%s" for v in rows[0]) if rows else ""
+    _write_text(path, ",".join(header) + "\n" + "".join(map((line + "\n").__mod__, rows)))
+
+
+def _write_text(path, text: str) -> None:
+    """text into an output file, in one write; InputError if it cannot
+    be written."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json(path, value) -> None:
-    with _writing(path) as fh:
-        fh.write(json.dumps(value, indent=2) + "\n")
+    _write_text(path, json.dumps(value, indent=2) + "\n")
 
 
 def _to_dyadic(samples: np.ndarray, pad: str | None):
@@ -385,8 +380,8 @@ def cmd_coeffs(input_path, rule, threshold, gamma, l, c, tau, j0, sigma,
         blocks = [("scaling", pyramid.coarse_level, pyramid.scaling)]
         blocks += [("detail", j, block) for j, block in pyramid.details.items()]
         for name, level, block in blocks:
-            for position, value in enumerate(np.abs(block).tolist()):
-                yield (name, level, position, value)
+            values = np.abs(block).tolist()
+            yield from zip(repeat(name), repeat(level), range(len(values)), values)
 
     header = ["block", "level", "position", "magnitude"]
     write_table_csv(emp_path, header, rows(out.empirical))

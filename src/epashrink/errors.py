@@ -90,9 +90,16 @@ def _scale(name: str, value, error=ConfigError) -> float:
 
 
 def _floats(name: str, value, error) -> np.ndarray:
-    """np.asarray(value, dtype=float), or error naming the field where
-    that fails, as it does for an int past the largest double."""
+    """value as a float array, or error naming the field where it is text
+    (str or bytes, or an array of them), which numpy would parse as
+    numbers, or where the conversion fails, as it does for an int past
+    the largest double."""
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value)
+        text = arr.dtype.kind in "SU" or (
+            arr.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat))
+        if not text:
+            return arr.astype(float, copy=False)
     except (OverflowError, TypeError, ValueError) as exc:
         raise error(f"{name} must be real numbers within the double range: {exc}") from None
+    raise error(f"{name} must be real numbers, not text")

@@ -542,23 +542,54 @@ def _gauss_legendre() -> tuple:
     return rule
 
 
+# entries kept by each memo of rule_statistics: (prior, noise model)
+# pairs, and panel offset tables; the criterion-6 profiles use 8 pairs
+_SETUPS = 64
+
+
+@functools.lru_cache(maxsize=_SETUPS)
+def _statistics_setup(params: MixturePriorParams,
+                      noise: DoubleExponential | Gaussian | None) -> tuple:
+    """The parts of rule_statistics that depend on the prior and the noise
+    model alone, made once per pair while it is among the last _SETUPS
+    used: the model (the double exponential with the prior's own lambda
+    for None), its reach in units of d, the panel length scale h and the
+    rule's constants. A failure raises on every call, since lru_cache
+    keeps no exceptions."""
+    if noise is None:
+        noise = DoubleExponential(params.lam)
+    return (noise, noise.reach * noise.scale, min(noise.scale, params.noise_scale),
+            _set_constants(params.alpha, params))
+
+
+@functools.lru_cache(maxsize=_SETUPS)
+def _panel_offsets(h: float, count: int) -> np.ndarray:
+    """The read-only distances h (g^k - 1) / (g - 1), k < count, of the
+    edges of graded panels from an interval end (g = _GROWTH)."""
+    k = np.arange(count)
+    offsets = h * np.expm1(k * math.log(_GROWTH)) / (_GROWTH - 1.0)
+    offsets.setflags(write=False)
+    return offsets
+
+
 def _graded_panels(points: list, h: float) -> np.ndarray:
     """Panel edges covering [points[0], points[-1]].
 
     Each interval between consecutive breakpoints is filled from both ends
     with panels of widths h, h*g, h*g^2, ... (g = _GROWTH) that meet in its
     middle, so an interval of length L takes about 2 log(L/h) / log(g)
-    panels, however small h is.
+    panels, however small h is. Each interval takes the offsets below its
+    half length from the front of one memoised table (_panel_offsets).
     """
     pts = np.asarray(points, dtype=float)
-    half = 0.5 * np.diff(pts)
-    # distance of the k-th edge from an interval end: h (g^k - 1) / (g - 1)
-    q = _GROWTH - 1.0
-    k = np.arange(math.ceil(math.log1p(q * half.max() / h) / math.log(_GROWTH)) + 1)
-    offsets = h * np.expm1(k * math.log(_GROWTH)) / q
+    half = 0.5 * (pts[1:] - pts[:-1])
+    count = math.ceil(math.log1p((_GROWTH - 1.0) * half.max() / h) / math.log(_GROWTH)) + 1
+    offsets = _panel_offsets(h, count)
     edges = [pts]
-    for lo, hi, m in zip(pts[:-1], pts[1:], half):
-        inner = offsets[offsets < m]
+    # Python floats: lo + m lies between the interval's finite ends
+    ends = pts.tolist()
+    for lo, hi, m in zip(ends[:-1], ends[1:], half.tolist()):
+        inner = offsets[:offsets.searchsorted(m)]
         edges += [lo + inner, hi - inner, [lo + m]]
     return np.unique(np.concatenate(edges))
 
@@ -580,18 +611,24 @@ def rule_statistics(
     only at 0 (the spike likelihood) and at +-beta (the plateau), and the
     double-exponential density only at theta. That range, cut to the noise
     model's reach around theta (beyond it lies mass below 1e-34), is
-    summed by a composite 24-point Gauss-Legendre rule, with one vectorised
-    esr call and one noise.pdf call. The panels are one length scale wide
-    at every breakpoint (the smaller of the noise scale and the rule's own
-    1/sqrt(2 lam)) and widen by a sixteenth per panel away from it. Both
-    noise models are location families, so the sum runs over the offset
-    u = d - theta, where the density is evaluated exactly however narrow
-    it is.
+    summed by a composite 24-point Gauss-Legendre rule, with one pass of
+    the rule's kernel and one noise.pdf call. The panels are one length
+    scale wide at every breakpoint (the smaller of the noise scale and the
+    rule's own 1/sqrt(2 lam)) and widen by a sixteenth per panel away from
+    it. Both noise models are location families, so the sum runs over the
+    offset u = d - theta, where the density is evaluated exactly however
+    narrow it is.
 
     Cost: a noise density narrower than the rule takes under 100 panels; a
     wide one over a sharp rule adds about 130 panels per factor e in beta
     over the length scale (1200 at lambda = 1e12 under unit Gaussian
-    noise), so the cost stays bounded at any lambda or noise scale.
+    noise), so the cost stays bounded at any lambda or noise scale. A
+    theta pays only for its breakpoints, its nodes, one pass of the rule's
+    kernel (the plateau node beta rides along as the last node) and three
+    dot products. The set-up that depends on the prior and the noise model
+    alone (the model's reach, the length scale and the rule's constants)
+    is memoised per (params, noise) pair, and the panel offsets per
+    (length scale, count); each memo keeps the _SETUPS entries used last.
 
     Accuracy: the sum agrees with adaptive quadrature to about 5e-11, the
     quadrature's own error (the tests keep it as an oracle), and with a
@@ -601,23 +638,24 @@ def rule_statistics(
     meaningful cross-check on the result.
     """
     theta = _real("theta", theta, "must be finite", math.isfinite, InputError)
-    if noise is None:
-        noise = DoubleExponential(params.lam)
     beta = params.beta
     with numeric_guard(f"rule statistics at theta={theta}"):
-        reach = noise.reach * noise.scale
+        noise, reach, h, k = _statistics_setup(params, noise)
         lo, hi = max(-beta - theta, -reach), min(beta - theta, reach)
         u = w = np.zeros(0)
         if lo < hi:
             points = sorted({lo, hi} | {p for p in (-theta, 0.0) if lo < p < hi})
-            edges = _graded_panels(points, min(noise.scale, params.noise_scale))
+            edges = _graded_panels(points, h)
             mid = 0.5 * (edges[1:] + edges[:-1])
-            half = 0.5 * np.diff(edges)
+            half = 0.5 * (edges[1:] - edges[:-1])
             nodes, weights = _gauss_legendre()
             u = (mid[:, None] + half[:, None] * nodes).ravel()
             w = (half[:, None] * weights).ravel() * noise.pdf(u, 0.0)
-        # the plateau value esr(beta) rides along as the last node
-        r = esr(np.append(theta + u, beta), params)
+        # the plateau value, the rule at beta, rides along as the last node
+        d = np.empty(u.size + 1)
+        np.add(u, theta, out=d[:-1])
+        d[-1] = beta
+        r = _blockwise(_esr_block, d, k)
         r, plateau = r[:-1], float(r[-1])
         p_hi = noise.sf(beta, theta)
         p_lo = 1.0 - noise.sf(-beta, theta)

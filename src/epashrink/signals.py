@@ -110,6 +110,11 @@ def _raw_test_function(kind: TestFunctionKind, x: np.ndarray) -> np.ndarray:
     raise DomainError(f"unknown test function {kind!r}")
 
 
+# numpy arrays span at most 2**63 - 1 bytes, so a float array at most
+# 2**60 - 1 samples; this is the longest power of two within that
+_MAX_SAMPLES = 2**59
+
+
 def generate_test_function(
     kind: TestFunctionKind | str, n: int, target_sd: float = 7.0
 ) -> Signal:
@@ -120,8 +125,9 @@ def generate_test_function(
     raises DomainError.
     """
     kind = TestFunctionKind(kind)
-    if n < 2 or n & (n - 1):
-        raise InputError(f"n must be a power of two >= 2, got {n}")
+    n = _whole("n", n, InputError)
+    if not 2 <= n <= _MAX_SAMPLES or n & (n - 1):
+        raise InputError(f"n must be a power of two from 2 to 2**59, got {n}")
     target_sd = _scale("target_sd", target_sd, DomainError)
     x = np.arange(1, n + 1) / n
     f = _raw_test_function(kind, x)

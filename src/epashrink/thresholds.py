@@ -20,8 +20,6 @@ __all__ = ["hard_threshold", "soft_threshold", "universal_threshold"]
 def _check_eta(eta):
     """eta as a float array (a number for a number); DomainError unless it
     holds numbers, not text, that are >= 0 and within the double range."""
-    if np.asarray(eta).dtype.kind in "SU":
-        raise DomainError(f"threshold must be a number, got {eta!r}")
     eta = _floats("threshold", eta, DomainError)
     if not np.all(eta >= 0.0):
         raise DomainError(f"threshold must be >= 0, got {eta}")

@@ -5,8 +5,10 @@ reference closed form in beta and lambda that the rule had before it was
 put in the dimensionless u and b, the closed form in u and b evaluated the
 slow way, unblocked and one detail level per call, and the slow paths
 that faster code replaced: the transform steps with np.roll, the MAD noise
-scale by np.median, the thresholds by np.where and np.sign, and the bumps
-and blocks test functions summed jump by jump."""
+scale by np.median, the thresholds by np.where and np.sign, the bumps
+and blocks test functions summed jump by jump, rule_statistics with its
+set-up redone on every call, and the CLI's CSV writers one row at a
+time."""
 
 from __future__ import annotations
 
@@ -15,13 +17,14 @@ import math
 import numpy as np
 from scipy import integrate
 
-from epashrink import DomainError, InputError, MixturePriorParams, NumericError
+from epashrink import (DomainError, DoubleExponential, InputError, MixturePriorParams,
+                       NumericError, RuleStatistics, esr)
 from epashrink.dwt import _CHANNEL_OUTPUTS, _step_matrix
 from epashrink.elicitation import (MAD_CONSISTENCY, beta_level, estimate_sigma,
                                    lambda_from_s)
-from epashrink.errors import numeric_guard
-from epashrink.shrinkage import (_SERIES_V, _TINY, _blockwise, _log, _magnitude, _rate,
-                                 _set_constants, _validated)
+from epashrink.errors import _real, numeric_guard
+from epashrink.shrinkage import (_GROWTH, _SERIES_V, _TINY, _blockwise, _gauss_legendre,
+                                 _log, _magnitude, _rate, _set_constants, _validated)
 from epashrink.signals import (_BLOCK_HEIGHTS, _BUMP_HEIGHTS, _BUMP_WIDTHS, _JUMPS,
                                TestFunctionKind)
 from epashrink.study import SIGMA_FLOOR, _clamped_alpha
@@ -308,3 +311,75 @@ def looped_test_function(kind, x):
         for t0, h in zip(_JUMPS, _BLOCK_HEIGHTS):
             f += h * (1.0 + np.sign(x - t0)) / 2.0
     return f
+
+
+def masked_graded_panels(points: list, h: float) -> np.ndarray:
+    """shrinkage._graded_panels with its offsets made afresh on every call
+    and cut to each interval by a boolean mask."""
+    pts = np.asarray(points, dtype=float)
+    half = 0.5 * np.diff(pts)
+    q = _GROWTH - 1.0
+    k = np.arange(math.ceil(math.log1p(q * half.max() / h) / math.log(_GROWTH)) + 1)
+    offsets = h * np.expm1(k * math.log(_GROWTH)) / q
+    edges = [pts]
+    for lo, hi, m in zip(pts[:-1], pts[1:], half):
+        inner = offsets[offsets < m]
+        edges += [lo + inner, hi - inner, [lo + m]]
+    return np.unique(np.concatenate(edges))
+
+
+def per_call_rule_statistics(theta, params: MixturePriorParams, noise=None) -> RuleStatistics:
+    """rule_statistics with the noise model's reach, the length scale and
+    the panel offsets made on every call, and the rule through the public
+    esr, its nodes with the plateau node beta appended."""
+    theta = _real("theta", theta, "must be finite", math.isfinite, InputError)
+    if noise is None:
+        noise = DoubleExponential(params.lam)
+    beta = params.beta
+    with numeric_guard(f"rule statistics at theta={theta}"):
+        reach = noise.reach * noise.scale
+        lo, hi = max(-beta - theta, -reach), min(beta - theta, reach)
+        u = w = np.zeros(0)
+        if lo < hi:
+            points = sorted({lo, hi} | {p for p in (-theta, 0.0) if lo < p < hi})
+            edges = masked_graded_panels(points, min(noise.scale, params.noise_scale))
+            mid = 0.5 * (edges[1:] + edges[:-1])
+            half = 0.5 * np.diff(edges)
+            nodes, weights = _gauss_legendre()
+            u = (mid[:, None] + half[:, None] * nodes).ravel()
+            w = (half[:, None] * weights).ravel() * noise.pdf(u, 0.0)
+        r = esr(np.append(theta + u, beta), params)
+        r, plateau = r[:-1], float(r[-1])
+        p_hi = noise.sf(beta, theta)
+        p_lo = 1.0 - noise.sf(-beta, theta)
+        mean = float(w @ r) + plateau * (p_hi - p_lo)
+        variance = (float(w @ (r - mean) ** 2) + (plateau - mean) ** 2 * p_hi
+                    + (plateau + mean) ** 2 * p_lo)
+        risk = (float(w @ (r - theta) ** 2) + (plateau - theta) ** 2 * p_hi
+                + (plateau + theta) ** 2 * p_lo)
+        bias_sq = (mean - theta) ** 2
+    return RuleStatistics(bias_sq=bias_sq, variance=variance, risk=risk)
+
+
+def per_row_write_signal_csv(path, samples, truth=None):
+    """cli.write_signal_csv one write per row, each sample a numpy
+    scalar formatted with 17 significant digits."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if truth is None:
+            fh.write("y\n")
+            for v in samples:
+                fh.write("%.17g" % v + "\n")
+        else:
+            fh.write("y,f\n")
+            for v, t in zip(samples, truth):
+                fh.write("%.17g" % v + "," + "%.17g" % t + "\n")
+
+
+def per_row_write_table_csv(path, header, rows):
+    """cli.write_table_csv one write per row, each field a float written
+    with 17 significant digits or else as its text."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join("%.17g" % v if isinstance(v, float) else str(v)
+                              for v in row) + "\n")

@@ -17,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epashrink
-from epashrink.cli import main, parse_study_config, read_signal_csv, write_signal_csv
+from epashrink import cli as cli_module
+from epashrink.cli import (main, parse_study_config, read_signal_csv, write_signal_csv,
+                           write_table_csv)
 from epashrink import (
     ConfigError,
     ElicitationConfig,
@@ -29,6 +31,7 @@ from epashrink import (
     generate_test_function,
     study_preset,
 )
+from oracles import per_row_write_signal_csv, per_row_write_table_csv
 
 
 @pytest.fixture
@@ -81,6 +84,69 @@ class TestSignalIO:
 
         with pytest.raises(InputError):
             read_signal_csv("/nonexistent/file.csv")
+
+
+class TestCsvWritersMatchPerRowOracle:
+    """Each file is built as one string and written once; its bytes are
+    those of the writers that wrote it row by row."""
+
+    COMMANDS = {
+        "denoise": ["denoise", "in.csv", "--out", "out.csv"],
+        "coeffs": ["coeffs", "in.csv", "--out-prefix", "c"],
+        "generate": ["generate", "--kind", "doppler", "--n", "256", "--out", "g.csv"],
+        "generate-noisy": ["generate", "--kind", "bumps", "--n", "256", "--snr", "2",
+                           "--seed", "5", "--out", "g.csv"],
+        "rule-curve": ["rule-curve", "--alpha", "0.9", "--beta", "6", "--lambda", "3",
+                       "--points", "41", "--eta", "1.5", "--out", "curve.csv"],
+        "rule-stats": ["rule-stats", "--alpha", "0.8", "--alpha", "0.95", "--beta", "6",
+                       "--lambda", "3", "--points", "5", "--out", "stats.csv"],
+        "study": ["study", "--preset", "smoke", "--out-dir", "res"],
+    }
+
+    def _outputs(self, runner, monkeypatch, args, directory):
+        directory.mkdir()
+        _write_noisy_signal(directory / "in.csv")
+        monkeypatch.chdir(directory)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        return {path.relative_to(directory): path.read_bytes()
+                for path in sorted(directory.rglob("*.csv"))}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_files_are_byte_identical(self, runner, tmp_path, monkeypatch, command):
+        args = self.COMMANDS[command]
+        got = self._outputs(runner, monkeypatch, args, tmp_path / "new")
+        monkeypatch.setattr(cli_module, "write_signal_csv", per_row_write_signal_csv)
+        monkeypatch.setattr(cli_module, "write_table_csv", per_row_write_table_csv)
+        want = self._outputs(runner, monkeypatch, args, tmp_path / "old")
+        if command == "study":  # the timing column differs from run to run
+            for files in (got, want):
+                table = files[Path("res/report.csv")].decode().splitlines()
+                column = table[0].split(",").index("wall_time_s")
+                files[Path("res/report.csv")] = [
+                    [f for i, f in enumerate(line.split(",")) if i != column]
+                    for line in table]
+        assert len(got) > 1 and got == want
+
+    def test_mixed_columns_and_numpy_values(self, tmp_path):
+        rows = [["a", 1, np.float64(0.1), 2.5e-310, -0.0, True, 2**60],
+                ["bc", -3, 1e300, np.float64(-np.inf), np.nan, False, 7]]
+        header = ["s", "i", "x", "y", "z", "b", "big"]
+        write_table_csv(tmp_path / "new.csv", header, iter(rows))
+        per_row_write_table_csv(tmp_path / "old.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        write_table_csv(tmp_path / "empty.csv", header, [])
+        assert (tmp_path / "empty.csv").read_text() == "s,i,x,y,z,b,big\n"
+
+    @pytest.mark.parametrize("dtype", [float, np.float32, np.int64])
+    def test_signal_columns_of_any_dtype(self, tmp_path, dtype):
+        rng = np.random.default_rng(4)
+        y = (rng.standard_normal(33) * 1e5).astype(dtype)
+        f = (rng.standard_normal(33) * 1e-5).astype(dtype)
+        for truth in (None, f):
+            write_signal_csv(tmp_path / "new.csv", y, truth)
+            per_row_write_signal_csv(tmp_path / "old.csv", y, truth)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestConfigParser:

@@ -25,8 +25,8 @@ from epashrink import (
     marginal_m,
     rule_statistics,
 )
-from oracles import (delta_slab, epanechnikov_pdf, posterior_mean_oracle, reference_esr,
-                     unblocked_esr)
+from oracles import (delta_slab, epanechnikov_pdf, per_call_rule_statistics,
+                     posterior_mean_oracle, reference_esr, unblocked_esr)
 
 PARAMS = MixturePriorParams(alpha=0.95, beta=6.0, lam=3.0)
 # a slab so narrow that the marginal takes its series side
@@ -382,6 +382,37 @@ class TestRuleStatisticsAgainstQuadrature:
                 assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref)), (what, theta, got, ref)
 
 
+def _outcome(func, *args):
+    """The three statistics of func(*args) as bit patterns, or the class
+    of the error it raises."""
+    try:
+        s = func(*args)
+    except Exception as exc:
+        return type(exc)
+    return tuple(np.float64(v).tobytes() for v in (s.bias_sq, s.variance, s.risk))
+
+
+@settings(max_examples=150, deadline=None)
+@given(alpha=st.floats(0.01, 0.999), log_beta=st.floats(-3.0, 3.0),
+       log_lam=st.floats(-6.0, 12.0), where=st.floats(-3.0, 3.0),
+       model=st.sampled_from(["default", "dexp", "gaussian"]),
+       log_noise=st.floats(-6.0, 3.0))
+def test_rule_statistics_matches_per_call_oracle_bit_for_bit(alpha, log_beta, log_lam, where,
+                                                           model, log_noise):
+    # the memoised set-up and offset table, and the kernel on nodes made
+    # in place, give what the set-up made afresh on every call and the
+    # public esr gave; |where| > 1 puts theta beyond the support, and past
+    # the reach of a narrow noise model. log_noise is log10 of the double
+    # exponential's lambda or of the Gaussian's sigma, and -theta is served
+    # from the memo
+    params = MixturePriorParams(alpha, 10.0 ** log_beta, 10.0 ** log_lam)
+    noise = {"default": None, "dexp": DoubleExponential(10.0 ** log_noise),
+             "gaussian": Gaussian(10.0 ** log_noise)}[model]
+    for theta in (where * params.beta, -where * params.beta):
+        assert (_outcome(rule_statistics, theta, params, noise)
+                == _outcome(per_call_rule_statistics, theta, params, noise))
+
+
 class TestRuleStatisticsExtremeScales:
     """Length scales far below beta. Adaptive quadrature misses the noise
     density there: at theta = 3 it returns bias_sq = 9 with risk 0.
@@ -395,14 +426,16 @@ class TestRuleStatisticsExtremeScales:
 
     @pytest.fixture
     def esr_sizes(self, monkeypatch):
-        """Sizes of the arguments rule_statistics passes to esr."""
+        """Sizes of the node arrays on which rule_statistics evaluates the
+        rule, through shrinkage._blockwise, which runs the kernel."""
         sizes = []
+        blockwise = shrinkage._blockwise
 
-        def counting_esr(d, p):
-            sizes.append(np.size(d))
-            return esr(d, p)
+        def counting_blockwise(block_fn, arr, k):
+            sizes.append(np.size(arr))
+            return blockwise(block_fn, arr, k)
 
-        monkeypatch.setattr(shrinkage, "esr", counting_esr)
+        monkeypatch.setattr(shrinkage, "_blockwise", counting_blockwise)
         return sizes
 
     @pytest.mark.parametrize("params, noise, noise_var", [

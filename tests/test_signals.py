@@ -125,6 +125,14 @@ class TestGenerators:
         with pytest.raises(InputError):
             generate_test_function("bumps", 1000)
 
+    @pytest.mark.parametrize("n, reason", [
+        (64.0, "whole number"), ("64", "whole number"), (2**70, "power of two"),
+        (2**60, "power of two"),
+    ])
+    def test_a_bad_size_is_an_input_error_naming_n(self, n, reason):
+        with pytest.raises(InputError, match=f"^n must be a {reason}"):
+            generate_test_function("bumps", n)
+
     def test_bad_sd_rejected(self):
         with pytest.raises(DomainError):
             generate_test_function("bumps", 64, target_sd=0.0)

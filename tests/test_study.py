@@ -1589,6 +1589,23 @@ def test_a_number_past_the_double_range_or_text_is_the_error_its_docstring_names
         call()
 
 
+@pytest.mark.parametrize("text", ["2", b"2", ["1", "2"], np.array(["2"]),
+                                  np.array([1.0, "2"], dtype=object)],
+                         ids=["str", "bytes", "list", "str array", "object array"])
+@pytest.mark.parametrize("call, error, field", [
+    (lambda v: esr(v, MixturePriorParams(0.9, 6.0, 3.0)), InputError, "coefficient values"),
+    (lambda v: marginal_m(v, MixturePriorParams(0.9, 6.0, 3.0)), InputError,
+     "coefficient values"),
+    (lambda v: lambda_from_s(v), DomainError, "s"),
+    (lambda v: universal_threshold(v, 64), DomainError, "sigma_hat"),
+    (lambda v: hard_threshold(np.ones(4), v), DomainError, "threshold"),
+], ids=["esr", "marginal_m", "lambda_from_s", "universal", "hard"])
+def test_text_is_not_read_as_numbers(call, error, field, text):
+    # numpy would parse "2" as 2.0
+    with pytest.raises(error, match=f"^{re.escape(field)} must be real numbers, not text"):
+        call(text)
+
+
 _PARAMETERS = {
     "MixturePriorParams.alpha": lambda v: MixturePriorParams(v, 6.0, 3.0).alpha,
     "MixturePriorParams.beta": lambda v: MixturePriorParams(0.9, v, 3.0).beta,
