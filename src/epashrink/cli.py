@@ -86,14 +86,18 @@ def read_signal_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
 
     Returns (samples, truth-or-None). The second column, when present, is
     interpreted as the noiseless truth (the layout "y,f" that `generate`
-    emits).
+    emits). Blank lines are skipped; the header, if any, is the first line
+    that is not blank.
     """
     path = Path(path)
     text = _read_text(path)
     ys: list[float] = []
     fs: list[float] = []
     saw_truth = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    # the line number of the first line that is not blank, which may be a header
+    header = next((i for i, raw in enumerate(lines, start=1) if raw.strip()), 0)
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -101,7 +105,7 @@ def read_signal_csv(path) -> tuple[np.ndarray, np.ndarray | None]:
         try:
             values = [float(f) for f in fields if f != ""]
         except ValueError:
-            if lineno == 1:  # header row
+            if lineno == header:
                 continue
             raise InputError(f"{path}: non-numeric value on line {lineno}: {raw!r}")
         if not values:

@@ -21,10 +21,12 @@ of its shrunk coefficients against the transform of the truth
 (Parseval), and the study scores the coefficients.
 
 A study runs the pipeline once per n, on the draws of every function at
-that n, function-major, each row drawn and scored against its own
-function's truth. The draws are stacked in chunks of whole rows of at most
-_CHUNK samples, which may span functions: acceptance-desk's 1200 draws per
-n make 2 chunks at n = 512, 3 at 1024 and 5 at 2048. The draws are dead
+that n, row by row (function, then SNR, then replication), each row drawn
+and scored against its own function's truth; it fails in the same order,
+with the error of the first row that fails alone. The draws are stacked in
+chunks of whole rows of at most _CHUNK samples, which may span functions:
+acceptance-desk's 1200 draws per n make 2 chunks at n = 512, 3 at 1024 and
+5 at 2048. The draws are dead
 once transformed, so their array is the chunk's work array: each rule's
 coefficients are copied into it, shrunk there and scored there in place,
 with no array of the chunk's size made per rule. A chunk's noise streams
@@ -45,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,7 +67,7 @@ from .elicitation import (
     estimate_sigma,
     lambda_from_s,
 )
-from .errors import (ConfigError, EpashrinkError, InputError, NumericError, _member, _real,
+from .errors import (ConfigError, InputError, NumericError, _member, _real,
                      _scale, _whole, numeric_guard)
 from .shrinkage import _esr_levels, _rate
 from .signals import (
@@ -407,12 +409,15 @@ class StudyConfig:
     their kinds by value ("bumps") and rules by the text RuleSpec.parse
     reads ("esr", "soft:2.5"); both are stored as TestFunctionKind and
     RuleSpec. functions, sizes, snrs and rules each take a sequence, not a
-    bare string or number, and are stored as tuples. Any other function or
-    rule, a size, replications, wavelet order or seed that is not a whole
-    number, an SNR or target SD that is not a positive, finite real number,
-    or an elicitation that is not an ElicitationConfig raises ConfigError
-    naming the field. SNRs and the target SD are stored as Python
-    floats, so a numpy scalar scales as the equal float does and the
+    bare string or number, and are stored as tuples, and each lists every
+    value once: a value listed twice, once names and rule texts are
+    normalised ("bumps" and TestFunctionKind.BUMPS, "soft" and
+    "soft-universal"), raises ConfigError naming the field. Any other
+    function or rule, a size, replications, wavelet order or seed that is
+    not a whole number, an SNR or target SD that is not a positive, finite
+    real number, or an elicitation that is not an ElicitationConfig raises
+    ConfigError naming the field. SNRs and the target SD are stored as
+    Python floats, so a numpy scalar scales as the equal float does and the
     config dumps to json as given.
     """
 
@@ -439,6 +444,12 @@ class StudyConfig:
             fields[name] = _whole(name, getattr(self, name))
         for name, value in fields.items():
             object.__setattr__(self, name, value)
+        for name in ("functions", "sizes", "snrs", "rules"):
+            values = getattr(self, name)
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    shown = value.label if name == "rules" else getattr(value, "value", value)
+                    raise ConfigError(f"{name} lists {shown} more than once")
         if not self.functions:
             raise ConfigError("functions must not be empty")
         if not self.sizes:
@@ -512,11 +523,12 @@ class StudyReport:
     cells: list[CellResult]
 
     def cell(self, function, n: int, snr: float, rule: str) -> CellResult:
-        function = TestFunctionKind(function)
+        """The cell of (function, n, snr, rule), the function by member or
+        name; KeyError if the report has none."""
         for c in self.cells:
-            if (c.function, c.n, c.rule) == (function, n, rule) and c.snr == snr:
+            if (c.function, c.n, c.snr, c.rule) == (function, n, snr, rule):
                 return c
-        raise KeyError(f"no cell ({function.value}, {n}, {snr}, {rule})")
+        raise KeyError(f"no cell ({getattr(function, 'value', function)}, {n}, {snr}, {rule})")
 
     def to_dict(self) -> dict:
         return {"config": self.config.to_dict(),
@@ -605,97 +617,103 @@ def _draw_eps(keys: list, rows: np.ndarray) -> None:
         draw(out=row)
 
 
-def _noisy_rows(config: StudyConfig, functions: tuple, truths: tuple,
-                rows: range) -> np.ndarray:
+def _noisy_rows(config: StudyConfig, truths: tuple, rows: range) -> np.ndarray:
     """The noisy draws of the batch rows in rows, one row each, given the
-    batch's functions and their _truths: the draw of a row of function k
-    at (snr, rep) (_row) is add_noise(Signal(truth), snr, key).samples bit
-    for bit, f + sigma * eps with sigma = sd / snr, f and sd being truth
-    k's samples and SD. Every row's eps comes from its own key's stream,
-    noise_rng's bit for bit, the keys of all rows hashed in one pass and
-    each row drawn in place (_draw_eps); the scaling and the sum are one
-    call each per function. A draw that add_noise would reject (a constant
-    truth, or a noise scale or sample that overflows) is drawn again by
-    add_noise, whose error names the first one with its cell."""
+    _truths of config.functions at one n: the draw of a row of function k
+    at (snr, rep) (_row) is f + sigma * eps with sigma = sd / snr, f and sd
+    being truth k's samples and SD, add_noise(Signal(truth), snr,
+    key).samples bit for bit wherever add_noise accepts it. Every row's eps
+    comes from its own key's stream, noise_rng's bit for bit, the keys of
+    all rows hashed in one pass and each row drawn in place (_draw_eps); the
+    scaling and the sum are one call each per function. A draw that
+    add_noise would reject (a constant truth, or a noise scale or sample
+    that overflows) is returned as computed, noiseless or not finite:
+    _score_chunk finds it."""
     samples, _, sds = truths
     n = samples.shape[-1]
     coords = [_row(config, i) for i in rows]
     out = np.empty((len(rows), n))
-    _draw_eps([_noise_key(config.seed, functions[k], n, snr, rep)
+    _draw_eps([_noise_key(config.seed, config.functions[k], n, snr, rep)
                for k, snr, rep in coords], out)
     for k, part in _parts(config, rows):
         block = out[part]
         with np.errstate(over="ignore", invalid="ignore"):
             block *= sds[k] / np.array([[snr] for _, snr, _ in coords[part]])
             block += samples[k]
-        # an overflowing sigma or sample leaves its row non-finite
-        if sds[k] == 0.0 or not np.isfinite(block).all():
-            for (_, snr, rep), row in zip(coords[part], block):
-                if sds[k] == 0.0 or not np.isfinite(row).all():
-                    try:
-                        add_noise(Signal(samples[k]), snr,
-                                  _noise_key(config.seed, functions[k], n, snr, rep))
-                    except Exception as exc:
-                        raise _cell_error(functions[k], n, snr, rep, None, exc) from exc
     return out
 
 
-def _score_chunk(config: StudyConfig, functions: tuple, truths: tuple, rows: range,
+def _score_chunk(config: StudyConfig, truths: tuple, rows: range,
                  scores: np.ndarray, seconds: list) -> None:
-    """Draw, denoise and score the batch rows in rows, given the batch's
-    functions and their _truths: rule i's squared error of every row, its
+    """Draw, denoise and score the batch rows in rows, given the _truths of
+    config.functions at one n: rule i's squared error of every row, its
     shrunk coefficients against the row's own truth's, goes to scores[i]
     and its seconds are added to seconds[i]. The draws are dead once
     transformed, so their array is every rule's work array: each rule
     copies the coefficients into it, shrinks them there and is scored
-    there, in place, with what mse computes, bit for bit. A failing noise
-    draw fails first; then the first failing (row, rule) in row order, and
-    last the first overflowing score."""
-    coeffs = truths[1]
+    there, in place, with what mse computes, bit for bit.
+
+    A draw that add_noise would reject, a failing pipeline or a score that
+    is not finite fails the chunk. Its rows are then run again one at a
+    time, in run order: each row's draw (_noisy_rows), which fails as
+    add_noise fails it, then each rule in turn, through _denoise_stack and
+    scored with mse. The first row that fails alone raises its own
+    _cell_error, so the error does not depend on how the rows are chunked;
+    a chunk in which no row fails alone raises a batch error."""
+    samples, coeffs, sds = truths
     n = coeffs.shape[-1]
+    parts = list(_parts(config, rows))
     filt = make_daubechies_filter(config.wavelet_order)
-    draws = _noisy_rows(config, functions, truths, rows)
+    draws = _noisy_rows(config, truths, rows)
     try:
+        if not all(sds[k] for k, _ in parts) or not np.isfinite(draws).all():
+            raise NumericError("a noise draw is not finite or has a constant truth")
         # the rules write over the draws; a failure draws them again
         _, each_rule = _denoise_stack(draws, config.rules, config.elicitation, filt,
                                       work=draws)
         for i, (_, shrunk, rule_seconds) in enumerate(each_rule):
             seconds[i] += rule_seconds
             with np.errstate(over="ignore"):
-                for k, part in _parts(config, rows):
+                for k, part in parts:
                     d = shrunk.coeffs[part]
                     d -= coeffs[k]
                     d *= d
                     scores[i, part] = d.mean(axis=-1)
+        if not np.isfinite(scores).all():
+            raise NumericError("the squared error overflows")
     except Exception as exc:
-        # rows are independent, so the failing ones fail alone as well
-        for i, row in zip(rows, _noisy_rows(config, functions, truths, rows)):
+        # rows are independent, so a failing row fails alone as well
+        for i in rows:
             k, snr, rep = _row(config, i)
+            function = config.functions[k]
+            [row] = _noisy_rows(config, truths, range(i, i + 1))
+            if sds[k] == 0.0 or not np.isfinite(row).all():
+                try:
+                    add_noise(Signal(samples[k]), snr,
+                              _noise_key(config.seed, function, n, snr, rep))
+                except Exception as row_exc:
+                    raise _cell_error(function, n, snr, rep, None, row_exc) from row_exc
             for rule in config.rules:
                 try:
-                    list(_denoise_stack(row, (rule,), config.elicitation, filt)[1])
+                    [(_, shrunk, _)] = _denoise_stack(row, (rule,), config.elicitation,
+                                                      filt)[1]
+                    with np.errstate(over="ignore"):
+                        if not math.isfinite(mse(shrunk.coeffs, coeffs[k])):
+                            raise NumericError("the squared error overflows")
                 except Exception as row_exc:
-                    raise _cell_error(functions[k], n, snr, rep, rule.label,
+                    raise _cell_error(function, n, snr, rep, rule.label,
                                       row_exc) from row_exc
-        names = ", ".join(functions[k].value for k, _ in _parts(config, rows))
+        names = ", ".join(config.functions[k].value for k, _ in parts)
         raise NumericError(f"batch (function={names}, n={n}) failed: {exc}") from exc
-    bad = ~np.isfinite(scores)
-    if bad.any():
-        row = int(np.argmax(bad.any(axis=0)))
-        rule = config.rules[int(np.argmax(bad[:, row]))]
-        k, snr, rep = _row(config, rows[row])
-        raise _cell_error(functions[k], n, snr, rep, rule.label,
-                          NumericError("the squared error overflows"))
 
 
-def _cells(config: StudyConfig, n: int, functions: tuple, scores: np.ndarray,
-           seconds: list) -> dict:
-    """The cells of every function in functions at n, from the batch's
-    scores (rules, functions x snrs x replications) and each rule's
-    seconds, by one mean and one SD reduction for all of them. Maps each
-    (function, n) to its cells, SNR by SNR and rule by rule, each with its
-    share of the time."""
-    snrs, labels, reps = config.snrs, [r.label for r in config.rules], config.replications
+def _cells(config: StudyConfig, n: int, scores: np.ndarray, seconds: list) -> dict:
+    """The cells of every function at n, from the batch's scores (rules,
+    functions x snrs x replications) and each rule's seconds, by one mean
+    and one SD reduction for all of them. Maps each (function, n) to its
+    cells, SNR by SNR and rule by rule, each with its share of the time."""
+    functions, snrs, reps = config.functions, config.snrs, config.replications
+    labels = [r.label for r in config.rules]
     by_cell = scores.reshape(len(labels), len(functions), len(snrs), reps)
     with np.errstate(over="ignore"):
         amse = by_cell.mean(axis=-1)
@@ -712,42 +730,37 @@ def _cells(config: StudyConfig, n: int, functions: tuple, scores: np.ndarray,
             for k, function in enumerate(functions)}
 
 
-def _study_pass(config: StudyConfig, n: int, functions: tuple) -> dict:
-    """One batch of the draws of every function in functions at n, in
-    chunks of batch rows, scored against the memoised truths (_truths); the
-    _cells of the batch, its seconds split evenly over the functions."""
-    truths = _truths(functions, n, config.target_sd, config.wavelet_order,
+def _study_pass(config: StudyConfig, n: int) -> dict:
+    """One batch of the draws of every function at n, in chunks of batch
+    rows, scored against the memoised truths (_truths); the _cells of the
+    batch, its seconds split evenly over the functions."""
+    truths = _truths(config.functions, n, config.target_sd, config.wavelet_order,
                      config.elicitation.coarse_level)
-    batch = range(len(functions) * len(config.snrs) * config.replications)
+    batch = range(len(config.functions) * len(config.snrs) * config.replications)
     scores = np.empty((len(config.rules), len(batch)))
     seconds = [0.0] * len(config.rules)
     step = max(1, _CHUNK // n)
     for start in batch[::step]:
-        _score_chunk(config, functions, truths, batch[start:start + step],
+        _score_chunk(config, truths, batch[start:start + step],
                      scores[:, start:start + step], seconds)
-    return _cells(config, n, functions, scores, seconds)
+    return _cells(config, n, scores, seconds)
 
 
 def run_study(config: StudyConfig) -> StudyReport:
     """Run every cell of the grid and aggregate per-rule MSE samples.
 
-    Each n is one batch: the len(snrs) x replications draws of every
-    function at that n, function-major, each row with its own function's
-    truth and SD for the noise and the scoring. The draws are stacked in
-    chunks of whole rows of at most _CHUNK samples (4 MiB per array), so a
-    chunk may hold the draws of more than one function (acceptance-desk's
-    1200 draws at n = 2048 make 5 chunks). Each chunk's noise streams are
-    keyed in one pass, and each chunk is transformed and elicited once;
-    then each rule in turn copies the coefficients into the array of the
-    chunk's draws, dead once transformed, shrinks them there and scores
-    them there in place against the transform of each row's truth. Nothing
-    is inverted.
-    The truths at each n, their transforms and SDs are one stack, memoised
-    per process (_truths). CellResult says what a sample is and how
-    wall_time_s is shared out. The cells of all functions at one n come
-    from one pass (_cells) and are returned function by function, size by
-    size; a function or size listed twice is computed once and reported
-    twice, each report with half its time and samples of its own.
+    The study runs in one order: size by size; within a size, row by row
+    (function, then SNR, then replication); within a row, its noise draw,
+    then each rule with its score. Each n is one batch (_study_pass) of
+    the len(snrs) x replications draws of every function at that n, each
+    row with its own function's truth and SD for the noise and the
+    scoring, in chunks of whole rows of at most _CHUNK samples (4 MiB per
+    array). Each chunk is keyed, transformed and elicited once, and each
+    rule is shrunk and scored in the chunk's own array against the
+    transform of each row's truth; nothing is inverted. The truths at each
+    n are memoised per process (_truths). CellResult says what a sample is
+    and how wall_time_s is shared out. The cells are returned function by
+    function, size by size, as the config lists them.
 
     Deterministic given (config, seed): replication streams are derived
     from cell coordinates, not from execution order, and the aggregation
@@ -755,38 +768,16 @@ def run_study(config: StudyConfig) -> StudyReport:
     domain: mse(denoise(draw).shrunk.coeffs, dwt_forward(truth).coeffs)
     of a denoise of its draw alone, bit for bit, which equals the
     time-domain mse of that denoise up to rounding (Parseval). A failure
-    aborts the study with the error that a batch per (function, n), run
-    function by function and size by size, meets first: the coordinates of
-    the first failing draw, where within one chunk a noise draw fails
-    before a rule and a rule before the scoring. When a batch fails, the
-    (function, n) not yet computed are run one by one in that order to
-    find it.
+    aborts the study with the error of the first row that fails in run
+    order: its cell, and its noise draw or the first of its rules that
+    fails (_score_chunk), whatever the chunks.
     """
-    functions = tuple(dict.fromkeys(config.functions))
-    sizes = tuple(dict.fromkeys(config.sizes))
     results = {}
-    for k, n in enumerate(sizes):
-        try:
-            results.update(_study_pass(config, n, functions))
-        except EpashrinkError as exc:
-            error = exc
-            break
-    else:
-        cells = []
-        for function in config.functions:
-            for n in config.sizes:
-                # a pair listed more than once splits its time between its
-                # reports, each with samples of its own
-                repeats = config.functions.count(function) * config.sizes.count(n)
-                cells += results[function, n] if repeats == 1 else [
-                    replace(cell, mse_samples=cell.mse_samples.copy(),
-                            wall_time_s=cell.wall_time_s / repeats)
-                    for cell in results[function, n]]
-        return StudyReport(config=config, cells=cells)
-    for function in functions:
-        for n in sizes[k:]:
-            _study_pass(config, n, (function,))
-    raise error
+    for n in config.sizes:
+        results.update(_study_pass(config, n))
+    return StudyReport(config=config, cells=[cell for function in config.functions
+                                             for n in config.sizes
+                                             for cell in results[function, n]])
 
 
 def benchmark_elicitation() -> ElicitationConfig:

@@ -71,6 +71,26 @@ class TestSignalIO:
         samples, _ = read_signal_csv(path)
         np.testing.assert_array_equal(samples, [1.5, -2.0, 3.25, 0.0])
 
+    def test_a_header_may_follow_blank_lines(self, runner, tmp_path):
+        # the header is the first line that is not blank; a second text
+        # line is still an error naming its line
+        from epashrink import InputError
+
+        (tmp_path / "plain.csv").write_text("1\n2\n3\n4\n")
+        (tmp_path / "late.csv").write_text("\n  \ny\n1\n2\n3\n4\n")
+        samples, truth = read_signal_csv(tmp_path / "late.csv")
+        np.testing.assert_array_equal(samples, [1.0, 2.0, 3.0, 4.0])
+        assert truth is None
+        for name in ("plain", "late"):
+            result = runner.invoke(main, ["denoise", str(tmp_path / f"{name}.csv"),
+                                          "--out", str(tmp_path / f"{name}.out.csv")])
+            assert result.exit_code == 0, result.output
+        assert (tmp_path / "late.out.csv").read_text() == \
+            (tmp_path / "plain.out.csv").read_text()
+        (tmp_path / "twice.csv").write_text("\ny\nf\n1\n2\n")
+        with pytest.raises(InputError, match="non-numeric value on line 3: 'f'"):
+            read_signal_csv(tmp_path / "twice.csv")
+
     def test_non_numeric_row_reports_line(self, tmp_path):
         from epashrink import InputError
 
@@ -438,6 +458,14 @@ class TestDenoiseCommand:
         assert result.exit_code == 0, result.output
         report = json.loads((tmp_path / "out.csv.report.json").read_text())
         assert report["version"] == epashrink.__version__
+
+    def test_the_package_version_is_the_project_version(self):
+        # the sidecar and summary.json publish __version__; pyproject.toml
+        # declares the version the package is built as
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        assert tomllib.loads(pyproject.read_text())["project"]["version"] == \
+            epashrink.__version__
 
     def test_sidecar_records_the_whole_elicitation(self, runner, tmp_path):
         # in the shape of summary.json's config, so that the run can be
@@ -1241,6 +1269,13 @@ _REJECTIONS = {
     "duplicate config key": ("study.cfg", _STUDY_CFG + "snrs = 3\n",
                              ["study", "{input}", "--out-dir", "{out}"],
                              3, "{input}:6: duplicate key 'snrs'"),
+    "size listed twice": ("study.cfg", _STUDY_CFG.replace("sizes = 64", "sizes = 64, 64"),
+                          ["study", "{input}", "--out-dir", "{out}"],
+                          3, "{input}: sizes lists 64 more than once"),
+    "rule listed twice": ("study.cfg", _STUDY_CFG.replace("rules = esr",
+                                                          "rules = esr, soft-universal, esr"),
+                          ["study", "{input}", "--out-dir", "{out}"],
+                          3, "{input}: rules lists esr more than once"),
     "bad function name": ("study.cfg", _STUDY_CFG.replace("heavisine", "sawtooth"),
                           ["study", "{input}", "--out-dir", "{out}"],
                           3, "{input}: unknown test function 'sawtooth'; available: "),

@@ -1,15 +1,17 @@
+import contextlib
 import itertools
 import math
 import re
 import time
 import tracemalloc
+import types
 import warnings
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from epashrink import (
@@ -25,6 +27,7 @@ from epashrink import (
     SigmaEstimator,
     Signal,
     StudyConfig,
+    StudyReport,
     TestFunctionKind,
     add_noise,
     benchmark_elicitation,
@@ -293,6 +296,23 @@ class TestStudyConfigValidation:
                 replications=1, rules=(RuleSpec("esr"),),
             )
 
+    @pytest.mark.parametrize("field,value,shown", [
+        ("functions", ("bumps", TestFunctionKind.BUMPS), "bumps"),
+        ("functions", ("doppler", "bumps", "doppler"), "doppler"),
+        ("sizes", (64, 128, np.int64(64)), "64"),
+        ("snrs", (1, 3.0, 1.0), "1.0"),
+        ("rules", ("soft", RuleSpec("esr"), "soft-universal"), "soft-universal"),
+        ("rules", ("hard:2", "hard:2.0"), "hard:2"),
+    ])
+    def test_a_value_listed_twice_is_a_config_error(self, field, value, shown):
+        # the duplicate may show only once names and rule texts are
+        # normalised; one error names the field and the value
+        grid = dict(functions=("bumps",), sizes=(64,), snrs=(1.0,), replications=1,
+                    rules=("esr",))
+        with pytest.raises(ConfigError, match=f"^{field} lists {re.escape(shown)} more than "
+                                              "once$"):
+            StudyConfig(**{**grid, field: value})
+
     @pytest.mark.parametrize("field,value", [
         ("snrs", (math.inf,)), ("snrs", (1.0, math.nan)), ("snrs", ("1",)),
         ("snrs", np.array([1.0, -5.0])), ("snrs", np.array([])),
@@ -455,8 +475,17 @@ class TestRunStudy:
     def test_cell_lookup(self):
         report = run_study(_tiny_config((RuleSpec("esr"),)))
         assert report.cell(TestFunctionKind.HEAVISINE, 128, 1.0, "esr")
-        with pytest.raises(KeyError):
-            report.cell("heavisine", 128, 1.0, "soft-universal")
+        assert report.cell("heavisine", 128, 1.0, "esr") is report.cells[0]
+        # an unknown function name is a missing cell like any other
+        for key, shown in ((("heavisine", 128, 1.0, "soft-universal"), "heavisine"),
+                           (("bogus", 128, 1.0, "esr"), "bogus"),
+                           ((TestFunctionKind.BUMPS, 128, 1.0, "esr"), "bumps"),
+                           (("heavisine", 64, 1.0, "esr"), "heavisine"),
+                           (("heavisine", 128, 3.0, "esr"), "heavisine")):
+            _, n, snr, rule = key
+            with pytest.raises(KeyError, match=re.escape(f"no cell ({shown}, {n}, {snr}, "
+                                                          f"{rule})")):
+                report.cell(*key)
 
     def test_to_dict_round_trips_through_json(self):
         import json
@@ -797,9 +826,9 @@ def test_run_study_wall_times_sum_to_at_most_the_run():
     assert sum(times) <= total
 
 
-def _eps_with_huge_draws(bad_keys):
+def _eps_with_huge_draws(bad_keys, huge=7e307):
     """A stand-in for study._draw_eps whose every draw for a key in
-    bad_keys is 7e307."""
+    bad_keys is huge."""
     import epashrink.study as study_mod
 
     draw_eps = study_mod._draw_eps
@@ -808,9 +837,27 @@ def _eps_with_huge_draws(bad_keys):
         draw_eps(keys, rows)
         for key, row in zip(keys, rows):
             if key in bad_keys:
-                row[...] = 7e307
+                row[...] = huge
 
     return eps_with_huge_draws
+
+
+@contextlib.contextmanager
+def _huge_draws(bad_keys, huge=7e307):
+    """Every draw for a key in bad_keys is huge, in the study's draws
+    (_eps_with_huge_draws) and in add_noise's (signals.noise_rng) alike."""
+    import epashrink.study as study_mod
+
+    noise_rng = signals_mod.noise_rng
+
+    def rng(key):
+        if key in bad_keys:
+            return types.SimpleNamespace(standard_normal=lambda size: np.full(size, huge))
+        return noise_rng(key)
+
+    with mock.patch.object(study_mod, "_draw_eps", _eps_with_huge_draws(bad_keys, huge)), \
+            mock.patch.object(signals_mod, "noise_rng", rng):
+        yield
 
 
 def test_failure_in_a_batch_names_the_first_failing_draw(monkeypatch):
@@ -939,7 +986,7 @@ def test_every_draw_of_a_batch_is_add_noise_bit_for_bit(target_sd):
              tuple(truth.sd() for truth in truths))
     # the batch rows from 1 on: every draw of both functions but the first
     per = len(_coords(config))
-    rows = _noisy_rows(config, config.functions, stack, range(1, 2 * per))
+    rows = _noisy_rows(config, stack, range(1, 2 * per))
     assert rows.shape == (2 * per - 1, n)
     wanted = [(function, truth, c) for function, truth in zip(config.functions, truths)
               for c in _coords(config)][1:]
@@ -1071,11 +1118,12 @@ def test_chunked_batches_match_per_draw_oracle(monkeypatch):
 
     chunks = []
 
-    def counted_score_chunk(config, functions, truths, rows, scores, seconds):
+    def counted_score_chunk(config, truths, rows, scores, seconds):
         per = len(config.snrs) * config.replications
-        chunks.append((truths[0].shape[-1], [(functions[k].value, len(list(group))) for k, group
+        chunks.append((truths[0].shape[-1], [(config.functions[k].value, len(list(group)))
+                                             for k, group
                                              in itertools.groupby(i // per for i in rows)]))
-        return score_chunk(config, functions, truths, rows, scores, seconds)
+        return score_chunk(config, truths, rows, scores, seconds)
 
     score_chunk = study_mod._score_chunk
     monkeypatch.setattr(study_mod, "_score_chunk", counted_score_chunk)
@@ -1111,7 +1159,7 @@ def test_the_chunk_cap_cuts_acceptance_desk_into_chunks_of_at_most_2_19_samples(
 
     chunks = []
 
-    def counted_score_chunk(config, functions, truths, rows, scores, seconds):
+    def counted_score_chunk(config, truths, rows, scores, seconds):
         chunks.append((truths[0].shape[-1], len(rows)))
         scores[...] = 1.0
 
@@ -1217,8 +1265,10 @@ def _values(report):
 
 @settings(max_examples=20, deadline=None)
 @given(
-    functions=st.lists(st.sampled_from(list(TestFunctionKind)), min_size=1, max_size=4),
-    sizes=st.lists(st.sampled_from([4, 8, 64, 1024, 2048]), min_size=1, max_size=3),
+    functions=st.lists(st.sampled_from(list(TestFunctionKind)), min_size=1, max_size=4,
+                       unique=True),
+    sizes=st.lists(st.sampled_from([4, 8, 64, 1024, 2048]), min_size=1, max_size=3,
+                   unique=True),
     replications=st.integers(1, 3),
     target_sd=st.sampled_from([7.0, 1e-200, 1e307, 5e307]),
     seed=st.integers(0, 2**16),
@@ -1229,7 +1279,7 @@ def _values(report):
          seed=1)
 def test_a_warm_truth_memo_gives_the_report_of_a_cleared_one(functions, sizes, replications,
                                                              target_sd, seed):
-    # with repeated functions and sizes; a failing study fails alike. The
+    # functions and sizes in any order; a failing study fails alike. The
     # warm runs come after studies that differ in one part of a truth's key
     # have filled the memo with truths of the same functions and sizes, and
     # then on the memo of config's own truths, after every sample of a
@@ -1261,11 +1311,10 @@ def test_a_warm_truth_memo_gives_the_report_of_a_cleared_one(functions, sizes, r
             pass
     assert outcome() == cold
     assert outcome() == cold
-    for n in set(config.sizes):
+    for n in config.sizes:
         try:
-            memoised = study_mod._truths(tuple(dict.fromkeys(config.functions)), n,
-                                         config.target_sd, config.wavelet_order,
-                                         config.elicitation.coarse_level)
+            memoised = study_mod._truths(config.functions, n, config.target_sd,
+                                         config.wavelet_order, config.elicitation.coarse_level)
         except DomainError:
             continue
         for values in memoised[:2]:
@@ -1347,8 +1396,9 @@ def _studies_per_pair(config):
 
 @settings(max_examples=20, deadline=None)
 @given(
-    functions=st.lists(st.sampled_from(list(TestFunctionKind)), min_size=1, max_size=5),
-    sizes=st.lists(st.sampled_from([8, 32, 64, 128]), min_size=1, max_size=4),
+    functions=st.lists(st.sampled_from(list(TestFunctionKind)), min_size=1, max_size=4,
+                       unique=True),
+    sizes=st.lists(st.sampled_from([8, 32, 64, 128]), min_size=1, max_size=4, unique=True),
     snrs=st.lists(st.sampled_from([0.2, 1.0, 3.0]), min_size=1, max_size=2, unique=True),
     replications=st.integers(1, 3),
     chunk=st.sampled_from([8, 96, 200, 2**20]),
@@ -1356,8 +1406,8 @@ def _studies_per_pair(config):
 )
 def test_one_batch_per_n_matches_one_study_per_function_and_n(
         functions, sizes, snrs, replications, chunk, seed):
-    # functions and sizes in any order, repeats included; small chunks cut
-    # across the functions of a batch
+    # functions and sizes in any order; small chunks cut across the
+    # functions of a batch
     import epashrink.study as study_mod
 
     config = StudyConfig(functions=tuple(functions), sizes=tuple(sizes), snrs=tuple(snrs),
@@ -1370,7 +1420,7 @@ def test_one_batch_per_n_matches_one_study_per_function_and_n(
         want, error = _studies_per_pair(config)
     assert error is None
     assert sum(cell.wall_time_s for cell in report.cells) <= total
-    # every cell owns its samples, so the reports of a pair listed twice too
+    # every cell owns its samples
     assert len({id(cell.mse_samples) for cell in report.cells}) == len(report.cells)
     assert all(cell.mse_samples.base is None for cell in report.cells)
     assert len(report.cells) == len(want)
@@ -1382,37 +1432,115 @@ def test_one_batch_per_n_matches_one_study_per_function_and_n(
         assert got.wall_time_s > 0
 
 
+def _first_failing_row(config):
+    """The message and cause of the first failure of the per-row study
+    loop, or None: size by size, then function, SNR and replication, each
+    row's add_noise draw and then each rule in turn, its shrink of the
+    draw's transform scored with mse against the truth's."""
+    filt = make_daubechies_filter(config.wavelet_order)
+    j0 = config.elicitation.coarse_level
+    for n in config.sizes:
+        for function in config.functions:
+            truth = generate_test_function(function, n, config.target_sd)
+            truth_coeffs = dwt_forward(truth.samples, filt, j0).coeffs
+            for snr in config.snrs:
+                for rep in range(config.replications):
+                    cell = f"cell (function={function.value}, n={n}, snr={snr}, rep={rep})"
+                    try:
+                        noisy = add_noise(truth, snr,
+                                          _noise_key(config.seed, function, n, snr, rep))
+                    except Exception as exc:
+                        return f"{cell} noise draw failed: {exc}", exc
+                    for rule in config.rules:
+                        try:
+                            shrunk = dwt_forward(noisy.samples, filt, j0)
+                            shrink_pyramid(shrunk, rule, config.elicitation, n)
+                            with np.errstate(over="ignore"):
+                                if not math.isfinite(mse(shrunk.coeffs, truth_coeffs)):
+                                    raise NumericError("the squared error overflows")
+                        except Exception as exc:
+                            return f"{cell} rule={rule.label} failed: {exc}", exc
+    return None
+
+
 @pytest.mark.parametrize("chunk", [2**20, 3 * 128])
-def test_failures_at_two_pairs_fail_with_the_first_in_function_major_order(chunk,
-                                                                            monkeypatch):
+def test_failures_at_two_pairs_fail_with_the_first_in_run_order(chunk):
     # draws fail at (bumps, 128), a rule on the draw at snr 3, rep 1, and at
-    # (doppler, 64) and (doppler, 128), a noise draw at snr 1, rep 0. The
-    # batch of n = 64 runs first and fails at doppler; in chunks of three
-    # rows the batch of n = 128 fails at doppler's noise draw before the
-    # rules of its chunk run. A study per (function, n), function by
-    # function, fails at bumps first
+    # (doppler, 64) and (doppler, 128), the noise draw at snr 1, rep 0. The
+    # study runs size by size, so it fails at doppler's draw at n = 64, in
+    # one chunk per n or in chunks of three rows, where a study per
+    # (function, n), function by function, fails at bumps first
     import epashrink.study as study_mod
 
-    monkeypatch.setattr(study_mod, "_CHUNK", chunk)
     config = StudyConfig(functions=(TestFunctionKind.BUMPS, TestFunctionKind.DOPPLER),
                          sizes=(64, 128), snrs=(1.0, 3.0), replications=2,
                          rules=(RuleSpec("esr"), RuleSpec("soft")), seed=9)
     bad_keys = {_noise_key(config.seed, TestFunctionKind.BUMPS, 128, 3.0, 1),
                 _noise_key(config.seed, TestFunctionKind.DOPPLER, 64, 1.0, 0),
                 _noise_key(config.seed, TestFunctionKind.DOPPLER, 128, 1.0, 0)}
-    monkeypatch.setattr(study_mod, "_draw_eps", _eps_with_huge_draws(bad_keys))
-    _, want = _studies_per_pair(config)
-    assert re.match(r"cell \(function=bumps, n=128, snr=3.0, rep=1\) rule=esr failed",
-                    str(want))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(NumericError) as got:
-            run_study(config)
+    with _huge_draws(bad_keys), mock.patch.object(study_mod, "_CHUNK", chunk):
+        _, per_pair = _studies_per_pair(config)
+        message, cause = _first_failing_row(config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError) as got:
+                run_study(config)
     assert not caught
-    assert type(got.value) is type(want)
-    assert str(got.value) == str(want)
-    assert type(got.value.__cause__) is type(want.__cause__)
-    assert str(got.value.__cause__) == str(want.__cause__)
+    assert re.match(r"cell \(function=bumps, n=128, snr=3.0, rep=1\) rule=esr failed",
+                    str(per_pair))
+    assert message.startswith("cell (function=doppler, n=64, snr=1.0, rep=0) noise draw "
+                              "failed: noise draw: ")
+    assert str(got.value) == message
+    assert type(got.value.__cause__) is type(cause)
+    assert str(got.value.__cause__) == str(cause)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    functions=st.lists(st.sampled_from(list(TestFunctionKind)), min_size=1, max_size=4,
+                       unique=True),
+    sizes=st.lists(st.sampled_from([8, 32, 64, 128]), min_size=1, max_size=3, unique=True),
+    snrs=st.lists(st.sampled_from([0.2, 1.0, 3.0]), min_size=1, max_size=3, unique=True),
+    replications=st.integers(1, 3),
+    rules=st.lists(st.sampled_from(["esr", "soft", "hard:2"]), min_size=1, max_size=3,
+                   unique=True),
+    bad=st.sets(st.integers(0, 10**6), max_size=3),
+    huge=st.sampled_from([7e307, 1e160]),
+    seed=st.integers(0, 2**16),
+)
+def test_a_study_fails_at_its_first_failing_row_in_run_order_whatever_the_chunks(
+        functions, sizes, snrs, replications, rules, bad, huge, seed):
+    # huge draws at random rows: at 7e307 the noise draw overflows at snr
+    # 0.2 and 1, and the forward transform at snr 3; at 1e160 the squared
+    # error overflows. Every chunk size gives the error of the first row
+    # that fails alone, in the order size, function, SNR, replication, its
+    # draw before its rules; a study with no failing row gives the cells of
+    # one study per (function, n)
+    import epashrink.study as study_mod
+
+    config = StudyConfig(functions=functions, sizes=sizes, snrs=snrs,
+                         replications=replications, rules=rules, seed=seed)
+    keys = [_noise_key(seed, function, n, snr, rep) for n in config.sizes
+            for function in config.functions for snr in config.snrs
+            for rep in range(replications)]
+    outcomes = []
+    with _huge_draws({keys[i % len(keys)] for i in bad}, huge):
+        want = _first_failing_row(config)
+        for chunk in (8, 3 * 32, 200, 2**19):
+            with mock.patch.object(study_mod, "_CHUNK", chunk):
+                try:
+                    outcomes.append(_values(run_study(config)))
+                except EpashrinkError as exc:
+                    outcomes.append((type(exc), str(exc), type(exc.__cause__),
+                                     str(exc.__cause__)))
+        if want is None:
+            cells, error = _studies_per_pair(config)
+            assert error is None
+            want = _values(StudyReport(config, cells))
+        else:
+            message, cause = want
+            want = (NumericError, message, type(cause), str(cause))
+    assert outcomes == [want] * 4
 
 
 def test_study_desk_batch_memory_is_bounded():
@@ -1468,8 +1596,7 @@ def test_every_rule_shrinks_and_is_scored_in_the_chunk_s_draws(monkeypatch):
     monkeypatch.setattr(study_mod, "shrink_pyramid", recorded_shrink)
     rows = range(3, 12)
     scores = np.empty((len(config.rules), len(rows)))
-    study_mod._score_chunk(config, config.functions, truths, rows, scores,
-                           [0.0] * len(config.rules))
+    study_mod._score_chunk(config, truths, rows, scores, [0.0] * len(config.rules))
     [chunk] = draws
     assert len(shrunk) == len(config.rules)
     parts = list(study_mod._parts(config, rows))
@@ -1503,8 +1630,8 @@ class TestPlainNumbers:
 
     @settings(max_examples=15, deadline=None)
     @given(
-        sizes=st.lists(st.sampled_from([8, 16, 64]), min_size=1, max_size=2),
-        snrs=st.lists(st.floats(0.05, 50.0), min_size=1, max_size=2),
+        sizes=st.lists(st.sampled_from([8, 16, 64]), min_size=1, max_size=2, unique=True),
+        snrs=st.lists(st.floats(0.05, 50.0), min_size=1, max_size=2, unique=True),
         target_sd=st.floats(0.1, 100.0),
         replications=st.integers(1, 3),
         seed=st.integers(0, 1000),
@@ -1518,6 +1645,7 @@ class TestPlainNumbers:
                                                            gamma, coarse_level):
         import json
 
+        assume(len({float(real(snr)) for snr in snrs}) == len(snrs))  # each SNR once
         elicitation = ElicitationConfig(gamma=real(gamma), l=real(1.5), c=real(1.0),
                                         tau=real(2.0), sigma_estimator="sd",
                                         coarse_level=whole(coarse_level))
@@ -1535,14 +1663,15 @@ class TestPlainNumbers:
 
     @settings(max_examples=15, deadline=None)
     @given(
-        functions=st.lists(st.sampled_from(list(TestFunctionKind)), min_size=1, max_size=2),
-        sizes=st.lists(st.sampled_from([8, 16, 32]), min_size=1, max_size=2),
-        snrs=st.lists(st.floats(0.05, 50.0), min_size=1, max_size=2),
+        functions=st.lists(st.sampled_from(list(TestFunctionKind)), min_size=1, max_size=2,
+                           unique=True),
+        sizes=st.lists(st.sampled_from([8, 16, 32]), min_size=1, max_size=2, unique=True),
+        snrs=st.lists(st.floats(0.05, 50.0), min_size=1, max_size=2, unique=True),
         target_sd=st.floats(0.1, 100.0),
         real=st.sampled_from([np.float32, np.float64]),
         rules=st.lists(st.sampled_from(["esr", "soft", "hard-universal", "soft:2.123456789",
                                         "hard:0.1", "soft:inf"]),
-                       min_size=1, max_size=3),
+                       min_size=1, max_size=3, unique=True),
         sigma=st.sampled_from(list(SigmaEstimator)),
         replications=st.integers(1, 2),
         seed=st.integers(0, 1000),
@@ -1553,6 +1682,7 @@ class TestPlainNumbers:
         # config reruns the study to the same cells, bit for bit
         import json
 
+        assume(len({float(real(snr)) for snr in snrs}) == len(snrs))  # each SNR once
         config = StudyConfig(functions=functions, sizes=sizes,
                              snrs=[real(snr) for snr in snrs], replications=replications,
                              rules=rules, elicitation=ElicitationConfig(sigma_estimator=sigma),
