@@ -13,7 +13,10 @@ so the transform works unchanged on stacks of signals of shape
 ``(..., n)``, row for row bit-identical to one call per row. The
 coefficients live in one array of the signal's shape in the packed layout
 ``[scaling | d_J0 | ... | d_J-1]`` (Mallat 1989), and the per-level blocks
-are views into that array. Filter taps come from a constant table of the
+are views into that array. Each step writes its products into scratch and
+its coefficients straight into their places in that array, so a transform
+allocates nothing but its result and one scratch array of the signal's size,
+and a caller may pass both in. Filter taps come from a constant table of the
 ten extremal-phase filters, the correctly rounded doubles of their spectral
 factorization, so the orthonormality residuals sit at machine epsilon. The
 table is not re-checked at run time: the tests derive every tap again in
@@ -220,7 +223,8 @@ def _taps_matrix(lo_bytes: bytes, hi_bytes: bytes, rows: int) -> np.ndarray:
     return m
 
 
-def _analysis_step(a: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+def _analysis_step(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, approx=None, detail=None,
+                   scratch=None, tail=None):
     """One decimating filter-bank step along the last axis.
 
     ``approx[..., k] = sum_m a[..., (2k + m) % n] * lo[m]`` and likewise
@@ -233,22 +237,41 @@ def _analysis_step(a: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     each row of a stack goes through the same products as it would alone,
     so it comes out bit for bit the same, and the steps act on any leading
     shape.
+
+    The step writes approx and detail, arrays of shape ``(..., n / 2)``,
+    and returns them. Its products go into scratch, and those of the next
+    blocks' heads into tail: flat float arrays of a.size entries each,
+    disjoint from each other and from a. approx and detail may lie in a or
+    in tail, which are read before either is written. Each of the four is
+    a fresh array where it is None.
     """
     n = a.shape[-1]
+    lead = a.shape[:-1]
+    if approx is None:
+        approx, detail = np.empty((*lead, n // 2)), np.empty((*lead, n // 2))
+    if scratch is None:
+        scratch, tail = np.empty(a.size), np.empty(a.size)
     m = _step_matrix(lo, hi, n)
     if n <= 2 * _CHANNEL_OUTPUTS:
-        out = (a[..., None, :] @ m)[..., 0, :]
-        return out[..., :n // 2], out[..., n // 2:]
-    lead = a.shape[:-1]
-    blocks = a.reshape(*lead, n // (2 * _CHANNEL_OUTPUTS), 2 * _CHANNEL_OUTPUTS)
+        out = np.matmul(a[..., None, :], m, out=scratch.reshape(*lead, 1, n))[..., 0, :]
+        approx[...] = out[..., :n // 2]
+        detail[...] = out[..., n // 2:]
+        return approx, detail
+    shape = (*lead, n // (2 * _CHANNEL_OUTPUTS), 2 * _CHANNEL_OUTPUTS)
+    blocks = a.reshape(shape)
     # the window of a block overlaps the next, so a view of the windows is
-    # not a BLAS operand: the block and the next one's head are two products
-    heads = blocks[..., :lo.size - 2]
-    next_heads = np.concatenate([heads[..., 1:, :], heads[..., :1, :]], axis=-2)
-    out = blocks @ m[:2 * _CHANNEL_OUTPUTS]
-    out += next_heads @ m[2 * _CHANNEL_OUTPUTS:]
-    return (out[..., :_CHANNEL_OUTPUTS].reshape(*lead, n // 2),
-            out[..., _CHANNEL_OUTPUTS:].reshape(*lead, n // 2))
+    # not a BLAS operand: the block and the next one's head are two products.
+    # The heads are gathered into scratch, dead once their product is made
+    heads = scratch[:a.size // shape[-1] * (lo.size - 2)].reshape(*shape[:-1], lo.size - 2)
+    heads[..., :-1, :] = blocks[..., 1:, :lo.size - 2]
+    heads[..., -1, :] = blocks[..., 0, :lo.size - 2]
+    tail = np.matmul(heads, m[2 * _CHANNEL_OUTPUTS:], out=tail.reshape(shape))
+    out = np.matmul(blocks, m[:2 * _CHANNEL_OUTPUTS], out=scratch.reshape(shape))
+    out += tail
+    # splitting the last axis of approx and detail gives views of them
+    approx.reshape(*shape[:-1], _CHANNEL_OUTPUTS)[...] = out[..., :_CHANNEL_OUTPUTS]
+    detail.reshape(*shape[:-1], _CHANNEL_OUTPUTS)[...] = out[..., _CHANNEL_OUTPUTS:]
+    return approx, detail
 
 
 def _synthesis_step(approx: np.ndarray, detail: np.ndarray,
@@ -287,6 +310,43 @@ def _require_finite(what: str, values: np.ndarray) -> None:
         raise NumericError(f"{what}: result is not finite")
 
 
+def _forward(y: np.ndarray, filt: DaubechiesFilter, coarse_level: int,
+             coeffs: np.ndarray, scratch: np.ndarray, spare=None) -> WaveletPyramid:
+    """dwt_forward of the float array y into coeffs, a contiguous array of
+    y's shape, with scratch, a flat float array, written over. scratch
+    holds y.size entries, or, where spare is given, at least one row of y
+    and half of y: spare is then a flat float array of y.size / 2 entries
+    or more, such as y itself, which the first step alone reads.
+
+    Each step writes its detail level straight into its place in coeffs,
+    and its approximation into the place of the next steps' levels, where
+    the next step reads it; the last step's is the scaling block. The
+    first step runs in groups of as many rows as scratch holds, and puts
+    each group's head products into the group's rows of coeffs, which it
+    fills only after reading them. A later step on m samples per row puts
+    its head products into the second half of scratch where scratch has
+    2m per row, and into spare where it has not. So the transform makes no
+    array of its own, and writes to nothing but coeffs, scratch and spare.
+    """
+    levels = WaveletPyramid(coarse_level, y).levels()
+    n = y.shape[-1]
+    rows, out = y.reshape(-1, n), coeffs.reshape(-1, n)
+    group = max(1, scratch.size // n)
+    size = y.size // 2
+    with np.errstate(all="ignore"):
+        for r in range(0, len(rows), group):
+            part = slice(r, r + group)
+            _analysis_step(rows[part], filt.lowpass, filt.highpass, out[part, :n // 2],
+                           out[part, n // 2:], scratch[:out[part].size], out[part].reshape(-1))
+        for j in reversed(levels[:-1]):
+            tail = scratch[size:2 * size] if scratch.size >= 2 * size else spare[:size]
+            _analysis_step(coeffs[..., :2**(j + 1)], filt.lowpass, filt.highpass,
+                           coeffs[..., :2**j], coeffs[..., 2**j:2**(j + 1)], scratch[:size], tail)
+            size //= 2
+    _require_finite("forward transform", coeffs)
+    return WaveletPyramid(coarse_level, coeffs)
+
+
 def dwt_forward(y, filt: DaubechiesFilter, coarse_level: int = 0) -> WaveletPyramid:
     """Decompose a dyadic-length signal into a wavelet pyramid.
 
@@ -308,22 +368,11 @@ def dwt_forward(y, filt: DaubechiesFilter, coarse_level: int = 0) -> WaveletPyra
     is orthogonal, so the coefficient energy equals the signal energy.
     Raises InputError unless n is a power of two >= 2 and 0 <= J0 < J, and
     NumericError if a coefficient is not finite (an overflow, or a
-    non-finite sample).
+    non-finite sample). The coefficients are a fresh array, and y is not
+    written to.
     """
-    approx = np.asarray(y, dtype=float)
-    # the signal has the shape of its pyramid, so the pyramid's checks apply
-    levels = WaveletPyramid(coarse_level, approx).levels()
-    details = []
-    with np.errstate(all="ignore"):
-        for _ in levels:
-            approx, detail = _analysis_step(approx, filt.lowpass, filt.highpass)
-            details.append(detail)
-    # packed once, at the end: writing each step into one array would free
-    # the step's full-length temporaries at the top of the heap, where the
-    # allocator returns them to the system and the next step faults them in
-    coeffs = np.concatenate([approx, *reversed(details)], axis=-1)
-    _require_finite("forward transform", coeffs)
-    return WaveletPyramid(coarse_level, coeffs)
+    y = np.asarray(y, dtype=float)
+    return _forward(y, filt, coarse_level, np.empty(y.shape), np.empty(y.size))
 
 
 def dwt_inverse(pyramid: WaveletPyramid, filt: DaubechiesFilter) -> np.ndarray:

@@ -161,9 +161,10 @@ _SERIES_V = 0.05
 _BLOCK_COEFFS = 8192
 
 # the narrowest detail levels of a stack share one block while it holds at
-# most this many coefficients. Their constants are then repeated per
-# coefficient, eleven float arrays the size of the block (0.35 MB at this
-# bound), while a longer level, shrunk level by level, needs no repeats
+# most this many coefficients. Their constants are then gathered per
+# coefficient into eleven float arrays the size of the block (0.35 MB at
+# this bound), which a study takes from its kept scratch, dead by then,
+# while a longer level, shrunk level by level, needs no gathered constants
 _POOL = _BLOCK_COEFFS // 2
 
 
@@ -395,7 +396,7 @@ def _blockwise(block_fn, arr: np.ndarray, k: _Constants) -> np.ndarray:
 
 
 def _esr_levels(rows: np.ndarray, levels: list, alpha: np.ndarray, beta: np.ndarray,
-                r: np.ndarray) -> None:
+                r: np.ndarray, scratch) -> None:
     """Apply the mixture rule in place to the detail levels of a stack.
 
     rows has shape (R, n); levels are the column slices of its L detail
@@ -404,7 +405,8 @@ def _esr_levels(rows: np.ndarray, levels: list, alpha: np.ndarray, beta: np.ndar
     a = sqrt(2 lam), both in the units of the coefficients. The constants
     are made once for all levels, as (R, L) arrays. The narrowest levels
     share one block while it holds at most _POOL coefficients, their
-    constants repeated per coefficient (the floats in one call, the bool
+    constants gathered per coefficient (the floats in one np.take into
+    scratch(size), a flat float array that the call writes over, the bool
     series flag in its own); every longer level goes in groups of rows, or
     slices of one row, with its constants as columns. Every block is
     evaluated in place in the same six work arrays, of the largest block's
@@ -415,11 +417,14 @@ def _esr_levels(rows: np.ndarray, levels: list, alpha: np.ndarray, beta: np.ndar
     start = levels[0].start
     pooled = sum(len(rows) * (level.stop - start) <= _POOL for level in levels)
     if pooled:
-        widths = [level.stop - level.start for level in levels[:pooled]]
-        cut = [c[:, :pooled] for c in k]
-        blocks.append((rows[:, start:levels[pooled - 1].stop],
-                       k._make([*np.repeat(np.stack(cut[:-1]), widths, axis=2),
-                                np.repeat(cut[-1], widths, axis=1)])))
+        block = rows[:, start:levels[pooled - 1].stop]
+        at = np.repeat(np.arange(pooled), [level.stop - level.start
+                                           for level in levels[:pooled]])
+        shape = (len(k) - 1, *block.shape)
+        # mode="clip" writes straight into out, which "raise" would buffer
+        floats = np.take(np.stack([c[:, :pooled] for c in k[:-1]]), at, axis=2,
+                         out=scratch(math.prod(shape)).reshape(shape), mode="clip")
+        blocks.append((block, k._make([*floats, k.series[:, :pooled].take(at, axis=1)])))
     for j in range(pooled, len(levels)):
         view = rows[:, levels[j]]
         blocks += [(view[rs, cs], k._make(c[rs, j:j + 1] for c in k))
@@ -659,16 +664,21 @@ def rule_statistics(
         r, plateau = r[:-1], float(r[-1])
         p_hi = noise.sf(beta, theta)
         p_lo = 1.0 - noise.sf(-beta, theta)
-        mean = float(w @ r) + plateau * (p_hi - p_lo)
+        # the bias as the mean of rule - theta, not the mean less theta:
+        # where the rule is nearly the identity, the latter cancels to the
+        # rounding error of the mean, and that differs from kernel to kernel
+        # of the BLAS that sums it
+        error = r - theta
+        bias = float(w @ error) + (plateau - theta) * p_hi - (plateau + theta) * p_lo
+        mean = theta + bias
         variance = (
             float(w @ (r - mean) ** 2)
             + (plateau - mean) ** 2 * p_hi
             + (plateau + mean) ** 2 * p_lo
         )
         risk = (
-            float(w @ (r - theta) ** 2)
+            float(w @ error ** 2)
             + (plateau - theta) ** 2 * p_hi
             + (plateau + theta) ** 2 * p_lo
         )
-        bias_sq = (mean - theta) ** 2
-    return RuleStatistics(bias_sq=bias_sq, variance=variance, risk=risk)
+    return RuleStatistics(bias_sq=bias ** 2, variance=variance, risk=risk)

@@ -29,7 +29,10 @@ acceptance-desk's 1200 draws per n make 2 chunks at n = 512, 3 at 1024 and
 5 at 2048. The draws are dead
 once transformed, so their array is the chunk's work array: each rule's
 coefficients are copied into it, shrunk there and scored there in place,
-with no array of the chunk's size made per rule. A chunk's noise streams
+with no array of the chunk's size made per rule. The draws, the
+coefficients and the scratch of a chunk are buffers kept per thread
+between calls (_kept), so a study call in a warm thread takes no fresh
+pages for them. A chunk's noise streams
 are keyed in one pass that reproduces numpy's SeedSequence hash
 (signals._seed_states), and one Philox, re-keyed for each row through its
 state setter, draws each row in place; so every stream is noise_rng's bit
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -55,6 +59,7 @@ from .dwt import (
     MAX_ORDER,
     DaubechiesFilter,
     WaveletPyramid,
+    _forward,
     dwt_forward,
     dwt_inverse,
     make_daubechies_filter,
@@ -90,9 +95,9 @@ ALPHA_MAX = 1.0 - 1e-15
 SIGMA_FLOOR = 1e-8
 # a study splits the draws of all functions at one n into chunks of whole
 # rows holding at most this many samples, 4 MiB per array of a chunk:
-# half the memory of 2**20, and faster than 2**18, whose 2 MiB arrays fall
-# below the 4 MiB from which numpy asks the kernel for huge pages, and so
-# are faulted in 4 KiB at a time, chunk after chunk
+# half the memory of 2**20, and, when each chunk made fresh arrays, faster
+# than 2**18, whose 2 MiB arrays fall below the 4 MiB from which numpy asks
+# the kernel for huge pages, and so were faulted in 4 KiB at a time
 _CHUNK = 2**19
 # a process keeps this many truth stacks (_truths), each of at most 4
 # distinct functions at 16n bytes of samples and coefficients per function:
@@ -225,7 +230,8 @@ def _elicit(pyramid: WaveletPyramid, cfg: ElicitationConfig) -> tuple:
 
 
 def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
-                   n_samples: int, *, elicited: tuple | None = None) -> dict:
+                   n_samples: int, *, elicited: tuple | None = None,
+                   scratch=np.empty) -> dict:
     """Apply a rule to every detail level of a pyramid, in place.
 
     The scaling block is never touched. Returns the elicited quantities:
@@ -258,6 +264,10 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
     levels together, the longer ones in groups of rows or slices of a row.
     ``elicited``, the _elicit of these coefficients, lets rules that
     shrink copies of one pyramid share its checks, supports and estimates.
+    ``scratch(size)`` gives a flat float array of size entries, written
+    over and dead once the shrink returns, into which the mixture rule
+    gathers the constants of the narrowest levels (_esr_levels): a fresh
+    one by default.
     """
     cfg = elicitation
     coeffs = pyramid.coeffs
@@ -289,7 +299,8 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
             _esr_levels(coeffs if stacked else coeffs[None],
                         [slice(2**j, 2**(j + 1)) for j in details],
                         np.array([level["alpha"] for level in levels]),
-                        betas if stacked else betas[None], np.reshape(rate, (-1, 1)))
+                        betas if stacked else betas[None], np.reshape(rate, (-1, 1)),
+                        scratch)
         else:
             eta = rule.threshold
             if eta is None:
@@ -309,16 +320,19 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
 
 def _denoise_stack(rows: np.ndarray, rules: tuple[RuleSpec, ...],
                    elicitation: ElicitationConfig, filt: DaubechiesFilter,
-                   work: np.ndarray | None = None) -> tuple:
+                   kept: bool = False) -> tuple:
     """The denoising pipeline on the signals in ``rows`` (shape (n,) or
     (R, n)): one forward transform and one _elicit, which all rules share,
     then the rules one at a time, all in one work array of the shape of
     rows: each rule copies the coefficients into it (np.copyto) and shrinks
     them there. Nothing is inverted here.
 
-    ``work`` is that array, or None for a fresh one. It may be rows
-    itself, which are dead once transformed: nothing is written to it
-    before the transform is done.
+    With ``kept``, rows are a study chunk's draws in this thread's kept
+    buffer (_kept), dead once transformed: the forward transform's first
+    step reads them and the coefficients go into the kept buffer "coeffs",
+    the transform and the mixture rule write over the kept "scratch", and
+    rows become the work array. Otherwise the coefficients, the work array
+    and every scratch array are fresh, and rows are only read.
 
     Returns the forward pyramid and a generator that yields, rule by rule,
     (diagnostics, shrunk pyramid, seconds). The shrunk pyramid is a view of
@@ -330,10 +344,19 @@ def _denoise_stack(rows: np.ndarray, rules: tuple[RuleSpec, ...],
     counted.
     """
     t0 = time.perf_counter()
-    empirical = dwt_forward(rows, filt, elicitation.coarse_level)
+    if kept:
+        # the scratch of half the rows: the first step runs in two groups,
+        # and the draws, dead after it, take the second step's head products
+        empirical = _forward(rows, filt, elicitation.coarse_level,
+                             _kept("coeffs", rows.size).reshape(rows.shape),
+                             _kept("scratch", -(-len(rows) // 2) * rows.shape[-1]),
+                             spare=rows.reshape(-1))
+        work, scratch = rows, functools.partial(_kept, "scratch")
+    else:
+        empirical = dwt_forward(rows, filt, elicitation.coarse_level)
+        work, scratch = np.empty_like(empirical.coeffs), np.empty
     elicited = _elicit(empirical, elicitation)
-    shrunk = WaveletPyramid(empirical.coarse_level, np.empty_like(empirical.coeffs)
-                            if work is None else work)
+    shrunk = WaveletPyramid(empirical.coarse_level, work)
     share = (time.perf_counter() - t0) / len(rules)
 
     def each_rule():
@@ -341,7 +364,7 @@ def _denoise_stack(rows: np.ndarray, rules: tuple[RuleSpec, ...],
             t0 = time.perf_counter()
             np.copyto(shrunk.coeffs, empirical.coeffs)
             diagnostics = shrink_pyramid(shrunk, rule, elicitation, empirical.n,
-                                         elicited=elicited)
+                                         elicited=elicited, scratch=scratch)
             yield diagnostics, shrunk, time.perf_counter() - t0 + share
 
     return empirical, each_rule()
@@ -412,7 +435,9 @@ class StudyConfig:
     bare string or number, and are stored as tuples, and each lists every
     value once: a value listed twice, once names and rule texts are
     normalised ("bumps" and TestFunctionKind.BUMPS, "soft" and
-    "soft-universal"), raises ConfigError naming the field. Any other
+    "soft-universal"), raises ConfigError naming the field, and so do two
+    SNRs that round to one noise key (_snr_key), such as 1.0 and
+    1.0000000001, naming both. Any other
     function or rule, a size, replications, wavelet order or seed that is
     not a whole number, an SNR or target SD that is not a positive, finite
     real number, or an elicitation that is not an ElicitationConfig raises
@@ -450,6 +475,12 @@ class StudyConfig:
                 if value in values[:i]:
                     shown = value.label if name == "rules" else getattr(value, "value", value)
                     raise ConfigError(f"{name} lists {shown} more than once")
+        keyed = {}
+        for snr in self.snrs:
+            other = keyed.setdefault(_snr_key(snr), snr)
+            if other != snr:
+                raise ConfigError(f"snrs {other!r} and {snr!r} share their noise streams: "
+                                  "an SNR is keyed to 1e-9")
         if not self.functions:
             raise ConfigError("functions must not be empty")
         if not self.sizes:
@@ -535,12 +566,17 @@ class StudyReport:
                 "cells": [c.to_dict() for c in self.cells]}
 
 
-def _noise_key(seed: int, function: TestFunctionKind, n: int, snr: float, rep: int):
-    # snr keyed at nanodigit resolution so equal floats map to equal streams;
-    # where that overflows every double is a whole number, keyed exactly
+def _snr_key(snr: float) -> int:
+    """The SNR's part of its noise keys: snr keyed at nanodigit resolution
+    so equal floats map to equal streams; where that overflows every double
+    is a whole number, keyed exactly. StudyConfig rejects two SNRs with one
+    key, which would draw the same noise."""
     scaled = float(snr) * 1e9
-    snr_key = int(round(scaled)) if math.isfinite(scaled) else int(snr) * 10**9
-    return (seed, _FUNCTION_INDEX[function], n.bit_length() - 1, snr_key, rep)
+    return int(round(scaled)) if math.isfinite(scaled) else int(snr) * 10**9
+
+
+def _noise_key(seed: int, function: TestFunctionKind, n: int, snr: float, rep: int):
+    return (seed, _FUNCTION_INDEX[function], n.bit_length() - 1, _snr_key(snr), rep)
 
 
 def _cell_error(function, n, snr, rep: int, rule: str | None,
@@ -603,6 +639,24 @@ def _parts(config: StudyConfig, rows: range):
                        min(rows.stop, (k + 1) * per) - rows.start)
 
 
+# the arrays of a study chunk, by name, kept per thread between calls (_kept)
+_KEPT = threading.local()
+
+
+def _kept(name: str, size: int) -> np.ndarray:
+    """The first size entries of this thread's kept float buffer of that
+    name, which grows to the largest size asked of it and lives as long as
+    the thread, so that a study call takes no fresh pages for its chunks.
+    A study chunk keeps three: "draws" (_noisy_rows), which becomes the
+    work array, "coeffs" and "scratch" (_denoise_stack). Nothing returned
+    or memoised is a view of one."""
+    buffer = getattr(_KEPT, name, None)
+    if buffer is None or buffer.size < size:
+        buffer = np.empty(size)
+        setattr(_KEPT, name, buffer)
+    return buffer[:size]
+
+
 def _draw_eps(keys: list, rows: np.ndarray) -> None:
     """Fill row i of rows with the standard normals that noise_rng(keys[i])
     draws first, bit for bit: the keys are hashed in one pass
@@ -628,11 +682,12 @@ def _noisy_rows(config: StudyConfig, truths: tuple, rows: range) -> np.ndarray:
     scaling and the sum are one call each per function. A draw that
     add_noise would reject (a constant truth, or a noise scale or sample
     that overflows) is returned as computed, noiseless or not finite:
-    _score_chunk finds it."""
+    _score_chunk finds it. The draws are a view of this thread's kept
+    buffer "draws" (_kept), valid until the next call."""
     samples, _, sds = truths
     n = samples.shape[-1]
     coords = [_row(config, i) for i in rows]
-    out = np.empty((len(rows), n))
+    out = _kept("draws", len(rows) * n).reshape(len(rows), n)
     _draw_eps([_noise_key(config.seed, config.functions[k], n, snr, rep)
                for k, snr, rep in coords], out)
     for k, part in _parts(config, rows):
@@ -670,7 +725,7 @@ def _score_chunk(config: StudyConfig, truths: tuple, rows: range,
             raise NumericError("a noise draw is not finite or has a constant truth")
         # the rules write over the draws; a failure draws them again
         _, each_rule = _denoise_stack(draws, config.rules, config.elicitation, filt,
-                                      work=draws)
+                                      kept=True)
         for i, (_, shrunk, rule_seconds) in enumerate(each_rule):
             seconds[i] += rule_seconds
             with np.errstate(over="ignore"):

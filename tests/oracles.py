@@ -267,6 +267,18 @@ def roll_analysis_step(a, lo, hi):
             out[..., _CHANNEL_OUTPUTS:].reshape(*lead, n // 2))
 
 
+def concatenated_forward(y, filt, coarse_level=0):
+    """dwt.dwt_forward's coefficients with every step's outputs fresh
+    arrays (the roll oracle's), packed by one np.concatenate at the end."""
+    approx = np.asarray(y, dtype=float)
+    details = []
+    with np.errstate(all="ignore"):
+        for _ in range(coarse_level, approx.shape[-1].bit_length() - 1):
+            approx, detail = roll_analysis_step(approx, filt.lowpass, filt.highpass)
+            details.append(detail)
+    return np.concatenate([approx, *reversed(details)], axis=-1)
+
+
 def roll_synthesis_step(approx, detail, lo, hi):
     """dwt._synthesis_step with the previous blocks' tails added by np.roll."""
     half = approx.shape[-1]
@@ -352,13 +364,14 @@ def per_call_rule_statistics(theta, params: MixturePriorParams, noise=None) -> R
         r, plateau = r[:-1], float(r[-1])
         p_hi = noise.sf(beta, theta)
         p_lo = 1.0 - noise.sf(-beta, theta)
-        mean = float(w @ r) + plateau * (p_hi - p_lo)
+        bias = (float(w @ (r - theta)) + (plateau - theta) * p_hi
+                - (plateau + theta) * p_lo)
+        mean = theta + bias
         variance = (float(w @ (r - mean) ** 2) + (plateau - mean) ** 2 * p_hi
                     + (plateau + mean) ** 2 * p_lo)
         risk = (float(w @ (r - theta) ** 2) + (plateau - theta) ** 2 * p_hi
                 + (plateau + theta) ** 2 * p_lo)
-        bias_sq = (mean - theta) ** 2
-    return RuleStatistics(bias_sq=bias_sq, variance=variance, risk=risk)
+    return RuleStatistics(bias_sq=bias ** 2, variance=variance, risk=risk)
 
 
 def per_row_write_signal_csv(path, samples, truth=None):

@@ -22,11 +22,12 @@ from epashrink.dwt import (
     MAX_ORDER,
     WaveletPyramid,
     _analysis_step,
+    _forward,
     _step_matrix,
     _synthesis_step,
     _taps_matrix,
 )
-from oracles import roll_analysis_step, roll_synthesis_step
+from oracles import concatenated_forward, roll_analysis_step, roll_synthesis_step
 
 # published extremal-phase taps for two vanishing moments
 DB2 = np.array([0.4829629131445341, 0.8365163037378079,
@@ -393,6 +394,36 @@ def test_steps_match_the_roll_oracle_bit_for_bit(order, n, lead, seed):
     assert np.array_equal(detail, want_detail)
     assert np.array_equal(_synthesis_step(approx, detail, f.lowpass, f.highpass),
                           roll_synthesis_step(approx, detail, f.lowpass, f.highpass))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.integers(1, 10),
+    log_n=st.integers(1, 12),
+    lead=st.sampled_from([(), (1,), (3,), (5,), (2, 3)]),
+    coarse=st.integers(0, 11),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forward_into_given_buffers_is_the_concatenated_transform_bit_for_bit(
+        order, log_n, lead, coarse, seed):
+    # dwt_forward, into fresh buffers, and _forward with a scratch of half
+    # the rows (rounded up), the first step in two row groups and the
+    # second step's head products in the spent input, as a study chunk
+    # runs it: each step's coefficients written straight into place give
+    # the packing of fresh step outputs at the end, and dwt_forward leaves
+    # its input as it was
+    coarse = min(coarse, log_n - 1)
+    f = make_daubechies_filter(order)
+    y = np.random.default_rng(seed).standard_normal(lead + (2**log_n,))
+    want = concatenated_forward(y, f, coarse)
+    given_y = y.copy()
+    assert np.array_equal(dwt_forward(given_y, f, coarse).coeffs, want)
+    assert np.array_equal(given_y, y)
+    rows = max(1, math.prod(lead))
+    spent = y.copy()
+    pyramid = _forward(spent, f, coarse, np.empty(y.shape), np.empty(-(-rows // 2) * 2**log_n),
+                       spare=spent.reshape(-1))
+    assert np.array_equal(pyramid.coeffs, want)
 
 
 def test_step_matrices_are_read_only_and_built_once():

@@ -48,7 +48,8 @@ from epashrink.shrinkage import (DoubleExponential, Gaussian, MixturePriorParams
                                  marginal_m, rule_statistics)
 from epashrink.thresholds import hard_threshold, soft_threshold, universal_threshold
 from epashrink import signals as signals_mod
-from epashrink.study import _denoise_stack, _noise_key, _noisy_rows, _slab_supports
+from epashrink.study import (_denoise_stack, _noise_key, _noisy_rows, _slab_supports,
+                             _snr_key)
 from oracles import per_level_esr_shrink
 
 
@@ -312,6 +313,30 @@ class TestStudyConfigValidation:
         with pytest.raises(ConfigError, match=f"^{field} lists {re.escape(shown)} more than "
                                               "once$"):
             StudyConfig(**{**grid, field: value})
+
+    @pytest.mark.parametrize("snrs,first,second", [
+        ((1.0, 1.0000000001), "1.0", "1.0000000001"),
+        ((3.0, 1e-12, 2e-12), "1e-12", "2e-12"),
+        ((0.5, np.float32(0.25), 0.2500000001), "0.25", "0.2500000001"),
+    ])
+    def test_snrs_that_share_a_noise_key_are_a_config_error(self, snrs, first, second):
+        # two SNRs closer than the key's resolution would draw the same noise
+        # for their cells; one error names both
+        with pytest.raises(ConfigError, match=f"^snrs {re.escape(first)} and "
+                                              f"{re.escape(second)} share their noise"):
+            StudyConfig(functions=("bumps",), sizes=(64,), snrs=snrs, replications=3,
+                        rules=("soft",))
+
+    def test_snrs_one_key_apart_keep_their_streams(self):
+        # SNRs a key apart, and neighbouring doubles past the overflow of
+        # the scaled key, are accepted, each keyed as before
+        for snrs in ((1.0, 1.000000001), (1e300, math.nextafter(1e300, math.inf))):
+            config = StudyConfig(functions=("bumps",), sizes=(64,), snrs=snrs, replications=3,
+                                 rules=("soft",))
+            assert config.snrs == snrs
+        assert [_snr_key(snr) for snr in (1.0, 1.000000001, 0.25, 1e-12)] == [
+            10**9, 10**9 + 1, 250_000_000, 0]
+        assert _snr_key(1e300) == int(1e300) * 10**9
 
     @pytest.mark.parametrize("field,value", [
         ("snrs", (math.inf,)), ("snrs", (1.0, math.nan)), ("snrs", ("1",)),
@@ -1238,7 +1263,10 @@ def test_a_batch_keys_its_streams_once_per_chunk(chunk, monkeypatch):
         monkeypatch.setattr(np.random, name, counting(name, getattr(np.random, name)))
     monkeypatch.setattr(signals_mod, "noise_rng", counting("noise_rng", signals_mod.noise_rng))
     monkeypatch.setattr(study_mod, "_seed_states", counting("seed_states", study_mod._seed_states))
-    monkeypatch.setattr(study_mod, "dwt_forward", counting("forward", study_mod.dwt_forward))
+    # a chunk transforms into the kept buffers (_forward), a truth stack
+    # into fresh ones (dwt_forward)
+    for name in ("dwt_forward", "_forward"):
+        monkeypatch.setattr(study_mod, name, counting("forward", getattr(study_mod, name)))
     monkeypatch.setattr(study_mod, "generate_test_function",
                         counting("generate", study_mod.generate_test_function))
     monkeypatch.setattr(study_mod, "_CHUNK", chunk)
@@ -1546,11 +1574,14 @@ def test_a_study_fails_at_its_first_failing_row_in_run_order_whatever_the_chunks
 def test_study_desk_batch_memory_is_bounded():
     # the study-desk grid at n = 2048 in one batch of 24 rows (393 kB per
     # array): with every rule shrunk and scored in the array of the draws,
-    # no estimate ever made and the truths taken from the memo, its traced
-    # peak is about 1.63 MB, reached in the esr kernel's blocks (1.77 MB on
-    # an empty memo, which makes the truths as one stack; 1.85 MB when that
-    # stack was made on every run, 2.2 MB when each rule's estimates were
-    # made, 3.9 MB when all rules' copies were inverted together)
+    # no estimate ever made, the truths taken from the memo and the draws,
+    # coefficients and scratch taken from the thread's kept buffers, a
+    # second run's traced peak is about 0.58 MB, the esr kernel's work
+    # arrays and numpy's ufunc buffers (1.63 MB when each chunk made fresh
+    # arrays, 1.77 MB on an empty memo, which makes the truths as one stack;
+    # 1.85 MB when that stack was made on every run, 2.2 MB when each
+    # rule's estimates were made, 3.9 MB when all rules' copies were
+    # inverted together)
     config = StudyConfig(functions=tuple(TestFunctionKind), sizes=(2048,),
                          snrs=(0.2, 1.0, 3.0), replications=2,
                          rules=(RuleSpec("esr"), RuleSpec("soft")),
@@ -1562,7 +1593,7 @@ def test_study_desk_batch_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.0e6
+    assert peak <= 0.8e6
 
 
 def _bits(values):
@@ -1631,7 +1662,7 @@ class TestPlainNumbers:
     @settings(max_examples=15, deadline=None)
     @given(
         sizes=st.lists(st.sampled_from([8, 16, 64]), min_size=1, max_size=2, unique=True),
-        snrs=st.lists(st.floats(0.05, 50.0), min_size=1, max_size=2, unique=True),
+        snrs=st.lists(st.floats(0.05, 50.0), min_size=1, max_size=2, unique_by=_snr_key),
         target_sd=st.floats(0.1, 100.0),
         replications=st.integers(1, 3),
         seed=st.integers(0, 1000),
@@ -1645,7 +1676,8 @@ class TestPlainNumbers:
                                                            gamma, coarse_level):
         import json
 
-        assume(len({float(real(snr)) for snr in snrs}) == len(snrs))  # each SNR once
+        # each SNR once, and one noise key each
+        assume(len({_snr_key(real(snr)) for snr in snrs}) == len(snrs))
         elicitation = ElicitationConfig(gamma=real(gamma), l=real(1.5), c=real(1.0),
                                         tau=real(2.0), sigma_estimator="sd",
                                         coarse_level=whole(coarse_level))
@@ -1666,7 +1698,7 @@ class TestPlainNumbers:
         functions=st.lists(st.sampled_from(list(TestFunctionKind)), min_size=1, max_size=2,
                            unique=True),
         sizes=st.lists(st.sampled_from([8, 16, 32]), min_size=1, max_size=2, unique=True),
-        snrs=st.lists(st.floats(0.05, 50.0), min_size=1, max_size=2, unique=True),
+        snrs=st.lists(st.floats(0.05, 50.0), min_size=1, max_size=2, unique_by=_snr_key),
         target_sd=st.floats(0.1, 100.0),
         real=st.sampled_from([np.float32, np.float64]),
         rules=st.lists(st.sampled_from(["esr", "soft", "hard-universal", "soft:2.123456789",
@@ -1682,7 +1714,8 @@ class TestPlainNumbers:
         # config reruns the study to the same cells, bit for bit
         import json
 
-        assume(len({float(real(snr)) for snr in snrs}) == len(snrs))  # each SNR once
+        # each SNR once, and one noise key each
+        assume(len({_snr_key(real(snr)) for snr in snrs}) == len(snrs))
         config = StudyConfig(functions=functions, sizes=sizes,
                              snrs=[real(snr) for snr in snrs], replications=replications,
                              rules=rules, elicitation=ElicitationConfig(sigma_estimator=sigma),
@@ -1755,3 +1788,106 @@ def test_a_parameter_is_stored_as_a_float_or_rejected_by_name(parameter):
     for value in (np.float32(0.5),) if field == "alpha" else (np.float32(0.5), True, 2):
         stored = make(value)
         assert type(stored) is float and stored == float(value)
+
+
+def _desk(sizes, seed: int) -> StudyConfig:
+    """The study-desk grid at the given sizes: 24 rows per n."""
+    return StudyConfig(functions=tuple(TestFunctionKind), sizes=sizes, snrs=(0.2, 1.0, 3.0),
+                       replications=2, rules=(RuleSpec("esr"), RuleSpec("soft")),
+                       elicitation=benchmark_elicitation(), seed=seed)
+
+
+def _fresh_values(config, monkeypatch) -> list:
+    """The _values of a study whose chunks take fresh arrays, not the
+    thread's kept buffers, with an emptied truth memo."""
+    import epashrink.study as study_mod
+
+    study_mod._truths.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(study_mod, "_kept", lambda name, size: np.empty(size))
+        values = _values(run_study(config))
+    study_mod._truths.cache_clear()
+    return values
+
+
+def _in_fresh_thread(fn):
+    """fn() in a new thread, which starts with no kept buffers."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result(timeout=120)
+
+
+@pytest.mark.usefixtures("cold_truths")
+def test_kept_buffers_give_the_reports_of_fresh_ones_whatever_the_order_of_sizes(monkeypatch):
+    # a thread's kept buffers grow to the largest chunk and are then cut
+    # to smaller ones, with truths memoised in between: sizes largest
+    # first, then sizes interleaved across calls, each bit for bit the
+    # study of fresh arrays, mse_samples included
+    largest_first = _desk((2048, 512, 1024), 3)
+    interleaved = [_desk((n,), seed) for seed, n in enumerate((512, 2048, 64, 1024, 2048, 512))]
+    want = [_fresh_values(config, monkeypatch) for config in [largest_first, *interleaved]]
+    got = _in_fresh_thread(lambda: [_values(run_study(config))
+                                    for config in [largest_first, *interleaved]])
+    assert got == want
+
+
+@pytest.mark.usefixtures("cold_truths")
+def test_acceptance_desk_on_kept_buffers_is_its_study_on_fresh_arrays(monkeypatch):
+    # several chunks per size, the last of each size the smallest
+    config = study_preset("acceptance-desk")
+    want = _fresh_values(config, monkeypatch)
+    assert _in_fresh_thread(lambda: _values(run_study(config))) == want
+
+
+@pytest.mark.usefixtures("cold_truths")
+def test_threads_running_studies_at_once_keep_their_own_buffers(monkeypatch):
+    # three threads on two cores or fewer, switching often, each with its
+    # own sizes in its own order: every report is the one of fresh arrays
+    import sys
+    import threading
+
+    configs = {0: [_desk((2048, 512), 5), _desk((1024,), 6)],
+               1: [_desk((512, 1024, 2048), 7), _desk((2048,), 8)],
+               2: [_desk((64, 2048), 10), _desk((512, 64), 11)]}
+    want = {i: [_fresh_values(config, monkeypatch) for config in runs]
+            for i, runs in configs.items()}
+    got = {}
+    start = threading.Barrier(len(configs))
+
+    def run(i):
+        start.wait()
+        got[i] = [_values(run_study(config)) for config in configs[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in configs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
+
+
+def test_nothing_a_study_returns_or_memoises_shares_a_kept_buffer():
+    import epashrink.study as study_mod
+
+    def check():
+        report = run_study(_desk((2048, 64), 9))
+        kept = list(vars(study_mod._KEPT).values())
+        assert sorted(vars(study_mod._KEPT)) == ["coeffs", "draws", "scratch"]
+        truths = [array for n in (2048, 64)
+                  for array in study_mod._truths(tuple(TestFunctionKind), n, 7.0, 10, 0)[:2]]
+        for array in [cell.mse_samples for cell in report.cells] + truths:
+            assert not any(np.shares_memory(array, buffer) for buffer in kept)
+        # the draws and coefficients grew to the largest chunk, 24 rows of
+        # 2048 samples; the scratch to the larger of half its rows and the
+        # 11 constants of the pooled levels 0..6, 127 coefficients a row
+        assert [buffer.size for buffer in kept] == [24 * 2048, 24 * 2048, 11 * 24 * 127]
+
+    _in_fresh_thread(check)
+
