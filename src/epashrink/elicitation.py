@@ -8,6 +8,7 @@ empirical function of the noise-scale estimate taken from the finest level.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,10 @@ class ElicitationConfig:
     :mod:`epashrink.study` overrides gamma, l and the sigma estimator.
     Each field is checked when the config is built, a bad one raising
     DomainError, and stored as a Python float, int or SigmaEstimator, so a
-    numpy scalar works as the equal Python number does.
+    numpy scalar works as the equal Python number does. c and tau must
+    also keep the rate finite: c/tau, lambda's limit at a large noise
+    scale, and 1 + 4 c tau / e^2, the largest lambda * s^2 over every s,
+    must not overflow, or DomainError names both.
     """
 
     gamma: float = 2.4
@@ -60,6 +64,10 @@ class ElicitationConfig:
             SigmaEstimator, "sigma_estimator", self.sigma_estimator, DomainError))
         if self.coarse_level < 0:
             raise DomainError(f"coarse_level must be >= 0, got {self.coarse_level}")
+        if not (math.isfinite(self.c / self.tau)
+                and math.isfinite(1.0 + 4.0 / math.e**2 * self.c * self.tau)):
+            raise DomainError(f"c {self.c!r} and tau {self.tau!r} make the rate overflow: "
+                              "c / tau and 1 + 4 c tau / e^2 must be finite")
 
 
 def alpha_level(j: int, coarse_level: int, gamma: float, l: float) -> float:
@@ -107,11 +115,13 @@ def estimate_sigma(finest_details, method: SigmaEstimator = SigmaEstimator.MAD):
     any scale (see scaled_std); MAD is the median absolute coefficient
     divided by 0.6745, robust to the sparse signal content of the finest
     level. A stack of blocks, shape (..., m), gets one estimate per block.
+    A method that is not a SigmaEstimator or its value is a DomainError
+    listing the choices.
     """
     coeffs = np.asarray(finest_details, dtype=float)
     if coeffs.ndim < 1 or coeffs.shape[-1] < 2:
         raise InputError("need at least 2 coefficients to estimate sigma")
-    method = SigmaEstimator(method)
+    method = _member(SigmaEstimator, "sigma_estimator", method, DomainError)
     if method is SigmaEstimator.SAMPLE_SD:
         return scaled_std(coeffs, ddof=1, axis=-1)
     # np.median bit for bit, but partitioned at one pivot h, not two or
@@ -133,7 +143,8 @@ def lambda_from_s(s, c: float = 1.0, tau: float = 2.0):
     and decays exponentially for large s; strictly decreasing for c > 0.
     s is a number or an array, and the result has its shape. A
     nonpositive s, c or tau, or one past the double range, is a
-    DomainError.
+    DomainError. Where s / tau is past the double range the decay term is
+    0, its limit.
     """
     s = _floats("s", s, DomainError)
     if not np.all(s > 0.0):
@@ -145,5 +156,7 @@ def lambda_from_s(s, c: float = 1.0, tau: float = 2.0):
                           f"got {c!r} and {tau!r}") from None
     if not (c > 0.0 and tau > 0.0):
         raise DomainError("c and tau must be positive")
-    lam = 1.0 / np.square(s) + (c / tau) * np.exp(-s / tau)
+    with np.errstate(over="ignore"):  # exp(-inf) is 0
+        decay = np.exp(-s / tau)
+    lam = 1.0 / np.square(s) + (c / tau) * decay
     return lam if lam.ndim else float(lam)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError, NumericError, _scale, _whole, numeric_guard
+from .errors import (DomainError, InputError, NumericError, _member, _scale, _whole,
+                     numeric_guard)
 
 __all__ = [
     "Signal",
@@ -121,10 +122,11 @@ def generate_test_function(
     """Evaluate a benchmark function on x_i = i/n and rescale to target SD.
 
     The rescale is purely multiplicative, so doubling target_sd exactly
-    doubles every sample. A target_sd so large that a sample overflows
-    raises DomainError.
+    doubles every sample. A target_sd so large that a sample overflows,
+    or a kind that is not a TestFunctionKind or its value, raises
+    DomainError; for a kind it lists the choices.
     """
-    kind = TestFunctionKind(kind)
+    kind = _member(TestFunctionKind, "test function", kind, DomainError)
     n = _whole("n", n, InputError)
     if not 2 <= n <= _MAX_SAMPLES or n & (n - 1):
         raise InputError(f"n must be a power of two from 2 to 2**59, got {n}")

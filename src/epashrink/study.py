@@ -9,9 +9,9 @@ pure function of (config, seed) independent of execution order.
 
 One pipeline serves both a single denoise and a study: it takes a stack of
 signals, shape (R, n), and a tuple of rules, and transforms the stack
-once. It elicits what no rule changes once for all rules: the finiteness
-check, the slab supports of all levels in one pass and the noise scale of
-each row. Then it takes the rules one at a time in one work array:
+once, which checks that every coefficient is finite. It elicits what no
+rule changes once for all rules: the slab supports of all levels in one
+pass and the noise scale of each row. Then it takes the rules one at a time in one work array:
 each rule copies the coefficients into it and shrinks them there, the
 thresholds writing through their out=. Every step works row by row, so
 each row comes out bit for bit as it would alone. A denoise inverts the
@@ -22,14 +22,15 @@ of its shrunk coefficients against the transform of the truth
 
 A study runs the pipeline once per n, on the draws of every function at
 that n, row by row (function, then SNR, then replication), each row drawn
-and scored against its own function's truth; it fails in the same order,
-with the error of the first row that fails alone. The draws are stacked in
-chunks of whole rows of at most _CHUNK samples, which may span functions:
-acceptance-desk's 1200 draws per n make 2 chunks at n = 512, 3 at 1024 and
-5 at 2048. The draws are dead
-once transformed, so their array is the chunk's work array: each rule's
-coefficients are copied into it, shrunk there and scored there in place,
-with no array of the chunk's size made per rule. The draws, the
+and scored against its own function's truth. Whether a study can fail is
+decided by its config: StudyConfig accepts only draws at a scale within
+DRAW_SCALES, where every step of every row is finite, so a study that
+starts runs to the end. The draws are stacked in chunks of whole rows of
+at most _CHUNK samples, which may span functions: acceptance-desk's 1200
+draws per n make 2 chunks at n = 512, 3 at 1024 and 5 at 2048. The draws
+are dead once transformed, so their array is the chunk's work array: each
+rule's coefficients are copied into it, shrunk there and scored there in
+place, with no array of the chunk's size made per rule. The draws, the
 coefficients and the scratch of a chunk are buffers kept per thread
 between calls (_kept), so a study call in a warm thread takes no fresh
 pages for them. A chunk's noise streams
@@ -79,7 +80,6 @@ from .signals import (
     Signal,
     TestFunctionKind,
     _seed_states,
-    add_noise,
     generate_test_function,
     scaled_std,
 )
@@ -104,6 +104,15 @@ _CHUNK = 2**19
 # at most 256n bytes at a largest size n, 4.2 MB at n = 16384. study-desk's
 # 3 stacks, at n = 512, 1024 and 2048, hold 0.23 MB
 _TRUTHS = 4
+# the range of a study draw's scale S = max(target_sd, target_sd / snr),
+# which StudyConfig checks for every SNR. Within it every step of a study
+# is finite with at least 40 decades to spare on either side: at S = 1e100
+# a squared error stays below n (14 S)^2 < 1e240 even at n = 2^59, and the
+# floored noise-scale estimate stays above about 1e-110, so 1/sigma_hat^2
+# is finite. Measured over every function and rule, both estimators,
+# orders 1 and 10 and n up to 4096: every cell is finite for S from 1e-140
+# to 1e152, and some cell fails from 1e153 up and from 1e-150 down
+DRAW_SCALES = (1e-100, 1e100)
 
 __all__ = [
     "RuleSpec",
@@ -217,11 +226,10 @@ def _slab_supports(pyramid: WaveletPyramid) -> np.ndarray:
 
 
 def _elicit(pyramid: WaveletPyramid, cfg: ElicitationConfig) -> tuple:
-    """What every rule's shrink of a pyramid shares: the finiteness check,
-    the slab supports (..., L) and the floored noise-scale estimates."""
+    """What every rule's shrink of a pyramid shares: the slab supports
+    (..., L) and the floored noise-scale estimates. The coefficients are
+    finite: the forward transform that made them checked them."""
     with numeric_guard("shrinkage"):
-        if not np.isfinite(pyramid.coeffs).all():
-            raise NumericError("wavelet coefficients are not finite")
         betas = _slab_supports(pyramid)
         floor = SIGMA_FLOOR * betas.max(axis=-1)
         finest = pyramid.coeffs[..., pyramid.n // 2:]
@@ -237,8 +245,8 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
     The scaling block is never touched. Returns the elicited quantities:
     the noise-scale estimate, per-level spike weight and slab support, and
     the global rate (mixture rule) or the threshold (hard/soft), all in the
-    units of the coefficients. A non-finite coefficient or rate, or an
-    overflow while eliciting or applying the rule, raises NumericError. A
+    units of the coefficients. A non-finite coefficient, or an overflow
+    while eliciting or applying the rule, raises NumericError. A
     signal whose largest detail coefficient is positive but below the
     normal range (about 2.2e-308) raises InputError under every rule.
 
@@ -263,7 +271,9 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
     once per shrink, and it runs in blocks of bounded size: the narrowest
     levels together, the longer ones in groups of rows or slices of a row.
     ``elicited``, the _elicit of these coefficients, lets rules that
-    shrink copies of one pyramid share its checks, supports and estimates.
+    shrink copies of one pyramid share its supports and estimates; it
+    skips the finiteness check, which the forward transform that made the
+    coefficients has made.
     ``scratch(size)`` gives a flat float array of size entries, written
     over and dead once the shrink returns, into which the mixture rule
     gathers the constants of the narrowest levels (_esr_levels): a fresh
@@ -275,7 +285,11 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
     if coeffs.ndim not in (1, 2):
         raise InputError(f"cannot shrink a pyramid of shape {coeffs.shape}")
     details = pyramid.details
-    betas, sigma_hat = elicited or _elicit(pyramid, cfg)
+    if elicited is None:
+        if not np.isfinite(coeffs).all():
+            raise NumericError("wavelet coefficients are not finite")
+        elicited = _elicit(pyramid, cfg)
+    betas, sigma_hat = elicited
     with numeric_guard("shrinkage"):
         levels = [{"level": j, "alpha": _clamped_alpha(j, cfg),
                    "beta": betas[..., i] if stacked else float(betas[i])}
@@ -288,10 +302,6 @@ def shrink_pyramid(pyramid, rule: RuleSpec, elicitation: ElicitationConfig,
 
         if rule.kind == "esr":
             lam = lambda_from_s(sigma_hat, cfg.c, cfg.tau)
-            # c / tau overflows to inf in float arithmetic without raising;
-            # an overflow of lambda * sigma_hat^2 raises below
-            if not np.isfinite(lam).all():
-                raise NumericError(f"lambda overflows at sigma_hat={sigma_hat!r}")
             diagnostics["lambda"] = lam
             # a = sqrt(2 lambda) per row, from lambda sigma_hat^2, the rate
             # of the coefficients over sigma_hat
@@ -441,9 +451,12 @@ class StudyConfig:
     function or rule, a size, replications, wavelet order or seed that is
     not a whole number, an SNR or target SD that is not a positive, finite
     real number, or an elicitation that is not an ElicitationConfig raises
-    ConfigError naming the field. SNRs and the target SD are stored as
-    Python floats, so a numpy scalar scales as the equal float does and the
-    config dumps to json as given.
+    ConfigError naming the field. So does an SNR at which the draws' scale,
+    max(target_sd, target_sd / snr), lies outside DRAW_SCALES, naming
+    target_sd, that SNR and the range: a config accepted here runs to the
+    end. SNRs and the target SD are stored as Python floats, so a numpy
+    scalar scales as the equal float does and the config dumps to json as
+    given.
     """
 
     functions: tuple[TestFunctionKind, ...]
@@ -457,8 +470,7 @@ class StudyConfig:
     target_sd: float = 7.0
 
     def __post_init__(self):
-        # function names become TestFunctionKind and rule texts RuleSpec,
-        # so a study fails only where its draws or rules do
+        # function names become TestFunctionKind and rule texts RuleSpec
         fields = {"functions": tuple(_member(TestFunctionKind, "test function", f)
                                      for f in _sequence("functions", self.functions)),
                   "rules": tuple(map(_rule_spec, _sequence("rules", self.rules))),
@@ -503,6 +515,14 @@ class StudyConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.snrs:
             raise ConfigError("snrs must not be empty")
+        low, high = DRAW_SCALES
+        for snr in self.snrs:
+            # target_sd / snr overflows to inf or underflows to 0, each on
+            # its own side of the range
+            if not low <= max(self.target_sd, self.target_sd / snr) <= high:
+                raise ConfigError(
+                    f"target_sd {self.target_sd!r} at snr {snr!r} draws at a scale, "
+                    f"max(target_sd, target_sd / snr), outside [{low!r}, {high!r}]")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if not self.rules:
@@ -579,43 +599,18 @@ def _noise_key(seed: int, function: TestFunctionKind, n: int, snr: float, rep: i
     return (seed, _FUNCTION_INDEX[function], n.bit_length() - 1, _snr_key(snr), rep)
 
 
-def _cell_error(function, n, snr, rep: int, rule: str | None,
-                exc: Exception) -> NumericError:
-    """The error of a failed draw (rule None) or of a rule on that draw."""
-    step = f"rule={rule}" if rule else "noise draw"
-    return NumericError(f"cell (function={function.value}, n={n}, snr={snr}, "
-                        f"rep={rep}) {step} failed: {exc}")
-
-
-def _truth_coeffs(samples: np.ndarray, filt: DaubechiesFilter, coarse_level: int) -> np.ndarray:
-    """The coefficients of the truth's forward transform. A truth so large
-    that its transform overflows gets infinite coefficients: its draws
-    overflow the transform as well and fail their rules first, and
-    otherwise every score against it overflows."""
-    try:
-        return dwt_forward(samples, filt, coarse_level).coeffs
-    except NumericError:
-        return np.full(samples.size, np.inf)
-
-
 @functools.lru_cache(maxsize=_TRUTHS)
 def _truths(functions: tuple, n: int, target_sd, wavelet_order: int,
             coarse_level: int) -> tuple:
     """The truths of functions at n as one stack: their samples (F, n), the
     coefficients of their forward transforms (F, n), both read-only, and
     their SDs as a tuple. The stack is transformed and its SDs taken at
-    once, each row as it would be alone; if the stack's transform
-    overflows, each truth is transformed alone (_truth_coeffs). The last
-    _TRUTHS stacks used are memoised per process. An error is not
-    memoised: a target_sd whose samples overflow raises its DomainError
-    every call."""
+    once, each row as it would be alone. The last _TRUTHS stacks used are
+    memoised per process."""
     filt = make_daubechies_filter(wavelet_order)
     samples = np.array([generate_test_function(function, n, target_sd).samples
                         for function in functions])
-    try:
-        coeffs = dwt_forward(samples, filt, coarse_level).coeffs
-    except NumericError:
-        coeffs = np.array([_truth_coeffs(row, filt, coarse_level) for row in samples])
+    coeffs = dwt_forward(samples, filt, coarse_level).coeffs
     samples.flags.writeable = coeffs.flags.writeable = False
     return samples, coeffs, tuple(scaled_std(samples, axis=-1).tolist())
 
@@ -676,14 +671,11 @@ def _noisy_rows(config: StudyConfig, truths: tuple, rows: range) -> np.ndarray:
     _truths of config.functions at one n: the draw of a row of function k
     at (snr, rep) (_row) is f + sigma * eps with sigma = sd / snr, f and sd
     being truth k's samples and SD, add_noise(Signal(truth), snr,
-    key).samples bit for bit wherever add_noise accepts it. Every row's eps
-    comes from its own key's stream, noise_rng's bit for bit, the keys of
-    all rows hashed in one pass and each row drawn in place (_draw_eps); the
-    scaling and the sum are one call each per function. A draw that
-    add_noise would reject (a constant truth, or a noise scale or sample
-    that overflows) is returned as computed, noiseless or not finite:
-    _score_chunk finds it. The draws are a view of this thread's kept
-    buffer "draws" (_kept), valid until the next call."""
+    key).samples bit for bit. Every row's eps comes from its own key's
+    stream, noise_rng's bit for bit, the keys of all rows hashed in one
+    pass and each row drawn in place (_draw_eps); the scaling and the sum
+    are one call each per function. The draws are a view of this thread's
+    kept buffer "draws" (_kept), valid until the next call."""
     samples, _, sds = truths
     n = samples.shape[-1]
     coords = [_row(config, i) for i in rows]
@@ -692,9 +684,8 @@ def _noisy_rows(config: StudyConfig, truths: tuple, rows: range) -> np.ndarray:
                for k, snr, rep in coords], out)
     for k, part in _parts(config, rows):
         block = out[part]
-        with np.errstate(over="ignore", invalid="ignore"):
-            block *= sds[k] / np.array([[snr] for _, snr, _ in coords[part]])
-            block += samples[k]
+        block *= sds[k] / np.array([[snr] for _, snr, _ in coords[part]])
+        block += samples[k]
     return out
 
 
@@ -708,56 +699,27 @@ def _score_chunk(config: StudyConfig, truths: tuple, rows: range,
     copies the coefficients into it, shrinks them there and is scored
     there, in place, with what mse computes, bit for bit.
 
-    A draw that add_noise would reject, a failing pipeline or a score that
-    is not finite fails the chunk. Its rows are then run again one at a
-    time, in run order: each row's draw (_noisy_rows), which fails as
-    add_noise fails it, then each rule in turn, through _denoise_stack and
-    scored with mse. The first row that fails alone raises its own
-    _cell_error, so the error does not depend on how the rows are chunked;
-    a chunk in which no row fails alone raises a batch error."""
-    samples, coeffs, sds = truths
+    StudyConfig accepts only draws at a scale where every step is finite,
+    so no chunk of an accepted config fails. As a backstop, a step that
+    raises or a score that is not finite fails the chunk with a batch error
+    naming its functions and n, the cause chained."""
+    _, coeffs, _ = truths
     n = coeffs.shape[-1]
     parts = list(_parts(config, rows))
-    filt = make_daubechies_filter(config.wavelet_order)
-    draws = _noisy_rows(config, truths, rows)
     try:
-        if not all(sds[k] for k, _ in parts) or not np.isfinite(draws).all():
-            raise NumericError("a noise draw is not finite or has a constant truth")
-        # the rules write over the draws; a failure draws them again
-        _, each_rule = _denoise_stack(draws, config.rules, config.elicitation, filt,
-                                      kept=True)
+        draws = _noisy_rows(config, truths, rows)
+        _, each_rule = _denoise_stack(draws, config.rules, config.elicitation,
+                                      make_daubechies_filter(config.wavelet_order), kept=True)
         for i, (_, shrunk, rule_seconds) in enumerate(each_rule):
             seconds[i] += rule_seconds
-            with np.errstate(over="ignore"):
-                for k, part in parts:
-                    d = shrunk.coeffs[part]
-                    d -= coeffs[k]
-                    d *= d
-                    scores[i, part] = d.mean(axis=-1)
+            for k, part in parts:
+                d = shrunk.coeffs[part]
+                d -= coeffs[k]
+                d *= d
+                scores[i, part] = d.mean(axis=-1)
         if not np.isfinite(scores).all():
-            raise NumericError("the squared error overflows")
+            raise NumericError("a squared error is not finite")
     except Exception as exc:
-        # rows are independent, so a failing row fails alone as well
-        for i in rows:
-            k, snr, rep = _row(config, i)
-            function = config.functions[k]
-            [row] = _noisy_rows(config, truths, range(i, i + 1))
-            if sds[k] == 0.0 or not np.isfinite(row).all():
-                try:
-                    add_noise(Signal(samples[k]), snr,
-                              _noise_key(config.seed, function, n, snr, rep))
-                except Exception as row_exc:
-                    raise _cell_error(function, n, snr, rep, None, row_exc) from row_exc
-            for rule in config.rules:
-                try:
-                    [(_, shrunk, _)] = _denoise_stack(row, (rule,), config.elicitation,
-                                                      filt)[1]
-                    with np.errstate(over="ignore"):
-                        if not math.isfinite(mse(shrunk.coeffs, coeffs[k])):
-                            raise NumericError("the squared error overflows")
-                except Exception as row_exc:
-                    raise _cell_error(function, n, snr, rep, rule.label,
-                                      row_exc) from row_exc
         names = ", ".join(config.functions[k].value for k, _ in parts)
         raise NumericError(f"batch (function={names}, n={n}) failed: {exc}") from exc
 
@@ -770,11 +732,7 @@ def _cells(config: StudyConfig, n: int, scores: np.ndarray, seconds: list) -> di
     functions, snrs, reps = config.functions, config.snrs, config.replications
     labels = [r.label for r in config.rules]
     by_cell = scores.reshape(len(labels), len(functions), len(snrs), reps)
-    with np.errstate(over="ignore"):
-        amse = by_cell.mean(axis=-1)
-    for i, k, s in np.argwhere(~np.isfinite(amse)):  # only the sum overflowed
-        vals = by_cell[i, k, s]
-        amse[i, k, s] = vals.max() * np.mean(vals / vals.max())
+    amse = by_cell.mean(axis=-1)
     degenerate = reps < 2
     sd = np.zeros(amse.shape) if degenerate else scaled_std(by_cell, ddof=1, axis=-1)
     amse, sd = amse.tolist(), sd.tolist()
@@ -817,15 +775,20 @@ def run_study(config: StudyConfig) -> StudyReport:
     and how wall_time_s is shared out. The cells are returned function by
     function, size by size, as the config lists them.
 
-    Deterministic given (config, seed): replication streams are derived
-    from cell coordinates, not from execution order, and the aggregation
-    order is fixed. Each sample is a squared error in the coefficient
-    domain: mse(denoise(draw).shrunk.coeffs, dwt_forward(truth).coeffs)
-    of a denoise of its draw alone, bit for bit, which equals the
-    time-domain mse of that denoise up to rounding (Parseval). A failure
-    aborts the study with the error of the first row that fails in run
-    order: its cell, and its noise draw or the first of its rules that
-    fails (_score_chunk), whatever the chunks.
+    Deterministic given (config, seed) on one host and BLAS kernel:
+    replication streams are derived from cell coordinates, not from
+    execution order, and the aggregation order is fixed, so a rerun there
+    is bit-identical. The transform's products run on whichever kernel
+    OpenBLAS picks at run time, so across kernels an AMSE agrees within
+    1e-12 relative (tests/test_blas_kernels.py), not bit for bit. Each
+    sample is a squared error in the coefficient domain:
+    mse(denoise(draw).shrunk.coeffs, dwt_forward(truth).coeffs) of a
+    denoise of its draw alone, bit for bit, which equals the time-domain
+    mse of that denoise up to rounding (Parseval).
+
+    A config that StudyConfig accepts draws at a scale where every step is
+    finite, so a study that starts ends in finite cells; a chunk that
+    still fails raises a batch error (_score_chunk).
     """
     results = {}
     for n in config.sizes:

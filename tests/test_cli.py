@@ -662,16 +662,16 @@ def test_infinite_elicitation_parameter_domain_code(runner, tmp_path, command, f
 
 
 @pytest.mark.parametrize("command", ["denoise", "coeffs"])
-def test_overflowing_rate_numeric_code(runner, tmp_path, command):
-    # c / tau overflows to an infinite lambda without a floating-point flag
+def test_overflowing_rate_domain_code(runner, tmp_path, command):
+    # c / tau overflows, so ElicitationConfig rejects the pair before any work
     inp = tmp_path / "in.csv"
     _write_noisy_signal(inp, n=64)
     out = ["--out", str(tmp_path / "d.csv")] if command == "denoise" else \
         ["--out-prefix", str(tmp_path / "co")]
     result = runner.invoke(main, [command, str(inp), "--rule", "esr", "--c", "1e308",
                                   "--tau", "0.5", *out])
-    assert result.exit_code == 5, result.output
-    assert "lambda overflows" in result.output
+    assert result.exit_code == 4, result.output
+    assert "c 1e+308 and tau 0.5 make the rate overflow" in result.output
     assert list(tmp_path.iterdir()) == [inp]
 
 
@@ -988,7 +988,9 @@ class TestStudyCommand:
         assert len(summary["cells"]) == 2
         assert summary["config"]["seed"] == 9
 
-    def test_huge_signal_numeric_code_names_cell_without_warnings(self, runner, tmp_path):
+    def test_huge_signal_config_code_names_the_range_without_warnings(self, runner, tmp_path):
+        # a draw scale past 1e100 is rejected with the config, before any
+        # draw and before the output directory is made
         cfg = tmp_path / "big.cfg"
         cfg.write_text("functions = bumps\nsizes = 64\nsnrs = 1\n"
                        "replications = 2\nrules = esr, soft\ntarget_sd = 1e300\n")
@@ -998,8 +1000,10 @@ class TestStudyCommand:
                 "study", str(cfg), "--out-dir", str(tmp_path / "res"),
             ])
         assert not caught
-        assert result.exit_code == 5
-        assert "cell (function=bumps, n=64, snr=1.0, rep=0) rule=" in result.output
+        assert result.exit_code == 3
+        assert ("target_sd 1e+300 at snr 1.0 draws at a scale, max(target_sd, target_sd / snr), "
+                "outside [1e-100, 1e+100]") in result.output
+        assert not (tmp_path / "res").exists()
 
     def test_huge_snr_runs(self, runner, tmp_path):
         """An SNR whose noise key at nanodigit resolution overflows a double
@@ -1082,7 +1086,7 @@ class TestStudyCommand:
     def test_console_prints_short_amse_matching_report(self, runner, tmp_path):
         cfg = tmp_path / "big.cfg"
         cfg.write_text("functions = bumps\nsizes = 64\nsnrs = 1\n"
-                       "replications = 3\nrules = esr, soft\ntarget_sd = 1e150\n")
+                       "replications = 3\nrules = esr, soft\ntarget_sd = 1e99\n")
         result = runner.invoke(main, [
             "study", str(cfg), "--out-dir", str(tmp_path / "res"),
         ])

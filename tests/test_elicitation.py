@@ -18,6 +18,7 @@ from epashrink import (
     lambda_from_s,
 )
 from epashrink.elicitation import BETA_FLOOR
+from epashrink.errors import numeric_guard
 from oracles import median_mad_sigma
 
 # spike weights for levels 5..9 at J0=5, gamma=2.4, l=2 (4-decimal table)
@@ -217,6 +218,10 @@ class TestLambdaFromS:
 
     def test_vanishes_for_large_s(self):
         assert lambda_from_s(100.0) < 1e-3
+        # where s / tau is past the double range the decay term is its
+        # limit, 0, with no overflow raised under the pipeline's guard
+        with numeric_guard("shrinkage"):
+            assert lambda_from_s(1e100, 1.0, 1e-300) == 1e-200
 
     def test_small_s_behaves_like_inverse_square(self):
         s = 1e-4
@@ -267,3 +272,14 @@ class TestConfig:
                                           "['sd', 'mad']")):
             with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 ElicitationConfig(**{field: value})
+        # c and tau whose rate can overflow: c / tau, or 1 + 4 c tau / e^2,
+        # the largest lambda * s^2; each failed inside esr at a study scale
+        # within range before it was rejected here
+        for c, tau in ((1e300, 1e-10), (1e300, 1e10), (1e308, 30.0), (1e308, 0.5)):
+            message = (f"c {c!r} and tau {tau!r} make the rate overflow: "
+                       "c / tau and 1 + 4 c tau / e^2 must be finite")
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                ElicitationConfig(c=c, tau=tau)
+        # at the edges both stay finite
+        for c, tau in ((1e300, 1.0), (1e154, 1e154), (1.0, 1e-300), (1e-300, 1e300)):
+            ElicitationConfig(c=c, tau=tau)

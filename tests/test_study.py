@@ -1,10 +1,8 @@
-import contextlib
 import itertools
 import math
 import re
 import time
 import tracemalloc
-import types
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -27,7 +25,6 @@ from epashrink import (
     SigmaEstimator,
     Signal,
     StudyConfig,
-    StudyReport,
     TestFunctionKind,
     add_noise,
     benchmark_elicitation,
@@ -43,13 +40,14 @@ from epashrink import (
 )
 from epashrink.dwt import WaveletPyramid
 from epashrink.shrinkage import _BLOCK_COEFFS
-from epashrink.elicitation import BETA_FLOOR, alpha_level, beta_level, lambda_from_s
+from epashrink.elicitation import (BETA_FLOOR, alpha_level, beta_level, estimate_sigma,
+                                   lambda_from_s)
 from epashrink.shrinkage import (DoubleExponential, Gaussian, MixturePriorParams, esr,
                                  marginal_m, rule_statistics)
 from epashrink.thresholds import hard_threshold, soft_threshold, universal_threshold
 from epashrink import signals as signals_mod
-from epashrink.study import (_denoise_stack, _noise_key, _noisy_rows, _slab_supports,
-                             _snr_key)
+from epashrink.study import (DRAW_SCALES, _denoise_stack, _noise_key, _noisy_rows,
+                             _slab_supports, _snr_key)
 from oracles import per_level_esr_shrink
 
 
@@ -357,13 +355,37 @@ class TestStudyConfigValidation:
         assert config.functions == (TestFunctionKind.BUMPS, TestFunctionKind.DOPPLER)
         assert config.rules == (RuleSpec("esr"), RuleSpec("soft", 2.5))
 
-    def test_a_named_function_fails_its_draw_with_a_numeric_error(self):
-        # sigma = 7e150 / 1e-160 overflows: the draw fails with its cell named
-        config = StudyConfig(functions=("bumps",), sizes=(64,), snrs=(1e-160,),
-                             replications=1, rules=("esr",), target_sd=7e150)
-        with pytest.raises(NumericError, match=r"cell \(function=bumps, n=64, "
-                                               r"snr=1e-160, rep=0\) noise draw failed"):
-            run_study(config)
+    @pytest.mark.parametrize("target_sd, snrs, snr", [
+        # just outside either edge, by one double, through target_sd or an SNR
+        (math.nextafter(1e100, math.inf), (1.0,), 1.0),
+        (math.nextafter(1e-100, 0.0), (1.0, 3.0), 1.0),
+        (1e100, (3.0, math.nextafter(1.0, 0.0)), math.nextafter(1.0, 0.0)),
+        (7.0, (1.0, 7e-101), 7e-101),
+        (1e-300, (1e-199,), 1e-199),
+        # target_sd / snr overflows to inf, or underflows to 0
+        (7.0, (5e-324,), 5e-324),
+        (1e-300, (1e300,), 1e300),
+        # far outside: a noise scale or a sample that overflows, a truth whose
+        # transform overflows, squared errors whose sum overflows, a tiny scale
+        (7e150, (1e-160,), 1e-160),
+        (1e300, (1.0,), 1.0),
+        (1e307, (1.0, 1e6), 1.0),
+        (5e307, (0.5, 3.0), 0.5),
+        (1.7e153, (1.0,), 1.0),
+        (7e150, (1.0,), 1.0),
+        (1e-200, (1.0,), 1.0),
+    ])
+    def test_a_draw_scale_outside_the_range_is_a_config_error(self, target_sd, snrs, snr):
+        # a draw's scale is max(target_sd, target_sd / snr), checked for
+        # every SNR against DRAW_SCALES when the config is built, so no
+        # study that could fail part-way draws at all; the error names
+        # target_sd, the first SNR out of range and the range
+        with pytest.raises(ConfigError, match=f"^target_sd {re.escape(repr(target_sd))} at snr "
+                                              f"{re.escape(repr(snr))} draws at a scale, "
+                                              r"max\(target_sd, target_sd / snr\), outside "
+                                              r"\[1e-100, 1e\+100\]$"):
+            StudyConfig(functions=("bumps",), sizes=(64,), snrs=snrs, replications=2,
+                        rules=("esr", "soft"), target_sd=target_sd)
 
     @pytest.mark.parametrize("field, value, message", [
         ("functions", ("nonsense",), "unknown test function 'nonsense'"),
@@ -427,8 +449,13 @@ def _config(**fields):
     (lambda: shrink_pyramid(WaveletPyramid(0, np.zeros((2, 2, 64))), RuleSpec("soft"),
                             ElicitationConfig(), 64),
      InputError, "cannot shrink a pyramid of shape (2, 2, 64)"),
+    (lambda: generate_test_function("bogus", 64), DomainError,
+     "unknown test function 'bogus'; available: ['bumps', 'blocks', 'doppler', 'heavisine']"),
+    (lambda: estimate_sigma(np.ones(4), "bogus"), DomainError,
+     "unknown sigma_estimator 'bogus'; available: ['sd', 'mad']"),
 ], ids=["unknown rule kind", "negative threshold", "no functions", "no sizes",
-        "no replications", "zero c", "nan coefficient", "3-D pyramid"])
+        "no replications", "zero c", "nan coefficient", "3-D pyramid", "unknown test function",
+        "unknown sigma estimator"])
 def test_a_documented_rejection_is_its_error(call, error, message):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -851,94 +878,29 @@ def test_run_study_wall_times_sum_to_at_most_the_run():
     assert sum(times) <= total
 
 
-def _eps_with_huge_draws(bad_keys, huge=7e307):
-    """A stand-in for study._draw_eps whose every draw for a key in
-    bad_keys is huge."""
-    import epashrink.study as study_mod
-
-    draw_eps = study_mod._draw_eps
-
-    def eps_with_huge_draws(keys, rows):
-        draw_eps(keys, rows)
-        for key, row in zip(keys, rows):
-            if key in bad_keys:
-                row[...] = huge
-
-    return eps_with_huge_draws
-
-
-@contextlib.contextmanager
-def _huge_draws(bad_keys, huge=7e307):
-    """Every draw for a key in bad_keys is huge, in the study's draws
-    (_eps_with_huge_draws) and in add_noise's (signals.noise_rng) alike."""
-    import epashrink.study as study_mod
-
-    noise_rng = signals_mod.noise_rng
-
-    def rng(key):
-        if key in bad_keys:
-            return types.SimpleNamespace(standard_normal=lambda size: np.full(size, huge))
-        return noise_rng(key)
-
-    with mock.patch.object(study_mod, "_draw_eps", _eps_with_huge_draws(bad_keys, huge)), \
-            mock.patch.object(signals_mod, "noise_rng", rng):
-        yield
-
-
-def test_failure_in_a_batch_names_the_first_failing_draw(monkeypatch):
-    # one draw of the batch (snr 3, replication 1) overflows the transform:
-    # its samples are about 1.6e308
+def test_an_injected_non_finite_draw_fails_its_batch(monkeypatch):
+    # no config StudyConfig accepts draws a non-finite sample; one injected
+    # into the draw at snr 3, replication 1 fails the forward transform, and
+    # its chunk raises the batch error, the cause chained, with no warning
     import epashrink.study as study_mod
 
     config = replace(_tiny_config((RuleSpec("soft"), RuleSpec("esr"))), snrs=(1.0, 3.0))
     bad_key = _noise_key(config.seed, TestFunctionKind.HEAVISINE, 128, 3.0, 1)
-    monkeypatch.setattr(study_mod, "_draw_eps", _eps_with_huge_draws({bad_key}))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(NumericError, match=r"function=heavisine, n=128, snr=3.0, "
-                                               r"rep=1\) rule=soft-universal failed"):
-            run_study(config)
-    assert not caught
+    draw_eps = study_mod._draw_eps
 
+    def eps_with_a_nan(keys, rows):
+        draw_eps(keys, rows)
+        rows[keys.index(bad_key), 5] = np.nan
 
-def test_huge_signal_study_fails_with_cell_and_no_warning():
-    # at a signal scale of 1e300 the draws are finite, but the squared
-    # errors overflow: a NumericError naming the first cell, no warning
-    config = StudyConfig(
-        functions=(TestFunctionKind.BUMPS,),
-        sizes=(64,),
-        snrs=(1.0,),
-        replications=2,
-        rules=(RuleSpec("soft"),),
-        seed=1,
-        target_sd=1e300,
-    )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(NumericError, match=r"cell \(function=bumps, n=64, snr=1.0, "
-                                               r"rep=0\) rule=soft-universal failed"):
-            run_study(config)
-    assert not caught
-
-
-@pytest.mark.parametrize("snr", [1.0, 1e6])
-def test_a_truth_whose_transform_overflows_fails_at_its_first_draw(snr):
-    # the truth's samples are finite but its transform is not; the draws
-    # overflow the transform as well, and the first one names its cell
-    config = StudyConfig(functions=(TestFunctionKind.HEAVISINE,), sizes=(1024,),
-                         snrs=(snr,), replications=2, rules=(RuleSpec("soft"),),
-                         seed=1, target_sd=1e307)
-    truth = generate_test_function("heavisine", 1024, 1e307)
-    with pytest.raises(NumericError):
-        dwt_forward(truth.samples, make_daubechies_filter(10))
+    monkeypatch.setattr(study_mod, "_draw_eps", eps_with_a_nan)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(NumericError) as got:
             run_study(config)
     assert not caught
-    assert str(got.value) == (f"cell (function=heavisine, n=1024, snr={snr}, rep=0) "
-                              "rule=soft-universal failed: forward transform: "
-                              "result is not finite")
+    assert str(got.value) == ("batch (function=heavisine, n=128) failed: "
+                              "forward transform: result is not finite")
+    assert type(got.value.__cause__) is NumericError
 
 
 def test_large_signal_study_has_finite_scores_without_warnings():
@@ -950,7 +912,7 @@ def test_large_signal_study_has_finite_scores_without_warnings():
         rules=(RuleSpec("esr"), RuleSpec("soft")),
         elicitation=benchmark_elicitation(),
         seed=1,
-        target_sd=7e150,
+        target_sd=7e99,
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -961,29 +923,91 @@ def test_large_signal_study_has_finite_scores_without_warnings():
     ref = run_study(replace(config, target_sd=7e3))
     for big, small in zip(report.cells, ref.cells):
         assert np.isfinite(big.mse_sd) and big.mse_sd > 0
-        assert big.amse == pytest.approx(1e294 * small.amse, rel=1e-9)
-        assert big.mse_sd == pytest.approx(1e294 * small.mse_sd, rel=1e-9)
+        assert big.amse == pytest.approx(1e192 * small.amse, rel=1e-9)
+        assert big.mse_sd == pytest.approx(1e192 * small.mse_sd, rel=1e-9)
 
 
-def test_amse_whose_sum_overflows_is_finite():
-    # each squared error and each MSE sample is finite at this scale, but
-    # the sum of 200 samples is not
-    config = StudyConfig(
-        functions=(TestFunctionKind.HEAVISINE,),
-        sizes=(64,),
-        snrs=(1.0,),
-        replications=200,
-        rules=(RuleSpec("soft"),),
-        seed=1,
-        target_sd=1.7e153,
-    )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+def test_amse_at_the_largest_draw_scale_is_the_mean_of_its_samples():
+    # at the top of DRAW_SCALES the sum of 200 squared errors is far below
+    # the largest double, so each AMSE is the plain mean of its samples
+    config = StudyConfig(functions=(TestFunctionKind.HEAVISINE,), sizes=(64,), snrs=(1.0,),
+                         replications=200, rules=(RuleSpec("soft"),), seed=1,
+                         target_sd=DRAW_SCALES[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         cell = run_study(config).cells[0]
-    assert not caught
-    assert np.sum(cell.mse_samples / 2.0) > np.finfo(float).max / 2.0
-    assert cell.amse == pytest.approx(np.mean(cell.mse_samples / 1e300) * 1e300, rel=1e-12)
+    assert cell.amse == float(np.mean(cell.mse_samples)) > 1e199
     assert np.isfinite(cell.mse_sd) and cell.mse_sd > 0
+
+
+@st.composite
+def _accepted_scales(draw):
+    """A target_sd and one or two SNRs at which every draw's scale,
+    max(target_sd, target_sd / snr), lies within DRAW_SCALES: both edges,
+    a target_sd of 1e-300 at an SNR of 1e-200, and SNRs up to 1e300, at
+    which the noise underflows to 0, among them."""
+    low, high = DRAW_SCALES
+    edges = [(low, (1.0,)), (high, (1.0, 1e300)), (low, (1e300,)), (1e-300, (1e-200,)),
+             (7.0, (1e300, 7e-100))]
+    if draw(st.booleans()):
+        return draw(st.sampled_from(edges))
+    a = draw(st.integers(-300, 100))
+    top = 300 if a >= -100 else a + 100
+    snrs = draw(st.lists(st.integers(max(a - 100, -300), top), min_size=1, max_size=2,
+                         unique=True))
+    return float(f"1e{a}"), tuple(float(f"1e{b}") for b in snrs)
+
+
+_POWERS = st.one_of(st.sampled_from([-300, -150, -8, 0, 8, 150, 154, 300]),
+                    st.integers(-300, 300)).map(lambda e: float(f"1e{e}"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scales=_accepted_scales(),
+    functions=st.lists(st.sampled_from(list(TestFunctionKind)), min_size=1, max_size=4,
+                       unique=True),
+    sizes=st.lists(st.sampled_from([4, 8, 64, 512]), min_size=1, max_size=2, unique=True),
+    replications=st.integers(1, 3),
+    rules=st.lists(st.sampled_from(["esr", "soft", "hard", "soft:0", "hard:inf", "soft:2.5"]),
+                   min_size=1, max_size=6, unique=True),
+    sigma=st.sampled_from(list(SigmaEstimator)),
+    wavelet_order=st.integers(1, 10),
+    coarse_level=st.integers(0, 1),
+    c_tau=st.one_of(st.just((1.0, 2.0)), st.tuples(_POWERS, _POWERS)),
+    seed=st.integers(0, 2**16),
+)
+def test_every_accepted_study_ends_in_finite_cells(scales, functions, sizes, replications,
+                                                   rules, sigma, wavelet_order, coarse_level,
+                                                   c_tau, seed):
+    # StudyConfig and ElicitationConfig decide whether a study can fail: a
+    # config they accept runs to the end in finite cells, under every rule,
+    # estimator and wavelet order, at the default c and tau and at every
+    # accepted power of ten, with no numpy warning
+    target_sd, snrs = scales
+    try:
+        elicitation = ElicitationConfig(c=c_tau[0], tau=c_tau[1],
+                                        sigma_estimator=sigma, coarse_level=coarse_level)
+        config = StudyConfig(functions=functions, sizes=sizes, snrs=snrs,
+                             replications=replications, rules=rules, elicitation=elicitation,
+                             wavelet_order=wavelet_order, seed=seed, target_sd=target_sd)
+    except (ConfigError, DomainError):
+        assume(False)  # c and tau that overflow the rate, or SNRs that share a key
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_study(config)
+    assert len(report.cells) == len(functions) * len(sizes) * len(snrs) * len(rules)
+    for cell in report.cells:
+        assert math.isfinite(cell.amse) and math.isfinite(cell.mse_sd)
+        assert np.isfinite(cell.mse_samples).all() and (cell.mse_samples >= 0.0).all()
+
+
+@pytest.mark.parametrize("function", list(TestFunctionKind))
+def test_no_truth_of_a_study_is_constant(function):
+    # a study's sizes are powers of two from 4 up, and the grid x_i = i/n at
+    # n holds the grid at n/2: a function with a nonzero SD at n = 4 has one
+    # at every size, so every draw's noise scale sd / snr is positive
+    assert np.std(signals_mod._raw_test_function(function, np.arange(1, 5) / 4)) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1000,7 +1024,8 @@ def _coords(config):
     return [(snr, rep) for snr in config.snrs for rep in range(config.replications)]
 
 
-@pytest.mark.parametrize("target_sd", [7.0, 1e-200, 1e200])
+# the draws' scale at SNR 0.5 is twice target_sd: 1e100 at 5e99
+@pytest.mark.parametrize("target_sd", [7.0, 1e-100, 5e99])
 def test_every_draw_of_a_batch_is_add_noise_bit_for_bit(target_sd):
     # the draws of two functions in one stack, each row with its own truth
     config = replace(_draw_config(target_sd),
@@ -1034,18 +1059,6 @@ def test_draw_eps_draws_each_keys_noise_rng_stream(keys, n):
         assert np.array_equal(row, signals_mod.noise_rng(key).standard_normal(n))
 
 
-def test_an_overflowing_target_sd_fails_the_study_as_a_domain_error():
-    # bumps overflows at this target SD; heavisine's samples stay finite
-    config = replace(_draw_config(5e307), functions=(TestFunctionKind.BUMPS,
-                                                     TestFunctionKind.HEAVISINE))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(DomainError, match=r"^target_sd 5e\+307 is too large: "
-                                              r"the bumps samples at n=64 overflow"):
-            run_study(config)
-    assert not caught
-
-
 @pytest.fixture
 def cold_truths():
     """An empty truth memo, emptied again afterwards: for tests that count
@@ -1055,46 +1068,6 @@ def cold_truths():
     study_mod._truths.cache_clear()
     yield
     study_mod._truths.cache_clear()
-
-
-def _first_failing_draw(config, truth):
-    """The message and cause of the first failing add_noise call of the
-    per-draw study loop."""
-    function, n = config.functions[0], config.sizes[0]
-    for snr, rep in _coords(config):
-        try:
-            add_noise(truth, snr, _noise_key(config.seed, function, n, snr, rep))
-        except Exception as exc:
-            return (f"cell (function={function.value}, n={n}, snr={snr}, rep={rep}) "
-                    f"noise draw failed: {exc}"), type(exc)
-    pytest.fail("no draw fails")
-
-
-@pytest.mark.usefixtures("cold_truths")
-@pytest.mark.parametrize("case", ["constant truth", "overflowing sigma", "overflowing sample"])
-@pytest.mark.parametrize("chunk", [2**20, 2 * 64])
-def test_a_failing_draw_fails_as_add_noise_would(case, chunk, monkeypatch):
-    import epashrink.study as study_mod
-
-    monkeypatch.setattr(study_mod, "_CHUNK", chunk)
-    if case == "constant truth":
-        config = _draw_config(7.0)
-        monkeypatch.setattr(study_mod, "generate_test_function",
-                            lambda function, n, target_sd: Signal(np.full(n, 2.0)))
-    else:
-        # sigma = 1e310 overflows; sigma = 1e308 is finite, but some of the
-        # samples sigma * eps overflow. The draws at snr 1 denoise and score
-        # without overflow, so in chunks of two rows they fail nothing first
-        config = _draw_config(1e150, snrs=(1.0, 1e-160 if case == "overflowing sigma"
-                                           else 1e-158))
-    truth = study_mod.generate_test_function(config.functions[0], 64, config.target_sd)
-    message, cause = _first_failing_draw(config, truth)
-    if case != "constant truth":
-        assert "snr=1.0," not in message  # the draws at snr 1 come out whole
-    with pytest.raises(NumericError) as caught:
-        run_study(config)
-    assert str(caught.value) == message
-    assert type(caught.value.__cause__) is cause
 
 
 @pytest.mark.parametrize("coarse_level", [0, 3])
@@ -1200,13 +1173,12 @@ def test_a_batch_does_its_bookkeeping_once(monkeypatch):
     # per (function, n), the first time: one truth; per n: one SD for the
     # stack of its truths, the first time, and one reduction for the mse_sd
     # of all its cells; per n, in its one chunk: one reduction for the slab
-    # supports and one shrink per rule; no inverse transform and no
-    # add_noise call at all. A second run takes every truth and its SD from
-    # the memo
+    # supports and one shrink per rule; no inverse transform at all. A
+    # second run takes every truth and its SD from the memo
     import epashrink.study as study_mod
 
     calls = {"generate": 0, "truth sd": 0, "mse_sd": 0, "supports": 0, "shrinks": 0,
-             "inverses": 0, "add_noise": 0}
+             "inverses": 0}
 
     def counting(name, fn, key=None):
         def wrapper(*args, **kwargs):
@@ -1220,7 +1192,7 @@ def test_a_batch_does_its_bookkeeping_once(monkeypatch):
     monkeypatch.setattr(study_mod, "scaled_std", counting(None, study_mod.scaled_std, which_std))
     for name, attr in (("generate", "generate_test_function"),
                        ("supports", "_slab_supports"), ("shrinks", "shrink_pyramid"),
-                       ("inverses", "dwt_inverse"), ("add_noise", "add_noise")):
+                       ("inverses", "dwt_inverse")):
         monkeypatch.setattr(study_mod, attr, counting(name, getattr(study_mod, attr)))
     config = StudyConfig(
         functions=(TestFunctionKind.BUMPS, TestFunctionKind.DOPPLER),
@@ -1233,11 +1205,11 @@ def test_a_batch_does_its_bookkeeping_once(monkeypatch):
     )
     run_study(config)
     assert calls == {"generate": 4, "truth sd": 2, "mse_sd": 2, "supports": 2, "shrinks": 6,
-                     "inverses": 0, "add_noise": 0}
+                     "inverses": 0}
     calls.update(dict.fromkeys(calls, 0))
     run_study(config)
     assert calls == {"generate": 0, "truth sd": 0, "mse_sd": 2, "supports": 2, "shrinks": 6,
-                     "inverses": 0, "add_noise": 0}
+                     "inverses": 0}
 
 
 @pytest.mark.usefixtures("cold_truths")
@@ -1298,20 +1270,15 @@ def _values(report):
     sizes=st.lists(st.sampled_from([4, 8, 64, 1024, 2048]), min_size=1, max_size=3,
                    unique=True),
     replications=st.integers(1, 3),
-    target_sd=st.sampled_from([7.0, 1e-200, 1e307, 5e307]),
+    target_sd=st.sampled_from([7.0, *DRAW_SCALES]),
     seed=st.integers(0, 2**16),
 )
-# a truth whose transform overflows, and one whose samples overflow
-@example(functions=["heavisine"], sizes=[1024], replications=2, target_sd=1e307, seed=1)
-@example(functions=["heavisine", "bumps"], sizes=[64], replications=2, target_sd=5e307,
-         seed=1)
 def test_a_warm_truth_memo_gives_the_report_of_a_cleared_one(functions, sizes, replications,
                                                              target_sd, seed):
-    # functions and sizes in any order; a failing study fails alike. The
-    # warm runs come after studies that differ in one part of a truth's key
-    # have filled the memo with truths of the same functions and sizes, and
-    # then on the memo of config's own truths, after every sample of a
-    # report was overwritten
+    # functions and sizes in any order. The warm runs come after studies
+    # that differ in one part of a truth's key have filled the memo with
+    # truths of the same functions and sizes, and then on the memo of
+    # config's own truths, after every sample of a report was overwritten
     import epashrink.study as study_mod
 
     config = StudyConfig(functions=tuple(functions), sizes=tuple(sizes), snrs=(1.0, 3.0),
@@ -1319,10 +1286,7 @@ def test_a_warm_truth_memo_gives_the_report_of_a_cleared_one(functions, sizes, r
                          seed=seed, target_sd=target_sd)
 
     def outcome():
-        try:
-            report = run_study(config)
-        except EpashrinkError as exc:
-            return type(exc), str(exc)
+        report = run_study(config)
         values = _values(report)
         for cell in report.cells:
             cell.mse_samples[...] = -1.0
@@ -1333,18 +1297,12 @@ def test_a_warm_truth_memo_gives_the_report_of_a_cleared_one(functions, sizes, r
     study_mod._truths.cache_clear()
     for other in (replace(config, target_sd=3.0), replace(config, wavelet_order=4),
                   replace(config, elicitation=ElicitationConfig(coarse_level=1))):
-        try:
-            run_study(other)
-        except EpashrinkError:
-            pass
+        run_study(other)
     assert outcome() == cold
     assert outcome() == cold
     for n in config.sizes:
-        try:
-            memoised = study_mod._truths(config.functions, n, config.target_sd,
-                                         config.wavelet_order, config.elicitation.coarse_level)
-        except DomainError:
-            continue
+        memoised = study_mod._truths(config.functions, n, config.target_sd,
+                                     config.wavelet_order, config.elicitation.coarse_level)
         for values in memoised[:2]:
             assert values.base is None  # each memoised stack owns its memory
             with pytest.raises(ValueError):
@@ -1411,15 +1369,9 @@ def test_a_multi_rule_batch_matches_one_denoise_per_draw_and_rule(
 
 def _studies_per_pair(config):
     """The cells of one run_study per (function, n) of the grid, function by
-    function and size by size, and the first error such a run raises."""
-    cells = []
-    for function in config.functions:
-        for n in config.sizes:
-            try:
-                cells += run_study(replace(config, functions=(function,), sizes=(n,))).cells
-            except NumericError as exc:
-                return cells, exc
-    return cells, None
+    function and size by size."""
+    return [cell for function in config.functions for n in config.sizes
+            for cell in run_study(replace(config, functions=(function,), sizes=(n,))).cells]
 
 
 @settings(max_examples=20, deadline=None)
@@ -1445,8 +1397,7 @@ def test_one_batch_per_n_matches_one_study_per_function_and_n(
         t0 = time.perf_counter()
         report = run_study(config)
         total = time.perf_counter() - t0
-        want, error = _studies_per_pair(config)
-    assert error is None
+        want = _studies_per_pair(config)
     assert sum(cell.wall_time_s for cell in report.cells) <= total
     # every cell owns its samples
     assert len({id(cell.mse_samples) for cell in report.cells}) == len(report.cells)
@@ -1458,117 +1409,6 @@ def test_one_batch_per_n_matches_one_study_per_function_and_n(
         assert np.array_equal(got.mse_samples, cell.mse_samples)
         assert (got.amse, got.mse_sd) == (cell.amse, cell.mse_sd)
         assert got.wall_time_s > 0
-
-
-def _first_failing_row(config):
-    """The message and cause of the first failure of the per-row study
-    loop, or None: size by size, then function, SNR and replication, each
-    row's add_noise draw and then each rule in turn, its shrink of the
-    draw's transform scored with mse against the truth's."""
-    filt = make_daubechies_filter(config.wavelet_order)
-    j0 = config.elicitation.coarse_level
-    for n in config.sizes:
-        for function in config.functions:
-            truth = generate_test_function(function, n, config.target_sd)
-            truth_coeffs = dwt_forward(truth.samples, filt, j0).coeffs
-            for snr in config.snrs:
-                for rep in range(config.replications):
-                    cell = f"cell (function={function.value}, n={n}, snr={snr}, rep={rep})"
-                    try:
-                        noisy = add_noise(truth, snr,
-                                          _noise_key(config.seed, function, n, snr, rep))
-                    except Exception as exc:
-                        return f"{cell} noise draw failed: {exc}", exc
-                    for rule in config.rules:
-                        try:
-                            shrunk = dwt_forward(noisy.samples, filt, j0)
-                            shrink_pyramid(shrunk, rule, config.elicitation, n)
-                            with np.errstate(over="ignore"):
-                                if not math.isfinite(mse(shrunk.coeffs, truth_coeffs)):
-                                    raise NumericError("the squared error overflows")
-                        except Exception as exc:
-                            return f"{cell} rule={rule.label} failed: {exc}", exc
-    return None
-
-
-@pytest.mark.parametrize("chunk", [2**20, 3 * 128])
-def test_failures_at_two_pairs_fail_with_the_first_in_run_order(chunk):
-    # draws fail at (bumps, 128), a rule on the draw at snr 3, rep 1, and at
-    # (doppler, 64) and (doppler, 128), the noise draw at snr 1, rep 0. The
-    # study runs size by size, so it fails at doppler's draw at n = 64, in
-    # one chunk per n or in chunks of three rows, where a study per
-    # (function, n), function by function, fails at bumps first
-    import epashrink.study as study_mod
-
-    config = StudyConfig(functions=(TestFunctionKind.BUMPS, TestFunctionKind.DOPPLER),
-                         sizes=(64, 128), snrs=(1.0, 3.0), replications=2,
-                         rules=(RuleSpec("esr"), RuleSpec("soft")), seed=9)
-    bad_keys = {_noise_key(config.seed, TestFunctionKind.BUMPS, 128, 3.0, 1),
-                _noise_key(config.seed, TestFunctionKind.DOPPLER, 64, 1.0, 0),
-                _noise_key(config.seed, TestFunctionKind.DOPPLER, 128, 1.0, 0)}
-    with _huge_draws(bad_keys), mock.patch.object(study_mod, "_CHUNK", chunk):
-        _, per_pair = _studies_per_pair(config)
-        message, cause = _first_failing_row(config)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(NumericError) as got:
-                run_study(config)
-    assert not caught
-    assert re.match(r"cell \(function=bumps, n=128, snr=3.0, rep=1\) rule=esr failed",
-                    str(per_pair))
-    assert message.startswith("cell (function=doppler, n=64, snr=1.0, rep=0) noise draw "
-                              "failed: noise draw: ")
-    assert str(got.value) == message
-    assert type(got.value.__cause__) is type(cause)
-    assert str(got.value.__cause__) == str(cause)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    functions=st.lists(st.sampled_from(list(TestFunctionKind)), min_size=1, max_size=4,
-                       unique=True),
-    sizes=st.lists(st.sampled_from([8, 32, 64, 128]), min_size=1, max_size=3, unique=True),
-    snrs=st.lists(st.sampled_from([0.2, 1.0, 3.0]), min_size=1, max_size=3, unique=True),
-    replications=st.integers(1, 3),
-    rules=st.lists(st.sampled_from(["esr", "soft", "hard:2"]), min_size=1, max_size=3,
-                   unique=True),
-    bad=st.sets(st.integers(0, 10**6), max_size=3),
-    huge=st.sampled_from([7e307, 1e160]),
-    seed=st.integers(0, 2**16),
-)
-def test_a_study_fails_at_its_first_failing_row_in_run_order_whatever_the_chunks(
-        functions, sizes, snrs, replications, rules, bad, huge, seed):
-    # huge draws at random rows: at 7e307 the noise draw overflows at snr
-    # 0.2 and 1, and the forward transform at snr 3; at 1e160 the squared
-    # error overflows. Every chunk size gives the error of the first row
-    # that fails alone, in the order size, function, SNR, replication, its
-    # draw before its rules; a study with no failing row gives the cells of
-    # one study per (function, n)
-    import epashrink.study as study_mod
-
-    config = StudyConfig(functions=functions, sizes=sizes, snrs=snrs,
-                         replications=replications, rules=rules, seed=seed)
-    keys = [_noise_key(seed, function, n, snr, rep) for n in config.sizes
-            for function in config.functions for snr in config.snrs
-            for rep in range(replications)]
-    outcomes = []
-    with _huge_draws({keys[i % len(keys)] for i in bad}, huge):
-        want = _first_failing_row(config)
-        for chunk in (8, 3 * 32, 200, 2**19):
-            with mock.patch.object(study_mod, "_CHUNK", chunk):
-                try:
-                    outcomes.append(_values(run_study(config)))
-                except EpashrinkError as exc:
-                    outcomes.append((type(exc), str(exc), type(exc.__cause__),
-                                     str(exc.__cause__)))
-        if want is None:
-            cells, error = _studies_per_pair(config)
-            assert error is None
-            want = _values(StudyReport(config, cells))
-        else:
-            message, cause = want
-            want = (NumericError, message, type(cause), str(cause))
-    assert outcomes == [want] * 4
 
 
 def test_study_desk_batch_memory_is_bounded():
